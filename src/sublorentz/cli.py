@@ -15,10 +15,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import RunConfig, load_config
-from .cones import check_antinorm_axioms, find_time_covector, is_pointed
+from .cones import check_antinorm_axioms, find_time_covector
 from .dynamics import ControlSignal, integrate, trajectory_to_csv
 from .errors import ConfigError, SubLorentzError
-from .groups import HyperbolicPlane, natural_metric
+from .groups import HyperbolicPlane
 from .solver import SolveStatus, reachability_sample, solve_longest
 from .timeform import (
     check_growth_condition,
@@ -84,11 +84,7 @@ def _history_csv(history) -> str:
 
 
 def _cloud_csv(points: np.ndarray, model) -> str:
-    if isinstance(model, HyperbolicPlane):
-        names = ["x", "y"]
-    else:
-        names = [f"x{i}" for i in range(points.shape[1])]
-    lines = [",".join(names)]
+    lines = [",".join(model.coordinate_names())]
     lines += [",".join(f"{c:.17g}" for c in row) for row in points]
     return "\n".join(lines) + "\n"
 
@@ -122,7 +118,7 @@ def _run_solve(cfg: RunConfig) -> Tuple[int, RunReport]:
 def _run_check_structure(cfg: RunConfig) -> Tuple[int, RunReport]:
     if cfg.cone is None or cfg.antinorm is None:
         raise ConfigError("check-structure needs 'cone' and 'antinorm'", field="cone")
-    pointed = is_pointed(cfg.cone)
+    pointed = cfg.cone.is_pointed()
     payload: Dict = {"pointed": pointed}
     text = [f"cone pointed: {pointed}"]
     ok = pointed
@@ -169,7 +165,7 @@ def _run_check_timeform(cfg: RunConfig) -> Tuple[int, RunReport]:
     ok = closed
 
     if cfg.cone is not None:
-        growth = check_growth_condition(form, cfg.cone, natural_metric(model),
+        growth = check_growth_condition(form, cfg.cone, model.natural_metric(),
                                         samples=cfg.samples, seed=cfg.seed)
         payload["growth_passed"] = growth.passed
         payload["growth_rho"] = None if np.isinf(growth.rho) else growth.rho

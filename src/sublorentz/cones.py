@@ -47,9 +47,11 @@ class Cone:
     dim: int
 
     def contains(self, v, tol: float = DEFAULT_TOL) -> bool:
+        """Whether v lies within relative tolerance tol of the cone."""
         raise NotImplementedError
 
     def is_pointed(self) -> bool:
+        """Whether cone ∩ (-cone) = {0}."""
         raise NotImplementedError
 
     def project(self, v) -> np.ndarray:
@@ -306,16 +308,6 @@ class LinearImageCone(Cone):
 
     def sample(self, n, rng, boundary_fraction=0.25, relative_interior=False):
         return self.base.sample(n, rng, boundary_fraction, relative_interior) @ self.map.T
-
-
-def cone_contains(cone: Cone, v, tol: float = DEFAULT_TOL) -> bool:
-    """Whether v lies within relative tolerance tol of the cone."""
-    return cone.contains(v, tol)
-
-
-def is_pointed(cone: Cone) -> bool:
-    """Whether cone ∩ (-cone) = {0}."""
-    return cone.is_pointed()
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,10 @@ class RunConfig:
             return ProblemInstance(self.model, self.cone, self.antinorm,
                                    self.x0, self.x1, self.segments)
         except (ValueError, InvalidPointError) as exc:
-            raise ConfigError(str(exc), field="endpoints")
+            # the cone and antinorm checks name their component first
+            subject = str(exc).split(" ", 1)[0]
+            raise ConfigError(str(exc), field=subject if subject in ("cone", "antinorm")
+                              else "endpoints")
 
 
 def load_config(path: str) -> RunConfig:

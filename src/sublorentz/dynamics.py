@@ -100,10 +100,9 @@ def integrate(model: GroupModel, x0, u: ControlSignal, horizon: float = 1.0,
     Carnot controls may be given in the first layer only.
     """
     x0 = model.validate_point(x0)
-    expected = (model.control_dim if isinstance(model, CarnotGroup) else model.point_dim)
-    if u.dim not in (expected, model.point_dim):
-        raise DimensionMismatchError(
-            f"control dim {u.dim} does not match model ({expected} or {model.point_dim})")
+    if u.dim not in (model.control_dim, model.point_dim):
+        raise DimensionMismatchError(f"control dim {u.dim} does not match model "
+                                     f"({model.control_dim} or {model.point_dim})")
     n = u.segments
     h = horizon / n
     pts = np.empty((n + 1, model.point_dim))
@@ -224,16 +223,9 @@ def integrate_rk4_step2(model: GroupModel, x0, u: ControlSignal,
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_names(model: GroupModel) -> list:
-    from .groups import HyperbolicPlane
-    if isinstance(model, HyperbolicPlane):
-        return ["x", "y"]
-    return [f"x{i}" for i in range(model.point_dim)]
-
-
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Deterministic CSV: one row per grid node, 17 significant digits."""
-    header = ["t"] + _coordinate_names(traj.model) + ["z"]
+    header = ["t"] + traj.model.coordinate_names() + ["z"]
     lines = [",".join(header)]
     for k in range(len(traj.times)):
         cells = [f"{traj.times[k]:.17g}"]

@@ -184,10 +184,19 @@ def left_translation_jacobian(algebra: CarnotAlgebra, xi) -> np.ndarray:
 
 class GroupModel:
     """Base class: a group with identity, product, inverse, exponential flow
-    and a global chart (points are coordinate vectors)."""
+    and a global chart (points are coordinate vectors).
+
+    Everything left-invariant is decided at the identity, so a model also
+    supplies the maps between identity tangents and chart tangents, the
+    chart indices of the derived algebra [g, g], and the endpoint map of
+    piecewise-constant controls with its Jacobian.
+    """
 
     point_dim: int
     control_dim: int
+    #: chart indices spanning [g, g]; a left-invariant form is exact exactly
+    #: when its covector vanishes there
+    derived_coords: slice
 
     def identity(self) -> np.ndarray:
         raise NotImplementedError
@@ -209,6 +218,61 @@ class GroupModel:
         """Inverse of exp at the identity (group logarithm in the chart)."""
         raise NotImplementedError
 
+    def embed_control(self, u) -> np.ndarray:
+        """Lift a control-space vector to a full identity tangent vector."""
+        return as_vector(u, self.point_dim, "control")
+
+    def left_translate(self, p, u) -> np.ndarray:
+        """Chart components at p of the left-translate of the identity tangent u."""
+        raise NotImplementedError
+
+    def pullback(self, p, v) -> np.ndarray:
+        """Identity tangent whose left-translate at p has chart components v."""
+        raise NotImplementedError
+
+    def forced_average(self, x0, x1) -> Optional[np.ndarray]:
+        """Control average forced by the endpoints, or None when the model
+        pins none down."""
+        return None
+
+    def coordinate_names(self) -> list:
+        return [f"x{i}" for i in range(self.point_dim)]
+
+    def natural_metric(self) -> RiemannianMetric:
+        """The model's invariant reference metric used for diagnostics."""
+        return EuclideanMetric()
+
+    def endpoint_map(self, x0, x1, u: np.ndarray, horizon: float
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Residual rho = log(endpoint^{-1} x1) plus d rho / d u_k, analytically.
+
+        Returns (rho, J, endpoint) with J of shape (N, res_dim, control_dim):
+        the per-segment step Jacobians are chained by one reverse sweep.
+        """
+        n_seg = u.shape[0]
+        h = horizon / n_seg
+        p = np.asarray(x0, dtype=float)
+        steps = []  # per segment: (d p_{k+1} / d p_k, d p_{k+1} / d u_k)
+        for k in range(n_seg):
+            p, Dp, Du = self._segment_step(p, u[k], h)
+            steps.append((Dp, Du))
+        rho, S = self._residual_jacobian(p, x1)
+        J = np.empty((n_seg, S.shape[0], steps[0][1].shape[1]))
+        for k in range(n_seg - 1, -1, -1):
+            Dp, Du = steps[k]
+            J[k] = S @ Du
+            S = S @ Dp
+        return rho, J, p
+
+    def _segment_step(self, p, uk, h: float
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """p exp(h uk) with its Jacobians in p and in uk."""
+        raise NotImplementedError
+
+    def _residual_jacobian(self, endpoint, x1) -> Tuple[np.ndarray, np.ndarray]:
+        """log(endpoint^{-1} x1) and its Jacobian in the endpoint."""
+        raise NotImplementedError
+
 
 class AbelianGroup(GroupModel):
     """R^n under addition."""
@@ -219,6 +283,7 @@ class AbelianGroup(GroupModel):
         self.dim = int(dim)
         self.point_dim = self.dim
         self.control_dim = self.dim
+        self.derived_coords = slice(self.dim, None)
 
     def __repr__(self) -> str:
         return f"AbelianGroup(dim={self.dim})"
@@ -238,6 +303,38 @@ class AbelianGroup(GroupModel):
     def log(self, p):
         return self.validate_point(p)
 
+    def left_translate(self, p, u):
+        self.validate_point(p)
+        return as_vector(u, self.dim, "tangent vector").copy()
+
+    def pullback(self, p, v):
+        self.validate_point(p)
+        return as_vector(v, self.dim, "tangent vector").copy()
+
+    def forced_average(self, x0, x1):
+        return self.log(self.multiply(self.inverse(x0), x1))
+
+    def endpoint_map(self, x0, x1, u, horizon):
+        n_seg, m = u.shape
+        h = horizon / n_seg
+        endpoint = x0 + h * u.sum(axis=0)
+        rho = x1 - endpoint
+        J = np.broadcast_to(-h * np.eye(m), (n_seg, m, m)).copy()
+        return rho, J, endpoint
+
+
+def _hyperbolic_log_jacobian(w: np.ndarray) -> np.ndarray:
+    """d log / d point at w = (x, y) on the hyperbolic plane."""
+    x, y = w
+    t = y - 1.0
+    if abs(t) < 1e-5:
+        ratio = 1.0 - t / 2.0 + t * t / 3.0 - t ** 3 / 4.0
+        dratio = -0.5 + 2.0 * t / 3.0 - 0.75 * t * t
+    else:
+        ratio = np.log(y) / t
+        dratio = ((t / y) - np.log(y)) / (t * t)
+    return np.array([[ratio, x * dratio], [0.0, 1.0 / y]])
+
 
 class HyperbolicPlane(GroupModel):
     """The semidirect product R x R_+ with (x1,y1).(x2,y2) = (x1+y1x2, y1y2),
@@ -245,6 +342,7 @@ class HyperbolicPlane(GroupModel):
 
     point_dim = 2
     control_dim = 2
+    derived_coords = slice(0, 1)
 
     def __repr__(self) -> str:
         return "HyperbolicPlane()"
@@ -290,6 +388,44 @@ class HyperbolicPlane(GroupModel):
             ratio = beta / w
         return np.array([x * ratio, beta])
 
+    def left_translate(self, p, u):
+        return self.validate_point(p)[1] * as_vector(u, 2, "tangent vector")
+
+    def pullback(self, p, v):
+        y = self.validate_point(p)[1]
+        return as_vector(v, 2, "tangent vector") / y
+
+    def coordinate_names(self):
+        return ["x", "y"]
+
+    def natural_metric(self):
+        return LobachevskyMetric()
+
+    def _segment_step(self, p, uk, h):
+        alpha, beta = uk
+        y = p[1]
+        if abs(beta) < 1e-12:
+            X, Y = h * alpha, 1.0
+            dXa, dXb, dYb = h, alpha * h * h / 2.0, h
+        else:
+            ebt = np.exp(h * beta)
+            X = (alpha / beta) * (ebt - 1.0)
+            Y = ebt
+            dXa = (ebt - 1.0) / beta
+            dXb = alpha * (h * ebt * beta - (ebt - 1.0)) / (beta * beta)
+            dYb = h * ebt
+        q = np.array([p[0] + y * X, y * Y])
+        Dp = np.array([[1.0, X], [0.0, Y]])
+        Du = y * np.array([[dXa, dXb], [0.0, dYb]])
+        return q, Dp, Du
+
+    def _residual_jacobian(self, endpoint, x1):
+        ex, ey = endpoint
+        w = np.array([(x1[0] - ex) / ey, x1[1] / ey])
+        dw_dE = np.array([[-1.0 / ey, -(x1[0] - ex) / ey ** 2],
+                          [0.0, -x1[1] / ey ** 2]])
+        return self.log(w), _hyperbolic_log_jacobian(w) @ dw_dE
+
 
 class CarnotGroup(GroupModel):
     """Carnot group in exponential coordinates over a stratified algebra."""
@@ -298,6 +434,8 @@ class CarnotGroup(GroupModel):
         self.algebra = algebra
         self.point_dim = algebra.dim
         self.control_dim = algebra.layer_dims[0]
+        self.derived_coords = slice(self.control_dim, None)
+        self._first_layer = np.eye(self.point_dim, self.control_dim)
 
     def __repr__(self) -> str:
         return f"CarnotGroup(layers={self.algebra.layer_dims})"
@@ -321,52 +459,69 @@ class CarnotGroup(GroupModel):
     def log(self, p):
         return self.validate_point(p)
 
+    def embed_control(self, u):
+        """First-layer controls gain zero components on [g, g]."""
+        u = as_vector(u, name="control")
+        if u.shape[0] == self.control_dim:
+            return self.algebra.embed_first_layer(u)
+        return as_vector(u, self.point_dim, "control")
 
-def embed_control(model: GroupModel, u) -> np.ndarray:
-    """Lift a control-space vector to a full identity tangent vector
-    (first-layer Carnot controls gain zero components on [g, g])."""
-    u = as_vector(u, name="control")
-    if isinstance(model, CarnotGroup) and u.shape[0] == model.control_dim:
-        return model.algebra.embed_first_layer(u)
-    return as_vector(u, model.point_dim, "control")
+    def left_translate(self, p, u):
+        p = self.validate_point(p)
+        u = as_vector(u, self.point_dim, "tangent vector")
+        return left_translation_jacobian(self.algebra, p) @ u
 
+    def pullback(self, p, v):
+        p = self.validate_point(p)
+        v = as_vector(v, self.point_dim, "tangent vector")
+        return np.linalg.solve(left_translation_jacobian(self.algebra, p), v)
 
-def left_translate_tangent(model: GroupModel, p, u) -> np.ndarray:
-    """Chart components at p of the left-translate of the identity tangent u."""
-    p = model.validate_point(p)
-    u = as_vector(u, model.point_dim, "tangent vector")
-    if isinstance(model, AbelianGroup):
-        return u.copy()
-    if isinstance(model, HyperbolicPlane):
-        return p[1] * u
-    if isinstance(model, CarnotGroup):
-        return left_translation_jacobian(model.algebra, p) @ u
-    raise TypeError(f"unsupported model {model!r}")
+    def forced_average(self, x0, x1):
+        return self.log(self.multiply(self.inverse(x0), x1))[:self.control_dim]
 
+    def endpoint_map(self, x0, x1, u, horizon):
+        """Step 2 takes a closed-form vectorized route; higher steps chain
+        the exact BCH Jacobians segment by segment."""
+        alg = self.algebra
+        if alg.step != 2:
+            return super().endpoint_map(x0, x1, u, horizon)
+        n_seg = u.shape[0]
+        h = horizon / n_seg
+        n = alg.dim
+        m1 = alg.layer_dims[0]
+        xi0 = np.asarray(x0, dtype=float)
+        eta = np.asarray(x1, dtype=float)
+        csum = np.cumsum(u, axis=0)
+        before = np.vstack([np.zeros(m1), csum[:-1]]) * h  # sum h u_j, j < k
+        P = xi0[:m1][None, :] + before
+        first = xi0[:m1] + h * csum[-1]
+        # bracket of first-layer vectors, landing in the second layer
+        T12 = alg.table[:m1, :m1, m1:]
+        second = xi0[m1:] + 0.5 * h * np.einsum("ijk,ti,tj->k", T12, P, u)
+        xiE = np.concatenate([first, second])
+        # rho = bch(-xiE, eta) at step 2
+        rho = eta - xiE - 0.5 * alg.bracket(xiE, eta)
+        after = (csum[-1][None, :] - csum) * h  # sum h u_l, l > k
+        # d xiE / d u_k: first layer h I; second layer (h/2) [P_k - after_k, .]
+        W = P - after
+        DxiE = np.zeros((n_seg, n, m1))
+        DxiE[:, :m1, :] = h * np.eye(m1)
+        DxiE[:, m1:, :] = 0.5 * h * np.einsum("ijk,ti->tkj", T12, W)
+        drho_dxi = -np.eye(n) + 0.5 * alg.ad(eta)
+        J = np.einsum("ab,tbc->tac", drho_dxi, DxiE)
+        return rho, J, xiE
 
-def pullback_tangent(model: GroupModel, p, v) -> np.ndarray:
-    """Identity tangent whose left-translate at p has chart components v."""
-    p = model.validate_point(p)
-    v = as_vector(v, model.point_dim, "tangent vector")
-    if isinstance(model, AbelianGroup):
-        return v.copy()
-    if isinstance(model, HyperbolicPlane):
-        return v / p[1]
-    if isinstance(model, CarnotGroup):
-        return np.linalg.solve(left_translation_jacobian(model.algebra, p), v)
-    raise TypeError(f"unsupported model {model!r}")
+    def _segment_step(self, xi, uk, h):
+        alg = self.algebra
+        step_vec = h * alg.embed_first_layer(uk)
+        Da, Db = bch_jacobians(alg, xi, step_vec)
+        return bch_log_product(alg, xi, step_vec), Da, Db @ (h * self._first_layer)
 
-
-def group_mul(model: GroupModel, p, q) -> np.ndarray:
-    return model.multiply(p, q)
-
-
-def group_inv(model: GroupModel, p) -> np.ndarray:
-    return model.inverse(p)
-
-
-def exp_step(model: GroupModel, p, u, h: float) -> np.ndarray:
-    return model.exp_step(p, u, h)
+    def _residual_jacobian(self, endpoint, x1):
+        eta = np.asarray(x1, dtype=float)
+        rho = bch_log_product(self.algebra, -endpoint, eta)
+        Dval, _ = bch_jacobians(self.algebra, -endpoint, eta)
+        return rho, -Dval
 
 
 # ---------------------------------------------------------------------------
@@ -414,23 +569,9 @@ def riemannian_norm(metric: RiemannianMetric, model: GroupModel, p, v) -> float:
             raise ValueError("Lobachevsky metric lives on the hyperbolic plane")
         return float(np.linalg.norm(v) / p[1])
     if isinstance(metric, LeftInvariantQuadratic):
-        if isinstance(model, AbelianGroup):
-            w = v
-        elif isinstance(model, HyperbolicPlane):
-            w = v / p[1]
-        elif isinstance(model, CarnotGroup):
-            w = np.linalg.solve(left_translation_jacobian(model.algebra, p), v)
-        else:
-            raise TypeError(f"unsupported model {model!r}")
+        w = model.pullback(p, v)
         return float(np.sqrt(w @ metric.form @ w))
     raise TypeError(f"unsupported metric {metric!r}")
-
-
-def natural_metric(model: GroupModel) -> RiemannianMetric:
-    """The model's invariant reference metric used for diagnostics."""
-    if isinstance(model, HyperbolicPlane):
-        return LobachevskyMetric()
-    return EuclideanMetric()
 
 
 # ---------------------------------------------------------------------------

@@ -15,24 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from .cones import NEG_INF, Antinorm, Cone, antinorm_eval
 from .dynamics import ControlSignal, Trajectory, integrate
-from .errors import WrongModelError
-from .groups import (
-    AbelianGroup,
-    CarnotGroup,
-    GroupModel,
-    HyperbolicPlane,
-    bch_jacobians,
-    bch_log_product,
-    embed_control,
-    natural_metric,
-    riemannian_norm,
-)
+from .errors import DimensionMismatchError, WrongModelError
+from .groups import AbelianGroup, CarnotGroup, GroupModel, riemannian_norm
+from .groups import bch_log_product  # noqa: F401 (the bench tracer test asserts it)
 from .timeform import TimeForm, UnitTimeSection, potential, section_sup_norm
 
 
@@ -73,12 +64,14 @@ class ProblemInstance:
                              f"control space dim {self.control_dim}")
         if not self.cone.is_pointed():
             raise ValueError("cone must be pointed")
+        nu_dim = getattr(self.nu, "dim", None)  # ZeroAntinorm has no dim
+        if nu_dim is not None and nu_dim != self.cone.dim:
+            raise DimensionMismatchError(f"antinorm dim {nu_dim} does not match "
+                                         f"the cone dim {self.cone.dim}")
 
     @property
     def control_dim(self) -> int:
-        if isinstance(self.model, CarnotGroup):
-            return self.model.control_dim
-        return self.model.point_dim
+        return self.model.control_dim
 
 
 @dataclass
@@ -97,145 +90,9 @@ class SolveReport:
                 f"{self.iterations} outer iteration(s)")
 
 
-# ---------------------------------------------------------------------------
-# Endpoint maps and their analytic Jacobians
-# ---------------------------------------------------------------------------
-
-
 def _displacement_log(model: GroupModel, x0, x1) -> np.ndarray:
     """log(x0^{-1} x1) in chart coordinates."""
     return model.log(model.multiply(model.inverse(x0), x1))
-
-
-def _hyperbolic_log_jacobian(w: np.ndarray) -> np.ndarray:
-    """d log / d point at w = (x, y) on the hyperbolic plane."""
-    x, y = w
-    t = y - 1.0
-    if abs(t) < 1e-5:
-        ratio = 1.0 - t / 2.0 + t * t / 3.0 - t ** 3 / 4.0
-        dratio = -0.5 + 2.0 * t / 3.0 - 0.75 * t * t
-    else:
-        ratio = np.log(y) / t
-        dratio = ((t / y) - np.log(y)) / (t * t)
-    return np.array([[ratio, x * dratio], [0.0, 1.0 / y]])
-
-
-def _endpoint_residual_and_jacobians(model: GroupModel, x0, x1,
-                                     u: np.ndarray, horizon: float
-                                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual rho = log(endpoint^{-1} x1) plus d rho / d u_k, analytically.
-
-    Returns (rho, J, endpoint) with J of shape (N, res_dim, control_dim).
-    Step-2 Carnot groups take a closed-form vectorized route; higher steps
-    chain the exact BCH Jacobians segment by segment.
-    """
-    n_seg, m = u.shape
-    h = horizon / n_seg
-
-    if isinstance(model, AbelianGroup):
-        endpoint = x0 + h * u.sum(axis=0)
-        rho = x1 - endpoint
-        J = np.broadcast_to(-h * np.eye(m), (n_seg, m, m)).copy()
-        return rho, J, endpoint
-
-    if isinstance(model, HyperbolicPlane):
-        pts = np.empty((n_seg + 1, 2))
-        pts[0] = x0
-        d_prev = []  # per segment: (d p_{k+1} / d p_k, d p_{k+1} / d u_k)
-        for k in range(n_seg):
-            alpha, beta = u[k]
-            y = pts[k][1]
-            if abs(beta) < 1e-12:
-                X, Y = h * alpha, 1.0
-                dXa, dXb, dYb = h, alpha * h * h / 2.0, h
-            else:
-                ebt = np.exp(h * beta)
-                X = (alpha / beta) * (ebt - 1.0)
-                Y = ebt
-                dXa = (ebt - 1.0) / beta
-                dXb = alpha * (h * ebt * beta - (ebt - 1.0)) / (beta * beta)
-                dYb = h * ebt
-            pts[k + 1] = [pts[k][0] + y * X, y * Y]
-            Dp = np.array([[1.0, X], [0.0, Y]])
-            Du = y * np.array([[dXa, dXb], [0.0, dYb]])
-            d_prev.append((Dp, Du))
-        endpoint = pts[-1]
-        ex, ey = endpoint
-        w = np.array([(x1[0] - ex) / ey, x1[1] / ey])
-        rho = model.log(w)
-        dw_dE = np.array([[-1.0 / ey, -(x1[0] - ex) / ey ** 2],
-                          [0.0, -x1[1] / ey ** 2]])
-        drho_dE = _hyperbolic_log_jacobian(w) @ dw_dE
-        J = np.empty((n_seg, 2, 2))
-        S = drho_dE
-        for k in range(n_seg - 1, -1, -1):
-            Dp, Du = d_prev[k]
-            J[k] = S @ Du
-            S = S @ Dp
-        return rho, J, endpoint
-
-    if isinstance(model, CarnotGroup):
-        alg = model.algebra
-        n = alg.dim
-        m1 = alg.layer_dims[0]
-        if alg.step == 2:
-            m2 = n - m1
-            xi0 = np.asarray(x0, dtype=float)
-            eta = np.asarray(x1, dtype=float)
-            csum = np.cumsum(u, axis=0)
-            before = np.vstack([np.zeros(m1), csum[:-1]]) * h  # sum h u_j, j < k
-            P = xi0[:m1][None, :] + before
-            first = xi0[:m1] + h * csum[-1]
-            # bracket of first-layer vectors, landing in the second layer
-            T12 = alg.table[:m1, :m1, m1:]
-            second = xi0[m1:] + 0.5 * h * np.einsum("ijk,ti,tj->k", T12, P, u)
-            xiE = np.concatenate([first, second])
-            # rho = bch(-xiE, eta) at step 2
-            rho = eta - xiE - 0.5 * alg.bracket(xiE, eta)
-            after = (csum[-1][None, :] - csum) * h  # sum h u_l, l > k
-            # d xiE / d u_k: first layer h I; second layer (h/2) [P_k - after_k, .]
-            W = P - after
-            DxiE = np.zeros((n_seg, n, m1))
-            DxiE[:, :m1, :] = h * np.eye(m1)
-            DxiE[:, m1:, :] = 0.5 * h * np.einsum("ijk,ti->tkj", T12, W)
-            drho_dxi = -np.eye(n) + 0.5 * alg.ad(eta)
-            J = np.einsum("ab,tbc->tac", drho_dxi, DxiE)
-            return rho, J, xiE
-        # generic step <= 4: chain the BCH Jacobians
-        xi = np.asarray(x0, dtype=float)
-        Ms: List[np.ndarray] = []
-        Ks: List[np.ndarray] = []
-        emb = np.zeros((n, m1))
-        emb[:m1, :] = np.eye(m1)
-        for k in range(n_seg):
-            step_vec = h * alg.embed_first_layer(u[k])
-            Da, Db = bch_jacobians(alg, xi, step_vec)
-            Ms.append(Da)
-            Ks.append(Db @ (h * emb))
-            xi = bch_log_product(alg, xi, step_vec)
-        endpoint = xi
-        eta = np.asarray(x1, dtype=float)
-        rho = bch_log_product(alg, -endpoint, eta)
-        Dval, _ = bch_jacobians(alg, -endpoint, eta)
-        drho_dxi = -Dval
-        J = np.empty((n_seg, n, m1))
-        S = drho_dxi
-        for k in range(n_seg - 1, -1, -1):
-            J[k] = S @ Ks[k]
-            S = S @ Ms[k]
-        return rho, J, endpoint
-
-    raise TypeError(f"unsupported model {model!r}")
-
-
-def _first_layer_target(model: GroupModel, x0, x1) -> Optional[np.ndarray]:
-    """Control-average forced by the endpoints, when the model pins one down."""
-    if isinstance(model, AbelianGroup):
-        return _displacement_log(model, x0, x1)
-    if isinstance(model, CarnotGroup):
-        m1 = model.algebra.layer_dims[0]
-        return _displacement_log(model, x0, x1)[:m1]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +121,7 @@ def _polish_average(model: GroupModel, cone: Cone, x0, x1,
     Keeps the superadditivity bound sharp in reports; reverted when the shift
     would push a segment out of the cone.
     """
-    target = _first_layer_target(model, x0, x1)
+    target = model.forced_average(x0, x1)
     if target is None:
         return u
     h = horizon / u.shape[0]
@@ -300,8 +157,7 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
         # points are rejected, never fatal
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                rho, J, _ = _endpoint_residual_and_jacobians(model, x0, x1, uu,
-                                                             horizon)
+                rho, J, _ = model.endpoint_map(x0, x1, uu, horizon)
         except (ValueError, FloatingPointError):
             return -np.inf, None, None
         if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(J))):
@@ -371,7 +227,7 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
         history.append(_objective(nu, u, h))
         if res <= opts.tol:
             polished = _polish_average(model, cone, x0, x1, u, horizon)
-            rho_p, _, _ = _endpoint_residual_and_jacobians(model, x0, x1, polished, horizon)
+            rho_p, _, _ = model.endpoint_map(x0, x1, polished, horizon)
             if np.linalg.norm(rho_p) <= opts.tol:
                 u = polished
                 res = float(np.linalg.norm(rho_p))
@@ -385,7 +241,7 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
         prev_res = res
 
     u = _polish_average(model, cone, x0, x1, u, horizon)
-    rho, _, _ = _endpoint_residual_and_jacobians(model, x0, x1, u, horizon)
+    rho, _, _ = model.endpoint_map(x0, x1, u, horizon)
     return _RunResult(u=u, objective=_objective(nu, u, h),
                       residual=float(np.linalg.norm(rho)),
                       outer_iters=outer, history=history)
@@ -398,7 +254,7 @@ def _starting_controls(prob: ProblemInstance, horizon: float,
     rng = np.random.default_rng(opts.seed)
     n_seg, m = prob.segments, prob.control_dim
     starts: List[np.ndarray] = []
-    target = _first_layer_target(prob.model, prob.x0, prob.x1)
+    target = prob.model.forced_average(prob.x0, prob.x1)
     if target is None:
         target = _displacement_log(prob.model, prob.x0, prob.x1)
     base = np.tile(target / horizon, (n_seg, 1))
@@ -410,17 +266,27 @@ def _starting_controls(prob: ProblemInstance, horizon: float,
             np.linalg.norm(target) / max(np.linalg.norm(jitter, axis=1).mean(), 1e-9))
         starts.append(cand)
     if unit_tau is not None:
-        def normalize(u):
-            out = prob.cone.project_batch(u)
-            for i, row in enumerate(out):
-                t = unit_tau.value_at_identity(embed_control(prob.model, row))
-                if t <= 1e-12:
-                    row = prob.cone.interior_direction()
-                    t = unit_tau.value_at_identity(embed_control(prob.model, row))
-                out[i] = row / t
-            return out
-        starts = [normalize(s) for s in starts]
+        tau_c = _control_covector(prob.model, unit_tau)
+        starts = [_unit_tau_retract(prob.cone, tau_c, s) for s in starts]
     return starts
+
+
+def _control_covector(model: GroupModel, form: TimeForm) -> np.ndarray:
+    """tau at the identity as a covector on the control space."""
+    return np.array([form.value_at_identity(model.embed_control(b))
+                     for b in np.eye(model.control_dim)])
+
+
+def _unit_tau_retract(cone: Cone, tau_c: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Project the rows of U onto the cone and scale each to unit tau; rows
+    where tau <= 1e-12 fall back to the cone's interior direction."""
+    out = cone.project_batch(U)
+    t = out @ tau_c
+    low = t <= 1e-12
+    if np.any(low):
+        out[low] = cone.interior_direction()
+        t[low] = out[low] @ tau_c
+    return out / t[:, None]
 
 
 def _report_from_runs(prob: ProblemInstance, runs: List[_RunResult],
@@ -450,7 +316,7 @@ def solve_longest(prob: ProblemInstance, opts: Optional[SolveOptions] = None
     endpoint tolerance.
     """
     opts = opts or SolveOptions()
-    target = _first_layer_target(prob.model, prob.x0, prob.x1)
+    target = prob.model.forced_average(prob.x0, prob.x1)
     if target is not None and np.linalg.norm(target) > 0 \
             and not prob.cone.contains(target, 1e-9):
         return SolveReport(status=SolveStatus.NO_ADMISSIBLE_PATH, objective=NEG_INF,
@@ -479,32 +345,21 @@ def solve_longest_reparametrized(prob: ProblemInstance, form: TimeForm,
             status=SolveStatus.SOLVED if same else SolveStatus.NO_ADMISSIBLE_PATH,
             objective=0.0 if same else NEG_INF, control=None, trajectory=None,
             endpoint_residual=0.0 if same else np.inf, iterations=0)
-    target = _first_layer_target(prob.model, prob.x0, prob.x1)
+    target = prob.model.forced_average(prob.x0, prob.x1)
     if target is not None and np.linalg.norm(target) > 0 \
             and not prob.cone.contains(target, 1e-9):
         return SolveReport(status=SolveStatus.NO_ADMISSIBLE_PATH, objective=NEG_INF,
                            control=None, trajectory=None,
                            endpoint_residual=np.inf, iterations=0)
 
-    def retract(U: np.ndarray) -> np.ndarray:
-        out = prob.cone.project_batch(U)
-        for i, row in enumerate(out):
-            t = form.value_at_identity(embed_control(prob.model, row))
-            if t <= 1e-12:
-                row = prob.cone.interior_direction()
-                t = form.value_at_identity(embed_control(prob.model, row))
-            out[i] = row / t
-        return out
-
     # tau in control coordinates; ascent happens in its kernel
-    basis = np.eye(prob.control_dim)
-    tau_c = np.array([form.value_at_identity(embed_control(prob.model, b))
-                      for b in basis])
+    tau_c = _control_covector(prob.model, form)
     projector = np.eye(prob.control_dim) - np.outer(tau_c, tau_c) / (tau_c @ tau_c)
 
     runs = [_augmented_lagrangian_run(prob.model, prob.cone, prob.nu,
                                       prob.x0, prob.x1, u0, s1, opts,
-                                      retraction=retract,
+                                      retraction=lambda U: _unit_tau_retract(
+                                          prob.cone, tau_c, U),
                                       gradient_projector=projector)
             for u0 in _starting_controls(prob, s1, opts, unit_tau=form)]
     return _report_from_runs(prob, runs, s1, opts)
@@ -534,9 +389,8 @@ def abelianized_upper_bound(prob: ProblemInstance) -> float:
     displacement leaves the cone (no admissible path at all)."""
     if not isinstance(prob.model, CarnotGroup):
         raise WrongModelError("the first-layer bound requires a Carnot model")
-    disp = _displacement_log(prob.model, prob.x0, prob.x1)
-    m1 = prob.model.algebra.layer_dims[0]
-    return antinorm_eval(prob.nu, prob.cone, disp[:m1])
+    return antinorm_eval(prob.nu, prob.cone,
+                         prob.model.forced_average(prob.x0, prob.x1))
 
 
 def reachability_sample(model: GroupModel, cone: Cone, x0, n_samples: int,
@@ -603,7 +457,7 @@ def check_hyperbolicity_desk(prob: ProblemInstance, form: TimeForm,
     t0 = potential(form, prob.x0)
     t1 = potential(form, prob.x1)
     gap = t1 - t0
-    metric = natural_metric(prob.model)
+    metric = prob.model.natural_metric()
     sup_u = section_sup_norm(UnitTimeSection(prob.cone, form, prob.x0), metric,
                              samples=2048, seed=seed)
     radius = sup_u * max(gap, 0.0)
@@ -628,7 +482,7 @@ def check_hyperbolicity_desk(prob: ProblemInstance, form: TimeForm,
             stalled += 1
         h = np.diff(traj.times)
         speeds = np.array([riemannian_norm(metric, prob.model, ident,
-                                           embed_control(prob.model, row))
+                                           prob.model.embed_control(row))
                            for row in controls])
         arcs = np.concatenate([[0.0], np.cumsum(h * speeds)])
         in_band = pots <= t1 + 1e-9 * scale

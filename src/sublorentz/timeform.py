@@ -1,10 +1,10 @@
 """Causal time forms: evaluation, closedness and exactness checks, the
 potential, the growth condition, and the unit-time reparametrization.
 
-All shipped forms are left-invariant; the hyperbolic family is also kept in
-its explicit coordinate shape (a dx + b dy)/y, which is closed exactly when
-a = 0.  Exactness is decided structurally: the models are simply connected,
-so a closed form always has a potential.
+All shipped forms are left-invariant, so everything is decided at the
+identity: the spread of tau0 is closed exactly when tau0 vanishes on
+[g, g], and the models are simply connected, so a closed form always has a
+potential.  The hyperbolic family (a dx + b dy)/y is the spread of (a, b).
 """
 
 from __future__ import annotations
@@ -16,23 +16,8 @@ import numpy as np
 
 from .cones import Cone, LinearImageCone, LorentzCone, PolyhedralCone, as_vector
 from .dynamics import Trajectory
-from .errors import (
-    InvalidPointError,
-    NotExactError,
-    StalledParameterError,
-    UnboundedSectionError,
-)
-from .groups import (
-    AbelianGroup,
-    CarnotGroup,
-    GroupModel,
-    HyperbolicPlane,
-    RiemannianMetric,
-    embed_control,
-    left_translate_tangent,
-    pullback_tangent,
-    riemannian_norm,
-)
+from .errors import NotExactError, StalledParameterError, UnboundedSectionError
+from .groups import GroupModel, HyperbolicPlane, RiemannianMetric, riemannian_norm
 
 #: headroom used when suggesting a rescaling of tau for the growth condition
 GROWTH_EPS = 0.05
@@ -65,35 +50,16 @@ class LeftInvariantForm(TimeForm):
         return f"LeftInvariantForm(tau0={self.tau0.tolist()}, model={self.model!r})"
 
     def value(self, p, v) -> float:
-        return float(self.tau0 @ pullback_tangent(self.model, p, v))
+        return float(self.tau0 @ self.model.pullback(p, v))
 
     def value_at_identity(self, u) -> float:
         return float(self.tau0 @ as_vector(u, self.model.point_dim))
 
 
-class HyperbolicAB(TimeForm):
-    """The family (a dx + b dy)/y on the hyperbolic plane."""
-
-    def __init__(self, a: float, b: float) -> None:
-        self.a = float(a)
-        self.b = float(b)
-        self.model = HyperbolicPlane()
-
-    def __repr__(self) -> str:
-        return f"HyperbolicAB(a={self.a}, b={self.b})"
-
-    def value(self, p, v) -> float:
-        p = self.model.validate_point(p)
-        v = as_vector(v, 2)
-        return (self.a * v[0] + self.b * v[1]) / p[1]
-
-    def value_at_identity(self, u) -> float:
-        u = as_vector(u, 2)
-        return self.a * u[0] + self.b * u[1]
-
-
-def evaluate(form: TimeForm, p, v) -> float:
-    return form.value(p, v)
+def HyperbolicAB(a: float, b: float) -> LeftInvariantForm:
+    """The family (a dx + b dy)/y on the hyperbolic plane: the left-invariant
+    spread of the covector (a, b)."""
+    return LeftInvariantForm([a, b], HyperbolicPlane())
 
 
 def exterior_derivative_fd(form: TimeForm, p, v, w, h: float = 1e-3) -> float:
@@ -105,43 +71,25 @@ def exterior_derivative_fd(form: TimeForm, p, v, w, h: float = 1e-3) -> float:
     p = form.model.validate_point(p)
     v = as_vector(v, form.model.point_dim)
     w = as_vector(w, form.model.point_dim)
-    if isinstance(form.model, HyperbolicPlane):
-        for q in (p + h * v, p - h * v, p + h * w, p - h * w):
-            if q[1] <= 0.0:
-                raise InvalidPointError(f"stencil leaves y > 0 at {q}")
+    for q in (p + h * v, p - h * v, p + h * w, p - h * w):
+        form.model.validate_point(q)
     d_v = (form.value(p + h * v, w) - form.value(p - h * v, w)) / (2.0 * h)
     d_w = (form.value(p + h * w, v) - form.value(p - h * w, v)) / (2.0 * h)
     return d_v - d_w
 
 
-def potential(form: TimeForm, p) -> float:
-    """The function T with dT = tau, normalized to T(identity) = 0.
+def potential(form: LeftInvariantForm, p) -> float:
+    """The function T with dT = tau, normalized to T(identity) = 0: the
+    covector applied to the group logarithm.
 
-    Raises NotExactError when the form is not exact on the model: hyperbolic
-    forms with a != 0, or Carnot covectors not vanishing on [g, g].
+    Raises NotExactError when the covector does not vanish on [g, g] (on the
+    hyperbolic plane: a != 0), so that the spread is not closed.
     """
-    if isinstance(form, HyperbolicAB):
-        if form.a != 0.0:
-            raise NotExactError(f"(a dx + b dy)/y with a = {form.a} != 0 is not closed")
-        p = form.model.validate_point(p)
-        return float(form.b * np.log(p[1]))
-    if isinstance(form, LeftInvariantForm):
-        model = form.model
-        if isinstance(model, AbelianGroup):
-            return float(form.tau0 @ model.validate_point(p))
-        if isinstance(model, HyperbolicPlane):
-            if form.tau0[0] != 0.0:
-                raise NotExactError("left-invariant hyperbolic form with a != 0 "
-                                    "is not closed")
-            p = model.validate_point(p)
-            return float(form.tau0[1] * np.log(p[1]))
-        if isinstance(model, CarnotGroup):
-            m1 = model.algebra.layer_dims[0]
-            if np.any(form.tau0[m1:] != 0.0):
-                raise NotExactError("covector does not vanish on [g, g]; the "
-                                    "left-invariant spread is not closed")
-            return float(form.tau0 @ model.validate_point(p))
-    raise TypeError(f"unsupported form {form!r}")
+    model = form.model
+    if np.any(form.tau0[model.derived_coords] != 0.0):
+        raise NotExactError("covector does not vanish on [g, g]; the "
+                            "left-invariant spread is not closed")
+    return float(form.tau0 @ model.log(p))
 
 
 def is_exact(form: TimeForm) -> bool:
@@ -208,7 +156,7 @@ def check_growth_condition(form: TimeForm, cone: Cone, metric: RiemannianMetric,
 
     rho = 0.0
     for d in dirs:
-        full = embed_control(model, d)
+        full = model.embed_control(d)
         tau_d = form.value_at_identity(full)
         nrm = riemannian_norm(metric, model, ident, full)
         if tau_d <= 1e-12 * nrm:
@@ -253,14 +201,14 @@ def section_sup_norm(section: UnitTimeSection, metric: RiemannianMetric,
         return 0.0
     best = 0.0
     for d in dirs:
-        full = embed_control(model, d)
+        full = model.embed_control(d)
         tau_d = section.form.value_at_identity(full)
         if tau_d <= 1e-12:
             raise UnboundedSectionError(
                 f"tau is not positive on the extreme direction {d.tolist()}; "
                 "the unit-time slice is unbounded")
         vertex = full / tau_d
-        chart = left_translate_tangent(model, base, vertex)
+        chart = model.left_translate(base, vertex)
         best = max(best, riemannian_norm(metric, model, base, chart))
     return best
 
@@ -270,36 +218,20 @@ def section_sup_norm(section: UnitTimeSection, metric: RiemannianMetric,
 # ---------------------------------------------------------------------------
 
 
-def _segment_tau_rates(traj: Trajectory, form: TimeForm, subsamples: int = 64
-                       ) -> np.ndarray:
+def _segment_tau_rates(traj: Trajectory, form: TimeForm) -> np.ndarray:
     """Average tau(velocity) per segment.
 
     With the generating control available the rate is exact: tau is
     left-invariant, so tau(velocity) = tau_identity(u_k) throughout the
-    segment.  Hyperbolic coordinate forms are integrated by a composite
-    midpoint rule along the exact segment curve; control-free trajectories
-    fall back to chord differences at chart midpoints.
+    segment.  Control-free trajectories fall back to chord differences at
+    chart midpoints.
     """
     n = len(traj.times) - 1
     h = np.diff(traj.times)
     rates = np.empty(n)
-    model = traj.model
     if traj.control is not None:
-        u = traj.control.values
-        for k in range(n):
-            uk = u[k]
-            if isinstance(model, CarnotGroup) and uk.shape[0] == model.control_dim:
-                uk = model.algebra.embed_first_layer(uk)
-            if isinstance(form, LeftInvariantForm):
-                rates[k] = form.value_at_identity(uk)
-            else:
-                # composite midpoint along the exact one-parameter segment
-                sub = (np.arange(subsamples) + 0.5) / subsamples
-                acc = 0.0
-                for s in sub:
-                    q = model.exp_step(traj.points[k], uk, s * h[k])
-                    acc += form.value(q, left_translate_tangent(model, q, uk))
-                rates[k] = acc / subsamples
+        for k, uk in enumerate(traj.control.values):
+            rates[k] = form.value_at_identity(traj.model.embed_control(uk))
     else:
         for k in range(n):
             mid = 0.5 * (traj.points[k] + traj.points[k + 1])

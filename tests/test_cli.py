@@ -217,6 +217,24 @@ def test_main_config_error_exit_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_main_antinorm_dim_mismatch_exit_two(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        "version": 1, "preset": "minkowski11",
+        "antinorm": {"kind": "lorentz_sqrt",
+                     "form": np.diag([1.0, -1.0, -1.0]).tolist()}})
+    assert main(["solve", "--config", path]) == 2
+    assert "config error: antinorm: antinorm dim 3" in capsys.readouterr().err
+
+
+def test_main_cone_dim_mismatch_reported_under_cone(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        "version": 1, "preset": "heisenberg-sl",
+        "cone": {"kind": "lorentz", "form": np.diag([1.0, -1.0, -1.0]).tolist(),
+                 "nappe_selector": [1.0, 0.0, 0.0]}})
+    assert main(["solve", "--config", path]) == 2
+    assert "config error: cone: cone dim 3" in capsys.readouterr().err
+
+
 def test_main_missing_file_exit_two(capsys):
     assert main(["solve", "--config", "/nonexistent/x.json"]) == 2
 

@@ -13,9 +13,7 @@ from sublorentz import (
     ZeroAntinorm,
     antinorm_eval,
     check_antinorm_axioms,
-    cone_contains,
     find_time_covector,
-    is_pointed,
 )
 
 MINK = [[1.0, 0.0], [0.0, -1.0]]
@@ -37,11 +35,11 @@ class EuclideanNormCandidate:
 
 
 def test_lorentz_membership_examples(mink_cone):
-    assert cone_contains(mink_cone, [2.0, 1.0])
-    assert not cone_contains(mink_cone, [1.0, 2.0])
-    assert cone_contains(mink_cone, [1.0, 1.0])  # lightlike boundary
-    assert not cone_contains(mink_cone, [-2.0, 1.0])  # past nappe
-    assert cone_contains(mink_cone, [0.0, 0.0])
+    assert mink_cone.contains([2.0, 1.0])
+    assert not mink_cone.contains([1.0, 2.0])
+    assert mink_cone.contains([1.0, 1.0])  # lightlike boundary
+    assert not mink_cone.contains([-2.0, 1.0])  # past nappe
+    assert mink_cone.contains([0.0, 0.0])
 
 
 def test_polyhedral_membership():
@@ -86,7 +84,7 @@ def test_constructed_members_are_members(rng):
 
 def test_membership_dimension_mismatch(mink_cone):
     with pytest.raises(ValueError):
-        cone_contains(mink_cone, [1.0, 0.0, 0.0])
+        mink_cone.contains([1.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +93,13 @@ def test_membership_dimension_mismatch(mink_cone):
 
 
 def test_is_pointed_examples(mink_cone):
-    assert is_pointed(mink_cone)
-    assert not is_pointed(PolyhedralCone([[1, 0], [-1, 0], [0, 1]]))
-    assert is_pointed(PolyhedralCone([[1, 0]]))
+    assert mink_cone.is_pointed()
+    assert not PolyhedralCone([[1, 0], [-1, 0], [0, 1]]).is_pointed()
+    assert PolyhedralCone([[1, 0]]).is_pointed()
 
 
 def test_halfspace_cone_not_pointed():
-    assert not is_pointed(PolyhedralCone([[1, 0], [-1, 1], [-1, -1]]))
+    assert not PolyhedralCone([[1, 0], [-1, 1], [-1, -1]]).is_pointed()
 
 
 def test_find_time_covector_lorentz(mink_cone):

@@ -3,6 +3,7 @@ import pytest
 
 from sublorentz import (
     AbelianGroup,
+    CarnotAlgebra,
     CarnotGroup,
     HyperbolicPlane,
     LeftInvariantForm,
@@ -25,7 +26,7 @@ from sublorentz import (
     solve_longest,
     solve_longest_reparametrized,
 )
-from sublorentz.solver import _endpoint_residual_and_jacobians
+from sublorentz.solver import _control_covector, _unit_tau_retract
 
 MINK = [[1.0, 0.0], [0.0, -1.0]]
 
@@ -199,25 +200,34 @@ def test_oracle_agreement_random_endpoints(plane, mink_cone, mink_nu,
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("case", ["abelian", "heisenberg", "hyperbolic"])
+@pytest.mark.parametrize("case", ["abelian", "heisenberg", "hyperbolic",
+                                  "engel", "filiform"])
 def test_endpoint_jacobian_matches_fd(case, rng):
     if case == "abelian":
         model, x0, x1 = AbelianGroup(2), np.zeros(2), np.array([5.0, 3.0])
     elif case == "heisenberg":
         model = CarnotGroup(heisenberg_algebra())
         x0, x1 = np.zeros(3), np.array([2.0, 0.5, 0.3])
+    elif case == "engel":
+        model = CarnotGroup(CarnotAlgebra.from_brackets(
+            (2, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}}))
+        x0, x1 = np.zeros(4), np.array([2.0, 0.5, 0.3, 0.1])
+    elif case == "filiform":
+        model = CarnotGroup(CarnotAlgebra.from_brackets(
+            (2, 1, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}, (0, 3): {4: 1.0}}))
+        x0, x1 = np.zeros(5), np.array([2.0, 0.5, 0.3, 0.1, 0.05])
     else:
         model = HyperbolicPlane()
         x0, x1 = np.array([0.0, 1.0]), np.array([0.3, 2.0])
     u = rng.normal(size=(7, 2)) * 0.4 + np.array([1.2, 0.0])
-    rho, J, _ = _endpoint_residual_and_jacobians(model, x0, x1, u, 1.0)
+    rho, J, _ = model.endpoint_map(x0, x1, u, 1.0)
     h = 1e-6
     for k in range(u.shape[0]):
         for j in range(2):
             d = np.zeros_like(u)
             d[k, j] = h
-            rp, _, _ = _endpoint_residual_and_jacobians(model, x0, x1, u + d, 1.0)
-            rm, _, _ = _endpoint_residual_and_jacobians(model, x0, x1, u - d, 1.0)
+            rp, _, _ = model.endpoint_map(x0, x1, u + d, 1.0)
+            rm, _, _ = model.endpoint_map(x0, x1, u - d, 1.0)
             fd = (rp - rm) / (2 * h)
             scale = max(1.0, np.abs(fd).max())
             assert np.abs(J[k][:, j] - fd).max() <= 1e-5 * scale
@@ -296,6 +306,25 @@ def test_hyperbolicity_requires_exact_form(plane, mink_cone, mink_nu, heis):
 # ---------------------------------------------------------------------------
 # reparametrized solves
 # ---------------------------------------------------------------------------
+
+
+def test_unit_tau_retraction_matches_row_loop(heis, mink_cone, rng):
+    form = LeftInvariantForm([1.0, 0.0, 0.0], heis)
+    U = rng.normal(size=(40, 2)) * 2.0
+    U[0] = [-1.0, 0.0]  # projects to the apex, where tau is 0
+    # reference: the per-row loop, tau evaluated on the embedded control
+    expected = mink_cone.project_batch(U)
+    fallbacks = 0
+    for i, row in enumerate(expected):
+        t = form.value_at_identity(heis.embed_control(row))
+        if t <= 1e-12:
+            fallbacks += 1
+            row = mink_cone.interior_direction()
+            t = form.value_at_identity(heis.embed_control(row))
+        expected[i] = row / t
+    got = _unit_tau_retract(mink_cone, _control_covector(heis, form), U)
+    assert fallbacks >= 1
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
 def test_reparametrized_solve_matches_minkowski(plane, mink_cone, mink_nu,
