@@ -54,16 +54,21 @@ class Cone:
         """Whether cone ∩ (-cone) = {0}."""
         raise NotImplementedError
 
-    def project(self, v) -> np.ndarray:
-        """Projection onto the cone (Euclidean, or Euclidean in the cone's
-        natural diagonalizing coordinates for quadratic cones)."""
-        raise NotImplementedError
-
     def project_batch(self, V: np.ndarray) -> np.ndarray:
-        return np.array([self.project(v) for v in V])
+        """Row-wise projection onto the cone (Euclidean, or Euclidean in the
+        cone's natural diagonalizing coordinates for quadratic cones)."""
+        raise NotImplementedError
 
     def interior_direction(self) -> np.ndarray:
         """A unit vector in the relative interior (requires pointedness)."""
+        raise NotImplementedError
+
+    def extreme_directions(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Unit extreme directions: every polyhedral ray, n sampled quadratic ones."""
+        raise NotImplementedError
+
+    def time_covector(self) -> np.ndarray:
+        """A covector > 0 on the cone minus 0; NotPointedError when none exists."""
         raise NotImplementedError
 
     def sample(self, n: int, rng: np.random.Generator,
@@ -122,12 +127,11 @@ class PolyhedralCone(Cone):
             raise RuntimeError(f"pointedness LP failed: {res.message}")
         return res.fun > 1e-9
 
-    def project(self, v) -> np.ndarray:
-        v = as_vector(v, self.dim)
+    def project_batch(self, V):
         if len(self._nonzero) == 0:
-            return np.zeros(self.dim)
-        lam, _ = nnls(self._nonzero.T, v)
-        return self._nonzero.T @ lam
+            return np.zeros((len(V), self.dim))
+        G = self._nonzero.T
+        return np.array([G @ nnls(G, as_vector(v, self.dim))[0] for v in V])
 
     def interior_direction(self) -> np.ndarray:
         if len(self._unit) == 0:
@@ -137,6 +141,29 @@ class PolyhedralCone(Cone):
         if n < 1e-12:
             raise NotPointedError("generator average vanishes; cone not pointed")
         return d / n
+
+    def extreme_directions(self, n, rng):
+        return self._unit.copy()
+
+    def time_covector(self):
+        """Interior point of the polar cone: maximize the minimum margin over
+        the unit generators (LP)."""
+        U = self._unit
+        if len(U) == 0:
+            raise NotPointedError("trivial cone: polar interior is empty only for lines; "
+                                  "no generators to separate")
+        k, d = U.shape
+        # maximize m s.t. U tau >= m, |tau|_inf <= 1
+        c = np.zeros(d + 1)
+        c[-1] = -1.0
+        A_ub = np.hstack([-U, np.ones((k, 1))])
+        res = linprog(c, A_ub=A_ub, b_ub=np.zeros(k),
+                      bounds=[(-1, 1)] * d + [(0, None)], method="highs")
+        if not res.success:
+            raise RuntimeError(f"time covector LP failed: {res.message}")
+        if -res.fun <= 1e-9:
+            raise NotPointedError("cone contains a line; polar cone has empty interior")
+        return res.x[:d]
 
     def sample(self, n, rng, boundary_fraction=0.25, relative_interior=False):
         k = len(self._nonzero)
@@ -217,19 +244,6 @@ class LorentzCone(Cone):
         # a single nappe of a signature-(1, r) cone never contains a line
         return True
 
-    def project(self, v) -> np.ndarray:
-        b = self._W @ as_vector(v, self.dim)
-        t, x = b[0], b[1:]
-        nx = np.linalg.norm(x)
-        if t >= nx:
-            pass
-        elif t <= -nx:
-            b = np.zeros_like(b)
-        else:
-            a = 0.5 * (t + nx)
-            b = np.concatenate(([a], a * x / nx if nx > 0 else x))
-        return self._Winv @ b
-
     def project_batch(self, V: np.ndarray) -> np.ndarray:
         B = V @ self._W.T
         t, X = B[:, 0], B[:, 1:]
@@ -246,14 +260,15 @@ class LorentzCone(Cone):
     def interior_direction(self) -> np.ndarray:
         return self._axis.copy()
 
-    def boundary_directions(self, n: int, rng: Optional[np.random.Generator] = None
-                            ) -> np.ndarray:
-        """Lightlike unit vectors on the nappe boundary ((n, dim) or fewer)."""
+    def time_covector(self):
+        return self._W[0].copy()
+
+    def extreme_directions(self, n, rng):
+        """Lightlike unit vectors: both boundary rays when dim = 2, else n sampled."""
         r = self.dim - 1
         if r == 1:
             dirs = np.array([[1.0, 1.0], [1.0, -1.0]])
         else:
-            rng = rng or np.random.default_rng(0)
             phi = rng.standard_normal((n, r))
             phi /= np.linalg.norm(phi, axis=1, keepdims=True)
             dirs = np.hstack([np.ones((n, 1)), phi])
@@ -299,12 +314,19 @@ class LinearImageCone(Cone):
     def is_pointed(self) -> bool:
         return self.base.is_pointed()
 
-    def project(self, v) -> np.ndarray:
-        return self.map @ self.base.project(self._Minv @ as_vector(v, self.dim))
+    def project_batch(self, V):
+        return self.base.project_batch(V @ self._Minv.T) @ self.map.T
 
     def interior_direction(self) -> np.ndarray:
         d = self.map @ self.base.interior_direction()
         return d / np.linalg.norm(d)
+
+    def extreme_directions(self, n, rng):
+        dirs = self.base.extreme_directions(n, rng) @ self.map.T
+        return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+    def time_covector(self):
+        return self._Minv.T @ self.base.time_covector()
 
     def sample(self, n, rng, boundary_fraction=0.25, relative_interior=False):
         return self.base.sample(n, rng, boundary_fraction, relative_interior) @ self.map.T
@@ -319,8 +341,8 @@ class LinearImageCone(Cone):
 class TimeCovector:
     """A covector strictly positive on the cone minus the origin.
 
-    ``margin`` is min tau(g)/|tau| over unit generators (polyhedral: exact;
-    quadratic cones: minimum over sampled lightlike boundary directions).
+    ``margin`` is min tau(g)/|tau| over the cone's unit extreme directions g
+    (exact for polyhedral cones and their images, sampled for quadratic ones).
     """
 
     components: np.ndarray
@@ -330,54 +352,18 @@ class TimeCovector:
         return float(self.components @ np.asarray(v, dtype=float))
 
 
-def _margin_on(cone: Cone, tau: np.ndarray) -> float:
-    ntau = np.linalg.norm(tau)
-    if isinstance(cone, PolyhedralCone):
-        vals = cone._unit @ tau
-        return float(vals.min() / ntau) if len(vals) else np.inf
-    if isinstance(cone, LorentzCone):
-        dirs = cone.boundary_directions(512)
-        return float((dirs @ tau).min() / ntau)
-    if isinstance(cone, LinearImageCone):
-        return _margin_on(cone.base, cone.map.T @ tau)
-    raise TypeError(f"unsupported cone {cone!r}")
+def _probe_directions(cone: Cone) -> np.ndarray:
+    """The fixed sample of extreme directions that cone-wide checks run on."""
+    return cone.extreme_directions(512, np.random.default_rng(0))
 
 
 def find_time_covector(cone: Cone) -> TimeCovector:
-    """A covector tau with tau(xi) > 0 on the cone minus the origin.
-
-    Polyhedral cones: interior point of the polar cone, found by maximizing
-    the minimum margin over normalized generators (LP).  Raises
-    NotPointedError when no such covector exists.
+    """The cone's time covector tau, with its margin taken over the cone's
+    extreme directions.  Raises NotPointedError when no such covector exists.
     """
-    if isinstance(cone, LorentzCone):
-        tau = cone._W[0].copy()
-        return TimeCovector(tau, _margin_on(cone, tau))
-    if isinstance(cone, LinearImageCone):
-        inner = find_time_covector(cone.base)
-        tau = cone._Minv.T @ inner.components
-        return TimeCovector(tau, _margin_on(cone, tau))
-    if not isinstance(cone, PolyhedralCone):
-        raise TypeError(f"unsupported cone {cone!r}")
-
-    U = cone._unit
-    if len(U) == 0:
-        raise NotPointedError("trivial cone: polar interior is empty only for lines; "
-                              "no generators to separate")
-    k, d = U.shape
-    # maximize m s.t. U tau >= m, |tau|_inf <= 1
-    c = np.zeros(d + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-U, np.ones((k, 1))])
-    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(k),
-                  bounds=[(-1, 1)] * d + [(0, None)], method="highs")
-    if not res.success:
-        raise RuntimeError(f"time covector LP failed: {res.message}")
-    m = -res.fun
-    if m <= 1e-9:
-        raise NotPointedError("cone contains a line; polar cone has empty interior")
-    tau = res.x[:d]
-    return TimeCovector(tau, _margin_on(cone, tau))
+    tau = cone.time_covector()
+    dirs = _probe_directions(cone)
+    return TimeCovector(tau, float((dirs @ tau).min() / np.linalg.norm(tau)))
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +381,9 @@ class Antinorm:
     def values_on_cone(self, V: np.ndarray) -> np.ndarray:
         return np.array([self.value_on_cone(v) for v in V])
 
-    def grad_on_cone(self, v: np.ndarray) -> np.ndarray:
-        """A (super)gradient at a relative-interior point."""
-        raise NotImplementedError
-
     def grads_on_cone(self, V: np.ndarray) -> np.ndarray:
-        return np.array([self.grad_on_cone(v) for v in V])
+        """Row-wise (super)gradients at relative-interior points."""
+        raise NotImplementedError
 
 
 class LorentzSqrt(Antinorm):
@@ -421,12 +404,6 @@ class LorentzSqrt(Antinorm):
     def values_on_cone(self, V):
         q = np.einsum("ij,jk,ik->i", V, self.form, V)
         return np.sqrt(np.maximum(q, 0.0))
-
-    def grad_on_cone(self, v):
-        val = self.value_on_cone(v)
-        if val <= 0.0:
-            raise ValueError("gradient undefined on the lightlike boundary")
-        return (self.form @ v) / val
 
     def grads_on_cone(self, V):
         vals = self.values_on_cone(V)
@@ -459,12 +436,6 @@ class MinOfLinear(Antinorm):
         band = 1e-12 * self._scale * (1.0 + np.linalg.norm(V, axis=1))
         return np.where((vals < 0.0) & (vals >= -band), 0.0, vals)
 
-    def grad_on_cone(self, v):
-        vals = self.family @ v
-        m = vals.min()
-        active = self.family[vals <= m + 1e-12 * self._scale * (1.0 + np.linalg.norm(v))]
-        return active.mean(axis=0)
-
     def grads_on_cone(self, V):
         vals = V @ self.family.T
         band = 1e-12 * self._scale * (1.0 + np.linalg.norm(V, axis=1))
@@ -482,8 +453,8 @@ class ZeroAntinorm(Antinorm):
     def values_on_cone(self, V):
         return np.zeros(len(V))
 
-    def grad_on_cone(self, v):
-        return np.zeros_like(np.asarray(v, dtype=float))
+    def grads_on_cone(self, V):
+        return np.zeros(np.shape(V))
 
 
 def antinorm_eval(nu: Antinorm, cone: Cone, v, tol: float = DEFAULT_TOL) -> float:

@@ -9,6 +9,10 @@ class DimensionMismatchError(SubLorentzError):
     """Operands live in spaces of different dimensions."""
 
 
+class NegativeAntinormError(SubLorentzError):
+    """The antinorm takes negative values on its cone."""
+
+
 class NotPointedError(SubLorentzError):
     """The cone contains a line, so no strictly positive covector exists."""
 

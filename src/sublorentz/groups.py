@@ -12,7 +12,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .cones import as_vector
+from .cones import Cone, as_vector
 from .errors import InvalidPointError, UnsupportedStepError
 
 MAX_STEP = 4
@@ -235,6 +235,13 @@ class GroupModel:
         pins none down."""
         return None
 
+    def admits_path(self, cone: Cone, x0, x1) -> bool:
+        """False when a certificate rules out every cone-admissible path from
+        x0 to x1: here, a forced control average outside the cone."""
+        target = self.forced_average(x0, x1)
+        return (target is None or np.linalg.norm(target) == 0.0
+                or cone.contains(target, 1e-9))
+
     def coordinate_names(self) -> list:
         return [f"x{i}" for i in range(self.point_dim)]
 
@@ -395,6 +402,13 @@ class HyperbolicPlane(GroupModel):
         y = self.validate_point(p)[1]
         return as_vector(v, 2, "tangent vector") / y
 
+    def admits_path(self, cone, x0, x1):
+        """exp(t c) = e + ((e^{t beta} - 1)/beta) c and (e + a)(e + b) =
+        e + a + (1 + a_y) b, so every point reachable from x0 lies in
+        x0 ((e + cone) with y > 0)."""
+        w = self.multiply(self.inverse(x0), x1)
+        return cone.contains(w - self.identity(), 1e-9)
+
     def coordinate_names(self):
         return ["x", "y"]
 
@@ -451,10 +465,8 @@ class CarnotGroup(GroupModel):
         return -self.validate_point(p)
 
     def exp_step(self, p, u, h):
-        u = as_vector(u)
-        if u.shape[0] == self.algebra.layer_dims[0]:
-            u = self.algebra.embed_first_layer(u)
-        return bch_log_product(self.algebra, self.validate_point(p), h * u)
+        return bch_log_product(self.algebra, self.validate_point(p),
+                               h * self.embed_control(u))
 
     def log(self, p):
         return self.validate_point(p)
@@ -530,12 +542,23 @@ class CarnotGroup(GroupModel):
 
 
 class RiemannianMetric:
-    pass
+    def norm(self, model: GroupModel, p, v) -> float:
+        """Norm of the chart tangent vector v at the point p."""
+        raise NotImplementedError
+
+
+def _chart_tangent(model: GroupModel, p, v) -> Tuple[np.ndarray, np.ndarray]:
+    v = as_vector(v, model.point_dim, "tangent vector")
+    return model.validate_point(p), v
 
 
 class EuclideanMetric(RiemannianMetric):
     def __repr__(self):
         return "EuclideanMetric()"
+
+    def norm(self, model, p, v):
+        _, v = _chart_tangent(model, p, v)
+        return float(np.linalg.norm(v))
 
 
 class LobachevskyMetric(RiemannianMetric):
@@ -543,6 +566,12 @@ class LobachevskyMetric(RiemannianMetric):
 
     def __repr__(self):
         return "LobachevskyMetric()"
+
+    def norm(self, model, p, v):
+        p, v = _chart_tangent(model, p, v)
+        if not isinstance(model, HyperbolicPlane):
+            raise ValueError("Lobachevsky metric lives on the hyperbolic plane")
+        return float(np.linalg.norm(v) / p[1])
 
 
 class LeftInvariantQuadratic(RiemannianMetric):
@@ -557,21 +586,9 @@ class LeftInvariantQuadratic(RiemannianMetric):
     def __repr__(self):
         return f"LeftInvariantQuadratic(dim={self.form.shape[0]})"
 
-
-def riemannian_norm(metric: RiemannianMetric, model: GroupModel, p, v) -> float:
-    """Norm of the chart tangent vector v at the point p."""
-    v = as_vector(v, model.point_dim, "tangent vector")
-    p = model.validate_point(p)
-    if isinstance(metric, EuclideanMetric):
-        return float(np.linalg.norm(v))
-    if isinstance(metric, LobachevskyMetric):
-        if not isinstance(model, HyperbolicPlane):
-            raise ValueError("Lobachevsky metric lives on the hyperbolic plane")
-        return float(np.linalg.norm(v) / p[1])
-    if isinstance(metric, LeftInvariantQuadratic):
-        w = model.pullback(p, v)
-        return float(np.sqrt(w @ metric.form @ w))
-    raise TypeError(f"unsupported metric {metric!r}")
+    def norm(self, model, p, v):
+        w = model.pullback(*_chart_tangent(model, p, v))
+        return float(np.sqrt(w @ self.form @ w))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .cones import NEG_INF, Antinorm, Cone, antinorm_eval
+from .cones import NEG_INF, Antinorm, Cone, _probe_directions, antinorm_eval
 from .dynamics import ControlSignal, Trajectory, integrate
-from .errors import DimensionMismatchError, WrongModelError
-from .groups import AbelianGroup, CarnotGroup, GroupModel, riemannian_norm
+from .errors import DimensionMismatchError, NegativeAntinormError, WrongModelError
+from .groups import AbelianGroup, CarnotGroup, GroupModel
 from .groups import bch_log_product  # noqa: F401 (the bench tracer test asserts it)
 from .timeform import TimeForm, UnitTimeSection, potential, section_sup_norm
 
@@ -68,6 +68,14 @@ class ProblemInstance:
         if nu_dim is not None and nu_dim != self.cone.dim:
             raise DimensionMismatchError(f"antinorm dim {nu_dim} does not match "
                                          f"the cone dim {self.cone.dim}")
+        # nonnegativity on the extreme rays and the interior axis
+        D = np.vstack([_probe_directions(self.cone), self.cone.interior_direction()])
+        vals = np.asarray(self.nu.values_on_cone(D), dtype=float)
+        bad = vals < -1e-12 * np.abs(vals).max()
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise NegativeAntinormError(f"antinorm is negative on the cone: "
+                                        f"nu({D[i].tolist()}) = {vals[i]:.6g}")
 
     @property
     def control_dim(self) -> int:
@@ -306,22 +314,23 @@ def _report_from_runs(prob: ProblemInstance, runs: List[_RunResult],
                        iterations=best.outer_iters, history=best.history)
 
 
+def _no_admissible_path() -> SolveReport:
+    return SolveReport(status=SolveStatus.NO_ADMISSIBLE_PATH, objective=NEG_INF,
+                       control=None, trajectory=None,
+                       endpoint_residual=np.inf, iterations=0)
+
+
 def solve_longest(prob: ProblemInstance, opts: Optional[SolveOptions] = None
                   ) -> SolveReport:
     """Maximize the sub-Lorentzian length between the fixed endpoints.
 
-    Returns NO_ADMISSIBLE_PATH with objective -inf when the displacement
-    certificate rules every admissible path out (the control average is
-    forced outside the cone); MAX_ITERATIONS when no restart reaches the
-    endpoint tolerance.
+    Returns NO_ADMISSIBLE_PATH with objective -inf when the model's
+    certificate (GroupModel.admits_path) rules every admissible path out;
+    MAX_ITERATIONS when no restart reaches the endpoint tolerance.
     """
     opts = opts or SolveOptions()
-    target = prob.model.forced_average(prob.x0, prob.x1)
-    if target is not None and np.linalg.norm(target) > 0 \
-            and not prob.cone.contains(target, 1e-9):
-        return SolveReport(status=SolveStatus.NO_ADMISSIBLE_PATH, objective=NEG_INF,
-                           control=None, trajectory=None,
-                           endpoint_residual=np.inf, iterations=0)
+    if not prob.model.admits_path(prob.cone, prob.x0, prob.x1):
+        return _no_admissible_path()
     runs = [_augmented_lagrangian_run(prob.model, prob.cone, prob.nu,
                                       prob.x0, prob.x1, u0, 1.0, opts)
             for u0 in _starting_controls(prob, 1.0, opts)]
@@ -345,12 +354,8 @@ def solve_longest_reparametrized(prob: ProblemInstance, form: TimeForm,
             status=SolveStatus.SOLVED if same else SolveStatus.NO_ADMISSIBLE_PATH,
             objective=0.0 if same else NEG_INF, control=None, trajectory=None,
             endpoint_residual=0.0 if same else np.inf, iterations=0)
-    target = prob.model.forced_average(prob.x0, prob.x1)
-    if target is not None and np.linalg.norm(target) > 0 \
-            and not prob.cone.contains(target, 1e-9):
-        return SolveReport(status=SolveStatus.NO_ADMISSIBLE_PATH, objective=NEG_INF,
-                           control=None, trajectory=None,
-                           endpoint_residual=np.inf, iterations=0)
+    if not prob.model.admits_path(prob.cone, prob.x0, prob.x1):
+        return _no_admissible_path()
 
     # tau in control coordinates; ascent happens in its kernel
     tau_c = _control_covector(prob.model, form)
@@ -481,8 +486,8 @@ def check_hyperbolicity_desk(prob: ProblemInstance, form: TimeForm,
         if length > 1e-9 and pots[-1] - pots[0] <= 1e-12 * scale:
             stalled += 1
         h = np.diff(traj.times)
-        speeds = np.array([riemannian_norm(metric, prob.model, ident,
-                                           prob.model.embed_control(row))
+        speeds = np.array([metric.norm(prob.model, ident,
+                                       prob.model.embed_control(row))
                            for row in controls])
         arcs = np.concatenate([[0.0], np.cumsum(h * speeds)])
         in_band = pots <= t1 + 1e-9 * scale

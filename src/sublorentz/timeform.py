@@ -14,10 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import Cone, LinearImageCone, LorentzCone, PolyhedralCone, as_vector
+from .cones import Cone, as_vector
 from .dynamics import Trajectory
 from .errors import NotExactError, StalledParameterError, UnboundedSectionError
-from .groups import GroupModel, HyperbolicPlane, RiemannianMetric, riemannian_norm
+from .groups import GroupModel, HyperbolicPlane, RiemannianMetric
 
 #: headroom used when suggesting a rescaling of tau for the growth condition
 GROWTH_EPS = 0.05
@@ -126,19 +126,6 @@ class GrowthReport:
                 f"scale tau by {self.tau_scale:.6g} for a unit bound")
 
 
-def _extreme_directions(cone: Cone, samples: int, rng) -> np.ndarray:
-    """Directions spanning the cone's extreme rays (exact for polyhedral,
-    sampled boundary for quadratic cones)."""
-    if isinstance(cone, PolyhedralCone):
-        return cone._unit.copy()
-    if isinstance(cone, LorentzCone):
-        return cone.boundary_directions(samples, rng)
-    if isinstance(cone, LinearImageCone):
-        dirs = _extreme_directions(cone.base, samples, rng) @ cone.map.T
-        return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    raise TypeError(f"unsupported cone {cone!r}")
-
-
 def check_growth_condition(form: TimeForm, cone: Cone, metric: RiemannianMetric,
                            samples: int = 2048, seed: int = 0) -> GrowthReport:
     """Check tau > 0 on the cone minus the origin and bound |xi| / tau(xi).
@@ -149,7 +136,7 @@ def check_growth_condition(form: TimeForm, cone: Cone, metric: RiemannianMetric,
     rng = np.random.default_rng(seed)
     model = form.model
     ident = model.identity()
-    dirs = _extreme_directions(cone, samples, rng)
+    dirs = cone.extreme_directions(samples, rng)
     inner = cone.sample(samples, rng)
     norms = np.linalg.norm(inner, axis=1, keepdims=True)
     dirs = np.vstack([dirs, inner[norms[:, 0] > 0] / norms[norms[:, 0] > 0]])
@@ -158,7 +145,7 @@ def check_growth_condition(form: TimeForm, cone: Cone, metric: RiemannianMetric,
     for d in dirs:
         full = model.embed_control(d)
         tau_d = form.value_at_identity(full)
-        nrm = riemannian_norm(metric, model, ident, full)
+        nrm = metric.norm(model, ident, full)
         if tau_d <= 1e-12 * nrm:
             return GrowthReport(passed=False, rho=np.inf, tau_scale=np.inf,
                                 offending_direction=d)
@@ -196,7 +183,7 @@ def section_sup_norm(section: UnitTimeSection, metric: RiemannianMetric,
     rng = np.random.default_rng(seed)
     model = section.model
     base = model.validate_point(section.base)
-    dirs = _extreme_directions(section.cone, samples, rng)
+    dirs = section.cone.extreme_directions(samples, rng)
     if len(dirs) == 0:
         return 0.0
     best = 0.0
@@ -209,7 +196,7 @@ def section_sup_norm(section: UnitTimeSection, metric: RiemannianMetric,
                 "the unit-time slice is unbounded")
         vertex = full / tau_d
         chart = model.left_translate(base, vertex)
-        best = max(best, riemannian_norm(metric, model, base, chart))
+        best = max(best, metric.norm(model, base, chart))
     return best
 
 

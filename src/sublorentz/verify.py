@@ -300,6 +300,20 @@ def _check_refinement(seed: int) -> CheckResult:
                        f"max deviation {worst:.2e}")
 
 
+def _check_hyperbolic_certificate(seed: int) -> CheckResult:
+    """Reachable points pass HyperbolicPlane.admits_path (100 per cone)."""
+    model = HyperbolicPlane()
+    x0 = np.array([0.7, 1.3])
+    refused = 0
+    for form, selector in (([[-4.0, 0.0], [0.0, 1.0]], [0, 1]), (_MINK, [1, 0]),
+                           ([[-1.0, 0.5], [0.5, 2.0]], [0, 1])):
+        cone = LorentzCone(form, selector)
+        for x1 in reachability_sample(model, cone, x0, 100, seed=seed):
+            refused += not model.admits_path(cone, x0, x1)
+    return CheckResult("hyperbolic reachable points pass the certificate",
+                       refused == 0, f"{refused}/300 refused")
+
+
 def _light_opts() -> SolveOptions:
     return SolveOptions(restarts=2, max_iter=40, inner_iter=30)
 
@@ -367,6 +381,7 @@ ALL_CHECKS: List[Callable[[int], CheckResult]] = [
     _check_velocity_inclusion,
     _check_rk4_crosscheck,
     _check_refinement,
+    _check_hyperbolic_certificate,
     _check_abelian_oracle,
     _check_bound_dominance,
     _check_hyperbolicity,

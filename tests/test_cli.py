@@ -226,6 +226,14 @@ def test_main_antinorm_dim_mismatch_exit_two(tmp_path, capsys):
     assert "config error: antinorm: antinorm dim 3" in capsys.readouterr().err
 
 
+def test_main_negative_antinorm_exit_two(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        "version": 1, "preset": "minkowski11",
+        "antinorm": {"kind": "min_of_linear", "family": [[0.0, 1.0]]}})
+    assert main(["solve", "--config", path]) == 2
+    assert "config error: antinorm: antinorm is negative" in capsys.readouterr().err
+
+
 def test_main_cone_dim_mismatch_reported_under_cone(tmp_path, capsys):
     path = write_config(tmp_path, {
         "version": 1, "preset": "heisenberg-sl",

@@ -145,6 +145,39 @@ def test_linear_image_cone(mink_cone):
             assert tc(d) > 0
 
 
+def test_linear_image_margin_over_image_generators():
+    gens = np.array([[1.0, 0.2], [1.0, 1.0]])
+    M = np.array([[3.0, 0.4], [0.5, 1.0]])
+    tc = find_time_covector(LinearImageCone(PolyhedralCone(gens), M))
+    image = gens @ M.T
+    unit = image / np.linalg.norm(image, axis=1, keepdims=True)
+    direct = (unit @ tc.components).min() / np.linalg.norm(tc.components)
+    assert tc.margin == pytest.approx(direct, rel=1e-12)
+    assert tc.margin == pytest.approx(0.40178465, abs=1e-8)
+
+
+@pytest.mark.parametrize("base", [PolyhedralCone([[1.0, 0.2], [1.0, 1.0]]),
+                                  LorentzCone(MINK, [1, 0])])
+def test_linear_image_project_batch_matches_row_reference(base, rng):
+    M = np.array([[3.0, 0.4], [0.5, 1.0]])
+    image = LinearImageCone(base, M)
+    V = rng.normal(size=(200, 2)) * 3.0
+    ref = np.array([M @ base.project_batch((np.linalg.inv(M) @ v)[None])[0]
+                    for v in V])
+    assert np.allclose(image.project_batch(V), ref, rtol=1e-12, atol=0.0)
+
+
+def test_extreme_directions_are_unit_cone_members(rng):
+    cones = [LorentzCone(MINK, [1, 0]),
+             LorentzCone(np.diag([1.0, -1.0, -1.0]), [1, 0, 0]),
+             PolyhedralCone([[2.0, 0.0], [1.0, 1.0], [0.0, 0.0]]),
+             LinearImageCone(LorentzCone(MINK, [1, 0]), [[2.0, 1.0], [0.0, 1.0]])]
+    for cone in cones:
+        dirs = cone.extreme_directions(64, rng)
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+        assert all(cone.contains(d) for d in dirs)
+
+
 # ---------------------------------------------------------------------------
 # antinorm evaluation
 # ---------------------------------------------------------------------------
@@ -160,6 +193,12 @@ def test_zero_antinorm(mink_cone):
     nu = ZeroAntinorm()
     assert antinorm_eval(nu, mink_cone, [2.0, 1.0]) == 0.0
     assert antinorm_eval(nu, mink_cone, [1.0, 2.0]) == NEG_INF
+
+
+def test_zero_antinorm_grads_are_zero(mink_cone, rng):
+    V = mink_cone.sample(20, rng)
+    grads = ZeroAntinorm().grads_on_cone(V)
+    assert grads.shape == V.shape and np.all(grads == 0.0)
 
 
 def test_min_of_linear_values(mink_cone):

@@ -18,7 +18,6 @@ from sublorentz import (
     heisenberg_algebra,
     minkowski_area_algebra,
     parse_structure_constants,
-    riemannian_norm,
 )
 from sublorentz.groups import bch_jacobians, left_translation_jacobian
 
@@ -263,8 +262,8 @@ def test_hyperbolic_exp_matches_numerical_flow(rng):
 def test_lobachevsky_norm_examples():
     hyp = HyperbolicPlane()
     metric = LobachevskyMetric()
-    assert riemannian_norm(metric, hyp, [0, 2], [2, 0]) == pytest.approx(1.0)
-    assert riemannian_norm(metric, hyp, [0, 1], [1, 0]) == pytest.approx(1.0)
+    assert metric.norm(hyp, [0, 2], [2, 0]) == pytest.approx(1.0)
+    assert metric.norm(hyp, [0, 1], [1, 0]) == pytest.approx(1.0)
 
 
 def test_norm_scaling(rng):
@@ -274,18 +273,23 @@ def test_norm_scaling(rng):
         v = rng.normal(size=2)
         lam = rng.uniform(0.1, 10)
         p = np.array([rng.normal(), np.exp(rng.normal())])
-        assert riemannian_norm(metric, hyp, p, lam * v) == pytest.approx(
-            lam * riemannian_norm(metric, hyp, p, v))
+        assert metric.norm(hyp, p, lam * v) == pytest.approx(
+            lam * metric.norm(hyp, p, v))
 
 
 def test_left_invariant_quadratic_is_left_invariant(heis, rng):
     metric = LeftInvariantQuadratic(np.diag([1.0, 2.0, 3.0]))
     u = rng.normal(size=3)
-    ref = riemannian_norm(metric, heis, heis.identity(), u)
+    ref = metric.norm(heis, heis.identity(), u)
     for _ in range(20):
         p = rng.normal(size=3)
         v = heis.left_translate(p, u)
-        assert riemannian_norm(metric, heis, p, v) == pytest.approx(ref, abs=1e-12)
+        assert metric.norm(heis, p, v) == pytest.approx(ref, abs=1e-12)
+
+
+def test_lobachevsky_norm_rejects_other_models(plane):
+    with pytest.raises(ValueError, match="hyperbolic plane"):
+        LobachevskyMetric().norm(plane, [0, 1], [1, 0])
 
 
 def test_left_invariant_quadratic_rejects_indefinite():
@@ -294,7 +298,7 @@ def test_left_invariant_quadratic_rejects_indefinite():
 
 
 def test_euclidean_norm(plane):
-    assert riemannian_norm(EuclideanMetric(), plane, [0, 0], [3, 4]) == 5.0
+    assert EuclideanMetric().norm(plane, [0, 0], [3, 4]) == 5.0
 
 
 def test_first_layer_projection_examples():

@@ -5,11 +5,14 @@ from sublorentz import (
     AbelianGroup,
     CarnotAlgebra,
     CarnotGroup,
+    HyperbolicAB,
     HyperbolicPlane,
     LeftInvariantForm,
     LorentzCone,
     LorentzSqrt,
+    MinOfLinear,
     NEG_INF,
+    NegativeAntinormError,
     NotExactError,
     PolyhedralCone,
     ProblemInstance,
@@ -44,6 +47,16 @@ def test_instance_requires_pointed_cone(plane, mink_nu):
     line = PolyhedralCone([[1, 0], [-1, 0], [0, 1]])
     with pytest.raises(ValueError, match="pointed"):
         make_prob(plane, line, mink_nu, np.zeros(2), [1.0, 0.0])
+
+
+def test_instance_rejects_antinorm_negative_on_cone(plane, mink_cone):
+    with pytest.raises(NegativeAntinormError, match="^antinorm"):
+        make_prob(plane, mink_cone, MinOfLinear([[0.0, 1.0]]), [0, 0], [5, 3])
+    # the check is scale-free: a tiny positive multiple is refused too
+    with pytest.raises(NegativeAntinormError, match="^antinorm"):
+        make_prob(plane, mink_cone, MinOfLinear([[0.0, 1e-13]]), [0, 0], [5, 3])
+    # zero on the light cone is allowed
+    make_prob(plane, mink_cone, MinOfLinear([[1.0, 1.0], [1.0, -1.0]]), [0, 0], [5, 3])
 
 
 def test_instance_dim_checks(heis, mink_cone, mink_nu):
@@ -137,6 +150,28 @@ def test_hyperbolic_solve(light_opts):
     # constant-control lower bound: log(x1) = (alpha, beta) is admissible
     alpha, beta = hyp.log([0.3, 2.0])
     assert rep.objective >= np.sqrt(beta ** 2 - 4 * alpha ** 2) - 1e-6
+
+
+def test_hyperbolic_spacelike_no_admissible_path(light_opts):
+    hyp = HyperbolicPlane()
+    cone = LorentzCone([[-4.0, 0.0], [0.0, 1.0]], [0.0, 1.0])
+    nu = LorentzSqrt([[-4.0, 0.0], [0.0, 1.0]])
+    prob = make_prob(hyp, cone, nu, [0.0, 1.0], [3.0, 2.0])
+    for rep in (solve_longest(prob, light_opts),
+                solve_longest_reparametrized(prob, HyperbolicAB(0.0, 1.0),
+                                             light_opts)):
+        assert rep.status == SolveStatus.NO_ADMISSIBLE_PATH
+        assert rep.iterations == 0 and rep.objective == NEG_INF
+
+
+def test_hyperbolic_certificate_admits_reachable_points():
+    hyp = HyperbolicPlane()
+    x0 = np.array([0.7, 1.3])
+    for form, selector in (([[-4.0, 0.0], [0.0, 1.0]], [0, 1]), (MINK, [1, 0]),
+                           ([[-1.0, 0.5], [0.5, 2.0]], [0, 1])):
+        cone = LorentzCone(form, selector)
+        for x1 in reachability_sample(hyp, cone, x0, 1000, seed=0):
+            assert hyp.admits_path(cone, x0, x1), x1
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from sublorentz import (
     HyperbolicPlane,
     InvalidPointError,
     LeftInvariantForm,
+    LinearImageCone,
     LobachevskyMetric,
     LorentzCone,
     NotExactError,
@@ -308,6 +309,21 @@ def test_section_sup_norm_polyhedral_vertices(plane):
                            EuclideanMetric())
     # vertices g / tau(g) = (1,0) and (1,1): the norm maximum is exact
     assert sup == pytest.approx(np.sqrt(2.0), abs=1e-14)
+
+
+def test_growth_and_sup_norm_on_linear_image_of_polyhedral(plane):
+    gens = np.array([[1.0, 0.2], [1.0, 1.0], [1.0, 0.5]])
+    M = np.array([[3.0, 0.4], [0.5, 1.0]])
+    cone = LinearImageCone(PolyhedralCone(gens), M)
+    tau = np.array([1.0, 0.3])
+    form = LeftInvariantForm(tau, plane)
+    # exact vertex oracle: the slice's extreme points are Mg / tau(Mg)
+    oracle = max(np.linalg.norm(M @ g / (tau @ (M @ g))) for g in gens)
+    rep = check_growth_condition(form, cone, EuclideanMetric())
+    assert rep.passed and rep.rho == pytest.approx(oracle, rel=1e-12)
+    sup = section_sup_norm(UnitTimeSection(cone, form, np.zeros(2)),
+                           EuclideanMetric())
+    assert sup == pytest.approx(oracle, rel=1e-12)
 
 
 def test_section_sup_norm_unbounded(plane):
