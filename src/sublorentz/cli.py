@@ -18,7 +18,6 @@ from .config import RunConfig, load_config
 from .cones import check_antinorm_axioms, find_time_covector
 from .dynamics import ControlSignal, integrate, trajectory_to_csv
 from .errors import ConfigError, SubLorentzError
-from .groups import HyperbolicPlane
 from .solver import SolveStatus, reachability_sample, solve_longest
 from .timeform import (
     check_growth_condition,
@@ -149,10 +148,7 @@ def _run_check_timeform(cfg: RunConfig) -> Tuple[int, RunReport]:
     basis = np.eye(model.point_dim)
     worst = 0.0
     for _ in range(20):
-        if isinstance(model, HyperbolicPlane):
-            p = np.array([rng.uniform(-2, 2), rng.uniform(0.5, 3.0)])
-        else:
-            p = rng.uniform(-2, 2, model.point_dim)
+        p = model.exp_step(model.identity(), rng.uniform(-2, 2, model.point_dim), 1.0)
         # coordinate stencils: dtau components in the chart basis
         for i in range(model.point_dim):
             for j in range(i + 1, model.point_dim):

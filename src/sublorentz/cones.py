@@ -6,6 +6,9 @@ invertible linear image of another cone.  An antinorm is a positively
 homogeneous, superadditive functional that is nonnegative on its cone and
 -inf off it; -inf is represented by the IEEE float('-inf'), for which
 arithmetic is total.
+
+Every method whose argument is a vector also takes a stack of row vectors,
+shape (n, d), and then answers row by row.
 """
 
 from __future__ import annotations
@@ -29,10 +32,23 @@ def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatchError(f"{name} must be 1-d, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} has non-finite entries: {v}")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatchError(f"{name} has dim {v.shape[0]}, expected {dim}")
+    return v
+
+
+def as_vectors(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
+    """Validate and convert a vector (d,) or a stack of row vectors (n, d)."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim not in (1, 2):
+        raise DimensionMismatchError(f"{name} must be 1-d or a stack of rows, "
+                                     f"got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} has non-finite entries: {v}")
+    if dim is not None and v.shape[-1] != dim:
+        raise DimensionMismatchError(f"{name} has dim {v.shape[-1]}, expected {dim}")
     return v
 
 
@@ -46,8 +62,9 @@ class Cone:
 
     dim: int
 
-    def contains(self, v, tol: float = DEFAULT_TOL) -> bool:
-        """Whether v lies within relative tolerance tol of the cone."""
+    def contains(self, v, tol: float = DEFAULT_TOL):
+        """Whether v lies within relative tolerance tol of the cone: a bool
+        for a vector, a bool array for a stack of rows."""
         raise NotImplementedError
 
     def is_pointed(self) -> bool:
@@ -97,16 +114,16 @@ class PolyhedralCone(Cone):
     def __repr__(self) -> str:
         return f"PolyhedralCone({self.generators.tolist()})"
 
-    def contains(self, v, tol: float = DEFAULT_TOL) -> bool:
-        v = as_vector(v, self.dim)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return True
+    def contains(self, v, tol: float = DEFAULT_TOL):
+        V = as_vectors(v, self.dim)
+        nv = np.linalg.norm(V, axis=-1)
         if len(self._nonzero) == 0:
-            return False
-        # distance to the cone via nonnegative least squares on coefficients
-        _, residual = nnls(self._nonzero.T, v)
-        return residual <= tol * nv
+            return nv == 0.0
+        # distance to the cone: nonnegative least squares on the coefficients
+        # (0 for the zero vector)
+        G = self._nonzero.T
+        residual = np.array([nnls(G, row)[1] for row in V.reshape(-1, self.dim)])
+        return residual.reshape(nv.shape) <= tol * nv
 
     def is_pointed(self) -> bool:
         # not pointed <=> some convex combination of unit generators is 0:
@@ -219,6 +236,7 @@ class LorentzCone(Cone):
         self._Winv = np.linalg.inv(W)
         self._axis = self._Winv[:, 0] / np.linalg.norm(self._Winv[:, 0])
         self._form_scale = float(np.max(np.abs(w)))
+        self._selector_norm = float(np.linalg.norm(self.nappe_selector))
         cb = self._Winv.T @ self.nappe_selector
         if cb[0] <= np.linalg.norm(cb[1:]) * (1 + 1e-12):
             raise ValueError("nappe_selector is not strictly positive on the nappe")
@@ -226,19 +244,13 @@ class LorentzCone(Cone):
     def __repr__(self) -> str:
         return f"LorentzCone(dim={self.dim})"
 
-    def quadratic(self, v) -> float:
-        v = as_vector(v, self.dim)
-        return float(v @ self.form @ v)
-
-    def contains(self, v, tol: float = DEFAULT_TOL) -> bool:
-        v = as_vector(v, self.dim)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return True
-        q = self.quadratic(v)
-        sel = float(self.nappe_selector @ v)
-        return (q >= -tol * self._form_scale * nv * nv
-                and sel >= -tol * np.linalg.norm(self.nappe_selector) * nv)
+    def contains(self, v, tol: float = DEFAULT_TOL):
+        V = as_vectors(v, self.dim)
+        nv = np.linalg.norm(V, axis=-1)
+        q = np.einsum("...i,ij,...j->...", V, self.form, V)
+        sel = V @ self.nappe_selector
+        return ((q >= -tol * self._form_scale * nv * nv)
+                & (sel >= -tol * self._selector_norm * nv))
 
     def is_pointed(self) -> bool:
         # a single nappe of a signature-(1, r) cone never contains a line
@@ -308,8 +320,8 @@ class LinearImageCone(Cone):
     def __repr__(self) -> str:
         return f"LinearImageCone(base={self.base!r})"
 
-    def contains(self, v, tol: float = DEFAULT_TOL) -> bool:
-        return self.base.contains(self._Minv @ as_vector(v, self.dim), tol)
+    def contains(self, v, tol: float = DEFAULT_TOL):
+        return self.base.contains(as_vectors(v, self.dim) @ self._Minv.T, tol)
 
     def is_pointed(self) -> bool:
         return self.base.is_pointed()
@@ -374,12 +386,10 @@ def find_time_covector(cone: Cone) -> TimeCovector:
 class Antinorm:
     """Length functional on a cone: homogeneous, superadditive, >= 0 there."""
 
-    def value_on_cone(self, v: np.ndarray) -> float:
-        """Value assuming v lies in the paired cone."""
-        raise NotImplementedError
-
     def values_on_cone(self, V: np.ndarray) -> np.ndarray:
-        return np.array([self.value_on_cone(v) for v in V])
+        """Value of a vector, or of each row of a stack, assuming it lies in
+        the paired cone."""
+        raise NotImplementedError
 
     def grads_on_cone(self, V: np.ndarray) -> np.ndarray:
         """Row-wise (super)gradients at relative-interior points."""
@@ -395,14 +405,10 @@ class LorentzSqrt(Antinorm):
         self.form = 0.5 * (A + A.T)
         self.dim = A.shape[0]
 
-    def value_on_cone(self, v):
-        # einsum keeps the arithmetic identical to the batched path (the BLAS
-        # dot may use FMA, breaking exact cancellation on the light cone)
-        q = float(np.einsum("i,ij,j->", v, self.form, v))
-        return float(np.sqrt(max(q, 0.0)))
-
     def values_on_cone(self, V):
-        q = np.einsum("ij,jk,ik->i", V, self.form, V)
+        # einsum, not the BLAS dot: it may use FMA, breaking the exact
+        # cancellation on the light cone
+        q = np.einsum("...i,ij,...j->...", V, self.form, V)
         return np.sqrt(np.maximum(q, 0.0))
 
     def grads_on_cone(self, V):
@@ -424,17 +430,11 @@ class MinOfLinear(Antinorm):
         self.dim = C.shape[1]
         self._scale = float(np.max(np.abs(C))) or 1.0
 
-    def value_on_cone(self, v):
-        val = float((self.family @ v).min())
-        # boundary rounding can push an exactly-zero minimum slightly negative
-        if -1e-12 * self._scale * (1.0 + np.linalg.norm(v)) <= val < 0.0:
-            return 0.0
-        return val
-
     def values_on_cone(self, V):
-        vals = (V @ self.family.T).min(axis=1)
-        band = 1e-12 * self._scale * (1.0 + np.linalg.norm(V, axis=1))
-        return np.where((vals < 0.0) & (vals >= -band), 0.0, vals)
+        vals = (V @ self.family.T).min(axis=-1)
+        # boundary rounding can push an exactly-zero minimum slightly negative
+        band = 1e-12 * self._scale * (1.0 + np.linalg.norm(V, axis=-1))
+        return np.where((vals < 0.0) & (vals >= -band), 0.0, vals)[()]
 
     def grads_on_cone(self, V):
         vals = V @ self.family.T
@@ -447,22 +447,18 @@ class MinOfLinear(Antinorm):
 class ZeroAntinorm(Antinorm):
     """Identically zero on the cone (still -inf off it)."""
 
-    def value_on_cone(self, v):
-        return 0.0
-
     def values_on_cone(self, V):
-        return np.zeros(len(V))
+        return np.zeros(np.shape(V)[:-1])
 
     def grads_on_cone(self, V):
         return np.zeros(np.shape(V))
 
 
-def antinorm_eval(nu: Antinorm, cone: Cone, v, tol: float = DEFAULT_TOL) -> float:
-    """nu(v) on the cone, float('-inf') off it."""
-    v = as_vector(v, cone.dim)
-    if not cone.contains(v, tol):
-        return NEG_INF
-    return nu.value_on_cone(v)
+def antinorm_eval(nu: Antinorm, cone: Cone, v, tol: float = DEFAULT_TOL):
+    """nu(v) on the cone, float('-inf') off it; row by row for a stack."""
+    V = as_vectors(v, cone.dim)
+    # [()] unwraps the 0-d result of a single vector into a scalar
+    return np.where(cone.contains(V, tol), nu.values_on_cone(V), NEG_INF)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +494,6 @@ class AxiomCheckReport:
         return "\n".join(lines)
 
 
-def _values(nu, V: np.ndarray) -> np.ndarray:
-    if hasattr(nu, "values_on_cone"):
-        return np.asarray(nu.values_on_cone(V), dtype=float)
-    return np.array([nu.value_on_cone(v) for v in V])
-
-
 def check_antinorm_axioms(nu, cone: Cone, sample_count: int = 10_000,
                           seed: int = 0) -> AxiomCheckReport:
     """Sample-level check of homogeneity, superadditivity, nonnegativity on
@@ -522,9 +512,9 @@ def check_antinorm_axioms(nu, cone: Cone, sample_count: int = 10_000,
     b = cone.sample(sample_count, rng, boundary_fraction=0.0)
     lam = 10.0 ** rng.uniform(-1.0, 1.0, sample_count)
 
-    va, vb = _values(nu, a), _values(nu, b)
-    vsum = _values(nu, a + b)
-    vlam = _values(nu, lam[:, None] * a)
+    va, vb = nu.values_on_cone(a), nu.values_on_cone(b)
+    vsum = nu.values_on_cone(a + b)
+    vlam = nu.values_on_cone(lam[:, None] * a)
 
     rep = AxiomCheckReport(passed=True, samples=sample_count)
 
@@ -561,7 +551,7 @@ def check_antinorm_axioms(nu, cone: Cone, sample_count: int = 10_000,
     rep.identically_zero = bool(np.all(np.abs(va) <= 1e-12 * scale))
     if not rep.identically_zero:
         ri = cone.sample(min(sample_count, 1000), rng, relative_interior=True)
-        vri = _values(nu, ri)
+        vri = nu.values_on_cone(ri)
         pos_bad = vri <= 0.0
         rep.positivity_failures = int(pos_bad.sum())
         if rep.positivity_failures:

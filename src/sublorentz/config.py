@@ -42,6 +42,13 @@ def _require_keys(section: dict, allowed: set, path: str) -> None:
                               field=f"{path}.{key}" if path else key)
 
 
+def _integer(value, path: str, minimum: int) -> int:
+    """A JSON integer (not a bool) of at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"must be an integer >= {minimum}", field=path)
+    return value
+
+
 def _matrix(value, path: str) -> np.ndarray:
     try:
         m = np.asarray(value, dtype=float)
@@ -257,27 +264,24 @@ def parse_config(raw: dict) -> RunConfig:
                 raise ConfigError(str(exc), field=f"endpoints.{name}")
             setattr(cfg, name, vec)
 
-    for name, default in (("segments", 50), ("samples", 1000), ("seed", 0)):
-        value = merged.get(name, default)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ConfigError("must be a nonnegative integer", field=name)
-        setattr(cfg, name, value)
-    if cfg.segments < 1:
-        raise ConfigError("need at least one segment", field="segments")
+    for name, default, minimum in (("segments", 50, 1), ("samples", 1000, 0),
+                                   ("seed", 0, 0)):
+        setattr(cfg, name, _integer(merged.get(name, default), name, minimum))
 
     sol = merged.get("solver", {})
     if not isinstance(sol, dict):
         raise ConfigError("expected an object", field="solver")
     _require_keys(sol, _SOLVER_KEYS, "solver")
-    try:
-        cfg.solver_options = SolveOptions(
-            tol=float(sol.get("tol", 1e-6)),
-            max_iter=int(sol.get("max_iter", 500)),
-            restarts=int(sol.get("restarts", 8)),
-            seed=int(sol.get("seed", cfg.seed)),
-            inner_iter=int(sol.get("inner_iter", 60)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad solver options: {exc}", field="solver")
+    tol = sol.get("tol", 1e-6)
+    if not isinstance(tol, (int, float)) or isinstance(tol, bool) \
+            or not np.isfinite(tol) or tol <= 0:
+        raise ConfigError("must be a finite number > 0", field="solver.tol")
+    cfg.solver_options = SolveOptions(
+        tol=float(tol),
+        max_iter=_integer(sol.get("max_iter", 500), "solver.max_iter", 1),
+        restarts=_integer(sol.get("restarts", 8), "solver.restarts", 1),
+        seed=_integer(sol.get("seed", cfg.seed), "solver.seed", 0),
+        inner_iter=_integer(sol.get("inner_iter", 60), "solver.inner_iter", 1))
 
     out = merged.get("output")
     if out is not None:

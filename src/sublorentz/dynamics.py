@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import NEG_INF, Antinorm, Cone, antinorm_eval, as_vector
+from .cones import Antinorm, Cone, antinorm_eval, as_vector
 from .errors import DimensionMismatchError, WrongModelError
 from .groups import (
     CarnotGroup,
@@ -112,24 +112,19 @@ def integrate(model: GroupModel, x0, u: ControlSignal, horizon: float = 1.0,
     times = np.linspace(0.0, horizon, n + 1)
     z = None
     if nu is not None and cone is not None:
-        rates = np.array([antinorm_eval(nu, cone, uk) for uk in u.values])
+        rates = antinorm_eval(nu, cone, u.values)
         z = np.concatenate([[0.0], np.cumsum(h * rates)])
     return Trajectory(model=model, times=times, points=pts, z=z, control=u)
 
 
 def sl_length(nu: Antinorm, cone: Cone, u: ControlSignal, horizon: float = 1.0) -> float:
-    """Sub-Lorentzian length of the control path: sum of h * nu(u_k).
+    """Sub-Lorentzian length of the control path: sum of h * nu(u_k), summed
+    in segment order like the z track of ``integrate``.
 
     float('-inf') when any segment leaves the cone (inadmissible path).
     """
     h = horizon / u.segments
-    total = 0.0
-    for uk in u.values:
-        val = antinorm_eval(nu, cone, uk)
-        if val == NEG_INF:
-            return NEG_INF
-        total += h * val
-    return total
+    return float(np.cumsum(h * antinorm_eval(nu, cone, u.values))[-1])
 
 
 @dataclass
@@ -147,8 +142,8 @@ class AdmissibilityReport:
 def admissibility_check(cone: Cone, u: ControlSignal, tol: float = 1e-9
                         ) -> AdmissibilityReport:
     """Per-segment cone membership at relative tolerance tol."""
-    bad = [(k, uk.tolist()) for k, uk in enumerate(u.values)
-           if not cone.contains(uk, tol)]
+    outside = np.flatnonzero(~cone.contains(u.values, tol))
+    bad = [(int(k), u.values[k].tolist()) for k in outside]
     return AdmissibilityReport(ok=not bad, violations=bad)
 
 

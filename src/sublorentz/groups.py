@@ -4,15 +4,19 @@ Carnot groups in exponential coordinates.
 Carnot group elements are stored as Lie-algebra vectors (log coordinates);
 products go through the Baker-Campbell-Hausdorff series, which terminates
 at the nilpotency step and is hardcoded through step 4.
+
+Points are single 1-d vectors.  Tangent and control arguments may also be
+a stack of row vectors, shape (n, d), answered row by row.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .cones import Cone, as_vector
+from .cones import Cone, as_vector, as_vectors
 from .errors import InvalidPointError, UnsupportedStepError
 
 MAX_STEP = 4
@@ -99,24 +103,6 @@ class CarnotAlgebra:
     def ad(self, a: np.ndarray) -> np.ndarray:
         """Matrix of ad_a = [a, .]."""
         return np.einsum("ijk,i->kj", self.table, a)
-
-    def first_layer_slice(self) -> slice:
-        return slice(0, self.layer_dims[0])
-
-    def embed_first_layer(self, u: np.ndarray) -> np.ndarray:
-        m1 = self.layer_dims[0]
-        out = np.zeros(self.dim)
-        out[:m1] = as_vector(u, m1, "first-layer control")
-        return out
-
-
-def first_layer_projection(algebra: CarnotAlgebra, xi) -> np.ndarray:
-    """Projection onto g_1 along [g, g] (zero out layers >= 2)."""
-    xi = as_vector(xi, algebra.dim)
-    out = np.zeros_like(xi)
-    m1 = algebra.layer_dims[0]
-    out[:m1] = xi[:m1]
-    return out
 
 
 # BCH series through total order 4; exact on algebras of step <= 4.
@@ -219,15 +205,15 @@ class GroupModel:
         raise NotImplementedError
 
     def embed_control(self, u) -> np.ndarray:
-        """Lift a control-space vector to a full identity tangent vector."""
-        return as_vector(u, self.point_dim, "control")
+        """Lift control-space vectors to full identity tangent vectors."""
+        return as_vectors(u, self.point_dim, "control")
 
     def left_translate(self, p, u) -> np.ndarray:
-        """Chart components at p of the left-translate of the identity tangent u."""
+        """Chart components at p of the left-translates of identity tangents u."""
         raise NotImplementedError
 
     def pullback(self, p, v) -> np.ndarray:
-        """Identity tangent whose left-translate at p has chart components v."""
+        """Identity tangents whose left-translates at p have chart components v."""
         raise NotImplementedError
 
     def forced_average(self, x0, x1) -> Optional[np.ndarray]:
@@ -312,11 +298,11 @@ class AbelianGroup(GroupModel):
 
     def left_translate(self, p, u):
         self.validate_point(p)
-        return as_vector(u, self.dim, "tangent vector").copy()
+        return as_vectors(u, self.dim, "tangent vector").copy()
 
     def pullback(self, p, v):
         self.validate_point(p)
-        return as_vector(v, self.dim, "tangent vector").copy()
+        return as_vectors(v, self.dim, "tangent vector").copy()
 
     def forced_average(self, x0, x1):
         return self.log(self.multiply(self.inverse(x0), x1))
@@ -328,6 +314,34 @@ class AbelianGroup(GroupModel):
         rho = x1 - endpoint
         J = np.broadcast_to(-h * np.eye(m), (n_seg, m, m)).copy()
         return rho, J, endpoint
+
+
+#: Taylor coefficients of E(z) = (e^z - 1)/z and of E'(z), highest order
+#: first (Horner order); the first dropped terms are below 2e-18 for |z| < 1e-3
+_SERIES = tuple((1.0 / math.factorial(k + 1), (k + 1) / math.factorial(k + 2))
+                for k in range(4, -1, -1))
+
+
+def _hyperbolic_flow(alpha: float, beta: float, t: float
+                     ) -> Tuple[float, float, float, float, float]:
+    """exp(t (alpha, beta)) = (X, Y) with X = alpha t E(t beta), Y = e^{t beta}
+    and E(z) = (e^z - 1)/z, plus dX/dalpha, dX/dbeta and dY/dbeta.
+
+    The direct quotients cancel as z -> 0, with relative errors near
+    eps/|z| (X) and 2 eps/z^2 (dX/dbeta); |z| < 1e-3 takes the series
+    instead, so those errors stay below 3e-13 and 5e-10.
+    """
+    z = t * beta
+    Y = np.exp(z)
+    if abs(z) < 1e-3:
+        E = dE = 0.0
+        for c, d in _SERIES:
+            E = E * z + c
+            dE = dE * z + d
+        return alpha * t * E, Y, t * E, alpha * t * t * dE, t * Y
+    em1 = Y - 1.0
+    return ((alpha / beta) * em1, Y, em1 / beta,
+            alpha * (t * Y * beta - em1) / (beta * beta), t * Y)
 
 
 def _hyperbolic_log_jacobian(w: np.ndarray) -> np.ndarray:
@@ -374,14 +388,13 @@ class HyperbolicPlane(GroupModel):
 
     def exp(self, u, t: float = 1.0) -> np.ndarray:
         """One-parameter subgroup exp(t(alpha, beta)) through the identity."""
-        alpha, beta = as_vector(u, 2)
-        if abs(beta) < 1e-300:
-            return np.array([t * alpha, 1.0])
-        ebt = np.exp(t * beta)
-        return np.array([(alpha / beta) * (ebt - 1.0), ebt])
+        return self.exp_step(self.identity(), u, t)
 
     def exp_step(self, p, u, h):
-        return self.multiply(p, self.exp(u, h))
+        x, y = self.validate_point(p)
+        X, Y = _hyperbolic_flow(*as_vector(u, 2), h)[:2]
+        # extreme h beta overflow or underflow the flow off the plane
+        return self.validate_point([x + y * X, y * Y])
 
     def log(self, p):
         p = self.validate_point(p)
@@ -396,11 +409,11 @@ class HyperbolicPlane(GroupModel):
         return np.array([x * ratio, beta])
 
     def left_translate(self, p, u):
-        return self.validate_point(p)[1] * as_vector(u, 2, "tangent vector")
+        return self.validate_point(p)[1] * as_vectors(u, 2, "tangent vector")
 
     def pullback(self, p, v):
         y = self.validate_point(p)[1]
-        return as_vector(v, 2, "tangent vector") / y
+        return as_vectors(v, 2, "tangent vector") / y
 
     def admits_path(self, cone, x0, x1):
         """exp(t c) = e + ((e^{t beta} - 1)/beta) c and (e + a)(e + b) =
@@ -416,18 +429,8 @@ class HyperbolicPlane(GroupModel):
         return LobachevskyMetric()
 
     def _segment_step(self, p, uk, h):
-        alpha, beta = uk
+        X, Y, dXa, dXb, dYb = _hyperbolic_flow(uk[0], uk[1], h)
         y = p[1]
-        if abs(beta) < 1e-12:
-            X, Y = h * alpha, 1.0
-            dXa, dXb, dYb = h, alpha * h * h / 2.0, h
-        else:
-            ebt = np.exp(h * beta)
-            X = (alpha / beta) * (ebt - 1.0)
-            Y = ebt
-            dXa = (ebt - 1.0) / beta
-            dXb = alpha * (h * ebt * beta - (ebt - 1.0)) / (beta * beta)
-            dYb = h * ebt
         q = np.array([p[0] + y * X, y * Y])
         Dp = np.array([[1.0, X], [0.0, Y]])
         Du = y * np.array([[dXa, dXb], [0.0, dYb]])
@@ -473,20 +476,22 @@ class CarnotGroup(GroupModel):
 
     def embed_control(self, u):
         """First-layer controls gain zero components on [g, g]."""
-        u = as_vector(u, name="control")
-        if u.shape[0] == self.control_dim:
-            return self.algebra.embed_first_layer(u)
-        return as_vector(u, self.point_dim, "control")
+        u = as_vectors(u, name="control")
+        if u.shape[-1] != self.control_dim:
+            return as_vectors(u, self.point_dim, "control")
+        out = np.zeros(u.shape[:-1] + (self.point_dim,))
+        out[..., :self.control_dim] = u
+        return out
 
     def left_translate(self, p, u):
         p = self.validate_point(p)
-        u = as_vector(u, self.point_dim, "tangent vector")
-        return left_translation_jacobian(self.algebra, p) @ u
+        u = as_vectors(u, self.point_dim, "tangent vector")
+        return u @ left_translation_jacobian(self.algebra, p).T
 
     def pullback(self, p, v):
         p = self.validate_point(p)
-        v = as_vector(v, self.point_dim, "tangent vector")
-        return np.linalg.solve(left_translation_jacobian(self.algebra, p), v)
+        v = as_vectors(v, self.point_dim, "tangent vector")
+        return np.linalg.solve(left_translation_jacobian(self.algebra, p), v.T).T
 
     def forced_average(self, x0, x1):
         return self.log(self.multiply(self.inverse(x0), x1))[:self.control_dim]
@@ -525,7 +530,7 @@ class CarnotGroup(GroupModel):
 
     def _segment_step(self, xi, uk, h):
         alg = self.algebra
-        step_vec = h * alg.embed_first_layer(uk)
+        step_vec = h * self.embed_control(uk)
         Da, Db = bch_jacobians(alg, xi, step_vec)
         return bch_log_product(alg, xi, step_vec), Da, Db @ (h * self._first_layer)
 
@@ -542,13 +547,14 @@ class CarnotGroup(GroupModel):
 
 
 class RiemannianMetric:
-    def norm(self, model: GroupModel, p, v) -> float:
-        """Norm of the chart tangent vector v at the point p."""
+    def norm(self, model: GroupModel, p, v):
+        """Norm of the chart tangent vector v at the point p (of each row of
+        a stack v)."""
         raise NotImplementedError
 
 
 def _chart_tangent(model: GroupModel, p, v) -> Tuple[np.ndarray, np.ndarray]:
-    v = as_vector(v, model.point_dim, "tangent vector")
+    v = as_vectors(v, model.point_dim, "tangent vector")
     return model.validate_point(p), v
 
 
@@ -558,7 +564,7 @@ class EuclideanMetric(RiemannianMetric):
 
     def norm(self, model, p, v):
         _, v = _chart_tangent(model, p, v)
-        return float(np.linalg.norm(v))
+        return np.linalg.norm(v, axis=-1)
 
 
 class LobachevskyMetric(RiemannianMetric):
@@ -571,7 +577,7 @@ class LobachevskyMetric(RiemannianMetric):
         p, v = _chart_tangent(model, p, v)
         if not isinstance(model, HyperbolicPlane):
             raise ValueError("Lobachevsky metric lives on the hyperbolic plane")
-        return float(np.linalg.norm(v) / p[1])
+        return np.linalg.norm(v, axis=-1) / p[1]
 
 
 class LeftInvariantQuadratic(RiemannianMetric):
@@ -588,7 +594,7 @@ class LeftInvariantQuadratic(RiemannianMetric):
 
     def norm(self, model, p, v):
         w = model.pullback(*_chart_tangent(model, p, v))
-        return float(np.sqrt(w @ self.form @ w))
+        return np.sqrt(np.einsum("...i,ij,...j->...", w, self.form, w))
 
 
 # ---------------------------------------------------------------------------

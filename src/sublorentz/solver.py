@@ -27,6 +27,10 @@ from .groups import bch_log_product  # noqa: F401 (the bench tracer test asserts
 from .timeform import TimeForm, UnitTimeSection, potential, section_sup_norm
 
 
+#: initial augmented-Lagrangian penalty weight
+PENALTY0 = 10.0
+
+
 class SolveStatus(Enum):
     SOLVED = "solved"
     NO_ADMISSIBLE_PATH = "no_admissible_path"
@@ -40,7 +44,6 @@ class SolveOptions:
     restarts: int = 8
     seed: int = 0
     inner_iter: int = 60
-    penalty0: float = 10.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +140,7 @@ def _polish_average(model: GroupModel, cone: Cone, x0, x1,
     if np.linalg.norm(shift) == 0.0:
         return u
     shifted = u + shift
-    if all(cone.contains(row, 1e-9) for row in shifted):
+    if np.all(cone.contains(shifted, 1e-9)):
         return shifted
     return u
 
@@ -155,7 +158,7 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
 
     u = project(u0.copy())
     lam = None
-    mu = opts.penalty0
+    mu = PENALTY0
     prev_res = np.inf
     history: List[float] = []
     alpha = 1.0
@@ -281,8 +284,7 @@ def _starting_controls(prob: ProblemInstance, horizon: float,
 
 def _control_covector(model: GroupModel, form: TimeForm) -> np.ndarray:
     """tau at the identity as a covector on the control space."""
-    return np.array([form.value_at_identity(model.embed_control(b))
-                     for b in np.eye(model.control_dim)])
+    return form.value_at_identity(model.embed_control(np.eye(model.control_dim)))
 
 
 def _unit_tau_retract(cone: Cone, tau_c: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -399,28 +401,22 @@ def abelianized_upper_bound(prob: ProblemInstance) -> float:
 
 
 def reachability_sample(model: GroupModel, cone: Cone, x0, n_samples: int,
-                        seed: int = 0, max_segments: int = 8,
-                        interior: bool = False,
-                        return_trajectories: bool = False):
+                        seed: int = 0, interior: bool = False) -> np.ndarray:
     """Endpoints of random admissible piecewise-constant controls from x0.
 
-    Segment counts are uniform on 1..max_segments and magnitudes log-uniform;
+    Segment counts are uniform on 1..8 and magnitudes log-uniform;
     deterministic given the seed.  ``interior`` restricts the controls to the
     cone's relative interior (endpoints stay away from the causal boundary).
     """
     rng = np.random.default_rng(seed)
     x0 = model.validate_point(x0)
     pts = np.empty((n_samples, model.point_dim))
-    trajs = []
     for i in range(n_samples):
-        n_seg = int(rng.integers(1, max_segments + 1))
+        n_seg = int(rng.integers(1, 9))
         controls = ControlSignal(cone.sample(n_seg, rng,
                                              relative_interior=interior))
-        traj = integrate(model, x0, controls)
-        pts[i] = traj.endpoint
-        if return_trajectories:
-            trajs.append(traj)
-    return (pts, trajs) if return_trajectories else pts
+        pts[i] = integrate(model, x0, controls).endpoint
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +482,7 @@ def check_hyperbolicity_desk(prob: ProblemInstance, form: TimeForm,
         if length > 1e-9 and pots[-1] - pots[0] <= 1e-12 * scale:
             stalled += 1
         h = np.diff(traj.times)
-        speeds = np.array([metric.norm(prob.model, ident,
-                                       prob.model.embed_control(row))
-                           for row in controls])
+        speeds = metric.norm(prob.model, ident, prob.model.embed_control(controls))
         arcs = np.concatenate([[0.0], np.cumsum(h * speeds)])
         in_band = pots <= t1 + 1e-9 * scale
         if np.any(in_band):

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import Cone, as_vector
+from .cones import Cone, as_vector, as_vectors
 from .dynamics import Trajectory
 from .errors import NotExactError, StalledParameterError, UnboundedSectionError
 from .groups import GroupModel, HyperbolicPlane, RiemannianMetric
@@ -31,11 +31,12 @@ class TimeForm:
 
     model: GroupModel
 
-    def value(self, p, v) -> float:
-        """tau_p(v) for a chart tangent vector v at p."""
+    def value(self, p, v):
+        """tau_p(v) for a chart tangent vector v at p (for each row of a
+        stack v)."""
         raise NotImplementedError
 
-    def value_at_identity(self, u) -> float:
+    def value_at_identity(self, u):
         raise NotImplementedError
 
 
@@ -49,11 +50,11 @@ class LeftInvariantForm(TimeForm):
     def __repr__(self) -> str:
         return f"LeftInvariantForm(tau0={self.tau0.tolist()}, model={self.model!r})"
 
-    def value(self, p, v) -> float:
-        return float(self.tau0 @ self.model.pullback(p, v))
+    def value(self, p, v):
+        return self.model.pullback(p, v) @ self.tau0
 
-    def value_at_identity(self, u) -> float:
-        return float(self.tau0 @ as_vector(u, self.model.point_dim))
+    def value_at_identity(self, u):
+        return as_vectors(u, self.model.point_dim) @ self.tau0
 
 
 def HyperbolicAB(a: float, b: float) -> LeftInvariantForm:
@@ -141,15 +142,14 @@ def check_growth_condition(form: TimeForm, cone: Cone, metric: RiemannianMetric,
     norms = np.linalg.norm(inner, axis=1, keepdims=True)
     dirs = np.vstack([dirs, inner[norms[:, 0] > 0] / norms[norms[:, 0] > 0]])
 
-    rho = 0.0
-    for d in dirs:
-        full = model.embed_control(d)
-        tau_d = form.value_at_identity(full)
-        nrm = metric.norm(model, ident, full)
-        if tau_d <= 1e-12 * nrm:
-            return GrowthReport(passed=False, rho=np.inf, tau_scale=np.inf,
-                                offending_direction=d)
-        rho = max(rho, nrm / tau_d)
+    full = model.embed_control(dirs)
+    tau_d = form.value_at_identity(full)
+    nrm = metric.norm(model, ident, full)
+    bad = tau_d <= 1e-12 * nrm
+    if np.any(bad):
+        return GrowthReport(passed=False, rho=np.inf, tau_scale=np.inf,
+                            offending_direction=dirs[np.argmax(bad)])
+    rho = float(np.max(nrm / tau_d, initial=0.0))
     return GrowthReport(passed=True, rho=rho, tau_scale=rho * (1.0 + GROWTH_EPS))
 
 
@@ -184,20 +184,15 @@ def section_sup_norm(section: UnitTimeSection, metric: RiemannianMetric,
     model = section.model
     base = model.validate_point(section.base)
     dirs = section.cone.extreme_directions(samples, rng)
-    if len(dirs) == 0:
-        return 0.0
-    best = 0.0
-    for d in dirs:
-        full = model.embed_control(d)
-        tau_d = section.form.value_at_identity(full)
-        if tau_d <= 1e-12:
-            raise UnboundedSectionError(
-                f"tau is not positive on the extreme direction {d.tolist()}; "
-                "the unit-time slice is unbounded")
-        vertex = full / tau_d
-        chart = model.left_translate(base, vertex)
-        best = max(best, metric.norm(model, base, chart))
-    return best
+    full = model.embed_control(dirs)
+    tau_d = section.form.value_at_identity(full)
+    bad = tau_d <= 1e-12
+    if np.any(bad):
+        raise UnboundedSectionError(
+            f"tau is not positive on the extreme direction "
+            f"{dirs[np.argmax(bad)].tolist()}; the unit-time slice is unbounded")
+    chart = model.left_translate(base, full / tau_d[:, None])
+    return float(np.max(metric.norm(model, base, chart), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +208,15 @@ def _segment_tau_rates(traj: Trajectory, form: TimeForm) -> np.ndarray:
     segment.  Control-free trajectories fall back to chord differences at
     chart midpoints.
     """
+    if traj.control is not None:
+        return form.value_at_identity(traj.model.embed_control(traj.control.values))
     n = len(traj.times) - 1
     h = np.diff(traj.times)
     rates = np.empty(n)
-    if traj.control is not None:
-        for k, uk in enumerate(traj.control.values):
-            rates[k] = form.value_at_identity(traj.model.embed_control(uk))
-    else:
-        for k in range(n):
-            mid = 0.5 * (traj.points[k] + traj.points[k + 1])
-            vel = (traj.points[k + 1] - traj.points[k]) / h[k]
-            rates[k] = form.value(mid, vel)
+    for k in range(n):
+        mid = 0.5 * (traj.points[k] + traj.points[k + 1])
+        vel = (traj.points[k + 1] - traj.points[k]) / h[k]
+        rates[k] = form.value(mid, vel)
     return rates
 
 

@@ -99,8 +99,8 @@ def test_criterion_2_antinorm_axiom_suite(mink_setup):
                                        cone, sample_count=10_000, seed=42)
 
     class EuclideanNormCandidate:
-        def value_on_cone(self, v):
-            return float(np.linalg.norm(v))
+        def values_on_cone(self, V):
+            return np.linalg.norm(V, axis=1)
 
     rep_bad = check_antinorm_axioms(EuclideanNormCandidate(), cone,
                                     sample_count=10_000, seed=42)

@@ -79,6 +79,22 @@ def test_solver_section_validation():
                       "solver": {"tol": 1e-6, "bogus": 3}})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", -1), ("seed", 1.5), ("max_iter", True), ("max_iter", 0),
+    ("restarts", -3), ("inner_iter", 2.9), ("tol", 0.0), ("tol", -1e-6),
+    ("tol", float("inf")), ("tol", True), ("tol", "1e-6")])
+def test_solver_values_validated(key, value):
+    with pytest.raises(ConfigError, match=rf"^solver\.{key}: "):
+        parse_config({"version": 1, "preset": "minkowski11", "solver": {key: value}})
+
+
+def test_bad_solver_seed_exits_two(tmp_path, capsys):
+    path = write_config(tmp_path, {"version": 1, "preset": "minkowski11",
+                                   "solver": {"seed": -1}})
+    assert main(["solve", "--config", path]) == 2
+    assert "solver.seed" in capsys.readouterr().err
+
+
 def test_carnot_model_from_structure_file(tmp_path):
     sc = tmp_path / "heis.txt"
     sc.write_text("layers: 2 1\n0 1 2 1.0\n")

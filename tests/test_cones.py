@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sublorentz import (
+    DimensionMismatchError,
     LinearImageCone,
     LorentzCone,
     LorentzSqrt,
@@ -21,9 +22,6 @@ MINK = [[1.0, 0.0], [0.0, -1.0]]
 
 class EuclideanNormCandidate:
     """Deliberately invalid: norms are subadditive, antinorms superadditive."""
-
-    def value_on_cone(self, v):
-        return float(np.linalg.norm(v))
 
     def values_on_cone(self, V):
         return np.linalg.norm(V, axis=1)
@@ -85,6 +83,45 @@ def test_constructed_members_are_members(rng):
 def test_membership_dimension_mismatch(mink_cone):
     with pytest.raises(ValueError):
         mink_cone.contains([1.0, 0.0, 0.0])
+
+
+ROW_CONES = {
+    "polyhedral": PolyhedralCone([[1.0, 0.0], [1.0, 1.0]]),
+    "lorentz": LorentzCone(MINK, [1.0, 0.0]),
+    "lorentz-3d": LorentzCone(np.diag([1.0, -1.0, -1.0]), [1.0, 0.0, 0.0]),
+    "image-of-polyhedral": LinearImageCone(PolyhedralCone([[1.0, 0.2], [1.0, 1.0]]),
+                                           [[3.0, 0.4], [0.5, 1.0]]),
+    "image-of-lorentz": LinearImageCone(LorentzCone(MINK, [1.0, 0.0]),
+                                        [[2.0, 0.5], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_CONES))
+def test_contains_rows_match_the_row_loop(kind, rng):
+    cone = ROW_CONES[kind]
+    rays = cone.extreme_directions(8, rng)
+    V = np.vstack([rays, 3.0 * rays, -rays, np.zeros(cone.dim),
+                   cone.sample(50, rng), rng.normal(size=(50, cone.dim))])
+    rows = cone.contains(V)
+    assert rows.dtype == bool and rows.shape == (len(V),)
+    assert np.array_equal(rows, [cone.contains(v) for v in V])
+    assert rows[:2 * len(rays)].all() and rows[3 * len(rays)]   # rays and zero
+    assert not rows[2 * len(rays):3 * len(rays)].any()           # their negatives
+    single = cone.contains(V[0])
+    assert np.ndim(single) == 0 and single
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_CONES))
+def test_contains_keeps_its_errors(kind):
+    cone = ROW_CONES[kind]
+    with pytest.raises(DimensionMismatchError):
+        cone.contains(np.ones(cone.dim + 1))
+    with pytest.raises(DimensionMismatchError):
+        cone.contains(np.ones((2, cone.dim + 1)))
+    with pytest.raises(DimensionMismatchError):
+        cone.contains(np.ones((2, 2, cone.dim)))
+    with pytest.raises(ValueError, match="non-finite"):
+        cone.contains(np.full(cone.dim, np.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +232,18 @@ def test_zero_antinorm(mink_cone):
     assert antinorm_eval(nu, mink_cone, [1.0, 2.0]) == NEG_INF
 
 
+def test_antinorm_eval_rows(mink_cone, mink_nu):
+    V = np.array([[5.0, 3.0], [1.0, 1.0], [1.0, 2.0], [0.0, 0.0], [-2.0, 1.0]])
+    for nu in (mink_nu, MinOfLinear([[1.0, 1.0], [1.0, -1.0]]), ZeroAntinorm()):
+        rows = antinorm_eval(nu, mink_cone, V)
+        assert rows.shape == (len(V),)
+        assert np.array_equal(rows[[2, 4]], [NEG_INF, NEG_INF])
+        assert np.array_equal(rows[:4:3], nu.values_on_cone(V)[:4:3])
+        assert np.ndim(antinorm_eval(nu, mink_cone, V[0])) == 0
+    assert ZeroAntinorm().values_on_cone(V).shape == (len(V),)
+    assert ZeroAntinorm().values_on_cone(V[0]).shape == ()
+
+
 def test_zero_antinorm_grads_are_zero(mink_cone, rng):
     V = mink_cone.sample(20, rng)
     grads = ZeroAntinorm().grads_on_cone(V)
@@ -237,7 +286,7 @@ def test_reverse_triangle_hypothesis(s1, s2, m1, m2):
     nu = LorentzSqrt(MINK)
     a = m1 * np.array([1.0, s1])
     b = m2 * np.array([1.0, s2])
-    assert nu.value_on_cone(a + b) >= nu.value_on_cone(a) + nu.value_on_cone(b) - 1e-9
+    assert nu.values_on_cone(a + b) >= nu.values_on_cone(a) + nu.values_on_cone(b) - 1e-9
 
 
 @settings(max_examples=200, deadline=None)
@@ -245,8 +294,8 @@ def test_reverse_triangle_hypothesis(s1, s2, m1, m2):
 def test_homogeneity_hypothesis(slope, mag, lam):
     nu = LorentzSqrt(MINK)
     v = mag * np.array([1.0, slope])
-    assert nu.value_on_cone(lam * v) == pytest.approx(lam * nu.value_on_cone(v),
-                                                      rel=1e-9, abs=1e-12)
+    assert nu.values_on_cone(lam * v) == pytest.approx(lam * nu.values_on_cone(v),
+                                                       rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +324,8 @@ def test_axioms_identically_zero_flag(mink_cone):
 
 def test_superadditivity_example_pair(mink_cone, mink_nu):
     a, b = np.array([2.0, 1.0]), np.array([2.0, -1.0])
-    lhs = mink_nu.value_on_cone(a + b)
-    rhs = mink_nu.value_on_cone(a) + mink_nu.value_on_cone(b)
+    lhs = mink_nu.values_on_cone(a + b)
+    rhs = mink_nu.values_on_cone(a) + mink_nu.values_on_cone(b)
     assert lhs == pytest.approx(4.0)
     assert rhs == pytest.approx(2 * np.sqrt(3.0))
     assert lhs >= rhs

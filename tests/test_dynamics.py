@@ -5,7 +5,12 @@ from sublorentz import (
     CarnotGroup,
     ControlSignal,
     HyperbolicPlane,
+    LinearImageCone,
+    LorentzCone,
+    LorentzSqrt,
+    MinOfLinear,
     NEG_INF,
+    PolyhedralCone,
     WrongModelError,
     admissibility_check,
     heisenberg_algebra,
@@ -88,6 +93,50 @@ def test_admissibility_check(mink_cone):
     assert not rep.ok
     assert rep.violations[0][0] == 1
     assert "outside" in rep.summary()
+
+
+# Each case: a cone, an antinorm on it, controls mixing in-cone rows
+# (interior, boundary, zero) with off-cone ones, and the expected per-row
+# rates nu(u_k) (-inf off the cone).
+MIXED_CASES = {
+    "polyhedral": (
+        PolyhedralCone([[1.0, 0.0], [1.0, 1.0]]),
+        MinOfLinear([[1.0, -1.0], [0.0, 1.0]]),
+        [[2.0, 1.0], [1.0, 0.0], [0.5, 2.0], [0.0, 0.0], [-1.0, 0.0]],
+        [1.0, 0.0, NEG_INF, 0.0, NEG_INF]),
+    "linear-image": (
+        # image of the Minkowski future cone under M = [[2, 0.5], [0, 1]];
+        # the paired antinorm is sqrt of the form pulled back by M^-1
+        LinearImageCone(LorentzCone([[1.0, 0.0], [0.0, -1.0]], [1.0, 0.0]),
+                        [[2.0, 0.5], [0.0, 1.0]]),
+        LorentzSqrt([[0.25, -0.125], [-0.125, -0.9375]]),
+        [[2.0, 0.0], [3.0, 1.0], [2.5, 1.0], [3.0, 2.0], [-2.0, 0.0], [0.0, 0.0]],
+        [1.0, 0.75, 0.0, NEG_INF, NEG_INF, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIXED_CASES))
+def test_mixed_rows_accumulated_objective(case, plane):
+    cone, nu, rows, rates = MIXED_CASES[case]
+    h = 1.0 / len(rows)
+    traj = integrate(plane, np.zeros(2), ControlSignal(rows), nu=nu, cone=cone)
+    expected = np.concatenate([[0.0], np.cumsum(h * np.array(rates))])
+    assert traj.z == pytest.approx(expected, rel=1e-12, abs=1e-7)
+
+
+@pytest.mark.parametrize("case", sorted(MIXED_CASES))
+def test_mixed_rows_length_and_admissibility(case):
+    cone, nu, rows, rates = MIXED_CASES[case]
+    assert sl_length(nu, cone, ControlSignal(rows)) == NEG_INF
+    inside = [r for r, rate in zip(rows, rates) if rate != NEG_INF]
+    expected = sum(rate for rate in rates if rate != NEG_INF) / len(inside)
+    assert sl_length(nu, cone, ControlSignal(inside)) == pytest.approx(
+        expected, rel=1e-12, abs=1e-7)
+    rep = admissibility_check(cone, ControlSignal(rows))
+    assert not rep.ok
+    assert rep.violations == [(k, rows[k]) for k, rate in enumerate(rates)
+                              if rate == NEG_INF]
+    assert admissibility_check(cone, ControlSignal(inside)).ok
 
 
 def test_oriented_area_l_path(heis):

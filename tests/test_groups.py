@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from sublorentz import (
     AbelianGroup,
+    DimensionMismatchError,
     CarnotAlgebra,
     CarnotGroup,
     EuclideanMetric,
@@ -13,7 +14,6 @@ from sublorentz import (
     LobachevskyMetric,
     UnsupportedStepError,
     bch_log_product,
-    first_layer_projection,
     format_structure_constants,
     heisenberg_algebra,
     minkowski_area_algebra,
@@ -239,6 +239,19 @@ def test_exp_step_composition(heis, rng):
                                model.exp_step(p, u, 2 * h), atol=1e-12)
 
 
+def test_hyperbolic_exp_keeps_its_digits_near_flat_controls():
+    hyp = HyperbolicPlane()
+    # exp(t (alpha, beta))_x = alpha t (1 + t beta / 2 + ...)
+    assert hyp.exp([1.0, 1e-13], 0.5)[0] == pytest.approx(0.5 + 1.25e-14,
+                                                          rel=0, abs=2e-16)
+    for beta in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 0.0):
+        z = 0.7 * beta
+        series = 2.0 * 0.7 * (1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0)
+        assert hyp.exp([2.0, beta], 0.7)[0] == pytest.approx(series, rel=1e-15)
+        assert hyp.exp([2.0, -beta], 0.7)[0] == pytest.approx(
+            2.0 * 0.7 * (1.0 - z / 2.0 + z * z / 6.0 - z ** 3 / 24.0), rel=1e-15)
+
+
 def test_hyperbolic_exp_matches_numerical_flow(rng):
     # midpoint integration of the left-invariant flow p' = dL_p(u)
     hyp = HyperbolicPlane()
@@ -301,11 +314,66 @@ def test_euclidean_norm(plane):
     assert EuclideanMetric().norm(plane, [0, 0], [3, 4]) == 5.0
 
 
-def test_first_layer_projection_examples():
-    alg = heisenberg_algebra()
-    assert np.allclose(first_layer_projection(alg, [1, 1, 0.5]), [1, 1, 0])
-    assert np.allclose(first_layer_projection(alg, [2, -1, 0]), [2, -1, 0])
-    assert np.allclose(first_layer_projection(alg, [0, 0, 3]), [0, 0, 0])
+ROW_MODELS = {
+    "abelian": AbelianGroup(3),
+    "hyperbolic": HyperbolicPlane(),
+    "heisenberg": CarnotGroup(heisenberg_algebra()),
+    "filiform": CarnotGroup(filiform4()),
+}
+
+
+def _rows_and_point(model, rng):
+    """A base point and tangent rows: random ones, the basis, and zero last."""
+    n = model.point_dim
+    p = model.exp_step(model.identity(), rng.normal(size=n), 1.0)
+    return p, np.vstack([rng.normal(size=(20, n)), np.eye(n), np.zeros(n)])
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_MODELS))
+def test_tangent_maps_on_rows_match_the_row_loop(kind, rng):
+    model = ROW_MODELS[kind]
+    p, V = _rows_and_point(model, rng)
+    for fn in (model.left_translate, model.pullback):
+        rows = fn(p, V)
+        assert rows.shape == V.shape
+        np.testing.assert_allclose(rows, [fn(p, v) for v in V], rtol=1e-14, atol=0.0)
+        assert np.all(rows[-1] == 0.0)
+        assert fn(p, V[0]).shape == (model.point_dim,)
+    np.testing.assert_allclose(model.pullback(p, model.left_translate(p, V)), V,
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_MODELS))
+def test_tangent_maps_keep_their_errors(kind):
+    model = ROW_MODELS[kind]
+    p = model.identity()
+    for fn in (model.left_translate, model.pullback):
+        with pytest.raises(DimensionMismatchError):
+            fn(p, np.ones(model.point_dim + 1))
+        with pytest.raises(DimensionMismatchError):
+            fn(p, np.ones((2, 2, model.point_dim)))
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(p, np.full(model.point_dim, np.inf))
+        with pytest.raises(DimensionMismatchError):
+            fn(np.ones((2, model.point_dim)), np.ones(model.point_dim))
+
+
+@pytest.mark.parametrize("kind, metric", [
+    ("abelian", EuclideanMetric()), ("heisenberg", EuclideanMetric()),
+    ("hyperbolic", LobachevskyMetric()),
+    ("hyperbolic", LeftInvariantQuadratic([[2.0, 0.3], [0.3, 1.0]])),
+    ("heisenberg", LeftInvariantQuadratic(np.diag([1.0, 2.0, 3.0]))),
+    ("filiform", LeftInvariantQuadratic(np.eye(5)))])
+def test_norm_on_rows_matches_the_row_loop(kind, metric, rng):
+    model = ROW_MODELS[kind]
+    p, V = _rows_and_point(model, rng)
+    rows = metric.norm(model, p, V)
+    assert rows.shape == (len(V),) and rows[-1] == 0.0
+    np.testing.assert_allclose(rows, [metric.norm(model, p, v) for v in V],
+                               rtol=1e-14, atol=0.0)
+    assert np.ndim(metric.norm(model, p, V[0])) == 0
+    with pytest.raises(DimensionMismatchError):
+        metric.norm(model, p, np.ones(model.point_dim + 1))
 
 
 def test_left_translation_jacobian_matches_flow(rng):

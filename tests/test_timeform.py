@@ -205,6 +205,20 @@ def test_growth_fails_when_cone_touches_kernel(plane):
     assert form.value_at_identity(rep.offending_direction) <= 1e-9
 
 
+def test_growth_reports_the_first_offending_direction(plane):
+    # tau = (0, 1) vanishes on (1, 0) and is negative on (1, -1)
+    cone = PolyhedralCone([[1.0, 1.0], [1.0, 0.0], [1.0, -1.0]])
+    rep = check_growth_condition(LeftInvariantForm([0.0, 1.0], plane), cone,
+                                 EuclideanMetric())
+    assert not rep.passed
+    assert np.array_equal(rep.offending_direction, [1.0, 0.0])
+    # only the last generator offends
+    rep = check_growth_condition(LeftInvariantForm([1.0, 1.0], plane), cone,
+                                 EuclideanMetric())
+    assert not rep.passed
+    assert np.allclose(rep.offending_direction, np.array([1.0, -1.0]) / np.sqrt(2))
+
+
 def test_growth_on_hyperbolic_preset_cone():
     cone = LorentzCone([[-4.0, 0.0], [0.0, 1.0]], [0.0, 1.0])
     form = HyperbolicAB(0.0, 1.0)
@@ -330,6 +344,14 @@ def test_section_sup_norm_unbounded(plane):
     cone = PolyhedralCone([[1.0, 0.0], [1.0, 1.0]])
     form = LeftInvariantForm([0.0, 1.0], plane)   # tau vanishes on (1, 0)
     with pytest.raises(UnboundedSectionError):
+        section_sup_norm(UnitTimeSection(cone, form, np.zeros(2)),
+                         EuclideanMetric())
+
+
+def test_section_sup_norm_unbounded_names_the_first_offending_ray(plane):
+    cone = PolyhedralCone([[1.0, 1.0], [1.0, 0.0], [1.0, -1.0]])
+    form = LeftInvariantForm([0.0, 1.0], plane)
+    with pytest.raises(UnboundedSectionError, match=r"direction \[1\.0, 0\.0\];"):
         section_sup_norm(UnitTimeSection(cone, form, np.zeros(2)),
                          EuclideanMetric())
 
