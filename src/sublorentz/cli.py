@@ -102,6 +102,8 @@ def _run_solve(cfg: RunConfig) -> Tuple[int, RunReport]:
         "objective": rep.objective,
         "endpoint_residual": rep.endpoint_residual,
         "iterations": rep.iterations,
+        "endpoint_evaluations": rep.endpoint_evaluations,
+        "jacobian_evaluations": rep.jacobian_evaluations,
         "segments": prob.segments,
         "history": list(rep.history),
     }

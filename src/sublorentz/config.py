@@ -42,10 +42,13 @@ def _require_keys(section: dict, allowed: set, path: str) -> None:
                               field=f"{path}.{key}" if path else key)
 
 
-def _integer(value, path: str, minimum: int) -> int:
-    """A JSON integer (not a bool) of at least ``minimum``."""
+def _integer(value, path: str, minimum: int, maximum: Optional[int] = None) -> int:
+    """A JSON integer (not a bool) of at least ``minimum`` and, when given, at
+    most ``maximum``."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ConfigError(f"must be an integer >= {minimum}", field=path)
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"must be at most {maximum}", field=path)
     return value
 
 
@@ -264,9 +267,11 @@ def parse_config(raw: dict) -> RunConfig:
                 raise ConfigError(str(exc), field=f"endpoints.{name}")
             setattr(cfg, name, vec)
 
-    for name, default, minimum in (("segments", 50, 1), ("samples", 1000, 0),
-                                   ("seed", 0, 0)):
-        setattr(cfg, name, _integer(merged.get(name, default), name, minimum))
+    for name, default, minimum, maximum in (("segments", 50, 1, 10_000),
+                                            ("samples", 1000, 0, 1_000_000),
+                                            ("seed", 0, 0, None)):
+        setattr(cfg, name, _integer(merged.get(name, default), name, minimum,
+                                    maximum))
 
     sol = merged.get("solver", {})
     if not isinstance(sol, dict):
@@ -278,10 +283,11 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("must be a finite number > 0", field="solver.tol")
     cfg.solver_options = SolveOptions(
         tol=float(tol),
-        max_iter=_integer(sol.get("max_iter", 500), "solver.max_iter", 1),
-        restarts=_integer(sol.get("restarts", 8), "solver.restarts", 1),
+        max_iter=_integer(sol.get("max_iter", 500), "solver.max_iter", 1, 100_000),
+        restarts=_integer(sol.get("restarts", 8), "solver.restarts", 1, 256),
         seed=_integer(sol.get("seed", cfg.seed), "solver.seed", 0),
-        inner_iter=_integer(sol.get("inner_iter", 60), "solver.inner_iter", 1))
+        inner_iter=_integer(sol.get("inner_iter", 60), "solver.inner_iter", 1,
+                            10_000))
 
     out = merged.get("output")
     if out is not None:

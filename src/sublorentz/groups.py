@@ -175,7 +175,7 @@ class GroupModel:
     Everything left-invariant is decided at the identity, so a model also
     supplies the maps between identity tangents and chart tangents, the
     chart indices of the derived algebra [g, g], and the endpoint map of
-    piecewise-constant controls with its Jacobian.
+    piecewise-constant controls, alone or with its Jacobian.
     """
 
     point_dim: int
@@ -235,35 +235,48 @@ class GroupModel:
         """The model's invariant reference metric used for diagnostics."""
         return EuclideanMetric()
 
+    def endpoint_residual(self, x0, x1, u: np.ndarray, horizon: float
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+        """Residual rho = log(endpoint^{-1} x1) and the endpoint of the
+        piecewise-constant control u: the forward pass of endpoint_map,
+        without its Jacobian."""
+        p = np.asarray(self._chain(x0, u, horizon / u.shape[0])[-1], dtype=float)
+        return self._residual(p, x1), p
+
     def endpoint_map(self, x0, x1, u: np.ndarray, horizon: float
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Residual rho = log(endpoint^{-1} x1) plus d rho / d u_k, analytically.
 
         Returns (rho, J, endpoint) with J of shape (N, res_dim, control_dim):
-        the per-segment step Jacobians are chained by one reverse sweep.
+        the per-segment step Jacobians at the points of the forward pass are
+        chained by one reverse sweep.
         """
         n_seg = u.shape[0]
         h = horizon / n_seg
-        p = np.asarray(x0, dtype=float)
-        steps = []  # per segment: (d p_{k+1} / d p_k, d p_{k+1} / d u_k)
-        for k in range(n_seg):
-            p, Dp, Du = self._segment_step(p, u[k], h)
-            steps.append((Dp, Du))
-        rho, S = self._residual_jacobian(p, x1)
-        J = np.empty((n_seg, S.shape[0], steps[0][1].shape[1]))
+        points = self._chain(x0, u, h)
+        p = np.asarray(points[-1], dtype=float)
+        S = self._residual_jacobian(p, x1)
+        J = np.empty((n_seg, S.shape[0], self.control_dim))
         for k in range(n_seg - 1, -1, -1):
-            Dp, Du = steps[k]
+            Dp, Du = self._segment_jacobians(points[k], u[k], h)
             J[k] = S @ Du
             S = S @ Dp
-        return rho, J, p
+        return self._residual(p, x1), J, p
 
-    def _segment_step(self, p, uk, h: float
-                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """p exp(h uk) with its Jacobians in p and in uk."""
+    def _chain(self, x0, u: np.ndarray, h: float) -> list:
+        """The points p_0 = x0, p_{k+1} = p_k exp(h u_k), k < N."""
         raise NotImplementedError
 
-    def _residual_jacobian(self, endpoint, x1) -> Tuple[np.ndarray, np.ndarray]:
-        """log(endpoint^{-1} x1) and its Jacobian in the endpoint."""
+    def _segment_jacobians(self, p, uk, h: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Jacobians of p exp(h uk) in p and in uk."""
+        raise NotImplementedError
+
+    def _residual(self, endpoint: np.ndarray, x1) -> np.ndarray:
+        """log(endpoint^{-1} x1)."""
+        raise NotImplementedError
+
+    def _residual_jacobian(self, endpoint: np.ndarray, x1) -> np.ndarray:
+        """Jacobian of log(endpoint^{-1} x1) in the endpoint."""
         raise NotImplementedError
 
 
@@ -307,12 +320,14 @@ class AbelianGroup(GroupModel):
     def forced_average(self, x0, x1):
         return self.log(self.multiply(self.inverse(x0), x1))
 
+    def endpoint_residual(self, x0, x1, u, horizon):
+        endpoint = x0 + (horizon / u.shape[0]) * u.sum(axis=0)
+        return x1 - endpoint, endpoint
+
     def endpoint_map(self, x0, x1, u, horizon):
+        rho, endpoint = self.endpoint_residual(x0, x1, u, horizon)
         n_seg, m = u.shape
-        h = horizon / n_seg
-        endpoint = x0 + h * u.sum(axis=0)
-        rho = x1 - endpoint
-        J = np.broadcast_to(-h * np.eye(m), (n_seg, m, m)).copy()
+        J = np.broadcast_to(-(horizon / n_seg) * np.eye(m), (n_seg, m, m)).copy()
         return rho, J, endpoint
 
 
@@ -428,20 +443,35 @@ class HyperbolicPlane(GroupModel):
     def natural_metric(self):
         return LobachevskyMetric()
 
-    def _segment_step(self, p, uk, h):
-        X, Y, dXa, dXb, dYb = _hyperbolic_flow(uk[0], uk[1], h)
-        y = p[1]
-        q = np.array([p[0] + y * X, y * Y])
-        Dp = np.array([[1.0, X], [0.0, Y]])
-        Du = y * np.array([[dXa, dXb], [0.0, dYb]])
-        return q, Dp, Du
+    def _chain(self, x0, u, h):
+        # plain floats: numpy scalars would double the cost of this walk
+        x, y = np.asarray(x0, dtype=float).tolist()
+        points = [(x, y)]
+        for alpha, beta in u.tolist():
+            X, Y = _hyperbolic_flow(alpha, beta, h)[:2]
+            x, y = x + y * X, y * Y
+            points.append((x, y))
+        return points
+
+    def _segment_jacobians(self, p, uk, h):
+        X, Y, dXa, dXb, dYb = _hyperbolic_flow(*uk.tolist(), h)
+        return (np.array([[1.0, X], [0.0, Y]]),
+                p[1] * np.array([[dXa, dXb], [0.0, dYb]]))
+
+    @staticmethod
+    def _offset(endpoint, x1) -> np.ndarray:
+        """endpoint^{-1} x1."""
+        ex, ey = endpoint
+        return np.array([(x1[0] - ex) / ey, x1[1] / ey])
+
+    def _residual(self, endpoint, x1):
+        return self.log(self._offset(endpoint, x1))
 
     def _residual_jacobian(self, endpoint, x1):
         ex, ey = endpoint
-        w = np.array([(x1[0] - ex) / ey, x1[1] / ey])
         dw_dE = np.array([[-1.0 / ey, -(x1[0] - ex) / ey ** 2],
                           [0.0, -x1[1] / ey ** 2]])
-        return self.log(w), _hyperbolic_log_jacobian(w) @ dw_dE
+        return _hyperbolic_log_jacobian(self._offset(endpoint, x1)) @ dw_dE
 
 
 class CarnotGroup(GroupModel):
@@ -496,15 +526,38 @@ class CarnotGroup(GroupModel):
     def forced_average(self, x0, x1):
         return self.log(self.multiply(self.inverse(x0), x1))[:self.control_dim]
 
+    def endpoint_residual(self, x0, x1, u, horizon):
+        if self.algebra.step != 2:
+            return super().endpoint_residual(x0, x1, u, horizon)
+        return self._area_chain(x0, x1, u, horizon)[:2]
+
     def endpoint_map(self, x0, x1, u, horizon):
         """Step 2 takes a closed-form vectorized route; higher steps chain
         the exact BCH Jacobians segment by segment."""
         alg = self.algebra
         if alg.step != 2:
             return super().endpoint_map(x0, x1, u, horizon)
+        rho, xiE, h, P, csum = self._area_chain(x0, x1, u, horizon)
         n_seg = u.shape[0]
-        h = horizon / n_seg
         n = alg.dim
+        m1 = alg.layer_dims[0]
+        T12 = alg.table[:m1, :m1, m1:]
+        after = (csum[-1][None, :] - csum) * h  # sum h u_l, l > k
+        # d xiE / d u_k: first layer h I; second layer (h/2) [P_k - after_k, .]
+        W = P - after
+        DxiE = np.zeros((n_seg, n, m1))
+        DxiE[:, :m1, :] = h * np.eye(m1)
+        DxiE[:, m1:, :] = 0.5 * h * np.einsum("ijk,ti->tkj", T12, W)
+        drho_dxi = -np.eye(n) + 0.5 * alg.ad(np.asarray(x1, dtype=float))
+        J = np.einsum("ab,tbc->tac", drho_dxi, DxiE)
+        return rho, J, xiE
+
+    def _area_chain(self, x0, x1, u, horizon):
+        """Step 2 in closed form: rho, the endpoint, and the step h, the
+        points' first layers P and the partial sums of u that the Jacobian
+        reuses."""
+        alg = self.algebra
+        h = horizon / u.shape[0]
         m1 = alg.layer_dims[0]
         xi0 = np.asarray(x0, dtype=float)
         eta = np.asarray(x1, dtype=float)
@@ -518,27 +571,24 @@ class CarnotGroup(GroupModel):
         xiE = np.concatenate([first, second])
         # rho = bch(-xiE, eta) at step 2
         rho = eta - xiE - 0.5 * alg.bracket(xiE, eta)
-        after = (csum[-1][None, :] - csum) * h  # sum h u_l, l > k
-        # d xiE / d u_k: first layer h I; second layer (h/2) [P_k - after_k, .]
-        W = P - after
-        DxiE = np.zeros((n_seg, n, m1))
-        DxiE[:, :m1, :] = h * np.eye(m1)
-        DxiE[:, m1:, :] = 0.5 * h * np.einsum("ijk,ti->tkj", T12, W)
-        drho_dxi = -np.eye(n) + 0.5 * alg.ad(eta)
-        J = np.einsum("ab,tbc->tac", drho_dxi, DxiE)
-        return rho, J, xiE
+        return rho, xiE, h, P, csum
 
-    def _segment_step(self, xi, uk, h):
-        alg = self.algebra
-        step_vec = h * self.embed_control(uk)
-        Da, Db = bch_jacobians(alg, xi, step_vec)
-        return bch_log_product(alg, xi, step_vec), Da, Db @ (h * self._first_layer)
+    def _chain(self, x0, u, h):
+        steps = h * self.embed_control(u)
+        points = [np.asarray(x0, dtype=float)]
+        for step_vec in steps:
+            points.append(bch_log_product(self.algebra, points[-1], step_vec))
+        return points
+
+    def _segment_jacobians(self, xi, uk, h):
+        Da, Db = bch_jacobians(self.algebra, xi, h * self.embed_control(uk))
+        return Da, Db @ (h * self._first_layer)
+
+    def _residual(self, endpoint, x1):
+        return bch_log_product(self.algebra, -endpoint, np.asarray(x1, dtype=float))
 
     def _residual_jacobian(self, endpoint, x1):
-        eta = np.asarray(x1, dtype=float)
-        rho = bch_log_product(self.algebra, -endpoint, eta)
-        Dval, _ = bch_jacobians(self.algebra, -endpoint, eta)
-        return rho, -Dval
+        return -bch_jacobians(self.algebra, -endpoint, np.asarray(x1, dtype=float))[0]
 
 
 # ---------------------------------------------------------------------------

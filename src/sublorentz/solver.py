@@ -94,6 +94,10 @@ class SolveReport:
     endpoint_residual: float
     iterations: int
     history: List[float] = field(default_factory=list)
+    #: endpoint passes over all restarts: every residual evaluation (the
+    #: full passes included) and the full passes that also built the Jacobian
+    endpoint_evaluations: int = 0
+    jacobian_evaluations: int = 0
 
     def summary(self) -> str:
         return (f"{self.status.value}: objective {self.objective:.9g}, "
@@ -118,6 +122,8 @@ class _RunResult:
     residual: float
     outer_iters: int
     history: List[float]
+    endpoint_evaluations: int
+    jacobian_evaluations: int
 
 
 def _objective(nu: Antinorm, u: np.ndarray, h: float) -> float:
@@ -163,15 +169,26 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
     history: List[float] = []
     alpha = 1.0
 
-    def phi_and_parts(uu):
-        # wild line-search trials can overflow the exponential maps; such
-        # points are rejected, never fatal
+    counts = {"endpoint": 0, "jacobian": 0}
+
+    def residual(uu):
+        counts["endpoint"] += 1
+        return model.endpoint_residual(x0, x1, uu, horizon)[0]
+
+    def phi_and_parts(uu, full):
+        # the Jacobian only when ``full``; wild line-search trials can
+        # overflow the exponential maps, such points are rejected, never fatal
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                rho, J, _ = model.endpoint_map(x0, x1, uu, horizon)
+                if full:
+                    counts["endpoint"] += 1
+                    counts["jacobian"] += 1
+                    rho, J, _ = model.endpoint_map(x0, x1, uu, horizon)
+                else:
+                    rho, J = residual(uu), None
         except (ValueError, FloatingPointError):
             return -np.inf, None, None
-        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(J))):
+        if not (np.all(np.isfinite(rho)) and (J is None or np.all(np.isfinite(J)))):
             return -np.inf, None, None
         if lam is None:
             pen = 0.5 * mu * rho @ rho
@@ -196,7 +213,7 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
     for outer in range(1, opts.max_iter + 1):
         eps = 0.1 / outer
         alpha = max(alpha, 1e-2)
-        phi, rho, J = phi_and_parts(u)
+        phi, rho, J = phi_and_parts(u, full=True)
         if rho is None:
             break
         # projected ascent with spectral (Barzilai-Borwein) steps and a
@@ -219,8 +236,11 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
             ref = min(phi_recent[-5:])
             for _ in range(40):
                 trial = project(u + step * grad)
-                phi_t, rho_t, J_t = phi_and_parts(trial)
+                phi_t, rho_t, J_t = phi_and_parts(trial, full=False)
                 if rho_t is not None and phi_t > ref + 1e-14:
+                    # only a trial that passes the test pays for its Jacobian
+                    phi_t, rho_t, J_t = phi_and_parts(trial, full=True)
+                if J_t is not None:
                     u_prev, g_prev = u, grad
                     u, phi, rho, J = trial, phi_t, rho_t, J_t
                     phi_recent.append(phi)
@@ -238,7 +258,7 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
         history.append(_objective(nu, u, h))
         if res <= opts.tol:
             polished = _polish_average(model, cone, x0, x1, u, horizon)
-            rho_p, _, _ = model.endpoint_map(x0, x1, polished, horizon)
+            rho_p = residual(polished)
             if np.linalg.norm(rho_p) <= opts.tol:
                 u = polished
                 res = float(np.linalg.norm(rho_p))
@@ -252,10 +272,12 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
         prev_res = res
 
     u = _polish_average(model, cone, x0, x1, u, horizon)
-    rho, _, _ = model.endpoint_map(x0, x1, u, horizon)
+    rho = residual(u)
     return _RunResult(u=u, objective=_objective(nu, u, h),
                       residual=float(np.linalg.norm(rho)),
-                      outer_iters=outer, history=history)
+                      outer_iters=outer, history=history,
+                      endpoint_evaluations=counts["endpoint"],
+                      jacobian_evaluations=counts["jacobian"])
 
 
 def _starting_controls(prob: ProblemInstance, horizon: float,
@@ -313,7 +335,9 @@ def _report_from_runs(prob: ProblemInstance, runs: List[_RunResult],
     status = SolveStatus.SOLVED if feasible else SolveStatus.MAX_ITERATIONS
     return SolveReport(status=status, objective=best.objective, control=control,
                        trajectory=traj, endpoint_residual=best.residual,
-                       iterations=best.outer_iters, history=best.history)
+                       iterations=best.outer_iters, history=best.history,
+                       endpoint_evaluations=sum(r.endpoint_evaluations for r in runs),
+                       jacobian_evaluations=sum(r.jacobian_evaluations for r in runs))
 
 
 def _no_admissible_path() -> SolveReport:

@@ -95,6 +95,34 @@ def test_bad_solver_seed_exits_two(tmp_path, capsys):
     assert "solver.seed" in capsys.readouterr().err
 
 
+CAPS = [("segments", 10_000), ("samples", 1_000_000), ("solver.restarts", 256),
+        ("solver.max_iter", 100_000), ("solver.inner_iter", 10_000)]
+
+
+def _with_value(field, value):
+    payload = {"version": 1, "preset": "minkowski11"}
+    if field.startswith("solver."):
+        payload["solver"] = {field.split(".", 1)[1]: value}
+    else:
+        payload[field] = value
+    return payload
+
+
+@pytest.mark.parametrize("field, cap", CAPS)
+def test_value_above_cap_exits_two(tmp_path, capsys, field, cap):
+    path = write_config(tmp_path, _with_value(field, cap + 1))
+    assert main(["solve", "--config", path]) == 2
+    assert f"config error: {field}: must be at most {cap}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, cap", CAPS)
+def test_value_at_cap_accepted(tmp_path, field, cap):
+    cfg = load_config(write_config(tmp_path, _with_value(field, cap)))
+    name = field.split(".")[-1]
+    holder = cfg.solver_options if field.startswith("solver.") else cfg
+    assert getattr(holder, name) == cap
+
+
 def test_carnot_model_from_structure_file(tmp_path):
     sc = tmp_path / "heis.txt"
     sc.write_text("layers: 2 1\n0 1 2 1.0\n")
@@ -205,6 +233,22 @@ def test_determinism_byte_for_byte(tmp_path):
             (out / "r" / "cloud.csv").read_bytes(),
         ))
     assert outs[0] == outs[1]
+
+
+def test_solve_reports_evaluation_counts(tmp_path):
+    path = write_config(tmp_path, {"version": 1, "preset": "hyperbolic",
+                                   "solver": FAST_SOLVER})
+    counts = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        run_config(path, "solve", out_dir=str(out))
+        record = json.loads((out / "report.json").read_text())
+        counts.append((record["endpoint_evaluations"],
+                       record["jacobian_evaluations"]))
+    assert counts[0] == counts[1]
+    endpoint, jacobian = counts[0]
+    # line-search trials that are rejected evaluate the residual only
+    assert 0 < jacobian < endpoint
 
 
 def test_seed_changes_reach_output(tmp_path):

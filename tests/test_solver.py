@@ -24,6 +24,7 @@ from sublorentz import (
     admissibility_check,
     check_hyperbolicity_desk,
     heisenberg_algebra,
+    minkowski_area_algebra,
     potential,
     reachability_sample,
     solve_longest,
@@ -235,35 +236,46 @@ def test_oracle_agreement_random_endpoints(plane, mink_cone, mink_nu,
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("case", ["abelian", "heisenberg", "hyperbolic",
-                                  "hyperbolic-flat", "engel", "filiform"])
-def test_endpoint_jacobian_matches_fd(case, rng):
+ENDPOINT_CASES = ["abelian", "heisenberg", "minkowski-area", "hyperbolic",
+                  "hyperbolic-flat", "engel", "filiform"]
+
+
+def _endpoint_case(case):
+    """A model with endpoints x0, x1 for the endpoint-map tests."""
     if case == "abelian":
-        model, x0, x1 = AbelianGroup(2), np.zeros(2), np.array([5.0, 3.0])
-    elif case == "heisenberg":
-        model = CarnotGroup(heisenberg_algebra())
-        x0, x1 = np.zeros(3), np.array([2.0, 0.5, 0.3])
-    elif case == "engel":
-        model = CarnotGroup(CarnotAlgebra.from_brackets(
-            (2, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}}))
-        x0, x1 = np.zeros(4), np.array([2.0, 0.5, 0.3, 0.1])
-    elif case == "filiform":
-        model = CarnotGroup(CarnotAlgebra.from_brackets(
-            (2, 1, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}, (0, 3): {4: 1.0}}))
-        x0, x1 = np.zeros(5), np.array([2.0, 0.5, 0.3, 0.1, 0.05])
-    elif case == "hyperbolic":
-        model = HyperbolicPlane()
-        x0, x1 = np.array([0.0, 1.0]), np.array([0.3, 2.0])
-    else:
-        model = HyperbolicPlane()
-        x0, x1 = np.array([0.0, 1.0]), np.array([1.0, 1.0])
-    u = rng.normal(size=(7, 2)) * 0.4 + np.array([1.2, 0.0])
+        return AbelianGroup(2), np.zeros(2), np.array([5.0, 3.0])
+    if case == "heisenberg":
+        return (CarnotGroup(heisenberg_algebra()), np.zeros(3),
+                np.array([2.0, 0.5, 0.3]))
+    if case == "minkowski-area":
+        # step 2 with a 3-dim first layer
+        return (CarnotGroup(minkowski_area_algebra(2)), np.zeros(5),
+                np.array([2.0, 0.5, -0.4, 0.3, 0.1]))
+    if case == "engel":
+        return (CarnotGroup(CarnotAlgebra.from_brackets(
+            (2, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}})),
+            np.zeros(4), np.array([2.0, 0.5, 0.3, 0.1]))
+    if case == "filiform":
+        return (CarnotGroup(CarnotAlgebra.from_brackets(
+            (2, 1, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}, (0, 3): {4: 1.0}})),
+            np.zeros(5), np.array([2.0, 0.5, 0.3, 0.1, 0.05]))
+    if case == "hyperbolic":
+        return HyperbolicPlane(), np.array([0.0, 1.0]), np.array([0.3, 2.0])
+    return HyperbolicPlane(), np.array([0.0, 1.0]), np.array([1.0, 1.0])
+
+
+@pytest.mark.parametrize("case", ENDPOINT_CASES)
+def test_endpoint_jacobian_matches_fd(case, rng):
+    model, x0, x1 = _endpoint_case(case)
+    m = model.control_dim
+    u = rng.normal(size=(7, m)) * 0.4
+    u[:, 0] += 1.2
     if case == "hyperbolic-flat":
         u[:, 1] *= 1e-6   # nearly horizontal segments: t beta ~ 1e-7
     rho, J, _ = model.endpoint_map(x0, x1, u, 1.0)
     h = 1e-6
     for k in range(u.shape[0]):
-        for j in range(2):
+        for j in range(m):
             d = np.zeros_like(u)
             d[k, j] = h
             rp, _, _ = model.endpoint_map(x0, x1, u + d, 1.0)
@@ -271,6 +283,57 @@ def test_endpoint_jacobian_matches_fd(case, rng):
             fd = (rp - rm) / (2 * h)
             scale = max(1.0, np.abs(fd).max())
             assert np.abs(J[k][:, j] - fd).max() <= 1e-5 * scale
+
+
+@pytest.mark.parametrize("case", ENDPOINT_CASES)
+def test_endpoint_residual_matches_endpoint_map(case, rng):
+    model, x0, x1 = _endpoint_case(case)
+    for n_seg in (1, 2, 9, 40):
+        u = rng.normal(size=(n_seg, model.control_dim)) * 0.5
+        u[:, 0] += 1.2
+        if case == "hyperbolic-flat":
+            u[:, 1] *= 1e-6
+        rho, endpoint = model.endpoint_residual(x0, x1, u, 1.3)
+        rho_full, _, endpoint_full = model.endpoint_map(x0, x1, u, 1.3)
+        assert np.array_equal(rho, rho_full)
+        assert np.array_equal(endpoint, endpoint_full)
+
+
+def test_endpoint_residual_rejects_overflow_like_endpoint_map():
+    # h beta = 800 overflows the flow's exponential on both paths
+    model = HyperbolicPlane()
+    x0, x1 = np.array([0.0, 1.0]), np.array([0.3, 2.0])
+    u = np.array([[0.0, 1600.0], [200.0, 1600.0]])   # h = 0.5
+
+    def rejected(evaluate):
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                rho = evaluate(x0, x1, u, 1.0)[0]
+        except ValueError:
+            return True
+        return not np.all(np.isfinite(rho))
+
+    assert rejected(model.endpoint_residual)
+    assert rejected(model.endpoint_map)
+
+
+def test_line_search_keeps_its_iterates(mink_cone, mink_nu):
+    # pinned outcomes of two small solves: a change to how trials are
+    # evaluated must leave every accept/reject decision as it was
+    opts = SolveOptions(restarts=1, max_iter=20, inner_iter=20)
+    hyp_form = [[-4.0, 0.0], [0.0, 1.0]]
+    hyp = make_prob(HyperbolicPlane(), LorentzCone(hyp_form, [0.0, 1.0]),
+                    LorentzSqrt(hyp_form), [0.0, 1.0], [0.3, 2.0], n=50)
+    engel = CarnotGroup(CarnotAlgebra.from_brackets(
+        (2, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}}))
+    eng = make_prob(engel, mink_cone, mink_nu, np.zeros(4),
+                    [2.0, 0.5, 0.3, 0.1], n=12)
+    for prob, iterations, objective in [(hyp, 18, 0.5584005536812238),
+                                        (eng, 20, 1.6299322281862527)]:
+        rep = solve_longest(prob, opts)
+        assert rep.status == SolveStatus.SOLVED
+        assert rep.iterations == iterations
+        assert rep.objective == pytest.approx(objective, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
