@@ -96,8 +96,10 @@ def integrate(model: GroupModel, x0, u: ControlSignal, horizon: float = 1.0,
               nu: Optional[Antinorm] = None, cone: Optional[Cone] = None) -> Trajectory:
     """Integrate x' = (left-translate of u_k) from x0 over [0, horizon].
 
-    Each segment is one exact exponential step x_{k+1} = x_k exp(h u_k);
-    Carnot controls may be given in the first layer only.
+    Each segment is one exact exponential step x_{k+1} = x_k exp(h u_k),
+    all of them in one ``model.points`` pass; the first point off the
+    model's domain (a flow that overflows) raises what ``validate_point``
+    raises for it.  Carnot controls may be given in the first layer only.
     """
     x0 = model.validate_point(x0)
     if u.dim not in (model.control_dim, model.point_dim):
@@ -105,10 +107,7 @@ def integrate(model: GroupModel, x0, u: ControlSignal, horizon: float = 1.0,
                                      f"({model.control_dim} or {model.point_dim})")
     n = u.segments
     h = horizon / n
-    pts = np.empty((n + 1, model.point_dim))
-    pts[0] = x0
-    for k in range(n):
-        pts[k + 1] = model.exp_step(pts[k], u.values[k], h)
+    pts = model.validate_points(model.points(x0, u.values, h))
     times = np.linspace(0.0, horizon, n + 1)
     z = None
     if nu is not None and cone is not None:

@@ -6,7 +6,9 @@ products go through the Baker-Campbell-Hausdorff series, which terminates
 at the nilpotency step and is hardcoded through step 4.
 
 Points are single 1-d vectors.  Tangent and control arguments may also be
-a stack of row vectors, shape (n, d), answered row by row.
+a stack of row vectors, shape (n, d), answered row by row.  The points of a
+piecewise-constant control come from one vectorized pass over all its
+segments (``GroupModel.points``), which every segment walk shares.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .cones import Cone, as_vector, as_vectors
-from .errors import InvalidPointError, UnsupportedStepError
+from .errors import DimensionMismatchError, InvalidPointError, UnsupportedStepError
 
 MAX_STEP = 4
 
@@ -97,46 +99,65 @@ class CarnotAlgebra:
 
     # -- algebra operations ----------------------------------------------------
 
-    def bracket(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("ijk,i,j->k", self.table, a, b)
+    def bracket(self, a, b) -> np.ndarray:
+        """[a, b] of vectors or of stacks of row vectors (broadcast).  The
+        dense sum adds its terms over i, then j, for every row of a stack as
+        for a single vector, so batched chains keep the arithmetic of
+        bch_log_product."""
+        return np.einsum("ijk,...i,...j->...k", self.table, a, b)
 
-    def ad(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of ad_a = [a, .]."""
-        return np.einsum("ijk,i->kj", self.table, a)
+    def ad(self, a) -> np.ndarray:
+        """Matrix of ad_a = [a, .], one per row of a stack."""
+        return np.einsum("ijk,...i->...kj", self.table, a)
 
 
-# BCH series through total order 4; exact on algebras of step <= 4.
-def bch_log_product(algebra: CarnotAlgebra, a, b) -> np.ndarray:
-    """log(exp(a) exp(b)) for g-vectors a, b."""
+def _check_step(algebra: CarnotAlgebra) -> None:
     if algebra.step > MAX_STEP:
         raise UnsupportedStepError(f"BCH truncation covers step <= {MAX_STEP}, "
                                    f"algebra has step {algebra.step}")
-    a = as_vector(a, algebra.dim)
-    b = as_vector(b, algebra.dim)
-    br = algebra.bracket
-    ab = br(a, b)
-    z = a + b + 0.5 * ab
-    if algebra.step >= 3:
-        aab = br(a, ab)
-        bab = br(b, ab)
-        z += (aab - bab) / 12.0
-        if algebra.step >= 4:
-            z -= br(b, aab) / 24.0
+
+
+# BCH series through total order 4; exact on algebras of step <= 4.
+def _bch_terms(algebra: CarnotAlgebra, a: np.ndarray, b: np.ndarray,
+               degree: int) -> list:
+    """The terms of log(exp(a) exp(b)) after a, through ``degree``, in the
+    order they are added: b, [a, b]/2, ([a, [a, b]] - [b, [a, b]])/12 and
+    -[b, [a, [a, b]]]/24.  A term of degree n lies in the layers >= n."""
+    terms = [b]
+    if degree >= 2:
+        ab = algebra.bracket(a, b)
+        terms.append(0.5 * ab)
+        if degree >= 3:
+            aab = algebra.bracket(a, ab)
+            terms.append((aab - algebra.bracket(b, ab)) / 12.0)
+            if degree >= 4:
+                terms.append(-(algebra.bracket(b, aab) / 24.0))
+    return terms
+
+
+def bch_log_product(algebra: CarnotAlgebra, a, b) -> np.ndarray:
+    """log(exp(a) exp(b)) for g-vectors a, b, or row by row for stacks."""
+    _check_step(algebra)
+    a = as_vectors(a, algebra.dim)
+    b = as_vectors(b, algebra.dim)
+    z = a
+    # at step 1 the half bracket is +0, and still turns a sum of -0 into +0
+    for term in _bch_terms(algebra, a, b, max(algebra.step, 2)):
+        z = z + term
     return z
 
 
 def bch_jacobians(algebra: CarnotAlgebra, a, b) -> Tuple[np.ndarray, np.ndarray]:
-    """Matrices (D_a bch, D_b bch) at (a, b); exact for step <= 4.
+    """Matrices (D_a bch, D_b bch) at (a, b), one pair per row for stacks;
+    exact for step <= 4.
 
     Derived term by term from the order-4 series; the ad-nilpotency of the
     grading makes every product below finite.
     """
-    if algebra.step > MAX_STEP:
-        raise UnsupportedStepError(f"step {algebra.step} > {MAX_STEP}")
-    a = as_vector(a, algebra.dim)
-    b = as_vector(b, algebra.dim)
-    n = algebra.dim
-    I = np.eye(n)
+    _check_step(algebra)
+    a = as_vectors(a, algebra.dim)
+    b = as_vectors(b, algebra.dim)
+    I = np.eye(algebra.dim)
     A = algebra.ad(a)
     B = algebra.ad(b)
     ab = algebra.bracket(a, b)
@@ -144,20 +165,19 @@ def bch_jacobians(algebra: CarnotAlgebra, a, b) -> Tuple[np.ndarray, np.ndarray]
     Db = I + 0.5 * A
     if algebra.step >= 3:
         ad_ab = algebra.ad(ab)
-        Da += (-ad_ab - A @ B + B @ B) / 12.0
-        Db += (A @ A + ad_ab - B @ A) / 12.0
+        Da = Da + (-ad_ab - A @ B + B @ B) / 12.0
+        Db = Db + (A @ A + ad_ab - B @ A) / 12.0
         if algebra.step >= 4:
             aab = algebra.bracket(a, ab)
-            Da += (B @ ad_ab + B @ A @ B) / 24.0
-            Db += (algebra.ad(aab) - B @ A @ A) / 24.0
+            Da = Da + (B @ ad_ab + B @ A @ B) / 24.0
+            Db = Db + (algebra.ad(aab) - B @ A @ A) / 24.0
     return Da, Db
 
 
 def left_translation_jacobian(algebra: CarnotAlgebra, xi) -> np.ndarray:
     """Chart matrix of d(L_p) at the identity, p = exp(xi): the chart velocity
     of t -> p exp(t u) at t = 0 is this matrix applied to u."""
-    if algebra.step > MAX_STEP:
-        raise UnsupportedStepError(f"step {algebra.step} > {MAX_STEP}")
+    _check_step(algebra)
     xi = as_vector(xi, algebra.dim)
     A = algebra.ad(xi)
     return np.eye(algebra.dim) + 0.5 * A + (A @ A) / 12.0
@@ -190,6 +210,20 @@ class GroupModel:
     def validate_point(self, p) -> np.ndarray:
         return as_vector(p, self.point_dim, "point")
 
+    def validate_points(self, points) -> np.ndarray:
+        """Check a stack of points (..., point_dim) row after row: the first
+        invalid row raises what validate_point raises for it."""
+        points = np.asarray(points, dtype=float)
+        rows = points.reshape(-1, self.point_dim)
+        inside = self._inside(rows)
+        if not np.all(inside):
+            self.validate_point(rows[np.argmin(inside)])
+        return points
+
+    def _inside(self, rows: np.ndarray) -> np.ndarray:
+        """Which rows of a (n, point_dim) stack validate_point accepts."""
+        return np.all(np.isfinite(rows), axis=1)
+
     def multiply(self, p, q) -> np.ndarray:
         raise NotImplementedError
 
@@ -198,7 +232,24 @@ class GroupModel:
 
     def exp_step(self, p, u, h: float) -> np.ndarray:
         """p . exp(h u), u a tangent vector at the identity."""
+        u = as_vector(u, name="control")
+        return self.validate_point(self.points(p, u[None], h)[-1])
+
+    def points(self, x0, u, h: float) -> np.ndarray:
+        """The points p_0 = x0, p_{k+1} = p_k exp(h u_k) of the
+        piecewise-constant control u (N, m), as an (N + 1, point_dim) array;
+        leading batch axes of u carry over.  The points are not validated:
+        a flow that overflows gives non-finite points."""
         raise NotImplementedError
+
+    def _controls(self, u) -> np.ndarray:
+        """u as a float array (..., N, m), m the control or the point dim."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim < 2 or u.shape[-1] not in (self.control_dim, self.point_dim):
+            raise DimensionMismatchError(
+                f"controls must be (..., N, {self.control_dim} or {self.point_dim}), "
+                f"got shape {u.shape}")
+        return u
 
     def log(self, p) -> np.ndarray:
         """Inverse of exp at the identity (group logarithm in the chart)."""
@@ -240,7 +291,7 @@ class GroupModel:
         """Residual rho = log(endpoint^{-1} x1) and the endpoint of the
         piecewise-constant control u: the forward pass of endpoint_map,
         without its Jacobian."""
-        p = np.asarray(self._chain(x0, u, horizon / u.shape[0])[-1], dtype=float)
+        p = self.points(x0, u, horizon / u.shape[0])[-1]
         return self._residual(p, x1), p
 
     def endpoint_map(self, x0, x1, u: np.ndarray, horizon: float
@@ -248,27 +299,25 @@ class GroupModel:
         """Residual rho = log(endpoint^{-1} x1) plus d rho / d u_k, analytically.
 
         Returns (rho, J, endpoint) with J of shape (N, res_dim, control_dim):
-        the per-segment step Jacobians at the points of the forward pass are
-        chained by one reverse sweep.
+        the segment Jacobians at the points of the forward pass are chained
+        by one reverse sweep.
         """
         n_seg = u.shape[0]
         h = horizon / n_seg
-        points = self._chain(x0, u, h)
-        p = np.asarray(points[-1], dtype=float)
+        points = self.points(x0, u, h)
+        p = points[-1]
         S = self._residual_jacobian(p, x1)
+        Dp, Du = self._segment_jacobians(points, u, h)
         J = np.empty((n_seg, S.shape[0], self.control_dim))
         for k in range(n_seg - 1, -1, -1):
-            Dp, Du = self._segment_jacobians(points[k], u[k], h)
-            J[k] = S @ Du
-            S = S @ Dp
+            J[k] = S @ Du[k]
+            S = S @ Dp[k]
         return self._residual(p, x1), J, p
 
-    def _chain(self, x0, u: np.ndarray, h: float) -> list:
-        """The points p_0 = x0, p_{k+1} = p_k exp(h u_k), k < N."""
-        raise NotImplementedError
-
-    def _segment_jacobians(self, p, uk, h: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Jacobians of p exp(h uk) in p and in uk."""
+    def _segment_jacobians(self, points: np.ndarray, u: np.ndarray, h: float
+                           ) -> Tuple[np.ndarray, np.ndarray]:
+        """Jacobians of p_k exp(h u_k) in p_k and in u_k, stacked over the
+        segments: (N, point_dim, point_dim) and (N, point_dim, control_dim)."""
         raise NotImplementedError
 
     def _residual(self, endpoint: np.ndarray, x1) -> np.ndarray:
@@ -303,8 +352,13 @@ class AbelianGroup(GroupModel):
     def inverse(self, p):
         return -self.validate_point(p)
 
-    def exp_step(self, p, u, h):
-        return self.validate_point(p) + h * as_vector(u, self.dim)
+    def points(self, x0, u, h):
+        x0 = self.validate_point(x0)
+        u = self._controls(u)
+        seq = np.empty(u.shape[:-2] + (u.shape[-2] + 1, self.dim))
+        seq[..., 0, :] = x0
+        seq[..., 1:, :] = h * u
+        return seq.cumsum(axis=-2)
 
     def log(self, p):
         return self.validate_point(p)
@@ -337,10 +391,10 @@ _SERIES = tuple((1.0 / math.factorial(k + 1), (k + 1) / math.factorial(k + 2))
                 for k in range(4, -1, -1))
 
 
-def _hyperbolic_flow(alpha: float, beta: float, t: float
-                     ) -> Tuple[float, float, float, float, float]:
+def _hyperbolic_flow(alpha: np.ndarray, beta: np.ndarray, t: float
+                     ) -> Tuple[np.ndarray, ...]:
     """exp(t (alpha, beta)) = (X, Y) with X = alpha t E(t beta), Y = e^{t beta}
-    and E(z) = (e^z - 1)/z, plus dX/dalpha, dX/dbeta and dY/dbeta.
+    and E(z) = (e^z - 1)/z, plus dX/dalpha, dX/dbeta and dY/dbeta, elementwise.
 
     The direct quotients cancel as z -> 0, with relative errors near
     eps/|z| (X) and 2 eps/z^2 (dX/dbeta); |z| < 1e-3 takes the series
@@ -348,15 +402,17 @@ def _hyperbolic_flow(alpha: float, beta: float, t: float
     """
     z = t * beta
     Y = np.exp(z)
-    if abs(z) < 1e-3:
-        E = dE = 0.0
-        for c, d in _SERIES:
-            E = E * z + c
-            dE = dE * z + d
-        return alpha * t * E, Y, t * E, alpha * t * t * dE, t * Y
+    E = dE = 0.0
+    for c, d in _SERIES:
+        E = E * z + c
+        dE = dE * z + d
+    series = abs(z) < 1e-3
+    b = np.where(series, 1.0, beta)  # the direct branch is not used there
     em1 = Y - 1.0
-    return ((alpha / beta) * em1, Y, em1 / beta,
-            alpha * (t * Y * beta - em1) / (beta * beta), t * Y)
+    return (np.where(series, alpha * t * E, (alpha / b) * em1), Y,
+            np.where(series, t * E, em1 / b),
+            np.where(series, alpha * t * t * dE,
+                     alpha * (t * Y * b - em1) / (b * b)), t * Y)
 
 
 def _hyperbolic_log_jacobian(w: np.ndarray) -> np.ndarray:
@@ -392,6 +448,10 @@ class HyperbolicPlane(GroupModel):
             raise InvalidPointError(f"hyperbolic point needs y > 0, got y = {p[1]}")
         return p
 
+    def _inside(self, rows):
+        # extreme h beta overflow or underflow a flow off the plane
+        return super()._inside(rows) & (rows[:, 1] > 0.0)
+
     def multiply(self, p, q):
         p = self.validate_point(p)
         q = self.validate_point(q)
@@ -404,12 +464,6 @@ class HyperbolicPlane(GroupModel):
     def exp(self, u, t: float = 1.0) -> np.ndarray:
         """One-parameter subgroup exp(t(alpha, beta)) through the identity."""
         return self.exp_step(self.identity(), u, t)
-
-    def exp_step(self, p, u, h):
-        x, y = self.validate_point(p)
-        X, Y = _hyperbolic_flow(*as_vector(u, 2), h)[:2]
-        # extreme h beta overflow or underflow the flow off the plane
-        return self.validate_point([x + y * X, y * Y])
 
     def log(self, p):
         p = self.validate_point(p)
@@ -443,20 +497,22 @@ class HyperbolicPlane(GroupModel):
     def natural_metric(self):
         return LobachevskyMetric()
 
-    def _chain(self, x0, u, h):
-        # plain floats: numpy scalars would double the cost of this walk
-        x, y = np.asarray(x0, dtype=float).tolist()
-        points = [(x, y)]
-        for alpha, beta in u.tolist():
-            X, Y = _hyperbolic_flow(alpha, beta, h)[:2]
-            x, y = x + y * X, y * Y
-            points.append((x, y))
-        return points
+    def points(self, x0, u, h):
+        # y_{k+1} = y_k Y_k and x_{k+1} = x_k + y_k X_k, in segment order
+        x0 = self.validate_point(x0)
+        u = self._controls(u)
+        X, Y = _hyperbolic_flow(u[..., 0], u[..., 1], h)[:2]
+        start = np.ones(u.shape[:-2] + (1,))
+        y = np.concatenate([x0[1] * start, Y], axis=-1).cumprod(axis=-1)
+        x = np.concatenate([x0[0] * start, y[..., :-1] * X], axis=-1).cumsum(axis=-1)
+        return np.stack([x, y], axis=-1)
 
-    def _segment_jacobians(self, p, uk, h):
-        X, Y, dXa, dXb, dYb = _hyperbolic_flow(*uk.tolist(), h)
-        return (np.array([[1.0, X], [0.0, Y]]),
-                p[1] * np.array([[dXa, dXb], [0.0, dYb]]))
+    def _segment_jacobians(self, points, u, h):
+        X, Y, dXa, dXb, dYb = _hyperbolic_flow(u[:, 0], u[:, 1], h)
+        zero, one = np.zeros_like(X), np.ones_like(X)
+        return (np.stack([one, X, zero, Y], axis=-1).reshape(-1, 2, 2),
+                points[:-1, 1, None, None]
+                * np.stack([dXa, dXb, zero, dYb], axis=-1).reshape(-1, 2, 2))
 
     @staticmethod
     def _offset(endpoint, x1) -> np.ndarray:
@@ -497,10 +553,6 @@ class CarnotGroup(GroupModel):
     def inverse(self, p):
         return -self.validate_point(p)
 
-    def exp_step(self, p, u, h):
-        return bch_log_product(self.algebra, self.validate_point(p),
-                               h * self.embed_control(u))
-
     def log(self, p):
         return self.validate_point(p)
 
@@ -532,8 +584,8 @@ class CarnotGroup(GroupModel):
         return self._area_chain(x0, x1, u, horizon)[:2]
 
     def endpoint_map(self, x0, x1, u, horizon):
-        """Step 2 takes a closed-form vectorized route; higher steps chain
-        the exact BCH Jacobians segment by segment."""
+        """Step 2 takes a closed-form vectorized route; other steps sweep
+        the exact BCH Jacobians of the chain's segments."""
         alg = self.algebra
         if alg.step != 2:
             return super().endpoint_map(x0, x1, u, horizon)
@@ -573,15 +625,37 @@ class CarnotGroup(GroupModel):
         rho = eta - xiE - 0.5 * alg.bracket(xiE, eta)
         return rho, xiE, h, P, csum
 
-    def _chain(self, x0, u, h):
-        steps = h * self.embed_control(u)
-        points = [np.asarray(x0, dtype=float)]
-        for step_vec in steps:
-            points.append(bch_log_product(self.algebra, points[-1], step_vec))
-        return points
+    def points(self, x0, u, h):
+        """Layer by layer: layer j of a BCH term depends only on the layers
+        < j of its arguments, so once those are known for every point, the
+        terms give layer j of all points by one cumsum.  Its input lists
+        each segment's terms in the order bch_log_product adds them, so every
+        point keeps that association."""
+        alg = self.algebra
+        _check_step(alg)
+        u = self._controls(u)
+        steps = h * self.embed_control(u.reshape(-1, u.shape[-1])).reshape(
+            u.shape[:-1] + (self.point_dim,))
+        batch, n_seg = steps.shape[:-2], steps.shape[-2]
+        P = np.zeros(batch + (n_seg + 1, self.point_dim))
+        P[..., 0, :] = self.validate_point(x0)
+        lo = 0
+        for layer, width in enumerate(alg.layer_dims, start=1):
+            hi = lo + width
+            terms = _bch_terms(alg, P[..., :-1, :], steps, layer)
+            seq = np.empty(batch + (n_seg * len(terms) + 1, width))
+            seq[..., 0, :] = P[..., 0, lo:hi]
+            for t, term in enumerate(terms):
+                seq[..., 1 + t::len(terms), :] = term[..., lo:hi]
+            P[..., lo:hi] = seq.cumsum(axis=-2)[..., ::len(terms), :]
+            lo = hi
+        # the series also adds [a, b]/2 = +0 on the first layer, which turns
+        # a sum of -0 into +0
+        P[..., 1:, :self.control_dim] += 0.0
+        return P
 
-    def _segment_jacobians(self, xi, uk, h):
-        Da, Db = bch_jacobians(self.algebra, xi, h * self.embed_control(uk))
+    def _segment_jacobians(self, points, u, h):
+        Da, Db = bch_jacobians(self.algebra, points[:-1], h * self.embed_control(u))
         return Da, Db @ (h * self._first_layer)
 
     def _residual(self, endpoint, x1):

@@ -424,6 +424,10 @@ def abelianized_upper_bound(prob: ProblemInstance) -> float:
                          prob.model.forced_average(prob.x0, prob.x1))
 
 
+#: samples drawn and integrated together; bounds the memory of a large cloud
+_REACH_BATCH = 256
+
+
 def reachability_sample(model: GroupModel, cone: Cone, x0, n_samples: int,
                         seed: int = 0, interior: bool = False) -> np.ndarray:
     """Endpoints of random admissible piecewise-constant controls from x0.
@@ -431,16 +435,26 @@ def reachability_sample(model: GroupModel, cone: Cone, x0, n_samples: int,
     Segment counts are uniform on 1..8 and magnitudes log-uniform;
     deterministic given the seed.  ``interior`` restricts the controls to the
     cone's relative interior (endpoints stay away from the causal boundary).
+    Samples are drawn in batches, and the samples of a batch that share a
+    segment count are integrated in one ``model.points`` pass.
     """
     rng = np.random.default_rng(seed)
     x0 = model.validate_point(x0)
-    pts = np.empty((n_samples, model.point_dim))
-    for i in range(n_samples):
-        n_seg = int(rng.integers(1, 9))
-        controls = ControlSignal(cone.sample(n_seg, rng,
-                                             relative_interior=interior))
-        pts[i] = integrate(model, x0, controls).endpoint
-    return pts
+    cloud = np.empty((n_samples, model.point_dim))
+    for start in range(0, n_samples, _REACH_BATCH):
+        controls = [cone.sample(int(rng.integers(1, 9)), rng, relative_interior=interior)
+                    for _ in range(min(_REACH_BATCH, n_samples - start))]
+        counts = np.array([len(u) for u in controls])
+        # each sample's points, padded with its endpoint to the longest chain:
+        # validate_points then meets the samples' points in the order drawn
+        chains = np.empty((len(controls), 9, model.point_dim))
+        for n_seg in np.unique(counts):
+            rows = np.flatnonzero(counts == n_seg)
+            pts = model.points(x0, np.stack([controls[i] for i in rows]), 1.0 / n_seg)
+            chains[rows, :n_seg + 1] = pts
+            chains[rows, n_seg + 1:] = pts[:, -1:]
+        cloud[start:start + len(controls)] = model.validate_points(chains)[:, -1]
+    return cloud
 
 
 # ---------------------------------------------------------------------------

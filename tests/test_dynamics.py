@@ -5,6 +5,7 @@ from sublorentz import (
     CarnotGroup,
     ControlSignal,
     HyperbolicPlane,
+    InvalidPointError,
     LinearImageCone,
     LorentzCone,
     LorentzSqrt,
@@ -230,3 +231,14 @@ def test_trajectory_csv_hyperbolic_header():
     assert trajectory_to_csv(traj).startswith("t,x,y,z\n")
     # z column empty when no length structure was attached
     assert trajectory_to_csv(traj).strip().split("\n")[1].endswith(",")
+
+
+def test_integrate_keeps_its_errors_on_extreme_flows():
+    # h beta = 800: e^800 overflows the flow off the plane, e^-800 underflows
+    # it onto y = 0; the points are checked after the whole pass
+    hyp = HyperbolicPlane()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate(hyp, [0.0, 1.0], ControlSignal([[0.0, 1600.0], [1.0, 1600.0]]))
+        with pytest.raises(InvalidPointError):
+            integrate(hyp, [0.0, 1.0], ControlSignal([[0.0, -1600.0], [1.0, -1600.0]]))

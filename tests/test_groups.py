@@ -19,7 +19,9 @@ from sublorentz import (
     minkowski_area_algebra,
     parse_structure_constants,
 )
+from sublorentz import ControlSignal, integrate
 from sublorentz.groups import bch_jacobians, left_translation_jacobian
+from test_solver import ENDPOINT_CASES, _endpoint_case
 
 
 def filiform4():
@@ -385,3 +387,67 @@ def test_left_translation_jacobian_matches_flow(rng):
         fd = (bch_log_product(alg, xi, eps * u)
               - bch_log_product(alg, xi, -eps * u)) / (2 * eps)
         assert np.abs(F @ u - fd).max() <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the segment chain
+# ---------------------------------------------------------------------------
+
+
+def _walk(model, x0, u, h):
+    """The points of u, one segment at a time: by the BCH series on a Carnot
+    group, by exp_step elsewhere."""
+    points = [model.validate_point(x0)]
+    for uk in u:
+        if isinstance(model, CarnotGroup):
+            step = h * model.embed_control(uk)
+            points.append(bch_log_product(model.algebra, points[-1], step))
+        else:
+            points.append(model.exp_step(points[-1], uk, h))
+    return np.array(points)
+
+
+def _walk_jacobian(model, points, x1, u, h):
+    """d rho / d u_k on a Carnot group: a BCH Jacobian per segment, chained
+    by one reverse sweep."""
+    alg = model.algebra
+    S = -bch_jacobians(alg, -points[-1], x1)[0]
+    J = np.empty((len(u), model.point_dim, model.control_dim))
+    for k in range(len(u) - 1, -1, -1):
+        Da, Db = bch_jacobians(alg, points[k], h * model.embed_control(u[k]))
+        J[k] = S @ (Db @ (h * np.eye(model.point_dim, model.control_dim)))
+        S = S @ Da
+    return J
+
+
+#: their endpoint maps take closed forms (sums, step-2 areas), not the chain
+CLOSED_FORMS = ("abelian", "heisenberg", "minkowski-area")
+
+
+@pytest.mark.parametrize("case, full", [(c, False) for c in ENDPOINT_CASES]
+                         + [("engel", True), ("step3-multiterm", True)])
+def test_chain_matches_the_segment_walk(case, full, rng):
+    model, x0, x1 = _endpoint_case(case)
+    for n_seg in (1, 2, 9, 40):
+        # ``full``: Carnot controls in the point dimension, not the first layer
+        m = model.point_dim if full else model.control_dim
+        u = rng.normal(size=(n_seg, m)) * 0.5
+        u[:, 0] += 1.2
+        if case == "hyperbolic-flat":
+            u[:, 1] *= 1e-6
+        h = 1.3 / n_seg
+        walk = _walk(model, x0, u, h)
+        assert np.array_equal(integrate(model, x0, ControlSignal(u), 1.3).points, walk)
+        batch = np.stack([u, 0.5 * u, u[::-1]])
+        assert np.array_equal(model.points(x0, batch, h),
+                              [model.points(x0, v, h) for v in batch])
+        if case in CLOSED_FORMS:
+            continue
+        rho_walk = model._residual(walk[-1], x1)
+        rho, endpoint = model.endpoint_residual(x0, x1, u, 1.3)
+        rho_full, J, endpoint_full = model.endpoint_map(x0, x1, u, 1.3)
+        for r, e in ((rho, endpoint), (rho_full, endpoint_full)):
+            assert np.array_equal(e, walk[-1])
+            assert np.array_equal(r, rho_walk)
+        if isinstance(model, CarnotGroup):
+            assert np.array_equal(J, _walk_jacobian(model, walk, x1, u, h))

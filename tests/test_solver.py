@@ -25,6 +25,7 @@ from sublorentz import (
     check_hyperbolicity_desk,
     heisenberg_algebra,
     minkowski_area_algebra,
+    parse_structure_constants,
     potential,
     reachability_sample,
     solve_longest,
@@ -237,7 +238,8 @@ def test_oracle_agreement_random_endpoints(plane, mink_cone, mink_nu,
 
 
 ENDPOINT_CASES = ["abelian", "heisenberg", "minkowski-area", "hyperbolic",
-                  "hyperbolic-flat", "engel", "filiform"]
+                  "hyperbolic-flat", "engel", "filiform", "carnot-step1",
+                  "step3-multiterm"]
 
 
 def _endpoint_case(case):
@@ -259,6 +261,14 @@ def _endpoint_case(case):
         return (CarnotGroup(CarnotAlgebra.from_brackets(
             (2, 1, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}, (0, 3): {4: 1.0}})),
             np.zeros(5), np.array([2.0, 0.5, 0.3, 0.1, 0.05]))
+    if case == "carnot-step1":
+        return (CarnotGroup(parse_structure_constants("layers: 2\n")), np.zeros(2),
+                np.array([2.0, 0.5]))
+    if case == "step3-multiterm":
+        # several bracket terms per component, so the order of their sum shows
+        return (CarnotGroup(CarnotAlgebra.from_brackets(
+            (2, 1, 2), {(0, 1): {2: 0.3}, (0, 2): {3: 1.7, 4: -2.5}, (1, 2): {4: 0.9}})),
+            np.zeros(5), np.array([2.0, 0.5, 0.3, 0.1, -0.2]))
     if case == "hyperbolic":
         return HyperbolicPlane(), np.array([0.0, 1.0]), np.array([0.3, 2.0])
     return HyperbolicPlane(), np.array([0.0, 1.0]), np.array([1.0, 1.0])
