@@ -52,6 +52,13 @@ def as_vectors(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray
     return v
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i @ b_i for each pair of rows (broadcast), a scalar for two vectors:
+    the stacked matmul runs the dot of a single pair, where einsum or a
+    matrix-vector product may fuse multiply-adds and round differently."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # Cones
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ Carnot group elements are stored as Lie-algebra vectors (log coordinates);
 products go through the Baker-Campbell-Hausdorff series, which terminates
 at the nilpotency step and is hardcoded through step 4.
 
-Points are single 1-d vectors.  Tangent and control arguments may also be
-a stack of row vectors, shape (n, d), answered row by row.  The points of a
-piecewise-constant control come from one vectorized pass over all its
-segments (``GroupModel.points``), which every segment walk shares.
+Points are 1-d vectors; ``log`` and ``validate_points`` also take stacks
+of them.  Tangent and control arguments may also be a stack of row vectors,
+shape (n, d), answered row by row.  The points of a piecewise-constant
+control come from one vectorized pass over all its segments
+(``GroupModel.points``), which every segment walk shares, and a stack of
+controls goes through the endpoint residual in one pass.
 """
 
 from __future__ import annotations
@@ -211,9 +213,14 @@ class GroupModel:
         return as_vector(p, self.point_dim, "point")
 
     def validate_points(self, points) -> np.ndarray:
-        """Check a stack of points (..., point_dim) row after row: the first
-        invalid row raises what validate_point raises for it."""
+        """Check a point, or a stack of points (..., point_dim) row after
+        row: the first invalid row raises what validate_point raises for it."""
         points = np.asarray(points, dtype=float)
+        if points.ndim <= 1:
+            return self.validate_point(points)
+        if points.shape[-1] != self.point_dim:
+            raise DimensionMismatchError(f"points have dim {points.shape[-1]}, "
+                                         f"expected {self.point_dim}")
         rows = points.reshape(-1, self.point_dim)
         inside = self._inside(rows)
         if not np.all(inside):
@@ -252,7 +259,8 @@ class GroupModel:
         return u
 
     def log(self, p) -> np.ndarray:
-        """Inverse of exp at the identity (group logarithm in the chart)."""
+        """Inverse of exp at the identity (group logarithm in the chart), of
+        a point or of each row of a stack of points."""
         raise NotImplementedError
 
     def embed_control(self, u) -> np.ndarray:
@@ -289,43 +297,52 @@ class GroupModel:
     def endpoint_residual(self, x0, x1, u: np.ndarray, horizon: float
                           ) -> Tuple[np.ndarray, np.ndarray]:
         """Residual rho = log(endpoint^{-1} x1) and the endpoint of the
-        piecewise-constant control u: the forward pass of endpoint_map,
-        without its Jacobian."""
-        p = self.points(x0, u, horizon / u.shape[0])[-1]
-        return self._residual(p, x1), p
+        piecewise-constant control u (N, m), or of each control of a stack
+        (K, N, m): the forward pass of endpoint_map, without its Jacobian."""
+        return self.endpoint_pass(x0, x1, u, horizon)[:2]
+
+    def endpoint_pass(self, x0, x1, u: np.ndarray, horizon: float
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The forward pass of a control or of a stack of controls: (rho,
+        endpoint, chain), where ``chain`` holds what endpoint_jacobian takes
+        from the pass, here the points.  A stack with a bad row raises what
+        that row raises alone."""
+        points = self.points(x0, u, horizon / u.shape[-2])
+        return self._residual(points[..., -1, :], x1), points[..., -1, :], points
+
+    def endpoint_jacobian(self, x0, x1, u: np.ndarray, horizon: float,
+                          chain: np.ndarray) -> np.ndarray:
+        """d rho / d u_k of one control, (N, res_dim, control_dim), from the
+        chain of its forward pass.  The reverse sweep stacks the suffix
+        products S_k = S_{k+1} Dp_k, starting from the residual's Jacobian
+        S_N, and J_k = S_{k+1} Du_k is one batched matmul."""
+        n_seg = u.shape[0]
+        Dp, Du, S_end = self._chain_jacobians(chain, u, horizon / n_seg, x1)
+        S = np.empty((n_seg + 1,) + S_end.shape)
+        S[n_seg] = S_end
+        for k in range(n_seg - 1, -1, -1):
+            np.matmul(S[k + 1], Dp[k], out=S[k])
+        return S[1:] @ Du
 
     def endpoint_map(self, x0, x1, u: np.ndarray, horizon: float
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Residual rho = log(endpoint^{-1} x1) plus d rho / d u_k, analytically.
 
         Returns (rho, J, endpoint) with J of shape (N, res_dim, control_dim):
-        the segment Jacobians at the points of the forward pass are chained
-        by one reverse sweep.
+        the forward pass, then its Jacobian stage.
         """
-        n_seg = u.shape[0]
-        h = horizon / n_seg
-        points = self.points(x0, u, h)
-        p = points[-1]
-        S = self._residual_jacobian(p, x1)
-        Dp, Du = self._segment_jacobians(points, u, h)
-        J = np.empty((n_seg, S.shape[0], self.control_dim))
-        for k in range(n_seg - 1, -1, -1):
-            J[k] = S @ Du[k]
-            S = S @ Dp[k]
-        return self._residual(p, x1), J, p
+        rho, endpoint, chain = self.endpoint_pass(x0, x1, u, horizon)
+        return rho, self.endpoint_jacobian(x0, x1, u, horizon, chain), endpoint
 
-    def _segment_jacobians(self, points: np.ndarray, u: np.ndarray, h: float
-                           ) -> Tuple[np.ndarray, np.ndarray]:
+    def _chain_jacobians(self, points: np.ndarray, u: np.ndarray, h: float, x1
+                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Jacobians of p_k exp(h u_k) in p_k and in u_k, stacked over the
-        segments: (N, point_dim, point_dim) and (N, point_dim, control_dim)."""
+        segments: (N, point_dim, point_dim) and (N, point_dim, control_dim);
+        then the Jacobian of log(endpoint^{-1} x1) in the endpoint."""
         raise NotImplementedError
 
     def _residual(self, endpoint: np.ndarray, x1) -> np.ndarray:
-        """log(endpoint^{-1} x1)."""
-        raise NotImplementedError
-
-    def _residual_jacobian(self, endpoint: np.ndarray, x1) -> np.ndarray:
-        """Jacobian of log(endpoint^{-1} x1) in the endpoint."""
+        """log(endpoint^{-1} x1), row by row for a stack of endpoints."""
         raise NotImplementedError
 
 
@@ -361,7 +378,7 @@ class AbelianGroup(GroupModel):
         return seq.cumsum(axis=-2)
 
     def log(self, p):
-        return self.validate_point(p)
+        return self.validate_points(p)
 
     def left_translate(self, p, u):
         self.validate_point(p)
@@ -374,15 +391,14 @@ class AbelianGroup(GroupModel):
     def forced_average(self, x0, x1):
         return self.log(self.multiply(self.inverse(x0), x1))
 
-    def endpoint_residual(self, x0, x1, u, horizon):
-        endpoint = x0 + (horizon / u.shape[0]) * u.sum(axis=0)
-        return x1 - endpoint, endpoint
+    def endpoint_pass(self, x0, x1, u, horizon):
+        """The endpoint is a sum; the chain is the endpoint alone."""
+        endpoint = x0 + (horizon / u.shape[-2]) * u.sum(axis=-2)
+        return x1 - endpoint, endpoint, endpoint
 
-    def endpoint_map(self, x0, x1, u, horizon):
-        rho, endpoint = self.endpoint_residual(x0, x1, u, horizon)
+    def endpoint_jacobian(self, x0, x1, u, horizon, chain):
         n_seg, m = u.shape
-        J = np.broadcast_to(-(horizon / n_seg) * np.eye(m), (n_seg, m, m)).copy()
-        return rho, J, endpoint
+        return np.broadcast_to(-(horizon / n_seg) * np.eye(m), (n_seg, m, m)).copy()
 
 
 #: Taylor coefficients of E(z) = (e^z - 1)/z and of E'(z), highest order
@@ -466,16 +482,16 @@ class HyperbolicPlane(GroupModel):
         return self.exp_step(self.identity(), u, t)
 
     def log(self, p):
-        p = self.validate_point(p)
-        x, y = p
-        beta = np.log(y)
+        p = self.validate_points(p)
+        y = p[..., 1]
         w = y - 1.0
-        if abs(w) < 1e-8:
-            # log(1+w)/w = 1 - w/2 + w^2/3 - ...
-            ratio = 1.0 - w / 2.0 + w * w / 3.0
-        else:
-            ratio = beta / w
-        return np.array([x * ratio, beta])
+        near = np.abs(w) < 1e-8
+        out = np.empty(p.shape)
+        out[..., 1] = beta = np.log(y)
+        # log(1+w)/w = 1 - w/2 + w^2/3 - ... near w = 0
+        out[..., 0] = p[..., 0] * np.where(near, 1.0 - w / 2.0 + w * w / 3.0,
+                                           beta / np.where(near, 1.0, w))
+        return out
 
     def left_translate(self, p, u):
         return self.validate_point(p)[1] * as_vectors(u, 2, "tangent vector")
@@ -507,27 +523,27 @@ class HyperbolicPlane(GroupModel):
         x = np.concatenate([x0[0] * start, y[..., :-1] * X], axis=-1).cumsum(axis=-1)
         return np.stack([x, y], axis=-1)
 
-    def _segment_jacobians(self, points, u, h):
+    def _chain_jacobians(self, points, u, h, x1):
         X, Y, dXa, dXb, dYb = _hyperbolic_flow(u[:, 0], u[:, 1], h)
         zero, one = np.zeros_like(X), np.ones_like(X)
+        ex, ey = points[-1]
+        dw_dE = np.array([[-1.0 / ey, -(x1[0] - ex) / ey ** 2],
+                          [0.0, -x1[1] / ey ** 2]])
         return (np.stack([one, X, zero, Y], axis=-1).reshape(-1, 2, 2),
                 points[:-1, 1, None, None]
-                * np.stack([dXa, dXb, zero, dYb], axis=-1).reshape(-1, 2, 2))
+                * np.stack([dXa, dXb, zero, dYb], axis=-1).reshape(-1, 2, 2),
+                _hyperbolic_log_jacobian(self._offset(points[-1], x1)) @ dw_dE)
 
     @staticmethod
     def _offset(endpoint, x1) -> np.ndarray:
-        """endpoint^{-1} x1."""
-        ex, ey = endpoint
-        return np.array([(x1[0] - ex) / ey, x1[1] / ey])
+        """endpoint^{-1} x1, row by row for a stack of endpoints."""
+        out = np.empty(np.shape(endpoint))
+        out[..., 0] = (x1[0] - endpoint[..., 0]) / endpoint[..., 1]
+        out[..., 1] = x1[1] / endpoint[..., 1]
+        return out
 
     def _residual(self, endpoint, x1):
         return self.log(self._offset(endpoint, x1))
-
-    def _residual_jacobian(self, endpoint, x1):
-        ex, ey = endpoint
-        dw_dE = np.array([[-1.0 / ey, -(x1[0] - ex) / ey ** 2],
-                          [0.0, -x1[1] / ey ** 2]])
-        return _hyperbolic_log_jacobian(self._offset(endpoint, x1)) @ dw_dE
 
 
 class CarnotGroup(GroupModel):
@@ -554,7 +570,7 @@ class CarnotGroup(GroupModel):
         return -self.validate_point(p)
 
     def log(self, p):
-        return self.validate_point(p)
+        return self.validate_points(p)
 
     def embed_control(self, u):
         """First-layer controls gain zero components on [g, g]."""
@@ -578,52 +594,54 @@ class CarnotGroup(GroupModel):
     def forced_average(self, x0, x1):
         return self.log(self.multiply(self.inverse(x0), x1))[:self.control_dim]
 
-    def endpoint_residual(self, x0, x1, u, horizon):
+    def endpoint_pass(self, x0, x1, u, horizon):
         if self.algebra.step != 2:
-            return super().endpoint_residual(x0, x1, u, horizon)
-        return self._area_chain(x0, x1, u, horizon)[:2]
+            return super().endpoint_pass(x0, x1, u, horizon)
+        return self._area_chain(x0, x1, u, horizon)
 
-    def endpoint_map(self, x0, x1, u, horizon):
-        """Step 2 takes a closed-form vectorized route; other steps sweep
-        the exact BCH Jacobians of the chain's segments."""
+    def endpoint_jacobian(self, x0, x1, u, horizon, chain):
+        """Step 2 in closed form from the first layers P_k of the pass's
+        points; other steps sweep the exact BCH Jacobians of the chain's
+        segments."""
         alg = self.algebra
         if alg.step != 2:
-            return super().endpoint_map(x0, x1, u, horizon)
-        rho, xiE, h, P, csum = self._area_chain(x0, x1, u, horizon)
+            return super().endpoint_jacobian(x0, x1, u, horizon, chain)
         n_seg = u.shape[0]
+        h = horizon / n_seg
         n = alg.dim
         m1 = alg.layer_dims[0]
         T12 = alg.table[:m1, :m1, m1:]
+        csum = np.cumsum(u, axis=0)
         after = (csum[-1][None, :] - csum) * h  # sum h u_l, l > k
         # d xiE / d u_k: first layer h I; second layer (h/2) [P_k - after_k, .]
-        W = P - after
+        W = chain - after
         DxiE = np.zeros((n_seg, n, m1))
         DxiE[:, :m1, :] = h * np.eye(m1)
         DxiE[:, m1:, :] = 0.5 * h * np.einsum("ijk,ti->tkj", T12, W)
         drho_dxi = -np.eye(n) + 0.5 * alg.ad(np.asarray(x1, dtype=float))
-        J = np.einsum("ab,tbc->tac", drho_dxi, DxiE)
-        return rho, J, xiE
+        return np.einsum("ab,tbc->tac", drho_dxi, DxiE)
 
     def _area_chain(self, x0, x1, u, horizon):
-        """Step 2 in closed form: rho, the endpoint, and the step h, the
-        points' first layers P and the partial sums of u that the Jacobian
-        reuses."""
+        """Step 2 in closed form, for a control or a stack of them: rho, the
+        endpoint and the first layers P_k of the points before each segment,
+        which the Jacobian reuses."""
         alg = self.algebra
-        h = horizon / u.shape[0]
+        h = horizon / u.shape[-2]
         m1 = alg.layer_dims[0]
         xi0 = np.asarray(x0, dtype=float)
         eta = np.asarray(x1, dtype=float)
-        csum = np.cumsum(u, axis=0)
-        before = np.vstack([np.zeros(m1), csum[:-1]]) * h  # sum h u_j, j < k
-        P = xi0[:m1][None, :] + before
-        first = xi0[:m1] + h * csum[-1]
+        csum = np.cumsum(u, axis=-2)
+        before = np.concatenate([np.zeros(csum.shape[:-2] + (1, m1)), csum[..., :-1, :]],
+                                axis=-2) * h  # sum h u_j, j < k
+        P = xi0[:m1] + before
+        first = xi0[:m1] + h * csum[..., -1, :]
         # bracket of first-layer vectors, landing in the second layer
         T12 = alg.table[:m1, :m1, m1:]
-        second = xi0[m1:] + 0.5 * h * np.einsum("ijk,ti,tj->k", T12, P, u)
-        xiE = np.concatenate([first, second])
+        second = xi0[m1:] + 0.5 * h * np.einsum("ijk,...ti,...tj->...k", T12, P, u)
+        xiE = np.concatenate([first, second], axis=-1)
         # rho = bch(-xiE, eta) at step 2
         rho = eta - xiE - 0.5 * alg.bracket(xiE, eta)
-        return rho, xiE, h, P, csum
+        return rho, xiE, P
 
     def points(self, x0, u, h):
         """Layer by layer: layer j of a BCH term depends only on the layers
@@ -654,15 +672,17 @@ class CarnotGroup(GroupModel):
         P[..., 1:, :self.control_dim] += 0.0
         return P
 
-    def _segment_jacobians(self, points, u, h):
-        Da, Db = bch_jacobians(self.algebra, points[:-1], h * self.embed_control(u))
-        return Da, Db @ (h * self._first_layer)
+    def _chain_jacobians(self, points, u, h, x1):
+        # the segment pairs (p_k, h u_k) and the residual pair (-p_N, x1) in
+        # one call
+        Da, Db = bch_jacobians(
+            self.algebra, np.concatenate([points[:-1], -points[-1:]]),
+            np.concatenate([h * self.embed_control(u),
+                            np.asarray(x1, dtype=float)[None]]))
+        return Da[:-1], Db[:-1] @ (h * self._first_layer), -Da[-1]
 
     def _residual(self, endpoint, x1):
         return bch_log_product(self.algebra, -endpoint, np.asarray(x1, dtype=float))
-
-    def _residual_jacobian(self, endpoint, x1):
-        return -bch_jacobians(self.algebra, -endpoint, np.asarray(x1, dtype=float))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ an augmented Lagrangian on the group-log residual.  Inner updates are
 projected (sub)gradient ascent with exact cone projection; restarts combine
 the abelianized constant control with seeded random admissible controls.
 
+Each line search evaluates its step-halving trials in stacked chunks, one
+endpoint pass per chunk, and builds the accepted trial's Jacobian from that
+pass.  It accepts the trial, and reaches the iterate, that a search trying
+one step at a time would, bit for bit.
+
 The problem is non-convex on non-abelian groups; the solver certifies
 feasibility and delivers bound-consistent local maximizers, not global
 optimality.
@@ -19,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .cones import NEG_INF, Antinorm, Cone, _probe_directions, antinorm_eval
+from .cones import NEG_INF, Antinorm, Cone, _probe_directions, _row_dots, antinorm_eval
 from .dynamics import ControlSignal, Trajectory, integrate
 from .errors import DimensionMismatchError, NegativeAntinormError, WrongModelError
 from .groups import AbelianGroup, CarnotGroup, GroupModel
@@ -29,6 +34,11 @@ from .timeform import TimeForm, UnitTimeSection, potential, section_sup_norm
 
 #: initial augmented-Lagrangian penalty weight
 PENALTY0 = 10.0
+
+#: how many line-search trials each stacked pass evaluates, in order, before
+#: the last chunk takes the rest of the 40: most searches accept their first
+#: trial, and a search that fails runs all 40
+TRIAL_CHUNKS = (1, 2, 4, 8, 16)
 
 
 class SolveStatus(Enum):
@@ -94,8 +104,11 @@ class SolveReport:
     endpoint_residual: float
     iterations: int
     history: List[float] = field(default_factory=list)
-    #: endpoint passes over all restarts: every residual evaluation (the
-    #: full passes included) and the full passes that also built the Jacobian
+    #: endpoint passes over all restarts, as the line search examines its
+    #: trials in order: every residual evaluation up to an accepted trial
+    #: (the full passes included) and the full passes that also built the
+    #: Jacobian.  A trial stacked past the accepted one is not counted, so
+    #: the counts describe the search, not how its trials were batched.
     endpoint_evaluations: int = 0
     jacobian_evaluations: int = 0
 
@@ -170,31 +183,72 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
     alpha = 1.0
 
     counts = {"endpoint": 0, "jacobian": 0}
+    # a stack of one-segment trials projects by gemm where a single trial
+    # projects by gemv, which may round differently
+    splits = np.cumsum(TRIAL_CHUNKS) if n_seg > 1 else np.arange(1, 40)
 
     def residual(uu):
         counts["endpoint"] += 1
         return model.endpoint_residual(x0, x1, uu, horizon)[0]
 
-    def phi_and_parts(uu, full):
-        # the Jacobian only when ``full``; wild line-search trials can
-        # overflow the exponential maps, such points are rejected, never fatal
+    def penalties(rho):
+        # 0.5 * mu * rho @ rho, plus lam @ rho, for rho or for each row
+        pen = _row_dots((0.5 * mu) * rho, rho)
+        return pen if lam is None else _row_dots(lam, rho) + pen
+
+    def jacobian(uu, chain):
+        # wild iterates can overflow the exponential maps; such points are
+        # rejected, never fatal
+        counts["endpoint"] += 1
+        counts["jacobian"] += 1
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                if full:
-                    counts["endpoint"] += 1
-                    counts["jacobian"] += 1
-                    rho, J, _ = model.endpoint_map(x0, x1, uu, horizon)
-                else:
-                    rho, J = residual(uu), None
+                J = model.endpoint_jacobian(x0, x1, uu, horizon, chain)
+        except (ValueError, FloatingPointError):
+            return None
+        return J if np.all(np.isfinite(J)) else None
+
+    def full_phi(uu):
+        counts["endpoint"] += 1
+        counts["jacobian"] += 1
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                rho, J, _ = model.endpoint_map(x0, x1, uu, horizon)
         except (ValueError, FloatingPointError):
             return -np.inf, None, None
-        if not (np.all(np.isfinite(rho)) and (J is None or np.all(np.isfinite(J)))):
+        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(J))):
             return -np.inf, None, None
-        if lam is None:
-            pen = 0.5 * mu * rho @ rho
-        else:
-            pen = lam @ rho + 0.5 * mu * rho @ rho
-        return _objective(nu, uu, h) - pen, rho, J
+        return _objective(nu, uu, h) - penalties(rho), rho, J
+
+    def scan(u, grad, steps, ref):
+        """The first of the trials project(u + step * grad) whose phi beats
+        ref, as (trial, phi, rho, J), or None.  The trials share one stacked
+        pass, and the accepted one's Jacobian is built from it; a stack that
+        raises is scanned again one trial at a time."""
+        m = u.shape[1]
+        trials = project((u + steps[:, None, None] * grad).reshape(-1, m))
+        trials = trials.reshape(len(steps), n_seg, m)
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                rho, _, chain = model.endpoint_pass(x0, x1, trials, horizon)
+                phi = h * nu.values_on_cone(trials).sum(axis=-1) - penalties(rho)
+        except (ValueError, FloatingPointError):
+            if len(steps) == 1:
+                counts["endpoint"] += 1
+                return None
+            for i in range(len(steps)):
+                found = scan(u, grad, steps[i:i + 1], ref)
+                if found is not None:
+                    return found
+            return None
+        finite = np.all(np.isfinite(rho), axis=-1)
+        for i in range(len(steps)):
+            counts["endpoint"] += 1
+            if finite[i] and phi[i] > ref + 1e-14:
+                J = jacobian(trials[i], chain[i])
+                if J is not None:
+                    return trials[i], phi[i], rho[i], J
+        return None
 
     def gradient(uu, rho, J, eps):
         # supergradient of the length term, nudged off the cone boundary,
@@ -213,7 +267,7 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
     for outer in range(1, opts.max_iter + 1):
         eps = 0.1 / outer
         alpha = max(alpha, 1e-2)
-        phi, rho, J = phi_and_parts(u, full=True)
+        phi, rho, J = full_phi(u)
         if rho is None:
             break
         # projected ascent with spectral (Barzilai-Borwein) steps and a
@@ -231,28 +285,22 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
                 sy = s @ y
                 if sy < -1e-18:
                     alpha = min(max((s @ s) / (-sy), 1e-10), 1e4)
-            accepted = False
-            step = alpha
+            # the step halves after each rejected trial: 40 trials at most,
+            # none below 1e-16 (alpha >= 1e-10)
+            steps = alpha * 0.5 ** np.arange(40)
             ref = min(phi_recent[-5:])
-            for _ in range(40):
-                trial = project(u + step * grad)
-                phi_t, rho_t, J_t = phi_and_parts(trial, full=False)
-                if rho_t is not None and phi_t > ref + 1e-14:
-                    # only a trial that passes the test pays for its Jacobian
-                    phi_t, rho_t, J_t = phi_and_parts(trial, full=True)
-                if J_t is not None:
-                    u_prev, g_prev = u, grad
-                    u, phi, rho, J = trial, phi_t, rho_t, J_t
-                    phi_recent.append(phi)
-                    if phi > best[0]:
-                        best = (phi, u, rho, J)
-                    accepted = True
+            found = None
+            for chunk in np.split(steps[steps >= 1e-16], splits):
+                if found is not None or len(chunk) == 0:
                     break
-                step *= 0.5
-                if step < 1e-16:
-                    break
-            if not accepted:
+                found = scan(u, grad, chunk, ref)
+            if found is None:
                 break
+            u_prev, g_prev = u, grad
+            u, phi, rho, J = found
+            phi_recent.append(phi)
+            if phi > best[0]:
+                best = (phi, u, rho, J)
         phi, u, rho, J = best
         res = float(np.linalg.norm(rho))
         history.append(_objective(nu, u, h))
@@ -424,8 +472,23 @@ def abelianized_upper_bound(prob: ProblemInstance) -> float:
                          prob.model.forced_average(prob.x0, prob.x1))
 
 
-#: samples drawn and integrated together; bounds the memory of a large cloud
+#: paths drawn and integrated together; bounds the memory of a large sample
 _REACH_BATCH = 256
+
+
+def _path_points(model: GroupModel, x0, controls: List[np.ndarray]) -> np.ndarray:
+    """The points of unit-horizon controls of 1 to 8 segments, (n, 9,
+    point_dim), each padded with its endpoint.  The controls that share a
+    segment count go through one ``model.points`` pass, and validate_points
+    meets the paths' points in the order listed."""
+    counts = np.array([len(u) for u in controls])
+    chains = np.empty((len(controls), 9, model.point_dim))
+    for n_seg in np.unique(counts):
+        rows = np.flatnonzero(counts == n_seg)
+        pts = model.points(x0, np.stack([controls[i] for i in rows]), 1.0 / n_seg)
+        chains[rows, :n_seg + 1] = pts
+        chains[rows, n_seg + 1:] = pts[:, -1:]
+    return model.validate_points(chains)
 
 
 def reachability_sample(model: GroupModel, cone: Cone, x0, n_samples: int,
@@ -435,8 +498,7 @@ def reachability_sample(model: GroupModel, cone: Cone, x0, n_samples: int,
     Segment counts are uniform on 1..8 and magnitudes log-uniform;
     deterministic given the seed.  ``interior`` restricts the controls to the
     cone's relative interior (endpoints stay away from the causal boundary).
-    Samples are drawn in batches, and the samples of a batch that share a
-    segment count are integrated in one ``model.points`` pass.
+    Samples are drawn and integrated in batches.
     """
     rng = np.random.default_rng(seed)
     x0 = model.validate_point(x0)
@@ -444,16 +506,7 @@ def reachability_sample(model: GroupModel, cone: Cone, x0, n_samples: int,
     for start in range(0, n_samples, _REACH_BATCH):
         controls = [cone.sample(int(rng.integers(1, 9)), rng, relative_interior=interior)
                     for _ in range(min(_REACH_BATCH, n_samples - start))]
-        counts = np.array([len(u) for u in controls])
-        # each sample's points, padded with its endpoint to the longest chain:
-        # validate_points then meets the samples' points in the order drawn
-        chains = np.empty((len(controls), 9, model.point_dim))
-        for n_seg in np.unique(counts):
-            rows = np.flatnonzero(counts == n_seg)
-            pts = model.points(x0, np.stack([controls[i] for i in rows]), 1.0 / n_seg)
-            chains[rows, :n_seg + 1] = pts
-            chains[rows, n_seg + 1:] = pts[:, -1:]
-        cloud[start:start + len(controls)] = model.validate_points(chains)[:, -1]
+        cloud[start:start + len(controls)] = _path_points(model, x0, controls)[:, -1]
     return cloud
 
 
@@ -502,32 +555,42 @@ def check_hyperbolicity_desk(prob: ProblemInstance, form: TimeForm,
     radius = sup_u * max(gap, 0.0)
 
     rng = np.random.default_rng(seed)
+    # integrate's grid steps np.diff(np.linspace(0, 1, n + 1)), zero-padded
+    widths = np.zeros((9, 8))
+    for n in range(1, 9):
+        widths[n, :n] = np.diff(np.linspace(0.0, 1.0, n + 1))
     ident = prob.model.identity()
     mono_bad = 0
     stalled = 0
     radius_bad = 0
     max_arc = 0.0
-    for _ in range(n_samples):
-        n_seg = int(rng.integers(1, 9))
-        controls = prob.cone.sample(n_seg, rng)
-        traj = integrate(prob.model, prob.x0, ControlSignal(controls),
-                         nu=prob.nu, cone=prob.cone)
-        pots = np.array([potential(form, p) for p in traj.points])
-        scale = 1.0 + np.abs(pots).max()
-        if np.any(np.diff(pots) < -1e-9 * scale):
-            mono_bad += 1
-        length = traj.z[-1] if traj.z is not None else 0.0
-        if length > 1e-9 and pots[-1] - pots[0] <= 1e-12 * scale:
-            stalled += 1
-        h = np.diff(traj.times)
-        speeds = metric.norm(prob.model, ident, prob.model.embed_control(controls))
-        arcs = np.concatenate([[0.0], np.cumsum(h * speeds)])
-        in_band = pots <= t1 + 1e-9 * scale
-        if np.any(in_band):
-            arc_in = float(arcs[in_band].max())
-            max_arc = max(max_arc, arc_in)
-            if arc_in > radius * (1.0 + 1e-9) + 1e-12:
-                radius_bad += 1
+    for start in range(0, n_samples, _REACH_BATCH):
+        # each path's segment count and controls in the order drawn, then
+        # the batch's paths checked together
+        controls = [prob.cone.sample(int(rng.integers(1, 9)), rng)
+                    for _ in range(min(_REACH_BATCH, n_samples - start))]
+        n_seg = np.array([len(u) for u in controls])
+        pots = potential(form, _path_points(prob.model, prob.x0, controls))
+        scale = 1.0 + np.abs(pots).max(axis=1)
+        mono_bad += int(np.count_nonzero(
+            np.any(np.diff(pots, axis=1) < -1e-9 * scale[:, None], axis=1)))
+        # rates and speeds of the segments that exist, zero on the padding
+        real = np.arange(8) < n_seg[:, None]
+        U = np.concatenate(controls)
+        rates = np.zeros(real.shape)
+        rates[real] = antinorm_eval(prob.nu, prob.cone, U)
+        length = np.cumsum((1.0 / n_seg)[:, None] * rates, axis=1)[:, -1]
+        stalled += int(np.count_nonzero(
+            (length > 1e-9) & (pots[:, -1] - pots[:, 0] <= 1e-12 * scale)))
+        speeds = np.zeros(real.shape)
+        speeds[real] = metric.norm(prob.model, ident, prob.model.embed_control(U))
+        arcs = np.zeros(pots.shape)
+        arcs[:, 1:] = np.cumsum(widths[n_seg] * speeds, axis=1)
+        in_band = pots <= t1 + 1e-9 * scale[:, None]
+        arc_in = np.where(in_band, arcs, -np.inf).max(axis=1)[in_band.any(axis=1)]
+        if len(arc_in):
+            max_arc = max(max_arc, float(arc_in.max()))
+            radius_bad += int(np.count_nonzero(arc_in > radius * (1.0 + 1e-9) + 1e-12))
     return HyperbolicityReport(
         passed=(mono_bad == 0 and stalled == 0 and radius_bad == 0),
         n_paths=n_samples, radius=radius, potential_gap=gap,

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import Cone, as_vector, as_vectors
+from .cones import Cone, _row_dots, as_vector, as_vectors
 from .dynamics import Trajectory
 from .errors import NotExactError, StalledParameterError, UnboundedSectionError
 from .groups import GroupModel, HyperbolicPlane, RiemannianMetric
@@ -79,9 +79,10 @@ def exterior_derivative_fd(form: TimeForm, p, v, w, h: float = 1e-3) -> float:
     return d_v - d_w
 
 
-def potential(form: LeftInvariantForm, p) -> float:
+def potential(form: LeftInvariantForm, p):
     """The function T with dT = tau, normalized to T(identity) = 0: the
-    covector applied to the group logarithm.
+    covector applied to the group logarithm.  A float for a point, an array
+    for a stack of points (..., point_dim), each entry the float of its row.
 
     Raises NotExactError when the covector does not vanish on [g, g] (on the
     hyperbolic plane: a != 0), so that the spread is not closed.
@@ -90,7 +91,8 @@ def potential(form: LeftInvariantForm, p) -> float:
     if np.any(form.tau0[model.derived_coords] != 0.0):
         raise NotExactError("covector does not vanish on [g, g]; the "
                             "left-invariant spread is not closed")
-    return float(form.tau0 @ model.log(p))
+    T = _row_dots(model.log(p), form.tau0)
+    return float(T) if T.ndim == 0 else T
 
 
 def is_exact(form: TimeForm) -> bool:

@@ -20,7 +20,12 @@ from sublorentz import (
     parse_structure_constants,
 )
 from sublorentz import ControlSignal, integrate
-from sublorentz.groups import bch_jacobians, left_translation_jacobian
+from sublorentz.groups import (
+    _hyperbolic_flow,
+    _hyperbolic_log_jacobian,
+    bch_jacobians,
+    left_translation_jacobian,
+)
 from test_solver import ENDPOINT_CASES, _endpoint_case
 
 
@@ -195,6 +200,25 @@ def test_hyperbolic_invalid_point():
     hyp = HyperbolicPlane()
     with pytest.raises(InvalidPointError):
         hyp.multiply([0, -1], [0, 1])
+
+
+def test_log_on_a_stack_matches_the_row_loop(heis):
+    hyp = HyperbolicPlane()
+    # y within 1e-8 of 1 takes the series branch, the other rows do not
+    P = np.array([[0.3, 2.0], [-1.0, 1.0 + 3e-9], [0.5, 1.0 - 4e-12], [2.0, 0.25],
+                  [0.7, 1.0]])
+    for model, points in ((hyp, P), (heis, np.arange(12.0).reshape(4, 3))):
+        logs = model.log(points)
+        assert np.array_equal(logs, [model.log(p) for p in points])
+        assert np.array_equal(model.log(points.reshape(-1, 1, model.point_dim)),
+                              logs.reshape(-1, 1, model.point_dim))
+    bad = P.copy()
+    bad[2, 1] = -1.0
+    bad[3, 1] = 0.0
+    with pytest.raises(InvalidPointError, match="y = -1.0"):
+        hyp.log(bad)
+    with pytest.raises(DimensionMismatchError):
+        hyp.log(np.ones((3, 3)))
 
 
 def test_abelian_and_carnot_inverse(heis, rng):
@@ -408,15 +432,31 @@ def _walk(model, x0, u, h):
 
 
 def _walk_jacobian(model, points, x1, u, h):
-    """d rho / d u_k on a Carnot group: a BCH Jacobian per segment, chained
-    by one reverse sweep."""
-    alg = model.algebra
-    S = -bch_jacobians(alg, -points[-1], x1)[0]
+    """d rho / d u_k one segment at a time: each segment's Jacobians (by the
+    BCH series on a Carnot group, by the flow's derivatives on the
+    hyperbolic plane), chained by a reverse sweep of single products."""
+    if isinstance(model, CarnotGroup):
+        alg = model.algebra
+        S = -bch_jacobians(alg, -points[-1], x1)[0]
+
+        def segment(k):
+            Da, Db = bch_jacobians(alg, points[k], h * model.embed_control(u[k]))
+            return Da, Db @ (h * np.eye(model.point_dim, model.control_dim))
+    else:
+        ex, ey = points[-1]
+        offset = np.array([(x1[0] - ex) / ey, x1[1] / ey])
+        S = _hyperbolic_log_jacobian(offset) @ np.array(
+            [[-1.0 / ey, -(x1[0] - ex) / ey ** 2], [0.0, -x1[1] / ey ** 2]])
+
+        def segment(k):
+            X, Y, dXa, dXb, dYb = (v[0] for v in _hyperbolic_flow(u[k, :1], u[k, 1:], h))
+            return (np.array([[1.0, X], [0.0, Y]]),
+                    points[k, 1] * np.array([[dXa, dXb], [0.0, dYb]]))
     J = np.empty((len(u), model.point_dim, model.control_dim))
     for k in range(len(u) - 1, -1, -1):
-        Da, Db = bch_jacobians(alg, points[k], h * model.embed_control(u[k]))
-        J[k] = S @ (Db @ (h * np.eye(model.point_dim, model.control_dim)))
-        S = S @ Da
+        Dp, Du = segment(k)
+        J[k] = S @ Du
+        S = S @ Dp
     return J
 
 
@@ -449,5 +489,4 @@ def test_chain_matches_the_segment_walk(case, full, rng):
         for r, e in ((rho, endpoint), (rho_full, endpoint_full)):
             assert np.array_equal(e, walk[-1])
             assert np.array_equal(r, rho_walk)
-        if isinstance(model, CarnotGroup):
-            assert np.array_equal(J, _walk_jacobian(model, walk, x1, u, h))
+        assert np.array_equal(J, _walk_jacobian(model, walk, x1, u, h))

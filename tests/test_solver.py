@@ -31,6 +31,8 @@ from sublorentz import (
     solve_longest,
     solve_longest_reparametrized,
 )
+from sublorentz import (ControlSignal, HyperbolicityReport, UnitTimeSection, integrate,
+                        section_sup_norm)
 from sublorentz.solver import _control_covector, _unit_tau_retract
 
 MINK = [[1.0, 0.0], [0.0, -1.0]]
@@ -309,6 +311,50 @@ def test_endpoint_residual_matches_endpoint_map(case, rng):
         assert np.array_equal(endpoint, endpoint_full)
 
 
+@pytest.mark.parametrize("case", ENDPOINT_CASES)
+def test_endpoint_residual_takes_a_stack(case, rng):
+    model, x0, x1 = _endpoint_case(case)
+    for n_seg in (1, 2, 9, 40):
+        U = rng.normal(size=(5, n_seg, model.control_dim)) * 0.5
+        U[..., 0] += 1.2
+        if case == "hyperbolic-flat":
+            U[..., 1] *= 1e-6
+        targets = [x1]
+        if isinstance(model, HyperbolicPlane):
+            # the first control ends within 1e-10 of this target, so its
+            # offset takes the series branch of log and the others do not
+            near = model.endpoint_residual(x0, x1, U[0], 1.3)[1] + [3e-11, 2e-11]
+            assert abs(model._offset(near - [3e-11, 2e-11], near)[1] - 1.0) < 1e-8
+            targets.append(near)
+        for target in targets:
+            rho, endpoint, chain = model.endpoint_pass(x0, target, U, 1.3)
+            assert np.array_equal(model.endpoint_residual(x0, target, U, 1.3)[0], rho)
+            for i, u in enumerate(U):
+                rho_i, J_i, endpoint_i = model.endpoint_map(x0, target, u, 1.3)
+                assert np.array_equal(rho[i], rho_i)
+                assert np.array_equal(endpoint[i], endpoint_i)
+                # the Jacobian stage fed from the stacked pass
+                assert np.array_equal(
+                    model.endpoint_jacobian(x0, target, u, 1.3, chain[i]), J_i)
+
+
+def test_stacked_residual_raises_what_its_bad_row_raises():
+    # h beta = 800 overflows the flow's exponential in the third control
+    model = HyperbolicPlane()
+    x0, x1 = np.array([0.0, 1.0]), np.array([0.3, 2.0])
+    U = np.array([[[1.0, 0.5], [0.2, 1.0]], [[0.0, 1.0], [0.1, 2.0]],
+                  [[0.0, 1600.0], [200.0, 1600.0]], [[0.0, 1600.0], [0.0, -1.0]]])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with pytest.raises(ValueError) as alone:
+            model.endpoint_residual(x0, x1, U[2], 1.0)
+        with pytest.raises(ValueError) as stacked:
+            model.endpoint_residual(x0, x1, U, 1.0)
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
+        rho, _ = model.endpoint_residual(x0, x1, U[:2], 1.0)
+    assert np.all(np.isfinite(rho))
+
+
 def test_endpoint_residual_rejects_overflow_like_endpoint_map():
     # h beta = 800 overflows the flow's exponential on both paths
     model = HyperbolicPlane()
@@ -338,12 +384,15 @@ def test_line_search_keeps_its_iterates(mink_cone, mink_nu):
         (2, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}}))
     eng = make_prob(engel, mink_cone, mink_nu, np.zeros(4),
                     [2.0, 0.5, 0.3, 0.1], n=12)
-    for prob, iterations, objective in [(hyp, 18, 0.5584005536812238),
-                                        (eng, 20, 1.6299322281862527)]:
+    for prob, iterations, objective, counts in [
+            (hyp, 18, 0.5584005536812238, (1094, 233)),
+            (eng, 20, 1.6299322281862527, (1117, 420))]:
         rep = solve_longest(prob, opts)
         assert rep.status == SolveStatus.SOLVED
         assert rep.iterations == iterations
         assert rep.objective == pytest.approx(objective, rel=1e-12, abs=0.0)
+        # the counts follow the search's trials in order, however batched
+        assert (rep.endpoint_evaluations, rep.jacobian_evaluations) == counts
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +453,56 @@ def test_heisenberg_potential_band(heis, mink_cone, mink_nu):
     cloud = reachability_sample(heis, mink_cone, np.zeros(3), 300, seed=1)
     in_band = cloud[cloud[:, 0] <= 3.0]
     assert np.all(in_band[:, 0] <= rep.potential_gap + 1e-12)
+
+
+def _desk_reference(prob, form, n_samples, seed):
+    """check_hyperbolicity_desk one path at a time: integrate, then the
+    potential of each point."""
+    t1 = potential(form, prob.x1)
+    gap = t1 - potential(form, prob.x0)
+    metric = prob.model.natural_metric()
+    radius = section_sup_norm(UnitTimeSection(prob.cone, form, prob.x0), metric,
+                              samples=2048, seed=seed) * max(gap, 0.0)
+    rng = np.random.default_rng(seed)
+    ident = prob.model.identity()
+    mono_bad = stalled = radius_bad = 0
+    max_arc = 0.0
+    for _ in range(n_samples):
+        controls = prob.cone.sample(int(rng.integers(1, 9)), rng)
+        traj = integrate(prob.model, prob.x0, ControlSignal(controls),
+                         nu=prob.nu, cone=prob.cone)
+        pots = np.array([potential(form, p) for p in traj.points])
+        scale = 1.0 + np.abs(pots).max()
+        mono_bad += bool(np.any(np.diff(pots) < -1e-9 * scale))
+        stalled += bool(traj.z[-1] > 1e-9 and pots[-1] - pots[0] <= 1e-12 * scale)
+        speeds = metric.norm(prob.model, ident, prob.model.embed_control(controls))
+        arcs = np.concatenate([[0.0], np.cumsum(np.diff(traj.times) * speeds)])
+        in_band = pots <= t1 + 1e-9 * scale
+        if np.any(in_band):
+            arc_in = float(arcs[in_band].max())
+            max_arc = max(max_arc, arc_in)
+            radius_bad += arc_in > radius * (1.0 + 1e-9) + 1e-12
+    return HyperbolicityReport(
+        passed=(mono_bad == 0 and stalled == 0 and radius_bad == 0),
+        n_paths=n_samples, radius=radius, potential_gap=gap,
+        max_inband_arclength=max_arc, monotonicity_violations=mono_bad,
+        stalled_positive_length_paths=stalled, radius_violations=radius_bad)
+
+
+@pytest.mark.parametrize("kind", ["heisenberg", "hyperbolic"])
+def test_desk_check_matches_the_per_path_loop(kind, heis, mink_cone, mink_nu):
+    if kind == "heisenberg":
+        prob = make_prob(heis, mink_cone, mink_nu, np.zeros(3), [3.0, 0.5, 0.2])
+        form = LeftInvariantForm([1.0, 0.0, 0.0], heis)
+    else:
+        hyp_form = [[-4.0, 0.0], [0.0, 1.0]]
+        prob = make_prob(HyperbolicPlane(), LorentzCone(hyp_form, [0.0, 1.0]),
+                         LorentzSqrt(hyp_form), [0.0, 1.0], [0.3, 2.0])
+        form = HyperbolicAB(0.0, 1.0)
+    # the longest in-band arc over the first n paths, up to more than one batch
+    for seed, n_samples in ((0, 1), (0, 2), (0, 5), (0, 12), (0, 300), (1, 300)):
+        rep = check_hyperbolicity_desk(prob, form, n_samples=n_samples, seed=seed)
+        assert repr(rep) == repr(_desk_reference(prob, form, n_samples, seed))
 
 
 def test_hyperbolicity_requires_exact_form(plane, mink_cone, mink_nu, heis):
