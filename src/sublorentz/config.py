@@ -20,6 +20,7 @@ from .groups import (
     CarnotGroup,
     GroupModel,
     HyperbolicPlane,
+    MAX_DIM,
     heisenberg_algebra,
     load_structure_constants,
     minkowski_area_algebra,
@@ -52,6 +53,26 @@ def _integer(value, path: str, minimum: int, maximum: Optional[int] = None) -> i
     return value
 
 
+def _number(value, path: str, positive: bool = False) -> float:
+    """A finite JSON number (not a bool), > 0 when ``positive``."""
+    number = np.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:   # an integer beyond the float range
+            pass
+    if not np.isfinite(number) or (positive and number <= 0):
+        raise ConfigError("must be a finite number" + (" > 0" if positive else ""),
+                          field=path)
+    return number
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError("must be a string", field=path)
+    return value
+
+
 def _matrix(value, path: str) -> np.ndarray:
     try:
         m = np.asarray(value, dtype=float)
@@ -80,15 +101,16 @@ def build_model(section: dict, path: str = "model") -> GroupModel:
         _require_keys(section, {"kind", "dim"}, path)
         if "dim" not in section:
             raise ConfigError("abelian model needs 'dim'", field=f"{path}.dim")
-        return AbelianGroup(int(section["dim"]))
+        return AbelianGroup(_integer(section["dim"], f"{path}.dim", 1, MAX_DIM))
     if kind == "hyperbolic":
         _require_keys(section, {"kind"}, path)
         return HyperbolicPlane()
     if kind == "carnot":
         _require_keys(section, {"kind", "builtin", "r", "structure_file"}, path)
         if "structure_file" in section:
+            source = _string(section["structure_file"], f"{path}.structure_file")
             try:
-                algebra = load_structure_constants(section["structure_file"])
+                algebra = load_structure_constants(source)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot load structure constants: {exc}",
                                   field=f"{path}.structure_file")
@@ -97,7 +119,9 @@ def build_model(section: dict, path: str = "model") -> GroupModel:
         if builtin == "heisenberg":
             return CarnotGroup(heisenberg_algebra())
         if builtin == "minkowski_area":
-            return CarnotGroup(minkowski_area_algebra(int(section.get("r", 1))))
+            # minkowski_area(r) has dimension 2 r + 1
+            r = _integer(section.get("r", 1), f"{path}.r", 1, (MAX_DIM - 1) // 2)
+            return CarnotGroup(minkowski_area_algebra(r))
         raise ConfigError(f"unknown builtin {builtin!r} "
                           "(use 'heisenberg', 'minkowski_area', or a structure_file)",
                           field=f"{path}.builtin")
@@ -165,8 +189,8 @@ def build_timeform(section: dict, model: GroupModel, path: str = "timeform"
             if not isinstance(model, HyperbolicPlane):
                 raise ConfigError("hyperbolic_ab requires the hyperbolic model",
                                   field=f"{path}.kind")
-            return HyperbolicAB(float(section.get("a", 0.0)),
-                                float(section.get("b", 1.0)))
+            return HyperbolicAB(_number(section.get("a", 0.0), f"{path}.a"),
+                                _number(section.get("b", 1.0), f"{path}.b"))
     except ConfigError:
         raise
     except ValueError as exc:
@@ -268,7 +292,7 @@ def parse_config(raw: dict) -> RunConfig:
             setattr(cfg, name, vec)
 
     for name, default, minimum, maximum in (("segments", 50, 1, 10_000),
-                                            ("samples", 1000, 0, 1_000_000),
+                                            ("samples", 1000, 1, 1_000_000),
                                             ("seed", 0, 0, None)):
         setattr(cfg, name, _integer(merged.get(name, default), name, minimum,
                                     maximum))
@@ -277,12 +301,8 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(sol, dict):
         raise ConfigError("expected an object", field="solver")
     _require_keys(sol, _SOLVER_KEYS, "solver")
-    tol = sol.get("tol", 1e-6)
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) \
-            or not np.isfinite(tol) or tol <= 0:
-        raise ConfigError("must be a finite number > 0", field="solver.tol")
     cfg.solver_options = SolveOptions(
-        tol=float(tol),
+        tol=_number(sol.get("tol", 1e-6), "solver.tol", positive=True),
         max_iter=_integer(sol.get("max_iter", 500), "solver.max_iter", 1, 100_000),
         restarts=_integer(sol.get("restarts", 8), "solver.restarts", 1, 256),
         seed=_integer(sol.get("seed", cfg.seed), "solver.seed", 0),
@@ -294,5 +314,6 @@ def parse_config(raw: dict) -> RunConfig:
         if not isinstance(out, dict):
             raise ConfigError("expected an object", field="output")
         _require_keys(out, {"dir"}, "output")
-        cfg.output_dir = out.get("dir")
+        if "dir" in out:
+            cfg.output_dir = _string(out["dir"], "output.dir")
     return cfg

@@ -24,6 +24,18 @@ from .cones import Cone, as_vector, as_vectors
 from .errors import DimensionMismatchError, InvalidPointError, UnsupportedStepError
 
 MAX_STEP = 4
+#: largest point dimension of a Carnot algebra: its Jacobi check builds n^4
+#: arrays, 8 MB each at n = 32
+MAX_DIM = 32
+
+
+def _capped_dim(layer_dims) -> int:
+    """The total dimension of ``layer_dims``, refused above MAX_DIM before
+    any table of that size is built."""
+    n = sum(layer_dims)
+    if n > MAX_DIM:
+        raise ValueError(f"dimension {n} exceeds the cap MAX_DIM = {MAX_DIM}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +55,7 @@ class CarnotAlgebra:
         layer_dims = tuple(int(d) for d in layer_dims)
         if len(layer_dims) == 0 or any(d < 1 for d in layer_dims):
             raise ValueError("layer dims must be positive (top layer nonzero)")
-        n = sum(layer_dims)
+        n = _capped_dim(layer_dims)
         table = np.asarray(table, dtype=float)
         if table.shape != (n, n, n):
             raise ValueError(f"structure table must be {(n, n, n)}, got {table.shape}")
@@ -62,7 +74,7 @@ class CarnotAlgebra:
                       ) -> "CarnotAlgebra":
         """Build from sparse entries {(i, j): {k: coeff}} meaning
         [e_i, e_j] = sum_k coeff * e_k; the (j, i) mirror is filled in."""
-        n = sum(layer_dims)
+        n = _capped_dim(layer_dims)
         table = np.zeros((n, n, n))
         for (i, j), comps in brackets.items():
             for k, c in comps.items():
@@ -782,6 +794,7 @@ def parse_structure_constants(text: str) -> CarnotAlgebra:
             layer_dims = tuple(int(tok) for tok in line[len("layers:"):].split())
             if not layer_dims:
                 raise ValueError(f"line {lineno}: empty layer list")
+            _capped_dim(layer_dims)
             continue
         toks = line.split()
         if len(toks) != 4:

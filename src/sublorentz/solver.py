@@ -209,14 +209,17 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
         return J if np.all(np.isfinite(J)) else None
 
     def full_phi(uu):
-        counts["endpoint"] += 1
-        counts["jacobian"] += 1
+        # one endpoint and one Jacobian evaluation, counted even when the
+        # pass raises
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                rho, J, _ = model.endpoint_map(x0, x1, uu, horizon)
+                rho, _, chain = model.endpoint_pass(x0, x1, uu, horizon)
         except (ValueError, FloatingPointError):
+            counts["endpoint"] += 1
+            counts["jacobian"] += 1
             return -np.inf, None, None
-        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(J))):
+        J = jacobian(uu, chain)
+        if J is None or not np.all(np.isfinite(rho)):
             return -np.inf, None, None
         return _objective(nu, uu, h) - penalties(rho), rho, J
 
@@ -422,13 +425,10 @@ def solve_longest_reparametrized(prob: ProblemInstance, form: TimeForm,
     """
     opts = opts or SolveOptions()
     s1 = potential(form, prob.x1) - potential(form, prob.x0)
-    if s1 <= 1e-12:
-        same = np.allclose(prob.x0, prob.x1, atol=1e-12)
-        return SolveReport(
-            status=SolveStatus.SOLVED if same else SolveStatus.NO_ADMISSIBLE_PATH,
-            objective=0.0 if same else NEG_INF, control=None, trajectory=None,
-            endpoint_residual=0.0 if same else np.inf, iterations=0)
-    if not prob.model.admits_path(prob.cone, prob.x0, prob.x1):
+    if s1 <= 1e-12 and np.allclose(prob.x0, prob.x1, atol=1e-12):
+        return SolveReport(status=SolveStatus.SOLVED, objective=0.0, control=None,
+                           trajectory=None, endpoint_residual=0.0, iterations=0)
+    if s1 <= 1e-12 or not prob.model.admits_path(prob.cone, prob.x0, prob.x1):
         return _no_admissible_path()
 
     # tau in control coordinates; ascent happens in its kernel

@@ -13,11 +13,9 @@ from sublorentz import (
     CarnotGroup,
     ControlSignal,
     EuclideanMetric,
-    HyperbolicAB,
     LeftInvariantForm,
     LorentzCone,
     LorentzSqrt,
-    MinOfLinear,
     NotPointedError,
     PolyhedralCone,
     ProblemInstance,
@@ -29,19 +27,23 @@ from sublorentz import (
     abelianized_upper_bound,
     check_antinorm_axioms,
     check_hyperbolicity_desk,
-    exterior_derivative_fd,
     find_time_covector,
     heisenberg_algebra,
-    integrate,
-    minkowski_area_algebra,
-    oriented_area,
-    potential,
     reachability_sample,
     section_sup_norm,
     sl_length,
     solve_longest,
     solve_longest_reparametrized,
-    tau_duration,
+)
+from sublorentz.verify import (
+    EuclideanNormCandidate,
+    _check_antinorm_axioms,
+    _check_bound_dominance,
+    _check_closedness_dichotomy,
+    _check_fd_convergence,
+    _check_hyperbolicity,
+    _check_path_independence,
+    _check_stokes,
 )
 
 MINK = [[1.0, 0.0], [0.0, -1.0]]
@@ -93,99 +95,47 @@ def test_criterion_1_minkowski_oracle(mink_setup):
 
 
 def test_criterion_2_antinorm_axiom_suite(mink_setup):
-    _, cone, nu = mink_setup
-    rep_sqrt = check_antinorm_axioms(nu, cone, sample_count=10_000, seed=42)
-    rep_family = check_antinorm_axioms(MinOfLinear([[1.0, 1.0], [1.0, -1.0]]),
-                                       cone, sample_count=10_000, seed=42)
-
-    class EuclideanNormCandidate:
-        def values_on_cone(self, V):
-            return np.linalg.norm(V, axis=1)
-
+    _, cone, _ = mink_setup
+    # the square root and the min-of-linear family, with no violation
+    axioms = _check_antinorm_axioms(42, 10_000)
     rep_bad = check_antinorm_axioms(EuclideanNormCandidate(), cone,
                                     sample_count=10_000, seed=42)
-    violations = (rep_sqrt.homogeneity_failures + rep_sqrt.superadditivity_failures
-                  + rep_family.homogeneity_failures
-                  + rep_family.superadditivity_failures)
     ce = rep_bad.counterexample
     concrete = (ce is not None and ce["axiom"] == "superadditivity"
                 and np.linalg.norm(np.array(ce["xi"]) + np.array(ce["zeta"]))
                 < np.linalg.norm(ce["xi"]) + np.linalg.norm(ce["zeta"]) - 1e-9)
-    ok = (rep_sqrt.passed and rep_family.passed and violations == 0
-          and not rep_bad.passed and concrete)
+    ok = axioms.passed and not rep_bad.passed and concrete
     report(2, ok, f"0 violations in 2x10^4 pairs; euclidean candidate rejected "
                   f"with pair {np.round(ce['xi'], 3).tolist()}, "
                   f"{np.round(ce['zeta'], 3).tolist()}")
 
 
 def test_criterion_3_closedness_dichotomy():
-    rng = np.random.default_rng(3)
-    open_form = HyperbolicAB(1.0, 0.0)
-    closed_form = HyperbolicAB(0.0, 1.0)
-    worst_open = worst_closed = 0.0
-    for _ in range(20):
-        p = np.array([rng.uniform(-2, 2), rng.uniform(0.5, 3.0)])
-        d = exterior_derivative_fd(open_form, p, [1, 0], [0, 1], 1e-3)
-        worst_open = max(worst_open, abs(d - 1.0 / p[1] ** 2))
-        worst_closed = max(worst_closed, abs(
-            exterior_derivative_fd(closed_form, p, [1, 0], [0, 1], 1e-3)))
+    dichotomy = _check_closedness_dichotomy(np.random.default_rng(3), 20)
     # observed O(h^2): halving h quarters the error
-    p = np.array([0.3, 0.9])
-    exact = 1.0 / p[1] ** 2
-    errs = [abs(exterior_derivative_fd(open_form, p, [1, 0], [0, 1], h) - exact)
-            for h in (2e-2, 1e-2, 5e-3)]
-    ratios = (errs[0] / errs[1], errs[1] / errs[2])
-    ok = (worst_open <= 1e-4 and worst_closed <= 1e-8
-          and all(3.0 < r < 5.0 for r in ratios))
-    report(3, ok, f"a=1: max |dtau - a/y^2| = {worst_open:.2e}; "
-                  f"a=0: max |dtau| = {worst_closed:.2e}; "
-                  f"refinement ratios {ratios[0]:.2f}, {ratios[1]:.2f}")
+    rate = _check_fd_convergence(None, (0.3, 0.9), (2e-2, 1e-2, 5e-3))
+    report(3, dichotomy.passed and rate.passed,
+           f"{dichotomy.detail}; refinement {rate.detail}")
 
 
-def test_criterion_4_potential_identity(heis_setup):
-    model, cone, _ = heis_setup
-    form = LeftInvariantForm([1.0, 0.0, 0.0], model)
-    rng = np.random.default_rng(4)
+def test_criterion_4_potential_identity():
     t0 = time.time()
-    worst = 0.0
-    for _ in range(100):
-        u = ControlSignal(cone.sample(int(rng.integers(1, 9)), rng))
-        traj = integrate(model, model.identity(), u)
-        gap = abs(tau_duration(traj, form) - potential(form, traj.endpoint))
-        worst = max(worst, gap)
+    res = _check_path_independence(np.random.default_rng(4), 100)
     elapsed = time.time() - t0
-    ok = worst <= 1e-8 and elapsed < 2.0
-    report(4, ok, f"max |integral tau - T(endpoint)| = {worst:.2e} "
-                  f"over 100 controls in {elapsed:.2f}s")
+    report(4, res.passed and elapsed < 2.0,
+           f"{res.detail} over 100 controls in {elapsed:.2f}s")
 
 
 @pytest.mark.parametrize("r", [1, 2])
 def test_criterion_5_stokes_identity(r):
-    model = CarnotGroup(minkowski_area_algebra(r))
-    cone = LorentzCone(np.diag([1.0] + [-1.0] * r), [1.0] + [0.0] * r)
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(200):
-        u = ControlSignal(cone.sample(int(rng.integers(1, 7)), rng))
-        traj = integrate(model, model.identity(), u)
-        for i in range(1, r + 1):
-            worst = max(worst, abs(traj.endpoint[r + i] - oriented_area(traj, i)))
-    ok = worst <= 1e-8
-    report(5, ok, f"r={r}: max |y_i(1) - oriented area| = {worst:.2e} "
-                  f"over 200 controls")
+    res = _check_stokes(np.random.default_rng(5), 200, (r,))
+    report(5, res.passed, f"r={r}: {res.detail} over 200 controls")
 
 
 def test_criterion_6_jensen_bound_dominance(heis_setup):
     model, cone, nu = heis_setup
     opts = SolveOptions(restarts=2, max_iter=50, inner_iter=35)
-    ends = reachability_sample(model, cone, model.identity(), 50, seed=6)
-    worst_excess = -np.inf
-    for e in ends:
-        prob = ProblemInstance(model, cone, nu, model.identity(), e, segments=30)
-        rep = solve_longest(prob, opts)
-        worst_excess = max(worst_excess,
-                           rep.objective - abelianized_upper_bound(prob))
-    ok = worst_excess <= 1e-9
+    dominance = _check_bound_dominance(6, 50, opts)
 
     # first-layer-exponential endpoints attain the bound
     rng = np.random.default_rng(66)
@@ -196,9 +146,9 @@ def test_criterion_6_jensen_bound_dominance(heis_setup):
         rep = solve_longest(prob, opts)
         bound = abelianized_upper_bound(prob)
         worst_rel = max(worst_rel, abs(rep.objective - bound) / bound)
-    ok = ok and worst_rel <= 1e-3
-    report(6, ok, f"max objective - bound = {worst_excess:.2e} over 50 "
-                  f"endpoints; exp(g1) endpoints within {worst_rel:.2e} of bound")
+    report(6, dominance.passed and worst_rel <= 1e-3,
+           f"{dominance.detail} over 50 endpoints; exp(g1) endpoints "
+           f"within {worst_rel:.2e} of bound")
 
 
 def test_criterion_7_section_compactness(mink_setup):
@@ -269,25 +219,16 @@ def test_criterion_8_gradient_check(heis_setup):
                   f"over 20 instances")
 
 
-def test_criterion_9_no_closed_paths_and_diamond(mink_setup, heis_setup):
-    model_m, cone, nu = mink_setup
-    model_h, _, _ = heis_setup
-    prob_m = ProblemInstance(model_m, cone, nu, np.zeros(2), [5.0, 3.0],
-                             segments=10)
+def test_criterion_9_no_closed_paths_and_diamond(heis_setup):
+    # R^{1,1}: no violation, and the diamond radius 5 sqrt 2
+    diamond = _check_hyperbolicity(9, 5000)
+    model_h, cone, nu = heis_setup
     prob_h = ProblemInstance(model_h, cone, nu, np.zeros(3), [3.0, 0.0, 0.0],
                              segments=10)
-    rep_m = check_hyperbolicity_desk(prob_m, LeftInvariantForm([1, 0], model_m),
-                                     n_samples=5000, seed=9)
     rep_h = check_hyperbolicity_desk(prob_h, LeftInvariantForm([1, 0, 0], model_h),
                                      n_samples=5000, seed=9)
-    radius_target = 5 * np.sqrt(2)
-    radius_ok = abs(rep_m.radius - radius_target) <= 0.01 * radius_target
-    ok = (rep_m.monotonicity_violations == 0 and rep_h.monotonicity_violations == 0
-          and rep_m.stalled_positive_length_paths == 0
-          and rep_h.stalled_positive_length_paths == 0
-          and rep_m.passed and rep_h.passed and radius_ok)
-    report(9, ok, f"0 potential-monotonicity violations over 10^4 paths; "
-                  f"diamond radius {rep_m.radius:.6f} vs {radius_target:.6f}")
+    report(9, diamond.passed and rep_h.passed,
+           f"0 potential-monotonicity violations over 10^4 paths; {diamond.detail}")
 
 
 def test_criterion_10_reparametrization_equivalence(mink_setup, heis_setup):

@@ -1,11 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sublorentz import verify
 from sublorentz.cli import emit_report, main, run_config
 from sublorentz.config import load_config, parse_config
 from sublorentz.errors import ConfigError
+from sublorentz.groups import MAX_DIM
 from sublorentz.presets import PRESETS
 
 
@@ -121,6 +124,54 @@ def test_value_at_cap_accepted(tmp_path, field, cap):
     name = field.split(".")[-1]
     holder = cfg.solver_options if field.startswith("solver.") else cfg
     assert getattr(holder, name) == cap
+
+
+MINKOWSKI_AREA = {"kind": "carnot", "builtin": "minkowski_area"}
+HYPERBOLIC_AB = {"preset": "hyperbolic", "timeform": {"kind": "hyperbolic_ab"}}
+
+
+@pytest.mark.parametrize("patch, error", [
+    ({"model": {"kind": "abelian", "dim": "abc"}}, "model.dim: must be an integer >= 1"),
+    ({"model": {"kind": "abelian", "dim": 0}}, "model.dim: must be an integer >= 1"),
+    ({"model": {"kind": "abelian", "dim": 2.7}}, "model.dim: must be an integer >= 1"),
+    ({"model": {"kind": "abelian", "dim": MAX_DIM + 1}},
+     f"model.dim: must be at most {MAX_DIM}"),
+    ({"model": {**MINKOWSKI_AREA, "r": 0}}, "model.r: must be an integer >= 1"),
+    # minkowski_area(r) has dimension 2 r + 1
+    ({"model": {**MINKOWSKI_AREA, "r": (MAX_DIM - 1) // 2 + 1}},
+     f"model.r: must be at most {(MAX_DIM - 1) // 2}"),
+    ({"model": {"kind": "carnot", "structure_file": "big.txt"}},
+     f"model.structure_file: cannot load structure constants: dimension "
+     f"{MAX_DIM + 1} exceeds the cap MAX_DIM = {MAX_DIM}"),
+    ({"model": {"kind": "carnot", "structure_file": ["heis.txt"]}},
+     "model.structure_file: must be a string"),
+    # an integer would be opened as a file descriptor
+    ({"model": {"kind": "carnot", "structure_file": 0}},
+     "model.structure_file: must be a string"),
+    ({"samples": 0}, "samples: must be an integer >= 1"),
+    ({**HYPERBOLIC_AB, "timeform": {**HYPERBOLIC_AB["timeform"], "a": [1.0]}},
+     "timeform.a: must be a finite number"),
+    ({**HYPERBOLIC_AB, "timeform": {**HYPERBOLIC_AB["timeform"], "b": float("nan")}},
+     "timeform.b: must be a finite number"),
+    ({**HYPERBOLIC_AB, "timeform": {**HYPERBOLIC_AB["timeform"], "a": 10 ** 400}},
+     "timeform.a: must be a finite number"),
+    ({"output": {"dir": ["out"]}}, "output.dir: must be a string"),
+], ids=["dim-text", "dim-0", "dim-float", "dim-cap", "r-0", "r-cap", "structure-cap",
+        "structure-list", "structure-int", "samples-0", "a-list", "b-nan", "a-huge",
+        "dir-list"])
+def test_config_values_exit_two(tmp_path, monkeypatch, capsys, patch, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.txt").write_text(f"layers: {MAX_DIM} 1\n")
+    path = write_config(tmp_path, {"version": 1, "preset": "minkowski11", **patch})
+    tracemalloc.start()
+    try:
+        assert main(["check-structure", "--config", path]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"config error: {error}" in capsys.readouterr().err
+    # refused before any (MAX_DIM + 1)^3 structure table is built
+    assert peak < 8 * (MAX_DIM + 1) ** 3
 
 
 def test_carnot_model_from_structure_file(tmp_path):
@@ -314,6 +365,18 @@ def test_verify_subcommand_emits_json(tmp_path):
     record = json.loads((out / "report.json").read_text())
     assert record["checks_passed"] == record["checks_total"]
     assert len(rep.payload["results"]) == record["checks_total"]
+
+
+def test_verify_failure_exits_one(tmp_path, monkeypatch, capsys):
+    # the forced failure stands in for the slowest check
+    checks = list(verify.ALL_CHECKS)
+    checks[checks.index(verify._check_bound_dominance)] = \
+        lambda seed: verify.CheckResult("forced", False, "by the test")
+    monkeypatch.setattr(verify, "ALL_CHECKS", checks)
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    assert "FAIL  forced: by the test" in capsys.readouterr().out
+    record = json.loads((tmp_path / "report.json").read_text())
+    assert record["checks_passed"] == record["checks_total"] - 1
 
 
 def test_emit_report_returns_paths(tmp_path):

@@ -17,12 +17,17 @@ from sublorentz import (
     heisenberg_algebra,
     integrate,
     integrate_rk4_step2,
-    minkowski_area_algebra,
     oriented_area,
     sl_length,
     trajectory_to_csv,
 )
 from sublorentz.dynamics import Trajectory
+from sublorentz.verify import (
+    _check_refinement,
+    _check_rk4_crosscheck,
+    _check_stokes,
+    _check_velocity_inclusion,
+)
 
 
 def test_control_signal_validation():
@@ -172,31 +177,18 @@ def test_oriented_area_wrong_model(plane):
 
 @pytest.mark.parametrize("r", [1, 2])
 def test_stokes_identity_bulk(r, rng):
-    from sublorentz import LorentzCone
-    model = CarnotGroup(minkowski_area_algebra(r))
-    cone = LorentzCone(np.diag([1.0] + [-1.0] * r), [1.0] + [0.0] * r)
-    for _ in range(200):
-        u = ControlSignal(cone.sample(int(rng.integers(1, 7)), rng))
-        traj = integrate(model, model.identity(), u)
-        for i in range(1, r + 1):
-            assert traj.endpoint[r + i] == pytest.approx(
-                oriented_area(traj, i), abs=1e-8)
+    res = _check_stokes(rng, 200, (r,))
+    assert res.passed, res.detail
 
 
-def test_velocity_inclusion_first_layer_exact(heis, rng):
-    for _ in range(100):
-        u = ControlSignal(rng.normal(size=(int(rng.integers(1, 9)), 2)))
-        traj = integrate(heis, heis.identity(), u)
-        assert np.abs(traj.endpoint[:2] - u.values.mean(axis=0)).max() <= 1e-12
+def test_velocity_inclusion_first_layer_exact(rng):
+    res = _check_velocity_inclusion(rng, 100)
+    assert res.passed, res.detail
 
 
 def test_rk4_crosscheck(rng):
-    model = CarnotGroup(minkowski_area_algebra(1))
-    for n in (1, 8, 64):
-        u = ControlSignal(rng.normal(size=(n, 2)))
-        exact = integrate(model, model.identity(), u).endpoint
-        rk = integrate_rk4_step2(model, model.identity(), u)
-        assert np.abs(exact - rk).max() <= 1e-8
+    res = _check_rk4_crosscheck(rng, 1, (1, 8, 64))
+    assert res.passed, res.detail
 
 
 def test_rk4_rejects_non_step2_model(plane):
@@ -204,13 +196,9 @@ def test_rk4_rejects_non_step2_model(plane):
         integrate_rk4_step2(plane, np.zeros(2), ControlSignal([[1.0, 0.0]]))
 
 
-def test_refinement_consistency(heis, plane, rng):
-    for model in (plane, heis, HyperbolicPlane()):
-        for _ in range(30):
-            u = ControlSignal(rng.normal(size=(int(rng.integers(1, 9)), 2)))
-            a = integrate(model, model.identity(), u).endpoint
-            b = integrate(model, model.identity(), u.split_segments()).endpoint
-            assert np.abs(a - b).max() <= 1e-12
+def test_refinement_consistency(rng):
+    res = _check_refinement(rng, 30)
+    assert res.passed, res.detail
 
 
 def test_trajectory_csv_format(heis, mink_cone, mink_nu):

@@ -26,15 +26,17 @@ from sublorentz.groups import (
     bch_jacobians,
     left_translation_jacobian,
 )
+from sublorentz.verify import (
+    _check_bch_associativity,
+    _check_exp_step_flow,
+    _check_first_layer_additivity,
+    _check_step2_half_bracket,
+    _test_algebras,
+)
 from test_solver import ENDPOINT_CASES, _endpoint_case
 
-
-def filiform4():
-    return CarnotAlgebra.from_brackets(
-        (2, 1, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}, (0, 3): {4: 1.0}})
-
-
-ALGEBRAS = [heisenberg_algebra(), minkowski_area_algebra(2), filiform4()]
+ALGEBRAS = _test_algebras()
+FILIFORM4 = ALGEBRAS[2]
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +115,7 @@ def test_bch_commuting_elements():
 
 
 def test_bch_inverse():
-    alg = filiform4()
+    alg = FILIFORM4
     a = np.array([0.3, -1.2, 0.7, 0.1, -2.0])
     assert np.allclose(bch_log_product(alg, a, -a), 0.0, atol=1e-14)
 
@@ -128,28 +130,18 @@ def test_bch_step_cap():
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: str(a.layer_dims))
 def test_bch_associativity_bulk(alg, rng):
-    for _ in range(1000):
-        a, b, c = rng.normal(size=(3, alg.dim))
-        lhs = bch_log_product(alg, bch_log_product(alg, a, b), c)
-        rhs = bch_log_product(alg, a, bch_log_product(alg, b, c))
-        assert np.abs(lhs - rhs).max() <= 1e-10
+    res = _check_bch_associativity(rng, 1000, [alg])
+    assert res.passed, res.detail
 
 
 def test_step2_bch_is_half_bracket(rng):
-    alg = minkowski_area_algebra(3)
-    for _ in range(500):
-        a, b = rng.normal(size=(2, alg.dim))
-        z = bch_log_product(alg, a, b)
-        assert np.abs(z - (a + b) - 0.5 * alg.bracket(a, b)).max() <= 1e-14
+    res = _check_step2_half_bracket(rng, 500, minkowski_area_algebra(3))
+    assert res.passed, res.detail
 
 
 def test_first_layer_of_bch_is_additive(rng):
-    for alg in ALGEBRAS:
-        m1 = alg.layer_dims[0]
-        for _ in range(300):
-            a, b = rng.normal(size=(2, alg.dim))
-            z = bch_log_product(alg, a, b)
-            assert np.abs(z[:m1] - a[:m1] - b[:m1]).max() <= 1e-14
+    res = _check_first_layer_additivity(rng, 300)
+    assert res.passed, res.detail
 
 
 @settings(max_examples=100, deadline=None)
@@ -253,16 +245,9 @@ def test_exp_step_abelian_example():
     assert np.allclose(AbelianGroup(2).exp_step([0, 0], [5, 3], 1.0), [5, 3])
 
 
-def test_exp_step_composition(heis, rng):
-    models = [AbelianGroup(2), HyperbolicPlane(), heis]
-    for model in models:
-        for _ in range(30):
-            u = rng.normal(size=model.point_dim)
-            p = model.identity() if not isinstance(model, HyperbolicPlane) \
-                else np.array([rng.normal(), np.exp(rng.normal())])
-            h = float(rng.uniform(0.05, 0.8))
-            assert np.allclose(model.exp_step(model.exp_step(p, u, h), u, h),
-                               model.exp_step(p, u, 2 * h), atol=1e-12)
+def test_exp_step_composition(rng):
+    res = _check_exp_step_flow(rng, 30)
+    assert res.passed, res.detail
 
 
 def test_hyperbolic_exp_keeps_its_digits_near_flat_controls():
@@ -344,7 +329,7 @@ ROW_MODELS = {
     "abelian": AbelianGroup(3),
     "hyperbolic": HyperbolicPlane(),
     "heisenberg": CarnotGroup(heisenberg_algebra()),
-    "filiform": CarnotGroup(filiform4()),
+    "filiform": CarnotGroup(FILIFORM4),
 }
 
 

@@ -34,6 +34,11 @@ from sublorentz import (
 from sublorentz import (ControlSignal, HyperbolicityReport, UnitTimeSection, integrate,
                         section_sup_norm)
 from sublorentz.solver import _control_covector, _unit_tau_retract
+from sublorentz.verify import (
+    _check_abelian_oracle,
+    _check_hyperbolic_certificate,
+    _check_hyperbolicity,
+)
 
 MINK = [[1.0, 0.0], [0.0, -1.0]]
 
@@ -169,13 +174,8 @@ def test_hyperbolic_spacelike_no_admissible_path(light_opts):
 
 
 def test_hyperbolic_certificate_admits_reachable_points():
-    hyp = HyperbolicPlane()
-    x0 = np.array([0.7, 1.3])
-    for form, selector in (([[-4.0, 0.0], [0.0, 1.0]], [0, 1]), (MINK, [1, 0]),
-                           ([[-1.0, 0.5], [0.5, 2.0]], [0, 1])):
-        cone = LorentzCone(form, selector)
-        for x1 in reachability_sample(hyp, cone, x0, 1000, seed=0):
-            assert hyp.admits_path(cone, x0, x1), x1
+    res = _check_hyperbolic_certificate(0, 1000)
+    assert res.passed, res.detail
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +223,9 @@ def test_abelianized_upper_bound_examples(heis, mink_cone, mink_nu):
                                           np.zeros(2), [1.0, 0.0]))
 
 
-def test_oracle_agreement_random_endpoints(plane, mink_cone, mink_nu,
-                                           light_opts, rng):
-    for _ in range(20):
-        x1 = mink_cone.sample(1, rng, relative_interior=True)[0]
-        x1 = x1 + np.array([0.5, 0.0])
-        prob = make_prob(plane, mink_cone, mink_nu, np.zeros(2), x1, n=50)
-        rep = solve_longest(prob, light_opts)
-        oracle = abelian_closed_form(plane, mink_nu, mink_cone, np.zeros(2), x1)
-        assert rep.objective == pytest.approx(oracle, rel=1e-3)
+def test_oracle_agreement_random_endpoints(light_opts, rng):
+    res = _check_abelian_oracle(rng, 20, light_opts)
+    assert res.passed, res.detail
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +426,22 @@ def test_reachability_deterministic(heis, mink_cone):
 # ---------------------------------------------------------------------------
 
 
-def test_minkowski_diamond_radius(plane, mink_cone, mink_nu):
-    prob = make_prob(plane, mink_cone, mink_nu, np.zeros(2), [5.0, 3.0], n=10)
-    form = LeftInvariantForm([1.0, 0.0], plane)
-    rep = check_hyperbolicity_desk(prob, form, n_samples=300, seed=0)
-    assert rep.passed
-    assert rep.radius == pytest.approx(5 * np.sqrt(2), rel=1e-9)
-    assert rep.monotonicity_violations == 0
-    assert rep.stalled_positive_length_paths == 0
-    assert rep.max_inband_arclength <= rep.radius * (1 + 1e-9)
+@pytest.mark.xfail(strict=True, reason=(
+    "lightlike endpoint: its first-layer bound is 0, and a residual within tol "
+    "lets the square-root antinorm overshoot it by about sqrt(tol); needs the "
+    "exact oracle of ROADMAP item 3, which is 0 on the reachable set's boundary"))
+def test_lightlike_endpoint_respects_the_first_layer_bound(heis, mink_cone, mink_nu):
+    # the endpoint on which `sublorentz verify --seed 18` fails
+    e = reachability_sample(heis, mink_cone, heis.identity(), 5, seed=18)[3]
+    prob = make_prob(heis, mink_cone, mink_nu, heis.identity(), e, n=30)
+    rep = solve_longest(prob, SolveOptions(restarts=2, max_iter=40, inner_iter=30))
+    assert rep.status == SolveStatus.SOLVED
+    assert rep.objective - abelianized_upper_bound(prob) <= 1e-9
+
+
+def test_minkowski_diamond_radius():
+    res = _check_hyperbolicity(0, 300)
+    assert res.passed, res.detail
 
 
 def test_heisenberg_potential_band(heis, mink_cone, mink_nu):
@@ -568,3 +569,8 @@ def test_reparametrized_solve_rejects_negative_gap(plane, mink_cone, mink_nu,
     form = LeftInvariantForm([1.0, 0.0], plane)
     rep = solve_longest_reparametrized(prob, form, light_opts)
     assert rep.status == SolveStatus.NO_ADMISSIBLE_PATH
+    assert (rep.objective, rep.endpoint_residual) == (NEG_INF, np.inf)
+    rest = make_prob(plane, mink_cone, mink_nu, np.zeros(2), np.zeros(2))
+    rep = solve_longest_reparametrized(rest, form, light_opts)
+    assert (rep.status, rep.objective, rep.endpoint_residual) == \
+        (SolveStatus.SOLVED, 0.0, 0.0)

@@ -25,6 +25,12 @@ from sublorentz import (
     section_sup_norm,
     tau_duration,
 )
+from sublorentz.verify import (
+    _check_closedness_dichotomy,
+    _check_fd_convergence,
+    _check_path_independence,
+    _check_section_sup,
+)
 
 MINK = [[1.0, 0.0], [0.0, -1.0]]
 
@@ -95,21 +101,13 @@ def test_dtau_abelian_constant_form(plane):
 
 
 def test_dtau_sampled_matches_a_over_y_squared(rng):
-    form = HyperbolicAB(1.0, 0.0)
-    for _ in range(20):
-        p = np.array([rng.uniform(-2, 2), rng.uniform(0.5, 3.0)])
-        d = exterior_derivative_fd(form, p, [1, 0], [0, 1], 1e-3)
-        assert d == pytest.approx(1.0 / p[1] ** 2, abs=1e-4)
+    res = _check_closedness_dichotomy(rng, 20)
+    assert res.passed, res.detail
 
 
 def test_dtau_quadratic_convergence():
-    form = HyperbolicAB(1.0, 0.0)
-    p = np.array([0.2, 0.8])
-    exact = 1.0 / p[1] ** 2
-    errs = [abs(exterior_derivative_fd(form, p, [1, 0], [0, 1], h) - exact)
-            for h in (2e-2, 1e-2, 5e-3)]
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
-    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
+    res = _check_fd_convergence(None, (0.2, 0.8), (2e-2, 1e-2, 5e-3))
+    assert res.passed, res.detail
 
 
 def test_dtau_stencil_domain_guard():
@@ -159,13 +157,9 @@ def test_potential_not_exact_cases(heis):
     assert is_exact(HyperbolicAB(0.0, 3.0))
 
 
-def test_path_independence_bulk(heis, mink_cone, rng):
-    form = LeftInvariantForm([1.0, 0.0, 0.0], heis)
-    for _ in range(100):
-        u = ControlSignal(mink_cone.sample(int(rng.integers(1, 9)), rng))
-        traj = integrate(heis, heis.identity(), u)
-        assert tau_duration(traj, form) == pytest.approx(
-            potential(form, traj.endpoint), abs=1e-8)
+def test_path_independence_bulk(rng):
+    res = _check_path_independence(rng, 100)
+    assert res.passed, res.detail
 
 
 # ---------------------------------------------------------------------------
@@ -307,22 +301,20 @@ def test_tau_duration_hyperbolic_ab_midpoint_rule():
 
 
 def test_section_sup_norm_lorentz(mink_cone, plane):
+    res = _check_section_sup(None, ("lorentz",))
+    assert res.passed, res.detail
     form = LeftInvariantForm([1.0, 0.0], plane)
-    section = UnitTimeSection(mink_cone, form, np.zeros(2))
-    sup = section_sup_norm(section, EuclideanMetric())
+    sup = section_sup_norm(UnitTimeSection(mink_cone, form, np.zeros(2)),
+                           EuclideanMetric())
     # oracle: maximize sqrt(1 + t^2) over |t| <= 1
     t = np.linspace(-1, 1, 100_001)
     assert sup == pytest.approx(np.sqrt(1 + t ** 2).max(), rel=1e-9)
-    assert sup == pytest.approx(np.sqrt(2.0))
 
 
-def test_section_sup_norm_polyhedral_vertices(plane):
-    cone = PolyhedralCone([[1.0, 0.0], [1.0, 1.0]])
-    form = LeftInvariantForm([1.0, 0.0], plane)
-    sup = section_sup_norm(UnitTimeSection(cone, form, np.zeros(2)),
-                           EuclideanMetric())
+def test_section_sup_norm_polyhedral_vertices():
     # vertices g / tau(g) = (1,0) and (1,1): the norm maximum is exact
-    assert sup == pytest.approx(np.sqrt(2.0), abs=1e-14)
+    res = _check_section_sup(None, ("polyhedral",))
+    assert res.passed, res.detail
 
 
 def test_growth_and_sup_norm_on_linear_image_of_polyhedral(plane):
