@@ -46,12 +46,9 @@ from .groups import (
     AbelianGroup,
     CarnotAlgebra,
     CarnotGroup,
-    EuclideanMetric,
     GroupModel,
     HyperbolicPlane,
     LeftInvariantQuadratic,
-    LobachevskyMetric,
-    RiemannianMetric,
     bch_log_product,
     format_structure_constants,
     heisenberg_algebra,
@@ -65,7 +62,6 @@ from .solver import (
     SolveOptions,
     SolveReport,
     SolveStatus,
-    abelian_closed_form,
     abelianized_upper_bound,
     check_hyperbolicity_desk,
     reachability_sample,
@@ -77,7 +73,6 @@ from .timeform import (
     HyperbolicAB,
     LeftInvariantForm,
     TimeForm,
-    UnitTimeSection,
     check_growth_condition,
     exterior_derivative_fd,
     is_exact,

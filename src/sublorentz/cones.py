@@ -52,6 +52,12 @@ def as_vectors(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray
     return v
 
 
+def _positive_count(value: int, name: str) -> None:
+    """Refuse a sample count below 1: an empty sample proves nothing."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_i @ b_i for each pair of rows (broadcast), a scalar for two vectors:
     the stacked matmul runs the dot of a single pair, where einsum or a
@@ -514,6 +520,7 @@ def check_antinorm_axioms(nu, cone: Cone, sample_count: int = 10_000,
     atom: square-root antinorms are conditioned like sqrt(eps) right on the
     light cone, where no evaluation can resolve the axioms to 1e-9.
     """
+    _positive_count(sample_count, "sample_count")
     rng = np.random.default_rng(seed)
     a = cone.sample(sample_count, rng, boundary_fraction=0.0)
     b = cone.sample(sample_count, rng, boundary_fraction=0.0)

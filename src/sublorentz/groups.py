@@ -11,6 +11,11 @@ shape (n, d), answered row by row.  The points of a piecewise-constant
 control come from one vectorized pass over all its segments
 (``GroupModel.points``), which every segment walk shares, and a stack of
 controls goes through the endpoint residual in one pass.
+
+The one reference metric, ``LeftInvariantQuadratic``, is a form at the
+identity spread by left translations: its norm pulls a chart tangent back
+to the identity through the model's ``pullback``.  Every model's
+``natural_metric`` is the identity form there.
 """
 
 from __future__ import annotations
@@ -302,9 +307,10 @@ class GroupModel:
     def coordinate_names(self) -> list:
         return [f"x{i}" for i in range(self.point_dim)]
 
-    def natural_metric(self) -> RiemannianMetric:
-        """The model's invariant reference metric used for diagnostics."""
-        return EuclideanMetric()
+    def natural_metric(self) -> LeftInvariantQuadratic:
+        """The invariant reference metric of the diagnostics: the identity
+        form at the identity, spread by left translations."""
+        return LeftInvariantQuadratic(np.eye(self.point_dim))
 
     def endpoint_residual(self, x0, x1, u: np.ndarray, horizon: float
                           ) -> Tuple[np.ndarray, np.ndarray]:
@@ -489,10 +495,6 @@ class HyperbolicPlane(GroupModel):
         p = self.validate_point(p)
         return np.array([-p[0] / p[1], 1.0 / p[1]])
 
-    def exp(self, u, t: float = 1.0) -> np.ndarray:
-        """One-parameter subgroup exp(t(alpha, beta)) through the identity."""
-        return self.exp_step(self.identity(), u, t)
-
     def log(self, p):
         p = self.validate_points(p)
         y = p[..., 1]
@@ -521,9 +523,6 @@ class HyperbolicPlane(GroupModel):
 
     def coordinate_names(self):
         return ["x", "y"]
-
-    def natural_metric(self):
-        return LobachevskyMetric()
 
     def points(self, x0, u, h):
         # y_{k+1} = y_k Y_k and x_{k+1} = x_k + y_k X_k, in segment order
@@ -698,45 +697,11 @@ class CarnotGroup(GroupModel):
 
 
 # ---------------------------------------------------------------------------
-# Riemannian norms
+# The invariant reference metric
 # ---------------------------------------------------------------------------
 
 
-class RiemannianMetric:
-    def norm(self, model: GroupModel, p, v):
-        """Norm of the chart tangent vector v at the point p (of each row of
-        a stack v)."""
-        raise NotImplementedError
-
-
-def _chart_tangent(model: GroupModel, p, v) -> Tuple[np.ndarray, np.ndarray]:
-    v = as_vectors(v, model.point_dim, "tangent vector")
-    return model.validate_point(p), v
-
-
-class EuclideanMetric(RiemannianMetric):
-    def __repr__(self):
-        return "EuclideanMetric()"
-
-    def norm(self, model, p, v):
-        _, v = _chart_tangent(model, p, v)
-        return np.linalg.norm(v, axis=-1)
-
-
-class LobachevskyMetric(RiemannianMetric):
-    """(dx^2 + dy^2)/y^2 on the hyperbolic plane (left-invariant)."""
-
-    def __repr__(self):
-        return "LobachevskyMetric()"
-
-    def norm(self, model, p, v):
-        p, v = _chart_tangent(model, p, v)
-        if not isinstance(model, HyperbolicPlane):
-            raise ValueError("Lobachevsky metric lives on the hyperbolic plane")
-        return np.linalg.norm(v, axis=-1) / p[1]
-
-
-class LeftInvariantQuadratic(RiemannianMetric):
+class LeftInvariantQuadratic:
     """Left-invariant metric from a positive-definite form at the identity."""
 
     def __init__(self, form) -> None:
@@ -748,8 +713,10 @@ class LeftInvariantQuadratic(RiemannianMetric):
     def __repr__(self):
         return f"LeftInvariantQuadratic(dim={self.form.shape[0]})"
 
-    def norm(self, model, p, v):
-        w = model.pullback(*_chart_tangent(model, p, v))
+    def norm(self, model: GroupModel, p, v):
+        """Norm of the chart tangent vector v at the point p (of each row of
+        a stack v): the form applied to its pullback to the identity."""
+        w = model.pullback(p, v)
         return np.sqrt(np.einsum("...i,ij,...j->...", w, self.form, w))
 
 

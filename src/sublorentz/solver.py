@@ -24,12 +24,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .cones import NEG_INF, Antinorm, Cone, _probe_directions, _row_dots, antinorm_eval
+from .cones import (NEG_INF, Antinorm, Cone, _positive_count, _probe_directions,
+                    _row_dots, antinorm_eval)
 from .dynamics import ControlSignal, Trajectory, integrate
 from .errors import DimensionMismatchError, NegativeAntinormError, WrongModelError
-from .groups import AbelianGroup, CarnotGroup, GroupModel
+from .groups import GroupModel
 from .groups import bch_log_product  # noqa: F401 (the bench tracer test asserts it)
-from .timeform import TimeForm, UnitTimeSection, potential, section_sup_norm
+from .timeform import TimeForm, potential, section_sup_norm
 
 
 #: initial augmented-Lagrangian penalty weight
@@ -449,27 +450,20 @@ def solve_longest_reparametrized(prob: ProblemInstance, form: TimeForm,
 # ---------------------------------------------------------------------------
 
 
-def abelian_closed_form(model: GroupModel, nu: Antinorm, cone: Cone,
-                        x0, x1) -> float:
-    """Exact distance on abelian models: nu of the displacement.
-
-    Superadditivity plus homogeneity force every admissible path's length
-    below nu(x1 - x0), and the straight segment attains it.
-    """
-    if not isinstance(model, AbelianGroup):
-        raise WrongModelError("closed form requires an abelian model")
-    delta = model.validate_point(x1) - model.validate_point(x0)
-    return antinorm_eval(nu, cone, delta)
-
-
 def abelianized_upper_bound(prob: ProblemInstance) -> float:
-    """nu of the first-layer displacement: an upper bound for every admissible
-    control (their average is exactly that displacement), -inf when the
-    displacement leaves the cone (no admissible path at all)."""
-    if not isinstance(prob.model, CarnotGroup):
-        raise WrongModelError("the first-layer bound requires a Carnot model")
-    return antinorm_eval(prob.nu, prob.cone,
-                         prob.model.forced_average(prob.x0, prob.x1))
+    """nu of the control average the endpoints force: by Jensen (nu is
+    superadditive and 1-homogeneous) an upper bound on every admissible
+    path's length, -inf when the average leaves the cone (no admissible path
+    at all).  On R^n the straight segment attains it, so it is exact there.
+
+    Raises WrongModelError on a model whose endpoints force no average, the
+    hyperbolic plane.
+    """
+    target = prob.model.forced_average(prob.x0, prob.x1)
+    if target is None:
+        raise WrongModelError(f"{prob.model!r} forces no control average; "
+                              "the first-layer bound needs one")
+    return antinorm_eval(prob.nu, prob.cone, target)
 
 
 #: paths drawn and integrated together; bounds the memory of a large sample
@@ -546,12 +540,12 @@ def check_hyperbolicity_desk(prob: ProblemInstance, form: TimeForm,
 
     Raises NotExactError when the form has no potential.
     """
+    _positive_count(n_samples, "n_samples")
     t0 = potential(form, prob.x0)
     t1 = potential(form, prob.x1)
     gap = t1 - t0
     metric = prob.model.natural_metric()
-    sup_u = section_sup_norm(UnitTimeSection(prob.cone, form, prob.x0), metric,
-                             samples=2048, seed=seed)
+    sup_u = section_sup_norm(prob.cone, form, metric, samples=2048, seed=seed)
     radius = sup_u * max(gap, 0.0)
 
     rng = np.random.default_rng(seed)

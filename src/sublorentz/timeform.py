@@ -1,10 +1,13 @@
 """Causal time forms: evaluation, closedness and exactness checks, the
-potential, the growth condition, and the unit-time reparametrization.
+potential, the growth condition, the unit-time section's norm bound, and
+the unit-time reparametrization.
 
 All shipped forms are left-invariant, so everything is decided at the
 identity: the spread of tau0 is closed exactly when tau0 vanishes on
 [g, g], and the models are simply connected, so a closed form always has a
-potential.  The hyperbolic family (a dx + b dy)/y is the spread of (a, b).
+potential.  The growth ratio and the unit-time section are measured there
+too, in a left-invariant metric, so one bound holds at every point.  The
+hyperbolic family (a dx + b dy)/y is the spread of (a, b).
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import Cone, _row_dots, as_vector, as_vectors
+from .cones import Cone, _positive_count, _row_dots, as_vector, as_vectors
 from .dynamics import Trajectory
 from .errors import NotExactError, StalledParameterError, UnboundedSectionError
-from .groups import GroupModel, HyperbolicPlane, RiemannianMetric
+from .groups import GroupModel, HyperbolicPlane, LeftInvariantQuadratic
 
 #: headroom used when suggesting a rescaling of tau for the growth condition
 GROWTH_EPS = 0.05
@@ -129,13 +132,14 @@ class GrowthReport:
                 f"scale tau by {self.tau_scale:.6g} for a unit bound")
 
 
-def check_growth_condition(form: TimeForm, cone: Cone, metric: RiemannianMetric,
+def check_growth_condition(form: TimeForm, cone: Cone, metric: LeftInvariantQuadratic,
                            samples: int = 2048, seed: int = 0) -> GrowthReport:
     """Check tau > 0 on the cone minus the origin and bound |xi| / tau(xi).
 
     Everything is evaluated at the identity; left invariance transports the
     bound to every point, giving the distance-weighted inequality globally.
     """
+    _positive_count(samples, "samples")
     rng = np.random.default_rng(seed)
     model = form.model
     ident = model.identity()
@@ -156,45 +160,34 @@ def check_growth_condition(form: TimeForm, cone: Cone, metric: RiemannianMetric,
 
 
 # ---------------------------------------------------------------------------
-# Unit-time sections
+# The unit-time section
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class UnitTimeSection:
-    """The slice U = {xi in cone at base : tau(xi) = 1}."""
-
-    cone: Cone
-    form: TimeForm
-    base: np.ndarray
-
-    @property
-    def model(self) -> GroupModel:
-        return self.form.model
-
-
-def section_sup_norm(section: UnitTimeSection, metric: RiemannianMetric,
+def section_sup_norm(cone: Cone, form: TimeForm, metric: LeftInvariantQuadratic,
                      samples: int = 2048, seed: int = 0) -> float:
-    """Supremum of the metric norm over the unit-time slice at the base point.
+    """Supremum of the metric norm over the unit-time slice
+    {xi in cone : tau(xi) = 1} at the identity.  Left invariance makes it
+    the supremum at every point.
 
     The slice is a compact convex body whose extreme points sit on extreme
     rays of the cone, so the norm maximum is taken there: exact vertex
     enumeration for polyhedral cones, sampled boundary for quadratic ones.
     Raises UnboundedSectionError when tau fails to be positive on some ray.
     """
+    _positive_count(samples, "samples")
     rng = np.random.default_rng(seed)
-    model = section.model
-    base = model.validate_point(section.base)
-    dirs = section.cone.extreme_directions(samples, rng)
+    model = form.model
+    dirs = cone.extreme_directions(samples, rng)
     full = model.embed_control(dirs)
-    tau_d = section.form.value_at_identity(full)
+    tau_d = form.value_at_identity(full)
     bad = tau_d <= 1e-12
     if np.any(bad):
         raise UnboundedSectionError(
             f"tau is not positive on the extreme direction "
             f"{dirs[np.argmax(bad)].tolist()}; the unit-time slice is unbounded")
-    chart = model.left_translate(base, full / tau_d[:, None])
-    return float(np.max(metric.norm(model, base, chart), initial=0.0))
+    return float(np.max(metric.norm(model, model.identity(), full / tau_d[:, None]),
+                        initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .groups import (
     AbelianGroup,
     CarnotAlgebra,
     CarnotGroup,
-    EuclideanMetric,
     HyperbolicPlane,
     bch_log_product,
     heisenberg_algebra,
@@ -38,7 +37,6 @@ from .solver import (
     ProblemInstance,
     SolveOptions,
     SolveStatus,
-    abelian_closed_form,
     abelianized_upper_bound,
     check_hyperbolicity_desk,
     reachability_sample,
@@ -51,7 +49,6 @@ from .timeform import (
     potential,
     section_sup_norm,
     tau_duration,
-    UnitTimeSection,
 )
 
 
@@ -168,15 +165,14 @@ def _check_step2_half_bracket(seed, samples: int = 200, algebra=None
 
 
 def _check_exp_step_flow(seed, samples: int = 50) -> CheckResult:
-    """exp_step over h twice equals exp_step over 2h, from the identity (or
-    a random point of the hyperbolic plane)."""
+    """exp_step over h twice equals exp_step over 2h, from a random point
+    exp(xi) of each model."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for model in (AbelianGroup(2), HyperbolicPlane(), CarnotGroup(heisenberg_algebra())):
         for _ in range(samples):
             u = rng.normal(size=model.point_dim)
-            p = model.identity() if not isinstance(model, HyperbolicPlane) \
-                else np.array([rng.normal(), np.exp(rng.normal())])
+            p = model.exp_step(model.identity(), rng.normal(size=model.point_dim), 1.0)
             h = float(rng.uniform(0.05, 0.8))
             twice = model.exp_step(model.exp_step(p, u, h), u, h)
             worst = max(worst, float(np.abs(twice - model.exp_step(p, u, 2 * h)).max()))
@@ -246,8 +242,8 @@ _SECTION_CONES = {"lorentz": (_MINK_CONE, 1e-9),
 
 def _check_section_sup(seed, cones=("lorentz", "polyhedral")) -> CheckResult:
     form = LeftInvariantForm([1, 0], AbelianGroup(2))
-    sups = {kind: section_sup_norm(UnitTimeSection(_SECTION_CONES[kind][0], form,
-                                                   np.zeros(2)), EuclideanMetric())
+    sups = {kind: section_sup_norm(_SECTION_CONES[kind][0], form,
+                                   form.model.natural_metric())
             for kind in cones}
     ok = all(abs(sup - np.sqrt(2)) <= _SECTION_CONES[kind][1]
              for kind, sup in sups.items())
@@ -342,7 +338,7 @@ def _check_abelian_oracle(seed, samples: int = 3, opts: SolveOptions = _LIGHT
         x1 = cone.sample(1, rng, relative_interior=True)[0] + np.array([0.5, 0.0])
         prob = ProblemInstance(model, cone, nu, np.zeros(2), x1, segments=50)
         rep = solve_longest(prob, opts)
-        oracle = abelian_closed_form(model, nu, cone, np.zeros(2), x1)
+        oracle = abelianized_upper_bound(prob)
         worst = max(worst, abs(rep.objective - oracle) / max(abs(oracle), 1e-12))
     return CheckResult("abelian solves match the closed form", worst <= 1e-3,
                        f"max relative gap {worst:.2e}")

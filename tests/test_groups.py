@@ -7,11 +7,9 @@ from sublorentz import (
     DimensionMismatchError,
     CarnotAlgebra,
     CarnotGroup,
-    EuclideanMetric,
     HyperbolicPlane,
     InvalidPointError,
     LeftInvariantQuadratic,
-    LobachevskyMetric,
     UnsupportedStepError,
     bch_log_product,
     format_structure_constants,
@@ -252,14 +250,17 @@ def test_exp_step_composition(rng):
 
 def test_hyperbolic_exp_keeps_its_digits_near_flat_controls():
     hyp = HyperbolicPlane()
+
+    def exp(u, t):
+        return hyp.exp_step(hyp.identity(), u, t)
+
     # exp(t (alpha, beta))_x = alpha t (1 + t beta / 2 + ...)
-    assert hyp.exp([1.0, 1e-13], 0.5)[0] == pytest.approx(0.5 + 1.25e-14,
-                                                          rel=0, abs=2e-16)
+    assert exp([1.0, 1e-13], 0.5)[0] == pytest.approx(0.5 + 1.25e-14, rel=0, abs=2e-16)
     for beta in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 0.0):
         z = 0.7 * beta
         series = 2.0 * 0.7 * (1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0)
-        assert hyp.exp([2.0, beta], 0.7)[0] == pytest.approx(series, rel=1e-15)
-        assert hyp.exp([2.0, -beta], 0.7)[0] == pytest.approx(
+        assert exp([2.0, beta], 0.7)[0] == pytest.approx(series, rel=1e-15)
+        assert exp([2.0, -beta], 0.7)[0] == pytest.approx(
             2.0 * 0.7 * (1.0 - z / 2.0 + z * z / 6.0 - z ** 3 / 24.0), rel=1e-15)
 
 
@@ -284,15 +285,16 @@ def test_hyperbolic_exp_matches_numerical_flow(rng):
 
 
 def test_lobachevsky_norm_examples():
+    # the natural metric of the hyperbolic plane is (dx^2 + dy^2) / y^2
     hyp = HyperbolicPlane()
-    metric = LobachevskyMetric()
+    metric = hyp.natural_metric()
     assert metric.norm(hyp, [0, 2], [2, 0]) == pytest.approx(1.0)
     assert metric.norm(hyp, [0, 1], [1, 0]) == pytest.approx(1.0)
 
 
 def test_norm_scaling(rng):
-    metric = LobachevskyMetric()
     hyp = HyperbolicPlane()
+    metric = hyp.natural_metric()
     for _ in range(100):
         v = rng.normal(size=2)
         lam = rng.uniform(0.1, 10)
@@ -311,18 +313,15 @@ def test_left_invariant_quadratic_is_left_invariant(heis, rng):
         assert metric.norm(heis, p, v) == pytest.approx(ref, abs=1e-12)
 
 
-def test_lobachevsky_norm_rejects_other_models(plane):
-    with pytest.raises(ValueError, match="hyperbolic plane"):
-        LobachevskyMetric().norm(plane, [0, 1], [1, 0])
-
-
 def test_left_invariant_quadratic_rejects_indefinite():
     with pytest.raises(ValueError):
         LeftInvariantQuadratic([[1.0, 0.0], [0.0, -1.0]])
 
 
 def test_euclidean_norm(plane):
-    assert EuclideanMetric().norm(plane, [0, 0], [3, 4]) == 5.0
+    # the natural metric of R^n is the Euclidean one, at every point
+    assert plane.natural_metric().norm(plane, [0, 0], [3, 4]) == 5.0
+    assert plane.natural_metric().norm(plane, [7, -2], [3, 4]) == 5.0
 
 
 ROW_MODELS = {
@@ -331,6 +330,16 @@ ROW_MODELS = {
     "heisenberg": CarnotGroup(heisenberg_algebra()),
     "filiform": CarnotGroup(FILIFORM4),
 }
+
+
+@pytest.mark.parametrize("kind", ["abelian", "hyperbolic", "heisenberg"])
+def test_natural_metric_at_the_identity_is_the_euclidean_norm(kind, rng):
+    # every diagnostic measures at the identity, where the invariant metric
+    # must give np.linalg.norm bit for bit
+    model = ROW_MODELS[kind]
+    V = rng.normal(size=(5000, model.point_dim)) * 10.0 ** rng.uniform(-5, 5, (5000, 1))
+    norms = model.natural_metric().norm(model, model.identity(), V)
+    assert np.array_equal(norms, np.linalg.norm(V, axis=-1))
 
 
 def _rows_and_point(model, rng):
@@ -370,8 +379,9 @@ def test_tangent_maps_keep_their_errors(kind):
 
 
 @pytest.mark.parametrize("kind, metric", [
-    ("abelian", EuclideanMetric()), ("heisenberg", EuclideanMetric()),
-    ("hyperbolic", LobachevskyMetric()),
+    ("abelian", LeftInvariantQuadratic(np.eye(3))),
+    ("heisenberg", LeftInvariantQuadratic(np.eye(3))),
+    ("hyperbolic", LeftInvariantQuadratic(np.eye(2))),
     ("hyperbolic", LeftInvariantQuadratic([[2.0, 0.3], [0.3, 1.0]])),
     ("heisenberg", LeftInvariantQuadratic(np.diag([1.0, 2.0, 3.0]))),
     ("filiform", LeftInvariantQuadratic(np.eye(5)))])

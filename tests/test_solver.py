@@ -19,7 +19,6 @@ from sublorentz import (
     SolveOptions,
     SolveStatus,
     WrongModelError,
-    abelian_closed_form,
     abelianized_upper_bound,
     admissibility_check,
     check_hyperbolicity_desk,
@@ -31,8 +30,7 @@ from sublorentz import (
     solve_longest,
     solve_longest_reparametrized,
 )
-from sublorentz import (ControlSignal, HyperbolicityReport, UnitTimeSection, integrate,
-                        section_sup_norm)
+from sublorentz import ControlSignal, HyperbolicityReport, integrate, section_sup_norm
 from sublorentz.solver import _control_covector, _unit_tau_retract
 from sublorentz.verify import (
     _check_abelian_oracle,
@@ -183,24 +181,36 @@ def test_hyperbolic_certificate_admits_reachable_points():
 # ---------------------------------------------------------------------------
 
 
+def _abelian_closed_form(plane, cone, nu, x0, x1):
+    """nu(x1 - x0): on R^n the first-layer bound is the exact distance."""
+    return abelianized_upper_bound(make_prob(plane, cone, nu, x0, x1))
+
+
 def test_abelian_closed_form_examples(plane, mink_cone, mink_nu):
-    assert abelian_closed_form(plane, mink_nu, mink_cone,
-                               np.zeros(2), [5.0, 3.0]) == pytest.approx(4.0)
-    assert abelian_closed_form(plane, mink_nu, mink_cone,
-                               np.zeros(2), [1.0, 1.0]) == pytest.approx(0.0)
-    assert abelian_closed_form(plane, mink_nu, mink_cone,
-                               np.zeros(2), [1.0, 2.0]) == NEG_INF
+    assert _abelian_closed_form(plane, mink_cone, mink_nu,
+                                np.zeros(2), [5.0, 3.0]) == pytest.approx(4.0)
+    assert _abelian_closed_form(plane, mink_cone, mink_nu,
+                                np.zeros(2), [1.0, 1.0]) == pytest.approx(0.0)
+    assert _abelian_closed_form(plane, mink_cone, mink_nu,
+                                np.zeros(2), [1.0, 2.0]) == NEG_INF
+    # (-x0) + x1 is x1 - x0 bit for bit
+    x0, x1 = np.array([0.1, 0.7]), np.array([5.3, 2.9])
+    assert _abelian_closed_form(plane, mink_cone, mink_nu, x0, x1) \
+        == mink_nu.values_on_cone(x1 - x0)
 
 
-def test_abelian_closed_form_rejects_other_models(heis, mink_cone, mink_nu):
-    with pytest.raises(WrongModelError):
-        abelian_closed_form(heis, mink_nu, mink_cone, np.zeros(3), np.zeros(3))
+def test_first_layer_bound_rejects_the_hyperbolic_plane():
+    hyp_form = [[-4.0, 0.0], [0.0, 1.0]]
+    prob = make_prob(HyperbolicPlane(), LorentzCone(hyp_form, [0.0, 1.0]),
+                     LorentzSqrt(hyp_form), [0.0, 1.0], [0.3, 2.0])
+    with pytest.raises(WrongModelError, match="forces no control average"):
+        abelianized_upper_bound(prob)
 
 
 def test_closed_form_dominates_two_segment_paths(plane, mink_cone, mink_nu, rng):
     # brute force: no split path beats the straight one
     target = np.array([5.0, 3.0])
-    oracle = abelian_closed_form(plane, mink_nu, mink_cone, np.zeros(2), target)
+    oracle = _abelian_closed_form(plane, mink_cone, mink_nu, np.zeros(2), target)
     found = 0
     while found < 200:
         mid = mink_cone.sample(1, rng)[0]
@@ -218,9 +228,6 @@ def test_abelianized_upper_bound_examples(heis, mink_cone, mink_nu):
         assert abelianized_upper_bound(prob) == pytest.approx(4.0)
     spacelike = make_prob(heis, mink_cone, mink_nu, np.zeros(3), [1.0, 2.0, 0.0])
     assert abelianized_upper_bound(spacelike) == NEG_INF
-    with pytest.raises(WrongModelError):
-        abelianized_upper_bound(make_prob(AbelianGroup(2), mink_cone, mink_nu,
-                                          np.zeros(2), [1.0, 0.0]))
 
 
 def test_oracle_agreement_random_endpoints(light_opts, rng):
@@ -462,8 +469,8 @@ def _desk_reference(prob, form, n_samples, seed):
     t1 = potential(form, prob.x1)
     gap = t1 - potential(form, prob.x0)
     metric = prob.model.natural_metric()
-    radius = section_sup_norm(UnitTimeSection(prob.cone, form, prob.x0), metric,
-                              samples=2048, seed=seed) * max(gap, 0.0)
+    radius = section_sup_norm(prob.cone, form, metric, samples=2048,
+                              seed=seed) * max(gap, 0.0)
     rng = np.random.default_rng(seed)
     ident = prob.model.identity()
     mono_bad = stalled = radius_bad = 0
@@ -504,6 +511,32 @@ def test_desk_check_matches_the_per_path_loop(kind, heis, mink_cone, mink_nu):
     for seed, n_samples in ((0, 1), (0, 2), (0, 5), (0, 12), (0, 300), (1, 300)):
         rep = check_hyperbolicity_desk(prob, form, n_samples=n_samples, seed=seed)
         assert repr(rep) == repr(_desk_reference(prob, form, n_samples, seed))
+
+
+@pytest.mark.parametrize("x0", [[0.0, 0.0, 0.0], [0.0, 3.0, 0.0], [3.0, -3.0, 0.0]],
+                         ids=["identity", "0,3,0", "3,-3,0"])
+def test_heisenberg_desk_radius_does_not_depend_on_x0(x0, heis, mink_cone, mink_nu):
+    # the slice and the arcs are both measured in the invariant metric, so
+    # the radius is sqrt 2 (the unit slice's sup norm) times the gap 3
+    x0 = np.array(x0)
+    prob = make_prob(heis, mink_cone, mink_nu, x0, x0 + [3.0, 0.5, 0.2])
+    rep = check_hyperbolicity_desk(prob, LeftInvariantForm([1.0, 0.0, 0.0], heis),
+                                   n_samples=300, seed=0)
+    assert rep.passed
+    assert rep.radius == 4.242640687119286
+
+
+def test_hyperbolic_desk_radius_does_not_depend_on_x0():
+    hyp = HyperbolicPlane()
+    hyp_form = [[-4.0, 0.0], [0.0, 1.0]]
+    cone, nu = LorentzCone(hyp_form, [0.0, 1.0]), LorentzSqrt(hyp_form)
+    radii = []
+    for x0 in ([0.0, 1.0], [3.0, 0.25]):
+        prob = make_prob(hyp, cone, nu, x0, hyp.multiply(x0, [0.3, 2.0]))
+        rep = check_hyperbolicity_desk(prob, HyperbolicAB(0.0, 1.0), n_samples=300)
+        assert rep.passed
+        radii.append(rep.radius)
+    assert radii[0] == pytest.approx(radii[1], rel=1e-12)
 
 
 def test_hyperbolicity_requires_exact_form(plane, mink_cone, mink_nu, heis):

@@ -2,21 +2,23 @@ import numpy as np
 import pytest
 
 from sublorentz import (
+    AbelianGroup,
     ControlSignal,
-    EuclideanMetric,
     HyperbolicAB,
     HyperbolicPlane,
     InvalidPointError,
     LeftInvariantForm,
     LinearImageCone,
-    LobachevskyMetric,
     LorentzCone,
+    LorentzSqrt,
     NotExactError,
     PolyhedralCone,
+    ProblemInstance,
     StalledParameterError,
     UnboundedSectionError,
-    UnitTimeSection,
+    check_antinorm_axioms,
     check_growth_condition,
+    check_hyperbolicity_desk,
     exterior_derivative_fd,
     integrate,
     is_exact,
@@ -169,7 +171,7 @@ def test_path_independence_bulk(rng):
 
 def test_growth_lorentz_example(mink_cone, plane):
     form = LeftInvariantForm([2.0, 0.0], plane)
-    rep = check_growth_condition(form, mink_cone, EuclideanMetric(), 512, 0)
+    rep = check_growth_condition(form, mink_cone, plane.natural_metric(), 512, 0)
     assert rep.passed
     # oracle: dense 1-d maximization over the unit-time slice arc
     t = np.linspace(-1, 1, 100_001)
@@ -182,7 +184,7 @@ def test_growth_lorentz_example(mink_cone, plane):
 def test_growth_polyhedral_example(plane):
     cone = PolyhedralCone([[0.5, 1.0], [-0.5, 1.0]])
     form = LeftInvariantForm([0.0, 1.0], plane)
-    rep = check_growth_condition(form, cone, EuclideanMetric())
+    rep = check_growth_condition(form, cone, plane.natural_metric())
     assert rep.passed
     assert rep.rho == pytest.approx(np.sqrt(5) / 2)
     # scaling tau by 1.2 brings the ratio under one
@@ -193,7 +195,7 @@ def test_growth_polyhedral_example(plane):
 def test_growth_fails_when_cone_touches_kernel(plane):
     cone = PolyhedralCone([[1.0, 0.0], [1.0, 1.0]])
     form = LeftInvariantForm([0.0, 1.0], plane)
-    rep = check_growth_condition(form, cone, EuclideanMetric())
+    rep = check_growth_condition(form, cone, plane.natural_metric())
     assert not rep.passed
     assert rep.offending_direction is not None
     assert form.value_at_identity(rep.offending_direction) <= 1e-9
@@ -203,12 +205,12 @@ def test_growth_reports_the_first_offending_direction(plane):
     # tau = (0, 1) vanishes on (1, 0) and is negative on (1, -1)
     cone = PolyhedralCone([[1.0, 1.0], [1.0, 0.0], [1.0, -1.0]])
     rep = check_growth_condition(LeftInvariantForm([0.0, 1.0], plane), cone,
-                                 EuclideanMetric())
+                                 plane.natural_metric())
     assert not rep.passed
     assert np.array_equal(rep.offending_direction, [1.0, 0.0])
     # only the last generator offends
     rep = check_growth_condition(LeftInvariantForm([1.0, 1.0], plane), cone,
-                                 EuclideanMetric())
+                                 plane.natural_metric())
     assert not rep.passed
     assert np.allclose(rep.offending_direction, np.array([1.0, -1.0]) / np.sqrt(2))
 
@@ -216,7 +218,7 @@ def test_growth_reports_the_first_offending_direction(plane):
 def test_growth_on_hyperbolic_preset_cone():
     cone = LorentzCone([[-4.0, 0.0], [0.0, 1.0]], [0.0, 1.0])
     form = HyperbolicAB(0.0, 1.0)
-    rep = check_growth_condition(form, cone, LobachevskyMetric())
+    rep = check_growth_condition(form, cone, form.model.natural_metric())
     assert rep.passed
     assert rep.rho == pytest.approx(np.sqrt(5) / 2, rel=1e-6)
 
@@ -304,8 +306,7 @@ def test_section_sup_norm_lorentz(mink_cone, plane):
     res = _check_section_sup(None, ("lorentz",))
     assert res.passed, res.detail
     form = LeftInvariantForm([1.0, 0.0], plane)
-    sup = section_sup_norm(UnitTimeSection(mink_cone, form, np.zeros(2)),
-                           EuclideanMetric())
+    sup = section_sup_norm(mink_cone, form, plane.natural_metric())
     # oracle: maximize sqrt(1 + t^2) over |t| <= 1
     t = np.linspace(-1, 1, 100_001)
     assert sup == pytest.approx(np.sqrt(1 + t ** 2).max(), rel=1e-9)
@@ -325,10 +326,9 @@ def test_growth_and_sup_norm_on_linear_image_of_polyhedral(plane):
     form = LeftInvariantForm(tau, plane)
     # exact vertex oracle: the slice's extreme points are Mg / tau(Mg)
     oracle = max(np.linalg.norm(M @ g / (tau @ (M @ g))) for g in gens)
-    rep = check_growth_condition(form, cone, EuclideanMetric())
+    rep = check_growth_condition(form, cone, plane.natural_metric())
     assert rep.passed and rep.rho == pytest.approx(oracle, rel=1e-12)
-    sup = section_sup_norm(UnitTimeSection(cone, form, np.zeros(2)),
-                           EuclideanMetric())
+    sup = section_sup_norm(cone, form, plane.natural_metric())
     assert sup == pytest.approx(oracle, rel=1e-12)
 
 
@@ -336,23 +336,43 @@ def test_section_sup_norm_unbounded(plane):
     cone = PolyhedralCone([[1.0, 0.0], [1.0, 1.0]])
     form = LeftInvariantForm([0.0, 1.0], plane)   # tau vanishes on (1, 0)
     with pytest.raises(UnboundedSectionError):
-        section_sup_norm(UnitTimeSection(cone, form, np.zeros(2)),
-                         EuclideanMetric())
+        section_sup_norm(cone, form, plane.natural_metric())
 
 
 def test_section_sup_norm_unbounded_names_the_first_offending_ray(plane):
     cone = PolyhedralCone([[1.0, 1.0], [1.0, 0.0], [1.0, -1.0]])
     form = LeftInvariantForm([0.0, 1.0], plane)
     with pytest.raises(UnboundedSectionError, match=r"direction \[1\.0, 0\.0\];"):
-        section_sup_norm(UnitTimeSection(cone, form, np.zeros(2)),
-                         EuclideanMetric())
+        section_sup_norm(cone, form, plane.natural_metric())
 
 
-def test_section_sup_norm_invariant_under_base_point():
-    hyp = HyperbolicPlane()
-    cone = LorentzCone([[-4.0, 0.0], [0.0, 1.0]], [0.0, 1.0])
-    form = HyperbolicAB(0.0, 1.0)
-    sups = [section_sup_norm(UnitTimeSection(cone, form, base),
-                             LobachevskyMetric())
-            for base in (np.array([0.0, 1.0]), np.array([3.0, 0.25]))]
-    assert sups[0] == pytest.approx(sups[1], rel=1e-12)
+# ---------------------------------------------------------------------------
+# sample counts
+# ---------------------------------------------------------------------------
+
+
+MINK3 = np.diag([1.0, -1.0, -1.0])
+
+
+@pytest.mark.parametrize("kind, count, name", [
+    ("axioms", 0, "sample_count"), ("growth", 0, "samples"),
+    ("section", 0, "samples"), ("desk", -5, "n_samples")],
+    ids=["axioms", "growth", "section", "desk"])
+def test_diagnostics_refuse_empty_samples(kind, count, name):
+    # tau = (0, 1, 0) takes both signs on the cone: an empty sample would
+    # pass the growth check and bound the section
+    model = AbelianGroup(3)
+    cone, nu = LorentzCone(MINK3, [1.0, 0.0, 0.0]), LorentzSqrt(MINK3)
+    form = LeftInvariantForm([0.0, 1.0, 0.0], model)
+    prob = ProblemInstance(model, cone, nu, np.zeros(3), [5.0, 3.0, 0.0], segments=10)
+    calls = {
+        "axioms": lambda: check_antinorm_axioms(nu, cone, sample_count=count),
+        "growth": lambda: check_growth_condition(form, cone, model.natural_metric(),
+                                                 samples=count),
+        "section": lambda: section_sup_norm(cone, form, model.natural_metric(),
+                                            samples=count),
+        "desk": lambda: check_hyperbolicity_desk(
+            prob, LeftInvariantForm([1.0, 0.0, 0.0], model), n_samples=count),
+    }
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {count}$"):
+        calls[kind]()
