@@ -8,7 +8,10 @@ homogeneous, superadditive functional that is nonnegative on its cone and
 arithmetic is total.
 
 Every method whose argument is a vector also takes a stack of row vectors,
-shape (n, d), and then answers row by row.
+shape (n, d), and then answers row by row.  A polyhedral cone projects a
+whole stack at once with ``_nnls_rows``, Lawson and Hanson's active-set
+nonnegative least squares run on every row together; scipy's ``linprog`` is
+imported only by the two polyhedral LPs, pointedness and the time covector.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from .errors import DimensionMismatchError, NotPointedError
 
@@ -25,6 +27,8 @@ NEG_INF = float("-inf")
 
 #: default relative membership tolerance (the paper-exact sets need a band)
 DEFAULT_TOL = 1e-9
+
+_EPS = np.finfo(float).eps
 
 
 def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
@@ -108,6 +112,92 @@ class Cone:
         raise NotImplementedError
 
 
+def _nnls_rows(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Coefficients x >= 0 minimizing |x @ U - v| for each row v of V, (n, k),
+    for unit generators U, (k, d).
+
+    Lawson and Hanson's active-set iteration (Solving Least Squares Problems,
+    1974, ch. 23), run on all rows together.  Each row keeps its own passive
+    set, and each step is one batched solve of the Gram system U U^T masked
+    to those sets; a row drops out when no generator outside its set has a
+    gradient above rounding, or when the set spans R^d.  A generator enters
+    only with a positive coefficient and at a squared distance of at least
+    1e-10 from the span of the set (its gradient over its coefficient), so
+    one within about 1e-5 rad of that span is refused and the projection
+    can miss by that angle times |v|.  One refining solve on the final sets
+    restores the digits the Gram system loses.  RuntimeError when a row
+    needs more than 3k solves, the limit scipy's nnls keeps.
+    """
+    n, d = V.shape
+    k = len(U)
+    eye = np.eye(k)
+    # the 10 k ulp on the diagonal keeps every masked system nonsingular
+    gram = U @ U.T + 10 * k * _EPS * eye
+    X = np.zeros((n, k))
+    P = np.zeros((n, k), dtype=bool)
+    # the live rows: their index, data and iterate x, last solve s, passive
+    # set p, generators refused since x last moved, and the generator that
+    # entered at the last solve (-1 for none) with its gradient
+    idx, v, uv, vnorm = np.arange(n), V, V @ U.T, np.linalg.norm(V, axis=1)
+    x, s = X.copy(), X.copy()
+    p, refused = P.copy(), P.copy()
+    entered, gain = np.full(n, -1), np.zeros(n)
+    solves = 0
+    while idx.size:
+        rows = np.arange(idx.size)
+        # refuse the generator that entered at the last solve if its
+        # coefficient is <= 0 or it lies too near the set's span; x stays,
+        # and the next pass offers the row's next best generator
+        new = np.flatnonzero(entered >= 0)
+        j = entered[new]
+        bad = (s[new, j] <= 0.0) | (gain[new] < 1e-10 * s[new, j])
+        new, j = new[bad], j[bad]
+        hold = np.zeros(idx.size, dtype=bool)
+        hold[new] = True
+        refused &= hold[:, None]
+        refused[new, j] = True
+        p[new, j] = False
+        s[new] = x[new]
+        # a solve with a nonpositive coefficient moves x toward it only as
+        # far as x stays >= 0, and the generator reaching 0 leaves the set
+        neg = p & (s <= 0.0)
+        feasible = ~neg.any(axis=1)
+        if feasible.all():
+            x = s
+        else:
+            gap = x - s
+            ratio = np.where(neg, x / np.where(gap > 0.0, gap, 1.0), 2.0)
+            i = ratio.argmin(axis=1)
+            step = x + ratio[rows, i][:, None] * (s - x)
+            step[rows, i] = 0.0
+            x = np.where(feasible[:, None], s, step)
+            p &= x > 0.0
+        w = (v - x @ U) @ U.T
+        w[p | refused | ~feasible[:, None]] = -np.inf
+        j = w.argmax(axis=1)
+        gain = w[rows, j]
+        tol = 10 * max(d, k) * _EPS * (vnorm + x.sum(axis=1))
+        grow = (gain > tol) & (p.sum(axis=1) < d)
+        p[rows[grow], j[grow]] = True
+        entered = np.where(grow, j, -1)
+        done = feasible & ~grow
+        if done.any():
+            X[idx[done]], P[idx[done]] = x[done], p[done]
+            keep = ~done
+            idx, v, uv, vnorm, x, p, refused, entered, gain = (
+                a[keep] for a in (idx, v, uv, vnorm, x, p, refused, entered, gain))
+            if not idx.size:
+                break
+        if solves == 3 * k:
+            raise RuntimeError("Maximum number of iterations reached.")
+        solves += 1
+        M = np.where(p[:, :, None] & p[:, None, :], gram, eye)
+        s = np.linalg.solve(M, np.where(p, uv, 0.0)[..., None])[..., 0]
+    M = np.where(P[:, :, None] & P[:, None, :], gram, eye)
+    r = np.where(P, (V - X @ U) @ U.T, 0.0)
+    return np.maximum(X + np.linalg.solve(M, r[..., None])[..., 0], 0.0)
+
+
 class PolyhedralCone(Cone):
     """Cone generated by nonnegative combinations of a finite generator set."""
 
@@ -134,13 +224,15 @@ class PolyhedralCone(Cone):
             return nv == 0.0
         # distance to the cone: nonnegative least squares on the coefficients
         # (0 for the zero vector)
-        G = self._nonzero.T
-        residual = np.array([nnls(G, row)[1] for row in V.reshape(-1, self.dim)])
+        rows = V.reshape(-1, self.dim)
+        residual = np.linalg.norm(rows - _nnls_rows(self._unit, rows) @ self._unit,
+                                  axis=1)
         return residual.reshape(nv.shape) <= tol * nv
 
     def is_pointed(self) -> bool:
         # not pointed <=> some convex combination of unit generators is 0:
         # minimize t s.t. |G^T nu|_inf <= t, sum nu = 1, nu >= 0
+        from scipy.optimize import linprog
         U = self._unit
         if len(U) == 0:
             return True
@@ -158,10 +250,11 @@ class PolyhedralCone(Cone):
         return res.fun > 1e-9
 
     def project_batch(self, V):
-        if len(self._nonzero) == 0:
-            return np.zeros((len(V), self.dim))
-        G = self._nonzero.T
-        return np.array([G @ nnls(G, as_vector(v, self.dim))[0] for v in V])
+        V = as_vectors(V, self.dim)
+        if len(self._unit) == 0:
+            return np.zeros(V.shape)
+        rows = V.reshape(-1, self.dim)
+        return (_nnls_rows(self._unit, rows) @ self._unit).reshape(V.shape)
 
     def interior_direction(self) -> np.ndarray:
         if len(self._unit) == 0:
@@ -178,6 +271,7 @@ class PolyhedralCone(Cone):
     def time_covector(self):
         """Interior point of the polar cone: maximize the minimum margin over
         the unit generators (LP)."""
+        from scipy.optimize import linprog
         U = self._unit
         if len(U) == 0:
             raise NotPointedError("trivial cone: polar interior is empty only for lines; "

@@ -4,7 +4,7 @@ Each ``_check_*`` is the only implementation of its identity and holds its
 one bound.  It takes a seed or a ``numpy`` Generator (checks that sample
 through a library call need an integer seed; deterministic checks ignore
 it), plus its sizes, whose defaults are the desk-scale counts.  ``run_all``
-runs all 21 at desk scale, which is what ``sublorentz verify`` reports; the
+runs all 22 at desk scale, which is what ``sublorentz verify`` reports; the
 test suite calls the same checks at full sample counts.
 """
 
@@ -20,6 +20,7 @@ from .cones import (
     LorentzSqrt,
     MinOfLinear,
     PolyhedralCone,
+    _nnls_rows,
     check_antinorm_axioms,
     find_time_covector,
 )
@@ -129,6 +130,58 @@ def _check_covector_margins(seed) -> CheckResult:
     ok = all(m > 1e-12 for m in margins)
     return CheckResult("time covector margins positive", ok,
                        "margins " + ", ".join(f"{m:.3g}" for m in margins))
+
+
+def _polyhedral_cases(rng: np.random.Generator) -> dict:
+    """Random polyhedral cones with fewer, as many and more generators than
+    their dimension, one with duplicate and parallel generators, one holding
+    a line, and a narrow one of three generators 1e-3 from one axis."""
+    g = rng.normal(size=(3, 3))
+    q = np.linalg.qr(g.T)[0]
+    return {"k<d": PolyhedralCone(rng.normal(size=(2, 4))),
+            "k=d": PolyhedralCone(g),
+            "k>d": PolyhedralCone(rng.normal(size=(7, 3)) + [2.0, 0.0, 0.0]),
+            "duplicate": PolyhedralCone([g[0], g[1], g[0], 3.0 * g[1], g[2]]),
+            "line": PolyhedralCone([g[0], -g[0], g[1], 0.5 * g[1]]),
+            "narrow": PolyhedralCone(q[:, 0] + 1e-3 * np.array(
+                [q[:, 1], q[:, 2], -q[:, 1] - q[:, 2]]))}
+
+
+def _projection_rows(cone: PolyhedralCone, rng: np.random.Generator,
+                     samples: int) -> np.ndarray:
+    """Rows in the cone, on its faces (every generator, and sums of random
+    subsets), in its polar cone, and anywhere, at magnitudes 0.1 to 10."""
+    k = len(cone.generators)
+    lam = rng.exponential(1.0, size=(2 * samples, k))
+    lam[samples:] *= rng.random((samples, k)) < 0.5
+    anywhere = rng.normal(size=(20 * samples, cone.dim))
+    polar = anywhere[np.all(anywhere @ cone.generators.T <= 0.0, axis=1)][:samples]
+    V = np.vstack([cone.generators, lam @ cone.generators, polar,
+                   anywhere[:samples], np.zeros((1, cone.dim))])
+    return V * 10.0 ** rng.uniform(-1.0, 1.0, size=(len(V), 1))
+
+
+def _check_polyhedral_projection(seed, samples: int = 50) -> CheckResult:
+    """Moreau's conditions for p = P_C v = x @ U on the cones of
+    _polyhedral_cases (U the unit generators): x >= 0, v - p in the polar
+    cone (U (v - p) <= 1e-12 |v|) and |<p, v - p>| <= 1e-12 |v|^2; and
+    project_batch returns that p."""
+    rng = np.random.default_rng(seed)
+    worst, exact = 0.0, True
+    for cone in _polyhedral_cases(rng).values():
+        V = _projection_rows(cone, rng, samples)
+        x = _nnls_rows(cone._unit, V)
+        p = x @ cone._unit
+        exact &= bool(np.all(x >= 0.0)) and np.array_equal(cone.project_batch(V), p)
+        r = V - p
+        nv = np.linalg.norm(V, axis=1)
+        scale = np.where(nv > 0.0, nv, 1.0)
+        worst = max(worst, float(((r @ cone._unit.T).max(axis=1) / scale).max()),
+                    float((np.abs(np.einsum("ij,ij->i", p, r)) / scale ** 2).max()))
+    return CheckResult("polyhedral projection meets Moreau's conditions",
+                       exact and worst <= 1e-12,
+                       f"max relative violation {worst:.2e}, x >= 0 and "
+                       f"project_batch returns x @ U: {exact}")
 
 
 def _test_algebras() -> list:
@@ -383,6 +436,7 @@ ALL_CHECKS: List[Callable[[int], CheckResult]] = [
     _check_reverse_triangle,
     _check_membership_oracle,
     _check_covector_margins,
+    _check_polyhedral_projection,
     _check_bch_associativity,
     _check_step2_half_bracket,
     _check_exp_step_flow,

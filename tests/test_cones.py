@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import nnls
 
 from sublorentz import (
     DimensionMismatchError,
@@ -22,7 +28,10 @@ from sublorentz.verify import (
     _check_covector_margins,
     _check_homogeneity,
     _check_membership_oracle,
+    _check_polyhedral_projection,
     _check_reverse_triangle,
+    _polyhedral_cases,
+    _projection_rows,
 )
 
 MINK = [[1.0, 0.0], [0.0, -1.0]]
@@ -107,6 +116,11 @@ def test_contains_rows_match_the_row_loop(kind, rng):
     assert not rows[2 * len(rays):3 * len(rays)].any()           # their negatives
     single = cone.contains(V[0])
     assert np.ndim(single) == 0 and single
+    if kind.endswith("polyhedral"):
+        base = cone if kind == "polyhedral" else cone.base
+        W = V if kind == "polyhedral" else V @ np.linalg.inv(cone.map).T
+        oracle = _nnls_loop(base, W)[1] <= 1e-9 * np.linalg.norm(W, axis=1)
+        assert np.array_equal(rows, oracle)
 
 
 @pytest.mark.parametrize("kind", sorted(ROW_CONES))
@@ -120,6 +134,93 @@ def test_contains_keeps_its_errors(kind):
         cone.contains(np.ones((2, 2, cone.dim)))
     with pytest.raises(ValueError, match="non-finite"):
         cone.contains(np.full(cone.dim, np.nan))
+
+
+def _nnls_loop(cone, V):
+    """The projections and residuals of scipy's nnls, one row at a time on
+    the cone's generators as given."""
+    G = cone.generators.T
+    fits = [nnls(G, v) for v in V]
+    return (np.array([G @ x for x, _ in fits]).reshape(V.shape),
+            np.array([r for _, r in fits]))
+
+
+NNLS_CONES = _polyhedral_cases(np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("kind", sorted(NNLS_CONES))
+def test_polyhedral_projection_matches_the_nnls_row_loop(kind, rng):
+    cone = NNLS_CONES[kind]
+    V = _projection_rows(cone, rng, 200)
+    ref, ref_residual = _nnls_loop(cone, V)
+    P = cone.project_batch(V)
+    scale = np.maximum(1.0, np.linalg.norm(V, axis=1))
+    assert P.shape == V.shape
+    assert np.all(np.abs(P - ref).max(axis=1) <= 1e-12 * scale)
+    assert np.all(np.abs(np.linalg.norm(V - P, axis=1) - ref_residual) <= 1e-12 * scale)
+    assert np.array_equal(cone.contains(V),
+                          ref_residual <= 1e-9 * np.linalg.norm(V, axis=1))
+    if cone.is_pointed():
+        assert (ref == 0.0).all(axis=1).sum() > 20     # rows in the polar cone
+
+
+def test_nearly_parallel_generators_are_refused_not_fatal(rng):
+    # the Gram system cannot resolve a generator 1e-9 from another; it is
+    # refused, and the projection stays within that angle of the oracle's
+    cone = PolyhedralCone([[1.0, 0.0, 0.0], [1.0, 1e-9, 0.0], [0.0, 0.3, 1.0]])
+    V = rng.normal(size=(500, 3))
+    scale = np.maximum(1.0, np.linalg.norm(V, axis=1))
+    error = np.abs(cone.project_batch(V) - _nnls_loop(cone, V)[0]).max(axis=1)
+    assert np.all(error <= 1e-8 * scale)
+
+
+def test_polyhedral_projection_meets_moreau_conditions():
+    res = _check_polyhedral_projection(3, 2000)
+    assert res.passed, res.detail
+
+
+@pytest.mark.parametrize("generators", [[[1.0, 0.0], [1.0, 1.0]], [[0.0, 0.0]]],
+                         ids=["sector", "trivial"])
+def test_polyhedral_project_batch_of_no_rows(generators, mink_cone):
+    empty = np.zeros((0, 2))
+    assert PolyhedralCone(generators).project_batch(empty).shape == (0, 2)
+    assert mink_cone.project_batch(empty).shape == (0, 2)
+
+
+@pytest.mark.parametrize("generators", [[[1.0, 0.0], [1.0, 1.0]], [[0.0, 0.0]]],
+                         ids=["sector", "trivial"])
+def test_polyhedral_project_batch_refuses_a_non_finite_row(generators):
+    # a stack with a bad row raises what that row raises alone
+    cone = PolyhedralCone(generators)
+    for V in ([[1.0, np.nan]], [[1.0, 2.0], [1.0, np.nan]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            cone.project_batch(np.array(V))
+
+
+def test_scipy_optimize_loads_only_for_the_polyhedral_lps():
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import sublorentz, sublorentz.cli
+        from sublorentz import (CarnotGroup, LorentzCone, LorentzSqrt, PolyhedralCone,
+                                ProblemInstance, SolveOptions, heisenberg_algebra,
+                                solve_longest)
+        mink = [[1.0, 0.0], [0.0, -1.0]]
+        prob = ProblemInstance(CarnotGroup(heisenberg_algebra()),
+                               LorentzCone(mink, [1.0, 0.0]), LorentzSqrt(mink),
+                               np.zeros(3), [3.0, 0.5, 0.2], segments=10)
+        solve_longest(prob, SolveOptions(restarts=1, max_iter=5, inner_iter=5))
+        assert "scipy.optimize" not in sys.modules, "loaded by a Lorentz solve"
+        PolyhedralCone([[1.0, 0.0], [1.0, 1.0]]).is_pointed()
+        assert "scipy.optimize" in sys.modules, "not loaded by is_pointed"
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
