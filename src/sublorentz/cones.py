@@ -10,8 +10,8 @@ arithmetic is total.
 Every method whose argument is a vector also takes a stack of row vectors,
 shape (n, d), and then answers row by row.  A polyhedral cone projects a
 whole stack at once with ``_nnls_rows``, Lawson and Hanson's active-set
-nonnegative least squares run on every row together; scipy's ``linprog`` is
-imported only by the two polyhedral LPs, pointedness and the time covector.
+nonnegative least squares run on every row together; the same kernel
+decides pointedness and gives the time covector (``_least_distance``).
 """
 
 from __future__ import annotations
@@ -198,6 +198,21 @@ def _nnls_rows(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.maximum(X + np.linalg.solve(M, r[..., None])[..., 0], 0.0)
 
 
+def _least_distance(U: np.ndarray):
+    """min |tau| s.t. U tau >= 1 for unit generators U, (k, d), as one
+    nonnegative least squares: the rows (u_i, 1)/sqrt(2) fitted to e_{d+1}
+    (Lawson and Hanson, 1974, ch. 23).  Returns the residual's first d
+    entries r[:d], whose length is about the distance from 0 to the convex
+    hull of U (0 exactly when the cone holds a line), and the mask of the
+    generators with a positive coefficient.  Otherwise tau, the direction
+    maximizing min u_i . tau / |tau|, is along r[:d], and is the least-norm
+    solution of u_i . tau = 1 on the masked generators."""
+    k, d = U.shape
+    rows = np.hstack([U, np.ones((k, 1))]) / np.sqrt(2.0)
+    x = _nnls_rows(rows, np.eye(d + 1)[d:])[0]
+    return x @ rows[:, :d], x > 0.0
+
+
 class PolyhedralCone(Cone):
     """Cone generated by nonnegative combinations of a finite generator set."""
 
@@ -230,24 +245,9 @@ class PolyhedralCone(Cone):
         return residual.reshape(nv.shape) <= tol * nv
 
     def is_pointed(self) -> bool:
-        # not pointed <=> some convex combination of unit generators is 0:
-        # minimize t s.t. |G^T nu|_inf <= t, sum nu = 1, nu >= 0
-        from scipy.optimize import linprog
+        # not pointed <=> 0 is a convex combination of the unit generators
         U = self._unit
-        if len(U) == 0:
-            return True
-        k, d = U.shape
-        c = np.zeros(k + 1)
-        c[-1] = 1.0
-        A_ub = np.block([[U.T, -np.ones((d, 1))], [-U.T, -np.ones((d, 1))]])
-        b_ub = np.zeros(2 * d)
-        A_eq = np.zeros((1, k + 1))
-        A_eq[0, :k] = 1.0
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
-                      bounds=[(0, None)] * k + [(0, None)], method="highs")
-        if not res.success:
-            raise RuntimeError(f"pointedness LP failed: {res.message}")
-        return res.fun > 1e-9
+        return len(U) == 0 or bool(np.linalg.norm(_least_distance(U)[0]) >= 1e-9)
 
     def project_batch(self, V):
         V = as_vectors(V, self.dim)
@@ -269,25 +269,18 @@ class PolyhedralCone(Cone):
         return self._unit.copy()
 
     def time_covector(self):
-        """Interior point of the polar cone: maximize the minimum margin over
-        the unit generators (LP)."""
-        from scipy.optimize import linprog
+        """The least-distance covector: the unit tau maximizing the minimum
+        margin u_i . tau over the unit generators."""
         U = self._unit
         if len(U) == 0:
-            raise NotPointedError("trivial cone: polar interior is empty only for lines; "
-                                  "no generators to separate")
-        k, d = U.shape
-        # maximize m s.t. U tau >= m, |tau|_inf <= 1
-        c = np.zeros(d + 1)
-        c[-1] = -1.0
-        A_ub = np.hstack([-U, np.ones((k, 1))])
-        res = linprog(c, A_ub=A_ub, b_ub=np.zeros(k),
-                      bounds=[(-1, 1)] * d + [(0, None)], method="highs")
-        if not res.success:
-            raise RuntimeError(f"time covector LP failed: {res.message}")
-        if -res.fun <= 1e-9:
+            raise NotPointedError("trivial cone: no generators to separate")
+        r, active = _least_distance(U)
+        if np.linalg.norm(r) < 1e-9:
             raise NotPointedError("cone contains a line; polar cone has empty interior")
-        return res.x[:d]
+        # the same tau, solved on the active generators: r[:d] is short
+        # near a flat cone, and its rounding would tilt r / |r|
+        tau = np.linalg.lstsq(U[active], np.ones(active.sum()), rcond=None)[0]
+        return tau / np.linalg.norm(tau)
 
     def sample(self, n, rng, boundary_fraction=0.25, relative_interior=False):
         k = len(self._nonzero)
@@ -364,7 +357,8 @@ class LorentzCone(Cone):
         return True
 
     def project_batch(self, V: np.ndarray) -> np.ndarray:
-        B = V @ self._W.T
+        V = as_vectors(V, self.dim)
+        B = V.reshape(-1, self.dim) @ self._W.T
         t, X = B[:, 0], B[:, 1:]
         nx = np.linalg.norm(X, axis=1)
         out = B.copy()
@@ -374,7 +368,7 @@ class LorentzCone(Cone):
         a = 0.5 * (t[mid] + nx[mid])
         out[mid, 0] = a
         out[mid, 1:] = (a / nx[mid])[:, None] * X[mid]
-        return out @ self._Winv.T
+        return (out @ self._Winv.T).reshape(V.shape)
 
     def interior_direction(self) -> np.ndarray:
         return self._axis.copy()
@@ -434,6 +428,7 @@ class LinearImageCone(Cone):
         return self.base.is_pointed()
 
     def project_batch(self, V):
+        V = as_vectors(V, self.dim)
         return self.base.project_batch(V @ self._Minv.T) @ self.map.T
 
     def interior_direction(self) -> np.ndarray:

@@ -228,12 +228,13 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
         """The first of the trials project(u + step * grad) whose phi beats
         ref, as (trial, phi, rho, J), or None.  The trials share one stacked
         pass, and the accepted one's Jacobian is built from it; a stack that
-        raises is scanned again one trial at a time."""
+        raises, in its projection or its pass, is scanned again one trial at
+        a time."""
         m = u.shape[1]
-        trials = project((u + steps[:, None, None] * grad).reshape(-1, m))
-        trials = trials.reshape(len(steps), n_seg, m)
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                trials = project((u + steps[:, None, None] * grad).reshape(-1, m))
+                trials = trials.reshape(len(steps), n_seg, m)
                 rho, _, chain = model.endpoint_pass(x0, x1, trials, horizon)
                 phi = h * nu.values_on_cone(trials).sum(axis=-1) - penalties(rho)
         except (ValueError, FloatingPointError):

@@ -119,17 +119,25 @@ def _check_membership_oracle(seed, samples: int = 1000) -> CheckResult:
 
 
 def _check_covector_margins(seed) -> CheckResult:
-    """Four fixed pointed cones and one random 3-d polyhedral cone."""
+    """Four fixed pointed cones and one random 3-d polyhedral cone; on the
+    two 2-d polyhedral cones the margin is also the best one, the cosine of
+    half the opening angle, to 1e-12."""
     rng = np.random.default_rng(seed)
+    sectors = [PolyhedralCone([[0.5, 1.0], [-0.5, 1.0]]),
+               PolyhedralCone([[1, 0], [1, 1]])]
     cones = [_MINK_CONE,
              LorentzCone([[-4.0, 0.0], [0.0, 1.0]], [0, 1]),
-             PolyhedralCone([[0.5, 1.0], [-0.5, 1.0]]),
-             PolyhedralCone(rng.normal(size=(3, 3)) + np.array([4.0, 0, 0])),
-             PolyhedralCone([[1, 0], [1, 1]])]
-    margins = [find_time_covector(c).margin for c in cones]
-    ok = all(m > 1e-12 for m in margins)
-    return CheckResult("time covector margins positive", ok,
-                       "margins " + ", ".join(f"{m:.3g}" for m in margins))
+             PolyhedralCone(rng.normal(size=(3, 3)) + np.array([4.0, 0, 0]))]
+    margins = [find_time_covector(c).margin for c in cones + sectors]
+    gap = 0.0
+    for cone, margin in zip(sectors, margins[len(cones):]):
+        (a, b), (c, d) = cone._unit
+        half = 0.5 * abs(np.arctan2(a * d - b * c, a * c + b * d))
+        gap = max(gap, abs(margin - np.cos(half)))
+    ok = all(m > 1e-12 for m in margins) and gap <= 1e-12
+    return CheckResult("time covector margins positive and optimal", ok,
+                       "margins " + ", ".join(f"{m:.3g}" for m in margins)
+                       + f"; 2-d sectors off the optimum by {gap:.1e}")
 
 
 def _polyhedral_cases(rng: np.random.Generator) -> dict:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import nnls
+from scipy.optimize import linprog, nnls
 
 from sublorentz import (
     DimensionMismatchError,
@@ -179,40 +180,49 @@ def test_polyhedral_projection_meets_moreau_conditions():
     assert res.passed, res.detail
 
 
-@pytest.mark.parametrize("generators", [[[1.0, 0.0], [1.0, 1.0]], [[0.0, 0.0]]],
-                         ids=["sector", "trivial"])
-def test_polyhedral_project_batch_of_no_rows(generators, mink_cone):
-    empty = np.zeros((0, 2))
-    assert PolyhedralCone(generators).project_batch(empty).shape == (0, 2)
-    assert mink_cone.project_batch(empty).shape == (0, 2)
+PROJECT_CONES = {"sector": ROW_CONES["polyhedral"],
+                 "trivial": PolyhedralCone([[0.0, 0.0]]),
+                 "lorentz": ROW_CONES["lorentz"],
+                 "image-of-lorentz": ROW_CONES["image-of-lorentz"]}
 
 
-@pytest.mark.parametrize("generators", [[[1.0, 0.0], [1.0, 1.0]], [[0.0, 0.0]]],
-                         ids=["sector", "trivial"])
-def test_polyhedral_project_batch_refuses_a_non_finite_row(generators):
+@pytest.mark.parametrize("kind", sorted(PROJECT_CONES))
+def test_polyhedral_project_batch_of_no_rows(kind):
+    cone = PROJECT_CONES[kind]
+    assert cone.project_batch(np.zeros((0, 2))).shape == (0, 2)
+    # a single vector is answered as a vector, the projection of its row
+    v = np.array([0.3, 2.0])
+    assert np.array_equal(cone.project_batch(v), cone.project_batch(v[None])[0])
+
+
+@pytest.mark.parametrize("kind", sorted(PROJECT_CONES))
+def test_polyhedral_project_batch_refuses_a_non_finite_row(kind):
     # a stack with a bad row raises what that row raises alone
-    cone = PolyhedralCone(generators)
-    for V in ([[1.0, np.nan]], [[1.0, 2.0], [1.0, np.nan]]):
+    cone = PROJECT_CONES[kind]
+    for V in ([1.0, np.nan], [[1.0, np.nan]], [[1.0, 2.0], [1.0, np.nan]]):
         with pytest.raises(ValueError, match="non-finite"):
             cone.project_batch(np.array(V))
 
 
-def test_scipy_optimize_loads_only_for_the_polyhedral_lps():
-    script = textwrap.dedent("""
+def test_cli_and_polyhedral_cones_run_without_scipy(tmp_path):
+    config = tmp_path / "polyhedral.json"
+    config.write_text(json.dumps({
+        "version": 1, "model": {"kind": "carnot", "builtin": "heisenberg"},
+        "cone": {"kind": "polyhedral", "generators": [[1.0, 1.0], [1.0, -1.0]]},
+        "antinorm": {"kind": "min_of_linear", "family": [[1.0, 0.5], [1.0, -0.5]]},
+        "endpoints": {"x0": [0.0, 0.0, 0.0], "x1": [2.0, 0.5, 0.1]},
+        "samples": 200, "segments": 10,
+        "solver": {"restarts": 1, "max_iter": 30}}))
+    script = textwrap.dedent(f"""
         import sys
-        import numpy as np
-        import sublorentz, sublorentz.cli
-        from sublorentz import (CarnotGroup, LorentzCone, LorentzSqrt, PolyhedralCone,
-                                ProblemInstance, SolveOptions, heisenberg_algebra,
-                                solve_longest)
-        mink = [[1.0, 0.0], [0.0, -1.0]]
-        prob = ProblemInstance(CarnotGroup(heisenberg_algebra()),
-                               LorentzCone(mink, [1.0, 0.0]), LorentzSqrt(mink),
-                               np.zeros(3), [3.0, 0.5, 0.2], segments=10)
-        solve_longest(prob, SolveOptions(restarts=1, max_iter=5, inner_iter=5))
-        assert "scipy.optimize" not in sys.modules, "loaded by a Lorentz solve"
-        PolyhedralCone([[1.0, 0.0], [1.0, 1.0]]).is_pointed()
-        assert "scipy.optimize" in sys.modules, "not loaded by is_pointed"
+        sys.modules["scipy"] = None       # any scipy import now fails
+        from sublorentz import LinearImageCone, PolyhedralCone, find_time_covector
+        from sublorentz.cli import main
+        for subcommand in ("check-structure", "solve"):
+            assert main([subcommand, "--config", {str(config)!r}]) == 0, subcommand
+        cone = LinearImageCone(PolyhedralCone([[1.0, 0.2], [1.0, 1.0]]),
+                               [[3.0, 0.4], [0.5, 1.0]])
+        assert find_time_covector(cone).margin > 0.0
     """)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.join(root, "src")
@@ -236,6 +246,77 @@ def test_is_pointed_examples(mink_cone):
 
 def test_halfspace_cone_not_pointed():
     assert not PolyhedralCone([[1, 0], [-1, 1], [-1, -1]]).is_pointed()
+
+
+def _lp_is_pointed(cone):
+    # not pointed <=> some convex combination of unit generators is 0:
+    # minimize t s.t. |G^T nu|_inf <= t, sum nu = 1, nu >= 0
+    U = cone._unit
+    k, d = U.shape
+    c = np.zeros(k + 1)
+    c[-1] = 1.0
+    A_ub = np.block([[U.T, -np.ones((d, 1))], [-U.T, -np.ones((d, 1))]])
+    A_eq = np.zeros((1, k + 1))
+    A_eq[0, :k] = 1.0
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(2 * d), A_eq=A_eq, b_eq=[1.0],
+                  bounds=[(0, None)] * (k + 1), method="highs")
+    assert res.success, res.message
+    return res.fun > 1e-9
+
+
+def _lp_time_covector(cone):
+    # maximize m s.t. U tau >= m, |tau|_inf <= 1
+    U = cone._unit
+    k, d = U.shape
+    c = np.zeros(d + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=np.hstack([-U, np.ones((k, 1))]), b_ub=np.zeros(k),
+                  bounds=[(-1, 1)] * d + [(0, None)], method="highs")
+    assert res.success, res.message
+    return res.x[:d]
+
+
+def _margin(cone, tau):
+    return (cone._unit @ tau).min() / np.linalg.norm(tau)
+
+
+def _assert_matches_the_lp_oracle(cone):
+    # the same pointedness, and a margin no smaller than the LP covector's
+    pointed = _lp_is_pointed(cone)
+    assert cone.is_pointed() == pointed
+    if pointed:
+        margin = _margin(cone, cone.time_covector())
+        assert margin > 0.0 and margin >= _margin(cone, _lp_time_covector(cone)) - 1e-9
+    else:
+        with pytest.raises(NotPointedError):
+            cone.time_covector()
+
+
+# pointed, but 0 is 5e-9 from the convex hull of the unit generators
+FLAT_CONES = {"flat-2d": PolyhedralCone([[1.0, 0.0], [-1.0, 1e-8]]),
+              "flat-3d": PolyhedralCone([[1.0, 0.0, 0.0], [-1.0, 1e-8, 0.0],
+                                         [0.0, 0.5, 1.0], [0.0, 0.5, -1.0]])}
+
+
+@pytest.mark.parametrize("kind", sorted({**NNLS_CONES, **FLAT_CONES}))
+def test_pointedness_and_time_covector_match_the_lp_oracle(kind):
+    _assert_matches_the_lp_oracle({**NNLS_CONES, **FLAT_CONES}[kind])
+
+
+def test_random_cones_match_the_lp_oracle():
+    rng = np.random.default_rng(13)
+    pointed = 0
+    for _ in range(200):
+        cone = PolyhedralCone(rng.normal(size=(rng.integers(1, 9), rng.integers(2, 6))))
+        _assert_matches_the_lp_oracle(cone)
+        pointed += cone.is_pointed()
+    assert 20 < pointed < 180          # both answers are exercised
+
+
+@pytest.mark.parametrize("generator", [[2.0, 1.0], [0.0, -3.0, 4.0]])
+def test_single_generator_has_margin_one(generator):
+    tc = find_time_covector(PolyhedralCone([generator]))
+    assert tc.margin == pytest.approx(1.0, abs=1e-15)
 
 
 def test_find_time_covector_lorentz(mink_cone):
@@ -283,7 +364,13 @@ def test_linear_image_margin_over_image_generators():
     unit = image / np.linalg.norm(image, axis=1, keepdims=True)
     direct = (unit @ tc.components).min() / np.linalg.norm(tc.components)
     assert tc.margin == pytest.approx(direct, rel=1e-12)
-    assert tc.margin == pytest.approx(0.40178465, abs=1e-8)
+    # the base covector is the bisector of the two unit generators, mapped
+    # by M^{-T}
+    u = gens / np.linalg.norm(gens, axis=1, keepdims=True)
+    tau = np.linalg.inv(M).T @ (u[0] + u[1])
+    oracle = (unit @ tau).min() / np.linalg.norm(tau)
+    assert oracle == pytest.approx(0.69571457, abs=1e-8)
+    assert tc.margin == pytest.approx(oracle, rel=1e-12)
 
 
 @pytest.mark.parametrize("base", [PolyhedralCone([[1.0, 0.2], [1.0, 1.0]]),
