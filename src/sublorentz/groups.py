@@ -323,7 +323,9 @@ class GroupModel:
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The forward pass of a control or of a stack of controls: (rho,
         endpoint, chain), where ``chain`` holds what endpoint_jacobian takes
-        from the pass, here the points.  A stack with a bad row raises what
+        from the pass, indexed by the stack's leading axes: here the points;
+        the hyperbolic plane adds its flow's exponentials, and step-2 Carnot
+        groups keep first layers only.  A stack with a bad row raises what
         that row raises alone."""
         points = self.points(x0, u, horizon / u.shape[-2])
         return self._residual(points[..., -1, :], x1), points[..., -1, :], points
@@ -332,14 +334,18 @@ class GroupModel:
                           chain: np.ndarray) -> np.ndarray:
         """d rho / d u_k of one control, (N, res_dim, control_dim), from the
         chain of its forward pass.  The reverse sweep stacks the suffix
-        products S_k = S_{k+1} Dp_k, starting from the residual's Jacobian
-        S_N, and J_k = S_{k+1} Du_k is one batched matmul."""
+        products S_k = S_{k+1} Dp_k, right to left from the residual's
+        Jacobian S_N, one dgemm each on rows of the stacks, and J_k =
+        S_{k+1} Du_k is one batched matmul."""
         n_seg = u.shape[0]
         Dp, Du, S_end = self._chain_jacobians(chain, u, horizon / n_seg, x1)
         S = np.empty((n_seg + 1,) + S_end.shape)
         S[n_seg] = S_end
+        # np.dot of 2-D float64 rows is the dgemm that matmul calls, without
+        # the ufunc dispatch and the per-step views
+        Sv, Dv = list(S), list(Dp)
         for k in range(n_seg - 1, -1, -1):
-            np.matmul(S[k + 1], Dp[k], out=S[k])
+            np.dot(Sv[k + 1], Dv[k], out=Sv[k])
         return S[1:] @ Du
 
     def endpoint_map(self, x0, x1, u: np.ndarray, horizon: float
@@ -352,11 +358,12 @@ class GroupModel:
         rho, endpoint, chain = self.endpoint_pass(x0, x1, u, horizon)
         return rho, self.endpoint_jacobian(x0, x1, u, horizon, chain), endpoint
 
-    def _chain_jacobians(self, points: np.ndarray, u: np.ndarray, h: float, x1
+    def _chain_jacobians(self, chain: np.ndarray, u: np.ndarray, h: float, x1
                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Jacobians of p_k exp(h u_k) in p_k and in u_k, stacked over the
-        segments: (N, point_dim, point_dim) and (N, point_dim, control_dim);
-        then the Jacobian of log(endpoint^{-1} x1) in the endpoint."""
+        """From the chain of one control's forward pass: the Jacobians of
+        p_k exp(h u_k) in p_k and in u_k, stacked over the segments,
+        (N, point_dim, point_dim) and (N, point_dim, control_dim); then the
+        Jacobian of log(endpoint^{-1} x1) in the endpoint."""
         raise NotImplementedError
 
     def _residual(self, endpoint: np.ndarray, x1) -> np.ndarray:
@@ -425,28 +432,35 @@ _SERIES = tuple((1.0 / math.factorial(k + 1), (k + 1) / math.factorial(k + 2))
                 for k in range(4, -1, -1))
 
 
-def _hyperbolic_flow(alpha: np.ndarray, beta: np.ndarray, t: float
-                     ) -> Tuple[np.ndarray, ...]:
+def _hyperbolic_flow(alpha: np.ndarray, beta: np.ndarray, t: float,
+                     Y: Optional[np.ndarray] = None) -> Tuple[np.ndarray, ...]:
     """exp(t (alpha, beta)) = (X, Y) with X = alpha t E(t beta), Y = e^{t beta}
     and E(z) = (e^z - 1)/z, plus dX/dalpha, dX/dbeta and dY/dbeta, elementwise.
 
+    A ``Y`` computed earlier from the same ``beta`` and ``t`` (a forward
+    pass's) is taken as given, so the Jacobian stage calls no exponential.
     The direct quotients cancel as z -> 0, with relative errors near
     eps/|z| (X) and 2 eps/z^2 (dX/dbeta); |z| < 1e-3 takes the series
-    instead, so those errors stay below 3e-13 and 5e-10.
+    instead, so those errors stay below 3e-13 and 5e-10.  The series is
+    evaluated only when some element takes it.
     """
     z = t * beta
-    Y = np.exp(z)
-    E = dE = 0.0
-    for c, d in _SERIES:
-        E = E * z + c
-        dE = dE * z + d
+    if Y is None:
+        Y = np.exp(z)
     series = abs(z) < 1e-3
     b = np.where(series, 1.0, beta)  # the direct branch is not used there
     em1 = Y - 1.0
-    return (np.where(series, alpha * t * E, (alpha / b) * em1), Y,
-            np.where(series, t * E, em1 / b),
-            np.where(series, alpha * t * t * dE,
-                     alpha * (t * Y * b - em1) / (b * b)), t * Y)
+    X, dXa = (alpha / b) * em1, em1 / b
+    dXb = alpha * (t * Y * b - em1) / (b * b)
+    if series.any():
+        E = dE = 0.0
+        for c, d in _SERIES:
+            E = E * z + c
+            dE = dE * z + d
+        X = np.where(series, alpha * t * E, X)
+        dXa = np.where(series, t * E, dXa)
+        dXb = np.where(series, alpha * t * t * dE, dXb)
+    return X, Y, dXa, dXb, t * Y
 
 
 def _hyperbolic_log_jacobian(w: np.ndarray) -> np.ndarray:
@@ -525,25 +539,39 @@ class HyperbolicPlane(GroupModel):
         return ["x", "y"]
 
     def points(self, x0, u, h):
-        # y_{k+1} = y_k Y_k and x_{k+1} = x_k + y_k X_k, in segment order
+        return np.stack(self._walk(x0, u, h)[:2], axis=-1)
+
+    def _walk(self, x0, u, h):
+        """x_k, y_k and the factors (y_0, Y_0, ..., Y_{N-1}) of y_k's
+        cumprod: y_{k+1} = y_k Y_k and x_{k+1} = x_k + y_k X_k, in segment
+        order, each of shape (..., N + 1)."""
         x0 = self.validate_point(x0)
         u = self._controls(u)
         X, Y = _hyperbolic_flow(u[..., 0], u[..., 1], h)[:2]
         start = np.ones(u.shape[:-2] + (1,))
-        y = np.concatenate([x0[1] * start, Y], axis=-1).cumprod(axis=-1)
+        factors = np.concatenate([x0[1] * start, Y], axis=-1)
+        y = factors.cumprod(axis=-1)
         x = np.concatenate([x0[0] * start, y[..., :-1] * X], axis=-1).cumsum(axis=-1)
-        return np.stack([x, y], axis=-1)
+        return x, y, factors
 
-    def _chain_jacobians(self, points, u, h, x1):
-        X, Y, dXa, dXb, dYb = _hyperbolic_flow(u[:, 0], u[:, 1], h)
+    def endpoint_pass(self, x0, x1, u, horizon):
+        """The chain holds (x_k, y_k, f_k) per point, (..., N + 1, 3), where
+        f_{k+1} = Y_k = e^{h beta_k} is the flow's exponential, which the
+        Jacobian stage reuses (f_0 = y_0)."""
+        chain = np.stack(self._walk(x0, u, horizon / u.shape[-2]), axis=-1)
+        endpoint = chain[..., -1, :2]
+        return self._residual(endpoint, x1), endpoint, chain
+
+    def _chain_jacobians(self, chain, u, h, x1):
+        X, Y, dXa, dXb, dYb = _hyperbolic_flow(u[:, 0], u[:, 1], h, chain[1:, 2])
         zero, one = np.zeros_like(X), np.ones_like(X)
-        ex, ey = points[-1]
+        ex, ey = endpoint = chain[-1, :2]
         dw_dE = np.array([[-1.0 / ey, -(x1[0] - ex) / ey ** 2],
                           [0.0, -x1[1] / ey ** 2]])
         return (np.stack([one, X, zero, Y], axis=-1).reshape(-1, 2, 2),
-                points[:-1, 1, None, None]
+                chain[:-1, 1, None, None]
                 * np.stack([dXa, dXb, zero, dYb], axis=-1).reshape(-1, 2, 2),
-                _hyperbolic_log_jacobian(self._offset(points[-1], x1)) @ dw_dE)
+                _hyperbolic_log_jacobian(self._offset(endpoint, x1)) @ dw_dE)
 
     @staticmethod
     def _offset(endpoint, x1) -> np.ndarray:

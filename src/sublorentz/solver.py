@@ -41,6 +41,9 @@ PENALTY0 = 10.0
 #: trial, and a search that fails runs all 40
 TRIAL_CHUNKS = (1, 2, 4, 8, 16)
 
+#: the step factors of one line search, halving after each rejected trial
+HALVINGS = 0.5 ** np.arange(40)
+
 
 class SolveStatus(Enum):
     SOLVED = "solved"
@@ -186,7 +189,9 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
     counts = {"endpoint": 0, "jacobian": 0}
     # a stack of one-segment trials projects by gemm where a single trial
     # projects by gemv, which may round differently
-    splits = np.cumsum(TRIAL_CHUNKS) if n_seg > 1 else np.arange(1, 40)
+    n_trials = len(HALVINGS)
+    ends = np.cumsum(TRIAL_CHUNKS).tolist() if n_seg > 1 else list(range(1, n_trials))
+    chunks = list(zip([0] + ends, ends + [n_trials]))
 
     def residual(uu):
         counts["endpoint"] += 1
@@ -292,13 +297,14 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
                     alpha = min(max((s @ s) / (-sy), 1e-10), 1e4)
             # the step halves after each rejected trial: 40 trials at most,
             # none below 1e-16 (alpha >= 1e-10)
-            steps = alpha * 0.5 ** np.arange(40)
+            steps = alpha * HALVINGS
+            steps = steps[steps >= 1e-16]
             ref = min(phi_recent[-5:])
             found = None
-            for chunk in np.split(steps[steps >= 1e-16], splits):
-                if found is not None or len(chunk) == 0:
+            for lo, hi in chunks:
+                if found is not None or lo >= len(steps):
                     break
-                found = scan(u, grad, chunk, ref)
+                found = scan(u, grad, steps[lo:hi], ref)
             if found is None:
                 break
             u_prev, g_prev = u, grad

@@ -31,7 +31,7 @@ from sublorentz.verify import (
     _check_step2_half_bracket,
     _test_algebras,
 )
-from test_solver import ENDPOINT_CASES, _endpoint_case
+from test_solver import ENDPOINT_CASES, _endpoint_case, _set_slopes
 
 ALGEBRAS = _test_algebras()
 FILIFORM4 = ALGEBRAS[2]
@@ -468,8 +468,7 @@ def test_chain_matches_the_segment_walk(case, full, rng):
         m = model.point_dim if full else model.control_dim
         u = rng.normal(size=(n_seg, m)) * 0.5
         u[:, 0] += 1.2
-        if case == "hyperbolic-flat":
-            u[:, 1] *= 1e-6
+        _set_slopes(case, u)
         h = 1.3 / n_seg
         walk = _walk(model, x0, u, h)
         assert np.array_equal(integrate(model, x0, ControlSignal(u), 1.3).points, walk)

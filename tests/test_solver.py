@@ -241,8 +241,8 @@ def test_oracle_agreement_random_endpoints(light_opts, rng):
 
 
 ENDPOINT_CASES = ["abelian", "heisenberg", "minkowski-area", "hyperbolic",
-                  "hyperbolic-flat", "engel", "filiform", "carnot-step1",
-                  "step3-multiterm"]
+                  "hyperbolic-flat", "hyperbolic-mixed", "engel", "filiform",
+                  "carnot-step1", "step3-multiterm"]
 
 
 def _endpoint_case(case):
@@ -277,14 +277,25 @@ def _endpoint_case(case):
     return HyperbolicPlane(), np.array([0.0, 1.0]), np.array([1.0, 1.0])
 
 
+def _set_slopes(case, u):
+    """Put the hyperbolic segments of controls u (..., N, 2) on the flow's
+    branches: every one on its series branch (|h beta| < 1e-3) for
+    ``hyperbolic-flat``, every other one for ``hyperbolic-mixed``, whose
+    others have |beta| >= 0.5, far off it."""
+    if case == "hyperbolic-flat":
+        u[..., 1] *= 1e-6   # nearly horizontal segments: h beta ~ 1e-7
+    elif case == "hyperbolic-mixed":
+        u[..., ::2, 1] *= 1e-6
+        u[..., 1::2, 1] += np.copysign(0.5, u[..., 1::2, 1])
+
+
 @pytest.mark.parametrize("case", ENDPOINT_CASES)
 def test_endpoint_jacobian_matches_fd(case, rng):
     model, x0, x1 = _endpoint_case(case)
     m = model.control_dim
     u = rng.normal(size=(7, m)) * 0.4
     u[:, 0] += 1.2
-    if case == "hyperbolic-flat":
-        u[:, 1] *= 1e-6   # nearly horizontal segments: t beta ~ 1e-7
+    _set_slopes(case, u)
     rho, J, _ = model.endpoint_map(x0, x1, u, 1.0)
     h = 1e-6
     for k in range(u.shape[0]):
@@ -304,8 +315,7 @@ def test_endpoint_residual_matches_endpoint_map(case, rng):
     for n_seg in (1, 2, 9, 40):
         u = rng.normal(size=(n_seg, model.control_dim)) * 0.5
         u[:, 0] += 1.2
-        if case == "hyperbolic-flat":
-            u[:, 1] *= 1e-6
+        _set_slopes(case, u)
         rho, endpoint = model.endpoint_residual(x0, x1, u, 1.3)
         rho_full, _, endpoint_full = model.endpoint_map(x0, x1, u, 1.3)
         assert np.array_equal(rho, rho_full)
@@ -318,8 +328,7 @@ def test_endpoint_residual_takes_a_stack(case, rng):
     for n_seg in (1, 2, 9, 40):
         U = rng.normal(size=(5, n_seg, model.control_dim)) * 0.5
         U[..., 0] += 1.2
-        if case == "hyperbolic-flat":
-            U[..., 1] *= 1e-6
+        _set_slopes(case, U)
         targets = [x1]
         if isinstance(model, HyperbolicPlane):
             # the first control ends within 1e-10 of this target, so its
