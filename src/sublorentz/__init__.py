@@ -5,7 +5,6 @@ from .cones import (
     Antinorm,
     AxiomCheckReport,
     Cone,
-    LinearImageCone,
     LorentzCone,
     LorentzSqrt,
     MinOfLinear,

@@ -156,7 +156,9 @@ def _run_check_timeform(cfg: RunConfig) -> Tuple[int, RunReport]:
             for j in range(i + 1, model.point_dim):
                 worst = max(worst, abs(exterior_derivative_fd(
                     form, p, basis[i], basis[j], 1e-3)))
-    closed = worst <= 1e-8
+    # closed <=> exact on these simply connected models; the sampled |dtau|
+    # is evidence only, as a small [g, g] component passes any cut on it
+    closed = is_exact(form)
     payload: Dict = {"max_sampled_dtau": worst, "closed": closed}
     text = [f"max sampled |dtau| = {worst:.3g} -> "
             f"{'closed' if closed else 'NOT closed'}"]
@@ -172,9 +174,8 @@ def _run_check_timeform(cfg: RunConfig) -> Tuple[int, RunReport]:
         text.append(growth.summary())
         ok = ok and growth.passed
 
-    exact = is_exact(form)
-    payload["exact"] = exact
-    if exact and cfg.cone is not None:
+    payload["exact"] = closed
+    if closed and cfg.cone is not None:
         worst_gap = 0.0
         for _ in range(10):
             u = ControlSignal(cfg.cone.sample(int(rng.integers(1, 9)), rng))
@@ -186,7 +187,7 @@ def _run_check_timeform(cfg: RunConfig) -> Tuple[int, RunReport]:
         payload["potential_consistency_gap"] = worst_gap
         text.append(f"potential consistency: max gap {worst_gap:.3g}")
         ok = ok and worst_gap <= 1e-8
-    elif not exact:
+    elif not closed:
         text.append("form is not exact on this model (no potential)")
     return (0 if ok else 1), RunReport("check-timeform", "ok" if ok else "failed",
                                        cfg.seed, payload, text=text)

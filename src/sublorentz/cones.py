@@ -1,8 +1,10 @@
 """Closed convex cones, antinorms on them, and strictly positive time covectors.
 
-Three cone representations are supported: finitely generated (polyhedral),
-one nappe of a quadratic cone of signature (1, r) (Lorentz), and an
-invertible linear image of another cone.  An antinorm is a positively
+Two cone representations are supported: finitely generated (polyhedral)
+and one nappe of a quadratic cone of signature (1, r) (Lorentz).  The
+image of a cone under an invertible linear map, ``cone.image(M)``, is a
+cone of the same representation: the mapped generators, or the nappe of
+the pulled-back form.  An antinorm is a positively
 homogeneous, superadditive functional that is nonnegative on its cone and
 -inf off it; -inf is represented by the IEEE float('-inf'), for which
 arithmetic is total.
@@ -110,6 +112,21 @@ class Cone:
                relative_interior: bool = False) -> np.ndarray:
         """Draw n cone points, (n, dim). Deterministic given the rng state."""
         raise NotImplementedError
+
+    def image(self, map_matrix) -> "Cone":
+        """{M v : v in cone} for an invertible M, a cone of the same class."""
+        raise NotImplementedError
+
+
+def _invertible_map(map_matrix, dim: int) -> np.ndarray:
+    """M as a float array; ValueError unless it is square, of size dim, and
+    invertible."""
+    M = np.asarray(map_matrix, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != dim:
+        raise ValueError("map must be square and match the base cone dim")
+    if abs(np.linalg.det(M)) < 1e-12:
+        raise ValueError("map must be invertible")
+    return M
 
 
 def _nnls_rows(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -298,6 +315,9 @@ class PolyhedralCone(Cone):
         scale = 10.0 ** rng.uniform(-1.0, 1.0, size=(n, 1))
         return (lam * scale) @ self._nonzero
 
+    def image(self, map_matrix):
+        return PolyhedralCone(self.generators @ _invertible_map(map_matrix, self.dim).T)
+
 
 class LorentzCone(Cone):
     """One nappe of {v : v^T A v >= 0} for a symmetric form A of signature (1, r).
@@ -403,47 +423,12 @@ class LorentzCone(Cone):
         b = np.hstack([mag[:, None], (mag * rho)[:, None] * phi])
         return b @ self._Winv.T
 
-
-class LinearImageCone(Cone):
-    """Image of a base cone under an invertible linear map."""
-
-    def __init__(self, base: Cone, map_matrix) -> None:
-        M = np.asarray(map_matrix, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != base.dim:
-            raise ValueError("map must be square and match the base cone dim")
-        if abs(np.linalg.det(M)) < 1e-12:
-            raise ValueError("map must be invertible")
-        self.base = base
-        self.map = M
-        self._Minv = np.linalg.inv(M)
-        self.dim = base.dim
-
-    def __repr__(self) -> str:
-        return f"LinearImageCone(base={self.base!r})"
-
-    def contains(self, v, tol: float = DEFAULT_TOL):
-        return self.base.contains(as_vectors(v, self.dim) @ self._Minv.T, tol)
-
-    def is_pointed(self) -> bool:
-        return self.base.is_pointed()
-
-    def project_batch(self, V):
-        V = as_vectors(V, self.dim)
-        return self.base.project_batch(V @ self._Minv.T) @ self.map.T
-
-    def interior_direction(self) -> np.ndarray:
-        d = self.map @ self.base.interior_direction()
-        return d / np.linalg.norm(d)
-
-    def extreme_directions(self, n, rng):
-        dirs = self.base.extreme_directions(n, rng) @ self.map.T
-        return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-
-    def time_covector(self):
-        return self._Minv.T @ self.base.time_covector()
-
-    def sample(self, n, rng, boundary_fraction=0.25, relative_interior=False):
-        return self.base.sample(n, rng, boundary_fraction, relative_interior) @ self.map.T
+    def image(self, map_matrix):
+        """The nappe of M^-T A M^-1 selected by M^-T s, the form scaled to
+        entries of at most 1 so the signature cut is relative."""
+        Minv = np.linalg.inv(_invertible_map(map_matrix, self.dim))
+        F = Minv.T @ self.form @ Minv
+        return LorentzCone(F / np.max(np.abs(F)), Minv.T @ self.nappe_selector)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +441,7 @@ class TimeCovector:
     """A covector strictly positive on the cone minus the origin.
 
     ``margin`` is min tau(g)/|tau| over the cone's unit extreme directions g
-    (exact for polyhedral cones and their images, sampled for quadratic ones).
+    (exact for polyhedral cones, sampled for quadratic ones).
     """
 
     components: np.ndarray

@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import Antinorm, Cone, LinearImageCone, LorentzCone, LorentzSqrt, \
-    MinOfLinear, PolyhedralCone, ZeroAntinorm
+from .cones import Antinorm, Cone, LorentzCone, LorentzSqrt, MinOfLinear, \
+    PolyhedralCone, ZeroAntinorm
 from .errors import ConfigError, InvalidPointError
 from .groups import (
     AbelianGroup,
@@ -144,8 +144,8 @@ def build_cone(section: dict, path: str = "cone") -> Cone:
                                        f"{path}.nappe_selector"))
         if kind == "linear_image":
             _require_keys(section, {"kind", "base", "map"}, path)
-            return LinearImageCone(build_cone(section.get("base"), f"{path}.base"),
-                                   _matrix(section.get("map"), f"{path}.map"))
+            return build_cone(section.get("base"), f"{path}.base").image(
+                _matrix(section.get("map"), f"{path}.map"))
     except ConfigError:
         raise
     except ValueError as exc:
@@ -202,7 +202,6 @@ def build_timeform(section: dict, model: GroupModel, path: str = "timeform"
 class RunConfig:
     """Validated configuration with lazily built domain objects."""
 
-    raw: dict
     model: Optional[GroupModel] = None
     cone: Optional[Cone] = None
     antinorm: Optional[Antinorm] = None
@@ -263,7 +262,7 @@ def parse_config(raw: dict) -> RunConfig:
         base.update(merged)   # explicit keys override the preset
         merged = base
 
-    cfg = RunConfig(raw=merged)
+    cfg = RunConfig()
     if "model" in merged:
         cfg.model = build_model(merged["model"])
     if "cone" in merged:

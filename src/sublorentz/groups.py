@@ -284,10 +284,6 @@ class GroupModel:
         """Lift control-space vectors to full identity tangent vectors."""
         return as_vectors(u, self.point_dim, "control")
 
-    def left_translate(self, p, u) -> np.ndarray:
-        """Chart components at p of the left-translates of identity tangents u."""
-        raise NotImplementedError
-
     def pullback(self, p, v) -> np.ndarray:
         """Identity tangents whose left-translates at p have chart components v."""
         raise NotImplementedError
@@ -405,10 +401,6 @@ class AbelianGroup(GroupModel):
     def log(self, p):
         return self.validate_points(p)
 
-    def left_translate(self, p, u):
-        self.validate_point(p)
-        return as_vectors(u, self.dim, "tangent vector").copy()
-
     def pullback(self, p, v):
         self.validate_point(p)
         return as_vectors(v, self.dim, "tangent vector").copy()
@@ -521,9 +513,6 @@ class HyperbolicPlane(GroupModel):
                                            beta / np.where(near, 1.0, w))
         return out
 
-    def left_translate(self, p, u):
-        return self.validate_point(p)[1] * as_vectors(u, 2, "tangent vector")
-
     def pullback(self, p, v):
         y = self.validate_point(p)[1]
         return as_vectors(v, 2, "tangent vector") / y
@@ -619,11 +608,6 @@ class CarnotGroup(GroupModel):
         out = np.zeros(u.shape[:-1] + (self.point_dim,))
         out[..., :self.control_dim] = u
         return out
-
-    def left_translate(self, p, u):
-        p = self.validate_point(p)
-        u = as_vectors(u, self.point_dim, "tangent vector")
-        return u @ left_translation_jacobian(self.algebra, p).T
 
     def pullback(self, p, v):
         p = self.validate_point(p)

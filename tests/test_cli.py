@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sublorentz import verify
+from sublorentz import LorentzCone, PolyhedralCone, verify
 from sublorentz.cli import emit_report, main, run_config
-from sublorentz.config import load_config, parse_config
+from sublorentz.config import build_cone, load_config, parse_config
 from sublorentz.errors import ConfigError
 from sublorentz.groups import MAX_DIM
 from sublorentz.presets import PRESETS
@@ -174,6 +174,44 @@ def test_config_values_exit_two(tmp_path, monkeypatch, capsys, patch, error):
     assert peak < 8 * (MAX_DIM + 1) ** 3
 
 
+IMAGE_BASES = {
+    "polyhedral": {"kind": "polyhedral", "generators": [[1.0, 0.2], [1.0, 1.0]]},
+    "lorentz": PRESETS["minkowski11"]["cone"],
+}
+
+
+@pytest.mark.parametrize("base", sorted(IMAGE_BASES))
+def test_nested_linear_image_is_the_image_under_the_product_map(base, rng):
+    M1, M2 = np.array([[3.0, 0.4], [0.5, 1.0]]), np.array([[1.0, -0.3], [0.2, 2.0]])
+    nested = build_cone({"kind": "linear_image", "map": M2.tolist(), "base": {
+        "kind": "linear_image", "map": M1.tolist(), "base": IMAGE_BASES[base]}})
+    direct = build_cone({"kind": "linear_image", "map": (M2 @ M1).tolist(),
+                         "base": IMAGE_BASES[base]})
+    kind = PolyhedralCone if base == "polyhedral" else LorentzCone
+    assert type(nested) is kind and type(direct) is kind
+    if base == "polyhedral":
+        np.testing.assert_allclose(nested.generators, direct.generators, rtol=1e-14)
+    else:
+        np.testing.assert_allclose(nested.form, direct.form, rtol=1e-14, atol=1e-15)
+    V = rng.normal(size=(200, 2)) * 3.0
+    np.testing.assert_allclose(nested.project_batch(V), direct.project_batch(V),
+                               rtol=1e-12, atol=1e-12)
+    assert np.array_equal(nested.contains(V), direct.contains(V))
+
+
+@pytest.mark.parametrize("base", sorted(IMAGE_BASES))
+@pytest.mark.parametrize("map_matrix, error", [
+    ([[1.0, 2.0], [2.0, 4.0]], "map must be invertible"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "map must be square and match the base cone dim")],
+    ids=["singular", "non-square"])
+def test_linear_image_bad_map_exits_two_under_cone(tmp_path, capsys, base,
+                                                   map_matrix, error):
+    path = write_config(tmp_path, {"version": 1, "preset": "minkowski11", "cone": {
+        "kind": "linear_image", "base": IMAGE_BASES[base], "map": map_matrix}})
+    assert main(["check-structure", "--config", path]) == 2
+    assert f"config error: cone: {error}" in capsys.readouterr().err
+
+
 def test_carnot_model_from_structure_file(tmp_path):
     sc = tmp_path / "heis.txt"
     sc.write_text("layers: 2 1\n0 1 2 1.0\n")
@@ -240,6 +278,32 @@ def test_check_timeform_closed_and_not(tmp_path):
     assert code == 1 and not rep.payload["closed"]
     # d tau = a / y^2 at the sampled scale
     assert rep.payload["max_sampled_dtau"] > 0.05
+
+
+def test_check_timeform_tiny_bracket_component_is_not_closed(tmp_path):
+    # |dtau| ~ 1e-12 passes any sampled cut; closed <=> exact decides
+    path = write_config(tmp_path, {
+        "version": 1, "preset": "heisenberg-sl",
+        "timeform": {"kind": "left_invariant", "tau0": [1.0, 0.0, 1e-12]}})
+    code, rep = run_config(path, "check-timeform")
+    assert code == 1
+    assert not rep.payload["closed"] and not rep.payload["exact"]
+    assert rep.payload["max_sampled_dtau"] < 1e-8
+
+
+def test_check_structure_on_a_polyhedral_linear_image(tmp_path):
+    gens, M = np.array([[1.0, 0.2], [1.0, 1.0]]), np.array([[3.0, 0.4], [0.5, 1.0]])
+    path = write_config(tmp_path, {
+        "version": 1,
+        "cone": {"kind": "linear_image", "map": M.tolist(),
+                 "base": {"kind": "polyhedral", "generators": gens.tolist()}},
+        "antinorm": {"kind": "min_of_linear", "family": [[1.0, 0.0]]}})
+    code, rep = run_config(path, "check-structure")
+    assert code == 0 and rep.payload["pointed"]
+    # the least-distance margin: cos of half the image sector's opening angle
+    unit = gens @ M.T / np.linalg.norm(gens @ M.T, axis=1, keepdims=True)
+    margin = np.cos(0.5 * np.arccos(unit[0] @ unit[1]))
+    assert rep.payload["covector_margin"] == pytest.approx(margin, rel=1e-12)
 
 
 def test_check_structure_pass_and_fail(tmp_path):

@@ -11,7 +11,6 @@ from scipy.optimize import linprog, nnls
 
 from sublorentz import (
     DimensionMismatchError,
-    LinearImageCone,
     LorentzCone,
     LorentzSqrt,
     MinOfLinear,
@@ -97,10 +96,9 @@ ROW_CONES = {
     "polyhedral": PolyhedralCone([[1.0, 0.0], [1.0, 1.0]]),
     "lorentz": LorentzCone(MINK, [1.0, 0.0]),
     "lorentz-3d": LorentzCone(np.diag([1.0, -1.0, -1.0]), [1.0, 0.0, 0.0]),
-    "image-of-polyhedral": LinearImageCone(PolyhedralCone([[1.0, 0.2], [1.0, 1.0]]),
-                                           [[3.0, 0.4], [0.5, 1.0]]),
-    "image-of-lorentz": LinearImageCone(LorentzCone(MINK, [1.0, 0.0]),
-                                        [[2.0, 0.5], [0.0, 1.0]]),
+    "image-of-polyhedral": PolyhedralCone([[1.0, 0.2], [1.0, 1.0]]).image(
+        [[3.0, 0.4], [0.5, 1.0]]),
+    "image-of-lorentz": LorentzCone(MINK, [1.0, 0.0]).image([[2.0, 0.5], [0.0, 1.0]]),
 }
 
 
@@ -118,9 +116,7 @@ def test_contains_rows_match_the_row_loop(kind, rng):
     single = cone.contains(V[0])
     assert np.ndim(single) == 0 and single
     if kind.endswith("polyhedral"):
-        base = cone if kind == "polyhedral" else cone.base
-        W = V if kind == "polyhedral" else V @ np.linalg.inv(cone.map).T
-        oracle = _nnls_loop(base, W)[1] <= 1e-9 * np.linalg.norm(W, axis=1)
+        oracle = _nnls_loop(cone, V)[1] <= 1e-9 * np.linalg.norm(V, axis=1)
         assert np.array_equal(rows, oracle)
 
 
@@ -216,12 +212,11 @@ def test_cli_and_polyhedral_cones_run_without_scipy(tmp_path):
     script = textwrap.dedent(f"""
         import sys
         sys.modules["scipy"] = None       # any scipy import now fails
-        from sublorentz import LinearImageCone, PolyhedralCone, find_time_covector
+        from sublorentz import PolyhedralCone, find_time_covector
         from sublorentz.cli import main
         for subcommand in ("check-structure", "solve"):
             assert main([subcommand, "--config", {str(config)!r}]) == 0, subcommand
-        cone = LinearImageCone(PolyhedralCone([[1.0, 0.2], [1.0, 1.0]]),
-                               [[3.0, 0.4], [0.5, 1.0]])
+        cone = PolyhedralCone([[1.0, 0.2], [1.0, 1.0]]).image([[3.0, 0.4], [0.5, 1.0]])
         assert find_time_covector(cone).margin > 0.0
     """)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -345,7 +340,7 @@ def test_covector_margin_positive_on_pointed_cones(rng):
 
 def test_linear_image_cone(mink_cone):
     M = np.array([[2.0, 1.0], [0.0, 1.0]])
-    image = LinearImageCone(mink_cone, M)
+    image = mink_cone.image(M)
     assert image.is_pointed()
     for v in (M @ np.array([2.0, 1.0]), M @ np.array([1.0, -1.0])):
         assert image.contains(v)
@@ -359,17 +354,15 @@ def test_linear_image_cone(mink_cone):
 def test_linear_image_margin_over_image_generators():
     gens = np.array([[1.0, 0.2], [1.0, 1.0]])
     M = np.array([[3.0, 0.4], [0.5, 1.0]])
-    tc = find_time_covector(LinearImageCone(PolyhedralCone(gens), M))
+    tc = find_time_covector(PolyhedralCone(gens).image(M))
     image = gens @ M.T
     unit = image / np.linalg.norm(image, axis=1, keepdims=True)
     direct = (unit @ tc.components).min() / np.linalg.norm(tc.components)
     assert tc.margin == pytest.approx(direct, rel=1e-12)
-    # the base covector is the bisector of the two unit generators, mapped
-    # by M^{-T}
-    u = gens / np.linalg.norm(gens, axis=1, keepdims=True)
-    tau = np.linalg.inv(M).T @ (u[0] + u[1])
-    oracle = (unit @ tau).min() / np.linalg.norm(tau)
-    assert oracle == pytest.approx(0.69571457, abs=1e-8)
+    # the least-distance covector bisects the image sector: its margin is
+    # the cosine of half the sector's opening angle
+    oracle = np.cos(0.5 * np.arccos(unit[0] @ unit[1]))
+    assert oracle == pytest.approx(0.9953948, abs=1e-7)
     assert tc.margin == pytest.approx(oracle, rel=1e-12)
 
 
@@ -377,18 +370,46 @@ def test_linear_image_margin_over_image_generators():
                                   LorentzCone(MINK, [1, 0])])
 def test_linear_image_project_batch_matches_row_reference(base, rng):
     M = np.array([[3.0, 0.4], [0.5, 1.0]])
-    image = LinearImageCone(base, M)
+    image = base.image(M)
     V = rng.normal(size=(200, 2)) * 3.0
+    if isinstance(base, PolyhedralCone):
+        # the Euclidean projection onto the mapped generators
+        direct = PolyhedralCone(base.generators @ M.T)
+        assert np.array_equal(image.project_batch(V), direct.project_batch(V))
+        return
+    # the 2-d Lorentz projection is boost-invariant: mapping in and out of
+    # the base gives the same rows
     ref = np.array([M @ base.project_batch((np.linalg.inv(M) @ v)[None])[0]
                     for v in V])
     assert np.allclose(image.project_batch(V), ref, rtol=1e-12, atol=0.0)
+
+
+def test_lorentz_image_3d_projection_lands_in_the_cone(rng):
+    M = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
+    cone = LorentzCone(np.diag([1.0, -1.0, -1.0]), [1.0, 0.0, 0.0]).image(M)
+    assert isinstance(cone, LorentzCone)
+    V = rng.normal(size=(300, 3)) * 3.0
+    P = cone.project_batch(V)
+    assert cone.contains(P).all()
+    scale = np.linalg.norm(V, axis=1, keepdims=True)
+    assert np.all(np.abs(cone.project_batch(P) - P) <= 1e-12 * scale)
+    members = cone.sample(300, rng)
+    scale = np.linalg.norm(members, axis=1, keepdims=True)
+    assert np.all(np.abs(cone.project_batch(members) - members) <= 1e-12 * scale)
+
+
+def test_lorentz_image_under_a_large_scaling_is_the_same_cone(mink_cone, rng):
+    # the pulled-back form is 1e-14 A, scaled back before the signature cut
+    image = mink_cone.image(1e7 * np.eye(2))
+    V = rng.normal(size=(200, 2))
+    assert np.array_equal(image.contains(V), mink_cone.contains(V))
 
 
 def test_extreme_directions_are_unit_cone_members(rng):
     cones = [LorentzCone(MINK, [1, 0]),
              LorentzCone(np.diag([1.0, -1.0, -1.0]), [1, 0, 0]),
              PolyhedralCone([[2.0, 0.0], [1.0, 1.0], [0.0, 0.0]]),
-             LinearImageCone(LorentzCone(MINK, [1, 0]), [[2.0, 1.0], [0.0, 1.0]])]
+             LorentzCone(MINK, [1, 0]).image([[2.0, 1.0], [0.0, 1.0]])]
     for cone in cones:
         dirs = cone.extreme_directions(64, rng)
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)

@@ -6,7 +6,6 @@ from sublorentz import (
     ControlSignal,
     HyperbolicPlane,
     InvalidPointError,
-    LinearImageCone,
     LorentzCone,
     LorentzSqrt,
     MinOfLinear,
@@ -113,8 +112,8 @@ MIXED_CASES = {
     "linear-image": (
         # image of the Minkowski future cone under M = [[2, 0.5], [0, 1]];
         # the paired antinorm is sqrt of the form pulled back by M^-1
-        LinearImageCone(LorentzCone([[1.0, 0.0], [0.0, -1.0]], [1.0, 0.0]),
-                        [[2.0, 0.5], [0.0, 1.0]]),
+        LorentzCone([[1.0, 0.0], [0.0, -1.0]], [1.0, 0.0]).image(
+            [[2.0, 0.5], [0.0, 1.0]]),
         LorentzSqrt([[0.25, -0.125], [-0.125, -0.9375]]),
         [[2.0, 0.0], [3.0, 1.0], [2.5, 1.0], [3.0, 2.0], [-2.0, 0.0], [0.0, 0.0]],
         [1.0, 0.75, 0.0, NEG_INF, NEG_INF, 0.0]),

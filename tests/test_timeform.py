@@ -8,7 +8,6 @@ from sublorentz import (
     HyperbolicPlane,
     InvalidPointError,
     LeftInvariantForm,
-    LinearImageCone,
     LorentzCone,
     LorentzSqrt,
     NotExactError,
@@ -33,6 +32,7 @@ from sublorentz.verify import (
     _check_path_independence,
     _check_section_sup,
 )
+from test_groups import flow_velocity
 
 MINK = [[1.0, 0.0], [0.0, -1.0]]
 
@@ -52,7 +52,7 @@ def test_left_invariant_unit_on_translated_basis(heis, rng):
     e0 = np.array([1.0, 0.0, 0.0])
     for _ in range(20):
         p = rng.normal(size=3)
-        v = heis.left_translate(p, e0)
+        v = flow_velocity(heis, p, e0)
         assert form.value(p, v) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_left_invariance_across_points(heis, rng):
     ref = form.value_at_identity(u)
     for _ in range(30):
         p = rng.normal(size=3)
-        v = heis.left_translate(p, u)
+        v = flow_velocity(heis, p, u)
         assert form.value(p, v) == pytest.approx(ref, abs=1e-12)
 
 
@@ -321,7 +321,7 @@ def test_section_sup_norm_polyhedral_vertices():
 def test_growth_and_sup_norm_on_linear_image_of_polyhedral(plane):
     gens = np.array([[1.0, 0.2], [1.0, 1.0], [1.0, 0.5]])
     M = np.array([[3.0, 0.4], [0.5, 1.0]])
-    cone = LinearImageCone(PolyhedralCone(gens), M)
+    cone = PolyhedralCone(gens).image(M)
     tau = np.array([1.0, 0.3])
     form = LeftInvariantForm(tau, plane)
     # exact vertex oracle: the slice's extreme points are Mg / tau(Mg)
