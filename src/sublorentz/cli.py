@@ -15,9 +15,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import RunConfig, load_config
-from .cones import check_antinorm_axioms, find_time_covector
+from .cones import _check_antinorm_dim, check_antinorm_axioms, find_time_covector
 from .dynamics import ControlSignal, integrate, trajectory_to_csv
-from .errors import ConfigError, SubLorentzError
+from .errors import ConfigError, DimensionMismatchError, SubLorentzError
 from .solver import SolveStatus, reachability_sample, solve_longest
 from .timeform import (
     check_growth_condition,
@@ -119,6 +119,10 @@ def _run_solve(cfg: RunConfig) -> Tuple[int, RunReport]:
 def _run_check_structure(cfg: RunConfig) -> Tuple[int, RunReport]:
     if cfg.cone is None or cfg.antinorm is None:
         raise ConfigError("check-structure needs 'cone' and 'antinorm'", field="cone")
+    try:
+        _check_antinorm_dim(cfg.antinorm, cfg.cone)
+    except DimensionMismatchError as exc:
+        raise ConfigError(str(exc), field="antinorm")
     pointed = cfg.cone.is_pointed()
     payload: Dict = {"pointed": pointed}
     text = [f"cone pointed: {pointed}"]

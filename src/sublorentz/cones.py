@@ -120,11 +120,15 @@ class Cone:
 
 def _invertible_map(map_matrix, dim: int) -> np.ndarray:
     """M as a float array; ValueError unless it is square, of size dim, and
-    invertible."""
+    invertible: its smallest singular value above 1e-12 times its largest,
+    a test that M and c M pass or fail together."""
     M = np.asarray(map_matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != dim:
         raise ValueError("map must be square and match the base cone dim")
-    if abs(np.linalg.det(M)) < 1e-12:
+    if not np.isfinite(M).all():
+        raise ValueError("map must be finite")
+    sigma = np.linalg.svd(M, compute_uv=False)
+    if not sigma[-1] > 1e-12 * sigma[0]:
         raise ValueError("map must be invertible")
     return M
 
@@ -539,6 +543,15 @@ class ZeroAntinorm(Antinorm):
 
     def grads_on_cone(self, V):
         return np.zeros(np.shape(V))
+
+
+def _check_antinorm_dim(nu: Antinorm, cone: Cone) -> None:
+    """DimensionMismatchError unless nu acts on the cone's space (a
+    ZeroAntinorm has no dim and acts on any)."""
+    nu_dim = getattr(nu, "dim", None)
+    if nu_dim is not None and nu_dim != cone.dim:
+        raise DimensionMismatchError(f"antinorm dim {nu_dim} does not match "
+                                     f"the cone dim {cone.dim}")
 
 
 def antinorm_eval(nu: Antinorm, cone: Cone, v, tol: float = DEFAULT_TOL):

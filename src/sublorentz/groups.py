@@ -420,38 +420,57 @@ class AbelianGroup(GroupModel):
 
 #: Taylor coefficients of E(z) = (e^z - 1)/z and of E'(z), highest order
 #: first (Horner order); the first dropped terms are below 2e-18 for |z| < 1e-3
-_SERIES = tuple((1.0 / math.factorial(k + 1), (k + 1) / math.factorial(k + 2))
-                for k in range(4, -1, -1))
+_E_TAYLOR = tuple(1.0 / math.factorial(k + 1) for k in range(4, -1, -1))
+_DE_TAYLOR = tuple((k + 1) / math.factorial(k + 2) for k in range(4, -1, -1))
 
 
-def _hyperbolic_flow(alpha: np.ndarray, beta: np.ndarray, t: float,
-                     Y: Optional[np.ndarray] = None) -> Tuple[np.ndarray, ...]:
+def _horner(coeffs: tuple, z: np.ndarray) -> np.ndarray:
+    out = 0.0
+    for c in coeffs:
+        out = out * z + c
+    return out
+
+
+def _hyperbolic_step(alpha: np.ndarray, beta: np.ndarray, t: float,
+                     Y: Optional[np.ndarray] = None) -> tuple:
     """exp(t (alpha, beta)) = (X, Y) with X = alpha t E(t beta), Y = e^{t beta}
-    and E(z) = (e^z - 1)/z, plus dX/dalpha, dX/dbeta and dY/dbeta, elementwise.
+    and E(z) = (e^z - 1)/z, elementwise: all a forward pass evaluates.
 
-    A ``Y`` computed earlier from the same ``beta`` and ``t`` (a forward
-    pass's) is taken as given, so the Jacobian stage calls no exponential.
-    The direct quotients cancel as z -> 0, with relative errors near
-    eps/|z| (X) and 2 eps/z^2 (dX/dbeta); |z| < 1e-3 takes the series
-    instead, so those errors stay below 3e-13 and 5e-10.  The series is
-    evaluated only when some element takes it.
+    Returns X, Y and the terms _hyperbolic_flow's derivatives reuse: z = t
+    beta, the mask |z| < 1e-3 of the elements that take the series, the
+    direct quotient's divisor b (beta, 1 where the series is taken), e^z - 1
+    and E(z) on the series, None when no element takes it.  A ``Y``
+    computed earlier from the same ``beta`` and ``t`` (a forward pass's) is
+    taken as given, so the Jacobian stage calls no exponential.  The direct
+    quotient cancels as z -> 0, with relative error near eps/|z|; the
+    series keeps it below 3e-13.
     """
     z = t * beta
     if Y is None:
         Y = np.exp(z)
-    series = abs(z) < 1e-3
-    b = np.where(series, 1.0, beta)  # the direct branch is not used there
     em1 = Y - 1.0
-    X, dXa = (alpha / b) * em1, em1 / b
-    dXb = alpha * (t * Y * b - em1) / (b * b)
+    series = abs(z) < 1e-3
+    b, E = beta, None
     if series.any():
-        E = dE = 0.0
-        for c, d in _SERIES:
-            E = E * z + c
-            dE = dE * z + d
+        b, E = np.where(series, 1.0, beta), _horner(_E_TAYLOR, z)
+    X = (alpha / b) * em1
+    if E is not None:
         X = np.where(series, alpha * t * E, X)
+    return X, Y, (z, series, b, em1, E)
+
+
+def _hyperbolic_flow(alpha: np.ndarray, beta: np.ndarray, t: float,
+                     Y: Optional[np.ndarray] = None) -> Tuple[np.ndarray, ...]:
+    """X and Y of _hyperbolic_step, plus dX/dalpha, dX/dbeta and dY/dbeta,
+    elementwise: what the Jacobian stage evaluates.  The quotient of dX/dbeta
+    cancels as z -> 0 with relative error near 2 eps/z^2; the series keeps
+    it below 5e-10."""
+    X, Y, (z, series, b, em1, E) = _hyperbolic_step(alpha, beta, t, Y)
+    dXa = em1 / b
+    dXb = alpha * (t * Y * b - em1) / (b * b)
+    if E is not None:
         dXa = np.where(series, t * E, dXa)
-        dXb = np.where(series, alpha * t * t * dE, dXb)
+        dXb = np.where(series, alpha * t * t * _horner(_DE_TAYLOR, z), dXb)
     return X, Y, dXa, dXb, t * Y
 
 
@@ -502,15 +521,24 @@ class HyperbolicPlane(GroupModel):
         return np.array([-p[0] / p[1], 1.0 / p[1]])
 
     def log(self, p):
-        p = self.validate_points(p)
+        p = np.asarray(p, dtype=float)
+        # one check of the whole stack; a bad point raises what validate_points
+        # raises for it
+        if p.shape[-1:] != (2,) or not (p[..., 1].min(initial=np.inf) > 0.0
+                                        and np.isfinite(p).all()):
+            p = self.validate_points(p)
         y = p[..., 1]
         w = y - 1.0
-        near = np.abs(w) < 1e-8
         out = np.empty(p.shape)
         out[..., 1] = beta = np.log(y)
-        # log(1+w)/w = 1 - w/2 + w^2/3 - ... near w = 0
-        out[..., 0] = p[..., 0] * np.where(near, 1.0 - w / 2.0 + w * w / 3.0,
-                                           beta / np.where(near, 1.0, w))
+        near = np.abs(w) < 1e-8
+        if near.any():
+            # log(1+w)/w = 1 - w/2 + w^2/3 - ... near w = 0
+            ratio = np.where(near, 1.0 - w / 2.0 + w * w / 3.0,
+                             beta / np.where(near, 1.0, w))
+        else:
+            ratio = beta / w
+        out[..., 0] = p[..., 0] * ratio
         return out
 
     def pullback(self, p, v):
@@ -528,39 +556,44 @@ class HyperbolicPlane(GroupModel):
         return ["x", "y"]
 
     def points(self, x0, u, h):
-        return np.stack(self._walk(x0, u, h)[:2], axis=-1)
+        return np.ascontiguousarray(self._chain(x0, u, h)[..., :2])
 
-    def _walk(self, x0, u, h):
-        """x_k, y_k and the factors (y_0, Y_0, ..., Y_{N-1}) of y_k's
-        cumprod: y_{k+1} = y_k Y_k and x_{k+1} = x_k + y_k X_k, in segment
-        order, each of shape (..., N + 1)."""
+    def _chain(self, x0, u, h):
+        """(x_k, y_k, f_k) per point, (..., N + 1, 3): y_{k+1} = y_k Y_k and
+        x_{k+1} = x_k + y_k X_k in segment order, with the factors f of y's
+        cumprod, f_0 = y_0 and f_{k+1} = Y_k = e^{h beta_k}, the flow's
+        exponential, which the Jacobian stage reuses."""
         x0 = self.validate_point(x0)
         u = self._controls(u)
-        X, Y = _hyperbolic_flow(u[..., 0], u[..., 1], h)[:2]
-        start = np.ones(u.shape[:-2] + (1,))
-        factors = np.concatenate([x0[1] * start, Y], axis=-1)
-        y = factors.cumprod(axis=-1)
-        x = np.concatenate([x0[0] * start, y[..., :-1] * X], axis=-1).cumsum(axis=-1)
-        return x, y, factors
+        X, Y = _hyperbolic_step(u[..., 0], u[..., 1], h)[:2]
+        chain = np.empty(u.shape[:-2] + (u.shape[-2] + 1, 3))
+        x, y, f = chain[..., 0], chain[..., 1], chain[..., 2]
+        f[..., 0] = x0[1]
+        f[..., 1:] = Y
+        np.multiply.accumulate(f, axis=-1, out=y)
+        x[..., 0] = x0[0]
+        np.multiply(y[..., :-1], X, out=x[..., 1:])
+        np.add.accumulate(x, axis=-1, out=x)
+        return chain
 
     def endpoint_pass(self, x0, x1, u, horizon):
-        """The chain holds (x_k, y_k, f_k) per point, (..., N + 1, 3), where
-        f_{k+1} = Y_k = e^{h beta_k} is the flow's exponential, which the
-        Jacobian stage reuses (f_0 = y_0)."""
-        chain = np.stack(self._walk(x0, u, horizon / u.shape[-2]), axis=-1)
+        """The chain holds (x_k, y_k, f_k) per point; see _chain."""
+        chain = self._chain(x0, u, horizon / u.shape[-2])
         endpoint = chain[..., -1, :2]
         return self._residual(endpoint, x1), endpoint, chain
 
     def _chain_jacobians(self, chain, u, h, x1):
         X, Y, dXa, dXb, dYb = _hyperbolic_flow(u[:, 0], u[:, 1], h, chain[1:, 2])
-        zero, one = np.zeros_like(X), np.ones_like(X)
+        # [[1, X], [0, Y]] and y_k [[dXa, dXb], [0, dYb]], filled in place
+        Dp, Du = np.zeros((2, u.shape[0], 2, 2))
+        Dp[:, 0, 0] = 1.0
+        Dp[:, 0, 1], Dp[:, 1, 1] = X, Y
+        Du[:, 0, 0], Du[:, 0, 1], Du[:, 1, 1] = dXa, dXb, dYb
+        Du *= chain[:-1, 1, None, None]
         ex, ey = endpoint = chain[-1, :2]
         dw_dE = np.array([[-1.0 / ey, -(x1[0] - ex) / ey ** 2],
                           [0.0, -x1[1] / ey ** 2]])
-        return (np.stack([one, X, zero, Y], axis=-1).reshape(-1, 2, 2),
-                chain[:-1, 1, None, None]
-                * np.stack([dXa, dXb, zero, dYb], axis=-1).reshape(-1, 2, 2),
-                _hyperbolic_log_jacobian(self._offset(endpoint, x1)) @ dw_dE)
+        return Dp, Du, _hyperbolic_log_jacobian(self._offset(endpoint, x1)) @ dw_dE
 
     @staticmethod
     def _offset(endpoint, x1) -> np.ndarray:

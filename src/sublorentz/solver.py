@@ -24,10 +24,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .cones import (NEG_INF, Antinorm, Cone, _positive_count, _probe_directions,
-                    _row_dots, antinorm_eval)
+from .cones import (NEG_INF, Antinorm, Cone, _check_antinorm_dim, _positive_count,
+                    _probe_directions, _row_dots, antinorm_eval)
 from .dynamics import ControlSignal, Trajectory, integrate
-from .errors import DimensionMismatchError, NegativeAntinormError, WrongModelError
+from .errors import NegativeAntinormError, WrongModelError
 from .groups import GroupModel
 from .groups import bch_log_product  # noqa: F401 (the bench tracer test asserts it)
 from .timeform import TimeForm, potential, section_sup_norm
@@ -81,10 +81,7 @@ class ProblemInstance:
                              f"control space dim {self.control_dim}")
         if not self.cone.is_pointed():
             raise ValueError("cone must be pointed")
-        nu_dim = getattr(self.nu, "dim", None)  # ZeroAntinorm has no dim
-        if nu_dim is not None and nu_dim != self.cone.dim:
-            raise DimensionMismatchError(f"antinorm dim {nu_dim} does not match "
-                                         f"the cone dim {self.cone.dim}")
+        _check_antinorm_dim(self.nu, self.cone)
         # nonnegativity on the extreme rays and the interior axis
         D = np.vstack([_probe_directions(self.cone), self.cone.interior_direction()])
         vals = np.asarray(self.nu.values_on_cone(D), dtype=float)

@@ -212,6 +212,17 @@ def test_linear_image_bad_map_exits_two_under_cone(tmp_path, capsys, base,
     assert f"config error: cone: {error}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("form", [[[]], [[1.0]]], ids=["empty", "one-by-one"])
+def test_check_structure_antinorm_dim_exits_two_under_antinorm(tmp_path, capsys, form):
+    # a 1-d antinorm on the 2-d cone of minkowski11, as a solve refuses it
+    path = write_config(tmp_path, {"version": 1, "preset": "minkowski11",
+                                   "antinorm": {"kind": "lorentz_sqrt", "form": form}})
+    assert main(["check-structure", "--config", path]) == 2
+    assert ("config error: antinorm: antinorm dim 1 does not match the cone dim 2"
+            in capsys.readouterr().err)
+    assert main(["solve", "--config", path]) == 2
+
+
 def test_carnot_model_from_structure_file(tmp_path):
     sc = tmp_path / "heis.txt"
     sc.write_text("layers: 2 1\n0 1 2 1.0\n")

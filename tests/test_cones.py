@@ -405,6 +405,27 @@ def test_lorentz_image_under_a_large_scaling_is_the_same_cone(mink_cone, rng):
     assert np.array_equal(image.contains(V), mink_cone.contains(V))
 
 
+def test_image_under_a_small_scaling_is_the_same_cone(rng):
+    # det(1e-5 I) = 1e-15, yet the map is perfectly conditioned
+    base = LorentzCone(np.diag([1.0, -1.0, -1.0]), [1.0, 0.0, 0.0])
+    image = base.image(1e-5 * np.eye(3))
+    V = rng.normal(size=(200, 3))
+    assert np.array_equal(image.contains(V), base.contains(V))
+
+
+def test_image_under_an_ill_conditioned_map_is_refused():
+    # det 1e-6, cond 2e18: the image generators (1e6, 1) and (2e6, 2) are
+    # parallel, so the cone would collapse onto a ray
+    M = np.array([[1e6, 1e6], [1.0, 1.0 + 1e-12]])
+    for c in (1.0, 1e-6, 1e6):
+        with pytest.raises(ValueError, match="map must be invertible"):
+            PolyhedralCone([[1.0, 0.0], [1.0, 1.0]]).image(c * M)
+        # a well-conditioned map passes at every scale
+        PolyhedralCone([[1.0, 0.0], [1.0, 1.0]]).image(c * np.eye(2) + c * 0.1)
+    with pytest.raises(ValueError, match="map must be finite"):
+        LorentzCone(MINK, [1.0, 0.0]).image([[np.inf, 0.0], [0.0, 1.0]])
+
+
 def test_extreme_directions_are_unit_cone_members(rng):
     cones = [LorentzCone(MINK, [1, 0]),
              LorentzCone(np.diag([1.0, -1.0, -1.0]), [1, 0, 0]),

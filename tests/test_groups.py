@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from sublorentz import (
 from sublorentz import ControlSignal, integrate
 from sublorentz.groups import (
     _hyperbolic_flow,
+    _hyperbolic_step,
     _hyperbolic_log_jacobian,
     bch_jacobians,
     left_translation_jacobian,
@@ -466,6 +469,54 @@ def _walk_jacobian(model, points, x1, u, h):
         J[k] = S @ Du
         S = S @ Dp
     return J
+
+
+def _fused_flow(alpha, beta, t):
+    """X, Y, dX/dalpha, dX/dbeta and dY/dbeta of exp(t (alpha, beta)) in one
+    evaluation: the reference the forward pass and the Jacobian stage must
+    match bit for bit."""
+    z = t * beta
+    Y = np.exp(z)
+    series = abs(z) < 1e-3
+    b = np.where(series, 1.0, beta)
+    em1 = Y - 1.0
+    X, dXa = (alpha / b) * em1, em1 / b
+    dXb = alpha * (t * Y * b - em1) / (b * b)
+    if series.any():
+        E = dE = 0.0
+        for k in range(4, -1, -1):
+            E = E * z + 1.0 / math.factorial(k + 1)
+            dE = dE * z + (k + 1) / math.factorial(k + 2)
+        X = np.where(series, alpha * t * E, X)
+        dXa = np.where(series, t * E, dXa)
+        dXb = np.where(series, alpha * t * t * dE, dXb)
+    return X, Y, dXa, dXb, t * Y
+
+
+def _identical(a, b):
+    """Equal arrays, signs of zero included."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("case", ["hyperbolic", "hyperbolic-flat", "hyperbolic-mixed"])
+def test_forward_flow_matches_the_full_flow(case, rng):
+    model, x0, x1 = _endpoint_case(case)
+    for K in (1, 3, 16):
+        U = rng.normal(size=(K, 40, 2)) * 0.5
+        U[..., 0] += 1.2
+        U[..., ::7, 0] = -0.0   # zero X, whose sign the flow must keep
+        _set_slopes(case, U)
+        h = 1.3 / U.shape[-2]
+        alpha, beta = U[..., 0], U[..., 1]
+        reference = _fused_flow(alpha, beta, h)
+        X, Y = _hyperbolic_step(alpha, beta, h)[:2]
+        # the full flow alone, and as the Jacobian stage calls it, with the
+        # forward pass's exponentials
+        for values in ((X, Y), _hyperbolic_flow(alpha, beta, h),
+                       _hyperbolic_flow(alpha, beta, h, Y)):
+            assert all(_identical(v, r) for v, r in zip(values, reference))
+        chain = model.endpoint_pass(x0, x1, U, 1.3)[2]
+        assert _identical(model.points(x0, U, h), chain[..., :2])
 
 
 #: their endpoint maps take closed forms (sums, step-2 areas), not the chain

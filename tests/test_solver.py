@@ -7,6 +7,7 @@ from sublorentz import (
     CarnotGroup,
     HyperbolicAB,
     HyperbolicPlane,
+    InvalidPointError,
     LeftInvariantForm,
     LorentzCone,
     LorentzSqrt,
@@ -354,13 +355,23 @@ def test_stacked_residual_raises_what_its_bad_row_raises():
     x0, x1 = np.array([0.0, 1.0]), np.array([0.3, 2.0])
     U = np.array([[[1.0, 0.5], [0.2, 1.0]], [[0.0, 1.0], [0.1, 2.0]],
                   [[0.0, 1600.0], [200.0, 1600.0]], [[0.0, 1600.0], [0.0, -1.0]]])
+    # h beta = 700 keeps each exponential finite, but y overflows to inf
+    # while x stays 0: the offset is finite with y = 0
+    flat_overflow = U.copy()
+    flat_overflow[2] = [[0.0, 1400.0], [0.0, 1400.0]]
+    # and here x overflows to inf while y stays e^2: only x is not finite
+    x_overflow = U.copy()
+    x_overflow[2] = [[1e308, 2.0], [1e308, 2.0]]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        with pytest.raises(ValueError) as alone:
-            model.endpoint_residual(x0, x1, U[2], 1.0)
-        with pytest.raises(ValueError) as stacked:
-            model.endpoint_residual(x0, x1, U, 1.0)
-        assert type(stacked.value) is type(alone.value)
-        assert str(stacked.value) == str(alone.value)
+        for stack, invalid_point in ((U, False), (flat_overflow, True),
+                                     (x_overflow, False)):
+            with pytest.raises(ValueError) as alone:
+                model.endpoint_residual(x0, x1, stack[2], 1.0)
+            with pytest.raises(ValueError) as stacked:
+                model.endpoint_residual(x0, x1, stack, 1.0)
+            assert isinstance(alone.value, InvalidPointError) == invalid_point
+            assert type(stacked.value) is type(alone.value)
+            assert str(stacked.value) == str(alone.value)
         rho, _ = model.endpoint_residual(x0, x1, U[:2], 1.0)
     assert np.all(np.isfinite(rho))
 
