@@ -212,15 +212,37 @@ def test_linear_image_bad_map_exits_two_under_cone(tmp_path, capsys, base,
     assert f"config error: cone: {error}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("form", [[[]], [[1.0]]], ids=["empty", "one-by-one"])
-def test_check_structure_antinorm_dim_exits_two_under_antinorm(tmp_path, capsys, form):
-    # a 1-d antinorm on the 2-d cone of minkowski11, as a solve refuses it
+@pytest.mark.parametrize("form, error", [
+    ([[]], "form must be a square matrix"),
+    ([[1.0]], "antinorm dim 1 does not match the cone dim 2")],
+    ids=["empty", "one-by-one"])
+def test_check_structure_antinorm_dim_exits_two_under_antinorm(tmp_path, capsys, form,
+                                                               error):
+    # a 1-d antinorm on the 2-d cone of minkowski11, as a solve refuses it;
+    # the empty (1, 0) form is not square, so it never gets a dim
     path = write_config(tmp_path, {"version": 1, "preset": "minkowski11",
                                    "antinorm": {"kind": "lorentz_sqrt", "form": form}})
     assert main(["check-structure", "--config", path]) == 2
-    assert ("config error: antinorm: antinorm dim 1 does not match the cone dim 2"
-            in capsys.readouterr().err)
+    assert f"config error: antinorm: {error}" in capsys.readouterr().err
     assert main(["solve", "--config", path]) == 2
+
+
+def test_check_structure_non_square_form_exits_two_under_antinorm(tmp_path, capsys):
+    # a (2, 1) form once broadcast to diag(1, -1) and passed
+    path = write_config(tmp_path, {"version": 1, "preset": "minkowski11", "antinorm": {
+        "kind": "lorentz_sqrt", "form": [[1.0], [-1.0]]}})
+    assert main(["check-structure", "--config", path]) == 2
+    assert ("config error: antinorm: form must be a square matrix"
+            in capsys.readouterr().err)
+
+
+def test_check_structure_on_huge_generators(tmp_path, capsys):
+    # generators of 1e300 keep their directions: the cone is pointed
+    path = write_config(tmp_path, {"version": 1, "cone": {
+        "kind": "polyhedral", "generators": [[1e300, 0.0], [0.0, -1e300]]},
+        "antinorm": {"kind": "zero"}})
+    assert main(["check-structure", "--config", path]) == 0
+    assert "cone pointed: True" in capsys.readouterr().out
 
 
 def test_carnot_model_from_structure_file(tmp_path):

@@ -22,6 +22,7 @@ from sublorentz import (
     check_antinorm_axioms,
     find_time_covector,
 )
+from sublorentz.cones import _nnls_rows
 from sublorentz.verify import (
     EuclideanNormCandidate,
     _check_antinorm_axioms,
@@ -174,6 +175,94 @@ def test_nearly_parallel_generators_are_refused_not_fatal(rng):
 def test_polyhedral_projection_meets_moreau_conditions():
     res = _check_polyhedral_projection(3, 2000)
     assert res.passed, res.detail
+
+
+def _face_rows(cone, rng, samples):
+    """verify's projection rows (generators, sums over random subsets of
+    them, polar points, Gaussian rows and a zero), with the unit
+    generators, points exactly on rays and points within 1e-16 to 1e-4 of
+    a face, at magnitudes 1e-3 to 1e3."""
+    G, U = cone.generators, cone._unit
+    k = len(G)
+    near = rng.exponential(1.0, size=(samples, k)) * np.where(
+        rng.random((samples, k)) < 0.5, 10.0 ** rng.uniform(-16, -4, (samples, k)), 1.0)
+    rays = rng.exponential(1.0, size=(samples, 1)) * U[rng.integers(0, k, samples)]
+    V = np.vstack([_projection_rows(cone, rng, samples), U, near @ G, rays])
+    return V * 10.0 ** rng.uniform(-2.0, 2.0, size=(len(V), 1))
+
+
+def _simplicial_cones(rng):
+    return {f"simplicial-{d}-{i}": PolyhedralCone(rng.normal(size=(k, d)))
+            for d in range(2, 6) for i, k in enumerate(range(1, d + 1))}
+
+
+WARM_CONES = {**_polyhedral_cases(np.random.default_rng(11)),
+              **_simplicial_cones(np.random.default_rng(12)),
+              "poly2": PolyhedralCone([[1.0, 1.0], [1.0, -1.0]]),
+              # as many generators as dimensions, but dependent or nearly so
+              "parallel": PolyhedralCone([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0],
+                                          [0.0, 0.3, 1.0]]),
+              "nearly-parallel": PolyhedralCone([[1.0, 0.0, 0.0], [1.0, 1e-9, 0.0],
+                                                 [0.0, 0.3, 1.0]])}
+
+
+def test_warm_started_projection_is_the_cold_one_bit_for_bit(rng):
+    # each row started on its named face ends with the cold start's bits,
+    # sign of zero included; 1e5 rows over 23 cones
+    rows, started, named = 0, 0, 0
+    for cone in WARM_CONES.values():
+        V = _face_rows(cone, rng, 1000)
+        cold = _nnls_rows(cone._unit, V)
+        warm = cone._coefficients(V)
+        assert np.array_equal(warm, cold) and np.array_equal(np.signbit(warm),
+                                                             np.signbit(cold))
+        assert np.array_equal(cone.project_batch(V), cold @ cone._unit)
+        rows += len(V)
+        if cone._start is not None:
+            started += len(V)
+            named += cone._start(V)[1].sum()
+    assert rows >= 100_000
+    # most rows of a cone that admits a start skip the iteration
+    assert named >= 0.5 * started
+
+
+@pytest.mark.parametrize("generators, unit, projection", [
+    ([[1e300, 0.0], [0.0, -1e300]], [[1.0, 0.0], [0.0, -1.0]], [1.0, 0.0]),
+    ([[1e-200, 0.0], [0.0, 1e-200]], [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.5]),
+    ([[1e-170, 1e-170], [1e-170, -1e-170]],
+     np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), [1.0, 0.5])],
+    ids=["overflow", "underflow", "subnormal"])
+def test_extreme_generators_keep_their_directions(generators, unit, projection):
+    # a squared norm outside the normal range once gave zero or dropped rows
+    cone = PolyhedralCone(generators)
+    np.testing.assert_allclose(cone._unit, unit, rtol=1e-15, atol=0.0)
+    assert cone.is_pointed()
+    np.testing.assert_allclose(cone.project_batch([[1.0, 0.5]]), [projection],
+                               rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("generators", [[[1.0, 1.0], [1.0, -1.0]],
+                                        [[1.0, 0.0], [1.0, 0.6], [1.0, -0.6]],
+                                        [[3.0, 4.0, 0.0], [1e-150, 0.0, 1e-150]]])
+def test_unit_generators_are_the_plain_normalization(generators):
+    # rows whose squared norm stays in range are divided by np.linalg.norm
+    G = np.array(generators)
+    assert np.array_equal(PolyhedralCone(G)._unit,
+                          G / np.linalg.norm(G, axis=1, keepdims=True))
+
+
+def test_warm_start_gate():
+    # linearly independent, well-conditioned unit generators admit a start;
+    # more generators than dimensions, or near-dependent ones, do not
+    cases = _polyhedral_cases(np.random.default_rng(11))
+    assert PolyhedralCone([[1.0, 1.0], [1.0, -1.0]])._start is not None
+    assert cases["k<d"]._start is not None and cases["k=d"]._start is not None
+    for kind in ("k>d", "duplicate", "line"):
+        assert cases[kind]._start is None
+    assert PolyhedralCone([[1.0, 0.0], [1.0, 0.6], [1.0, -0.6]])._start is None
+    assert PolyhedralCone([[1.0, 0.0], [1.0, 1e-4]])._start is None
+    assert WARM_CONES["parallel"]._start is None
+    assert WARM_CONES["nearly-parallel"]._start is None
 
 
 PROJECT_CONES = {"sector": ROW_CONES["polyhedral"],
@@ -446,6 +535,13 @@ def test_lorentz_sqrt_examples(mink_cone, mink_nu):
     assert antinorm_eval(mink_nu, mink_cone, [5.0, 3.0]) == pytest.approx(4.0)
     assert antinorm_eval(mink_nu, mink_cone, [1.0, 1.0]) == pytest.approx(0.0)
     assert antinorm_eval(mink_nu, mink_cone, [1.0, 2.0]) == NEG_INF
+
+
+@pytest.mark.parametrize("form", [[[1.0], [-1.0]], [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]],
+                                  [1.0, -1.0]], ids=["column", "wide", "vector"])
+def test_lorentz_sqrt_refuses_a_non_square_form(form):
+    with pytest.raises(ValueError, match="form must be a square matrix"):
+        LorentzSqrt(form)
 
 
 def test_zero_antinorm(mink_cone):

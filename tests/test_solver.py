@@ -416,6 +416,21 @@ def test_line_search_keeps_its_iterates(mink_cone, mink_nu):
         assert (rep.endpoint_evaluations, rep.jacobian_evaluations) == counts
 
 
+def test_polyhedral_solve_keeps_its_iterates(heis):
+    # the pinned outcome of the bench's heisenberg-polyhedral solve: a
+    # change to how a polyhedral projection is computed must leave every
+    # projection, and so every iterate, as it was
+    prob = make_prob(heis, PolyhedralCone([[1.0, 1.0], [1.0, -1.0]]),
+                     MinOfLinear([[1.0, 0.5], [1.0, -0.5]]), np.zeros(3),
+                     [2.0, 0.5, 0.1], n=50)
+    rep = solve_longest(prob, SolveOptions(restarts=3, max_iter=60, inner_iter=40))
+    assert rep.status == SolveStatus.SOLVED
+    assert rep.iterations == 4
+    assert rep.objective == pytest.approx(1.7500000000000002, rel=1e-12, abs=0.0)
+    assert (rep.endpoint_evaluations, rep.jacobian_evaluations) == (1239, 432)
+    assert rep.endpoint_residual == pytest.approx(8.585387817349533e-10, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # reachability sampling
 # ---------------------------------------------------------------------------
