@@ -15,7 +15,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import RunConfig, load_config
-from .cones import _check_antinorm_dim, check_antinorm_axioms, find_time_covector
+from .cones import (_check_antinorm_dim, _check_cone_dim, check_antinorm_axioms,
+                    find_time_covector)
 from .dynamics import ControlSignal, integrate, trajectory_to_csv
 from .errors import ConfigError, DimensionMismatchError, SubLorentzError
 from .solver import SolveStatus, reachability_sample, solve_longest
@@ -116,6 +117,15 @@ def _run_solve(cfg: RunConfig) -> Tuple[int, RunReport]:
     return (0 if ok else 1), report
 
 
+def _check_control_cone(cfg: RunConfig) -> None:
+    """Exit 2 under ``cone`` when the cone is not in the control space, as
+    a solve's ProblemInstance refuses it."""
+    try:
+        _check_cone_dim(cfg.cone, cfg.model)
+    except DimensionMismatchError as exc:
+        raise ConfigError(str(exc), field="cone")
+
+
 def _run_check_structure(cfg: RunConfig) -> Tuple[int, RunReport]:
     if cfg.cone is None or cfg.antinorm is None:
         raise ConfigError("check-structure needs 'cone' and 'antinorm'", field="cone")
@@ -148,6 +158,8 @@ def _run_check_timeform(cfg: RunConfig) -> Tuple[int, RunReport]:
     if cfg.model is None or cfg.timeform is None:
         raise ConfigError("check-timeform needs 'model' and 'timeform'",
                           field="timeform")
+    if cfg.cone is not None:
+        _check_control_cone(cfg)
     form = cfg.timeform
     model = cfg.model
     rng = np.random.default_rng(cfg.seed)
@@ -169,8 +181,7 @@ def _run_check_timeform(cfg: RunConfig) -> Tuple[int, RunReport]:
     ok = closed
 
     if cfg.cone is not None:
-        growth = check_growth_condition(form, cfg.cone, model.natural_metric(),
-                                        samples=cfg.samples, seed=cfg.seed)
+        growth = check_growth_condition(form, cfg.cone, model.natural_metric())
         payload["growth_passed"] = growth.passed
         payload["growth_rho"] = None if np.isinf(growth.rho) else growth.rho
         payload["growth_tau_scale"] = None if np.isinf(growth.tau_scale) \
@@ -201,6 +212,7 @@ def _run_reach(cfg: RunConfig) -> Tuple[int, RunReport]:
     if cfg.model is None or cfg.cone is None or cfg.x0 is None:
         raise ConfigError("reach needs 'model', 'cone' and endpoints.x0",
                           field="model")
+    _check_control_cone(cfg)
     cloud = reachability_sample(cfg.model, cfg.cone, cfg.x0, cfg.samples,
                                 seed=cfg.seed)
     payload = {

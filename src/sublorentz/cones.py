@@ -28,7 +28,7 @@ Gram solve on the set it ends on, which is the named face.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,8 +108,9 @@ class Cone:
         """A unit vector in the relative interior (requires pointedness)."""
         raise NotImplementedError
 
-    def extreme_directions(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Unit extreme directions: every polyhedral ray, n sampled quadratic ones."""
+    def ray_minimum(self, c) -> Tuple[float, Optional[np.ndarray]]:
+        """The least value of the covector c on the unit extreme rays, exact,
+        and a unit ray on which c <= 1e-12 |c|, None when c exceeds that."""
         raise NotImplementedError
 
     def time_covector(self) -> np.ndarray:
@@ -125,6 +126,14 @@ class Cone:
     def image(self, map_matrix) -> "Cone":
         """{M v : v in cone} for an invertible M, a cone of the same class."""
         raise NotImplementedError
+
+
+def _least_of(rays: np.ndarray, c: np.ndarray) -> Tuple[float, Optional[np.ndarray]]:
+    """min c . r over the unit rays r (+inf over none), and the first ray
+    with c . r <= 1e-12 |c|."""
+    vals = rays @ c
+    bad = np.flatnonzero(vals <= 1e-12 * np.linalg.norm(c))
+    return float(vals.min(initial=np.inf)), (rays[bad[0]].copy() if bad.size else None)
 
 
 def _invertible_map(map_matrix, dim: int) -> np.ndarray:
@@ -406,8 +415,9 @@ class PolyhedralCone(Cone):
             raise NotPointedError("generator average vanishes; cone not pointed")
         return d / n
 
-    def extreme_directions(self, n, rng):
-        return self._unit.copy()
+    def ray_minimum(self, c):
+        """Over the unit generators; the ray is the first that offends."""
+        return _least_of(self._unit, as_vector(c, self.dim, "covector"))
 
     def time_covector(self):
         """The least-distance covector: the unit tau maximizing the minimum
@@ -518,19 +528,38 @@ class LorentzCone(Cone):
         return self._axis.copy()
 
     def time_covector(self):
+        """W[0], along A's timelike eigenvector, the covector of greatest
+        margin: reflecting a spacelike eigenvector's coordinate keeps the cone
+        and the Euclidean norm, so it keeps the margin, and the best unit
+        covector is unique (the margin is concave, and the mean of two best
+        ones would do better), so every reflection fixes it."""
         return self._W[0].copy()
 
-    def extreme_directions(self, n, rng):
-        """Lightlike unit vectors: both boundary rays when dim = 2, else n sampled."""
-        r = self.dim - 1
-        if r == 1:
-            dirs = np.array([[1.0, 1.0], [1.0, -1.0]])
-        else:
-            phi = rng.standard_normal((n, r))
-            phi /= np.linalg.norm(phi, axis=1, keepdims=True)
-            dirs = np.hstack([np.ones((n, 1)), phi])
-        V = dirs @ self._Winv.T
-        return V / np.linalg.norm(V, axis=1, keepdims=True)
+    def ray_minimum(self, c):
+        """The two light rays when dim = 2.  Otherwise c~ = W^-T c, and c
+        offends on the light ray W^-1 (1, -c~_r / |c~_r|), where it is least
+        per unit b0 = (W v)_0, if it is at most 1e-12 |c| there.  If not,
+        min (c . v)^2 over unit v with v^T A v >= 0 is the maximum over
+        lam >= 0 of g(lam), the least eigenvalue of c c^T - lam A, exactly
+        for dim >= 3 (Polyak's S-lemma, J. Optim. Theory Appl. 99, 1998).
+        g is concave, with slope -v^T A v at its eigenvector v, and negative
+        past |c|^2 / |W[0]|^2, so bisection on the slope finds its maximum.
+        The ray's value caps the result where the square loses digits."""
+        c = as_vector(c, self.dim, "covector")
+        if self.dim == 2:
+            return _least_of(_unit_rows(np.array([[1., 1.], [1., -1.]]) @ self._Winv.T), c)
+        ct = self._Winv.T @ c
+        ray = self._Winv @ np.concatenate([[1.0], -ct[1:] / (np.linalg.norm(ct[1:]) or 1)])
+        ray /= np.linalg.norm(ray)
+        if c @ ray <= 1e-12 * np.linalg.norm(c):
+            return float(c @ ray), ray
+        C, lo, hi, best = np.outer(c, c), 0.0, (c @ c) / (self._W[0] @ self._W[0]), 0.0
+        while lo < 0.5 * (lo + hi) < hi:
+            lam = 0.5 * (lo + hi)
+            w, V = np.linalg.eigh(C - lam * self.form)
+            best = max(best, w[0])
+            lo, hi = (lam, hi) if V[:, 0] @ self.form @ V[:, 0] < 0.0 else (lo, lam)
+        return min(float(np.sqrt(best)), float(c @ ray)), None
 
     def sample(self, n, rng, boundary_fraction=0.25, relative_interior=False):
         r = self.dim - 1
@@ -564,8 +593,8 @@ class LorentzCone(Cone):
 class TimeCovector:
     """A covector strictly positive on the cone minus the origin.
 
-    ``margin`` is min tau(g)/|tau| over the cone's unit extreme directions g
-    (exact for polyhedral cones, sampled for quadratic ones).
+    ``margin`` is min tau(g)/|tau| over the cone's unit extreme rays g,
+    exactly (``Cone.ray_minimum``).
     """
 
     components: np.ndarray
@@ -575,18 +604,11 @@ class TimeCovector:
         return float(self.components @ np.asarray(v, dtype=float))
 
 
-def _probe_directions(cone: Cone) -> np.ndarray:
-    """The fixed sample of extreme directions that cone-wide checks run on."""
-    return cone.extreme_directions(512, np.random.default_rng(0))
-
-
 def find_time_covector(cone: Cone) -> TimeCovector:
-    """The cone's time covector tau, with its margin taken over the cone's
-    extreme directions.  Raises NotPointedError when no such covector exists.
-    """
+    """The cone's time covector tau, with its exact margin over the unit
+    extreme rays.  Raises NotPointedError when no such covector exists."""
     tau = cone.time_covector()
-    dirs = _probe_directions(cone)
-    return TimeCovector(tau, float((dirs @ tau).min() / np.linalg.norm(tau)))
+    return TimeCovector(tau, cone.ray_minimum(tau)[0] / np.linalg.norm(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +696,14 @@ def _check_antinorm_dim(nu: Antinorm, cone: Cone) -> None:
     if nu_dim is not None and nu_dim != cone.dim:
         raise DimensionMismatchError(f"antinorm dim {nu_dim} does not match "
                                      f"the cone dim {cone.dim}")
+
+
+def _check_cone_dim(cone: Cone, model) -> None:
+    """DimensionMismatchError unless the cone lives in the model's control
+    space."""
+    if cone.dim != model.control_dim:
+        raise DimensionMismatchError(f"cone dim {cone.dim} does not match the "
+                                     f"control space dim {model.control_dim}")
 
 
 def antinorm_eval(nu: Antinorm, cone: Cone, v, tol: float = DEFAULT_TOL):

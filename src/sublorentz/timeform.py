@@ -5,9 +5,10 @@ the unit-time reparametrization.
 All shipped forms are left-invariant, so everything is decided at the
 identity: the spread of tau0 is closed exactly when tau0 vanishes on
 [g, g], and the models are simply connected, so a closed form always has a
-potential.  The growth ratio and the unit-time section are measured there
-too, in a left-invariant metric, so one bound holds at every point.  The
-hyperbolic family (a dx + b dy)/y is the spread of (a, b).
+potential.  The growth ratio, which is also the unit-time section's norm
+bound, is computed there too, exactly, in a left-invariant metric, so one
+bound holds at every point.  The hyperbolic family (a dx + b dy)/y is the
+spread of (a, b).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import Cone, _positive_count, _row_dots, as_vector, as_vectors
+from .cones import Cone, _check_cone_dim, _row_dots, as_vector, as_vectors
 from .dynamics import Trajectory
 from .errors import NotExactError, StalledParameterError, UnboundedSectionError
 from .groups import GroupModel, HyperbolicPlane, LeftInvariantQuadratic
@@ -113,7 +114,7 @@ def is_exact(form: TimeForm) -> bool:
 
 @dataclass
 class GrowthReport:
-    """Sampled supremum of |xi| / tau(xi) over identity cone directions.
+    """Supremum rho of |xi| / tau(xi) over identity cone directions xi, exact.
 
     In the invariant setting a finite ratio rho certifies the sublinear
     growth condition globally once tau is multiplied by rho * (1 + eps).
@@ -132,30 +133,24 @@ class GrowthReport:
                 f"scale tau by {self.tau_scale:.6g} for a unit bound")
 
 
-def check_growth_condition(form: TimeForm, cone: Cone, metric: LeftInvariantQuadratic,
-                           samples: int = 2048, seed: int = 0) -> GrowthReport:
-    """Check tau > 0 on the cone minus the origin and bound |xi| / tau(xi).
-
-    Everything is evaluated at the identity; left invariance transports the
-    bound to every point, giving the distance-weighted inequality globally.
+def check_growth_condition(form: TimeForm, cone: Cone,
+                           metric: LeftInvariantQuadratic) -> GrowthReport:
+    """Check tau > 0 on the cone minus the origin and bound |xi| / tau(xi),
+    at the identity; left invariance transports the bound to every point.
+    With R^T R the metric on the controls and tau_c the covector on them,
+    |xi| / tau(xi) = |R xi| / (R^-T tau_c) . (R xi), so rho is one over the
+    least value of R^-T tau_c on the unit rays of R K (``Cone.ray_minimum``).
     """
-    _positive_count(samples, "samples")
-    rng = np.random.default_rng(seed)
     model = form.model
-    ident = model.identity()
-    dirs = cone.extreme_directions(samples, rng)
-    inner = cone.sample(samples, rng)
-    norms = np.linalg.norm(inner, axis=1, keepdims=True)
-    dirs = np.vstack([dirs, inner[norms[:, 0] > 0] / norms[norms[:, 0] > 0]])
-
-    full = model.embed_control(dirs)
-    tau_d = form.value_at_identity(full)
-    nrm = metric.norm(model, ident, full)
-    bad = tau_d <= 1e-12 * nrm
-    if np.any(bad):
+    _check_cone_dim(cone, model)
+    E = model.embed_control(np.eye(model.control_dim))
+    R = np.linalg.cholesky(E @ metric.form @ E.T).T
+    least, ray = cone.image(R).ray_minimum(np.linalg.solve(R.T, form.value_at_identity(E)))
+    if ray is not None:
+        ray = np.linalg.solve(R, ray)
         return GrowthReport(passed=False, rho=np.inf, tau_scale=np.inf,
-                            offending_direction=dirs[np.argmax(bad)])
-    rho = float(np.max(nrm / tau_d, initial=0.0))
+                            offending_direction=ray / np.linalg.norm(ray))
+    rho = 1.0 / least
     return GrowthReport(passed=True, rho=rho, tau_scale=rho * (1.0 + GROWTH_EPS))
 
 
@@ -164,30 +159,20 @@ def check_growth_condition(form: TimeForm, cone: Cone, metric: LeftInvariantQuad
 # ---------------------------------------------------------------------------
 
 
-def section_sup_norm(cone: Cone, form: TimeForm, metric: LeftInvariantQuadratic,
-                     samples: int = 2048, seed: int = 0) -> float:
+def section_sup_norm(cone: Cone, form: TimeForm, metric: LeftInvariantQuadratic) -> float:
     """Supremum of the metric norm over the unit-time slice
     {xi in cone : tau(xi) = 1} at the identity.  Left invariance makes it
     the supremum at every point.
 
-    The slice is a compact convex body whose extreme points sit on extreme
-    rays of the cone, so the norm maximum is taken there: exact vertex
-    enumeration for polyhedral cones, sampled boundary for quadratic ones.
+    That supremum is the growth ratio rho of ``check_growth_condition``.
     Raises UnboundedSectionError when tau fails to be positive on some ray.
     """
-    _positive_count(samples, "samples")
-    rng = np.random.default_rng(seed)
-    model = form.model
-    dirs = cone.extreme_directions(samples, rng)
-    full = model.embed_control(dirs)
-    tau_d = form.value_at_identity(full)
-    bad = tau_d <= 1e-12
-    if np.any(bad):
+    rep = check_growth_condition(form, cone, metric)
+    if not rep.passed:
         raise UnboundedSectionError(
             f"tau is not positive on the extreme direction "
-            f"{dirs[np.argmax(bad)].tolist()}; the unit-time slice is unbounded")
-    return float(np.max(metric.norm(model, model.identity(), full / tau_d[:, None]),
-                        initial=0.0))
+            f"{rep.offending_direction.tolist()}; the unit-time slice is unbounded")
+    return rep.rho
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .solver import (
 from .timeform import (
     HyperbolicAB,
     LeftInvariantForm,
+    check_growth_condition,
     exterior_derivative_fd,
     potential,
     section_sup_norm,
@@ -118,26 +119,48 @@ def _check_membership_oracle(seed, samples: int = 1000) -> CheckResult:
                        f"{agree}/{len(v)} agree")
 
 
+def _tilted_lorentz_cones(dims=(3, 5, 8, 16)) -> dict:
+    """dim -> LorentzCone(A, M^T e0), A = M^T diag(1, -1, ..., -1) M and
+    M = I + 0.4 G, each G standard normal, drawn from one default_rng(1) in
+    the order of dims: tilted cones, whose extreme margins a sample of light
+    rays misses from dim 5 on."""
+    rng = np.random.default_rng(1)
+    cones = {}
+    for d in dims:
+        M = np.eye(d) + 0.4 * rng.standard_normal((d, d))
+        cones[d] = LorentzCone(M.T @ np.diag([1.0] + [-1.0] * (d - 1)) @ M, M[0])
+    return cones
+
+
 def _check_covector_margins(seed) -> CheckResult:
-    """Four fixed pointed cones and one random 3-d polyhedral cone; on the
+    """Five fixed pointed cones and one random 3-d polyhedral cone; on the
     two 2-d polyhedral cones the margin is also the best one, the cosine of
-    half the opening angle, to 1e-12."""
+    half the opening angle, to 1e-12, and on the tilted 5-d Lorentz cone,
+    whose covector is the best one too, margin |tau| rho = 1 to 1e-12 with
+    the growth ratio rho of the natural metric."""
     rng = np.random.default_rng(seed)
     sectors = [PolyhedralCone([[0.5, 1.0], [-0.5, 1.0]]),
                PolyhedralCone([[1, 0], [1, 1]])]
+    lorentz5 = _tilted_lorentz_cones((3, 5))[5]
     cones = [_MINK_CONE,
              LorentzCone([[-4.0, 0.0], [0.0, 1.0]], [0, 1]),
-             PolyhedralCone(rng.normal(size=(3, 3)) + np.array([4.0, 0, 0]))]
+             PolyhedralCone(rng.normal(size=(3, 3)) + np.array([4.0, 0, 0])),
+             lorentz5]
     margins = [find_time_covector(c).margin for c in cones + sectors]
     gap = 0.0
     for cone, margin in zip(sectors, margins[len(cones):]):
         (a, b), (c, d) = cone._unit
         half = 0.5 * abs(np.arctan2(a * d - b * c, a * c + b * d))
         gap = max(gap, abs(margin - np.cos(half)))
-    ok = all(m > 1e-12 for m in margins) and gap <= 1e-12
+    tau, model = lorentz5.time_covector(), AbelianGroup(5)
+    rho = check_growth_condition(LeftInvariantForm(tau, model), lorentz5,
+                                 model.natural_metric()).rho
+    dual = abs(margins[3] * np.linalg.norm(tau) * rho - 1.0)
+    ok = all(m > 1e-12 for m in margins) and gap <= 1e-12 and dual <= 1e-12
     return CheckResult("time covector margins positive and optimal", ok,
                        "margins " + ", ".join(f"{m:.3g}" for m in margins)
-                       + f"; 2-d sectors off the optimum by {gap:.1e}")
+                       + f"; 2-d sectors off the optimum by {gap:.1e}"
+                       + f"; 5-d Lorentz margin |tau| rho off 1 by {dual:.1e}")
 
 
 def _polyhedral_cases(rng: np.random.Generator) -> dict:
@@ -296,8 +319,8 @@ def _check_path_independence(seed, samples: int = 50) -> CheckResult:
                        f"max |integral - potential| {worst:.2e}")
 
 
-#: cone -> bound on |sup - sqrt 2|: sampled light rays, exact vertices
-_SECTION_CONES = {"lorentz": (_MINK_CONE, 1e-9),
+#: cone -> bound on |sup - sqrt 2|: both exact, the light rays and the vertices
+_SECTION_CONES = {"lorentz": (_MINK_CONE, 1e-14),
                   "polyhedral": (PolyhedralCone([[1, 0], [1, 1]]), 1e-14)}
 
 

@@ -451,6 +451,21 @@ def test_main_cone_dim_mismatch_reported_under_cone(tmp_path, capsys):
     assert "config error: cone: cone dim 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset", ["heisenberg-sl", "minkowski11", "hyperbolic"])
+@pytest.mark.parametrize("subcommand", ["check-timeform", "reach"])
+def test_cone_outside_the_control_space_exits_two_under_cone(tmp_path, capsys,
+                                                              preset, subcommand):
+    # a 3-d cone on a 2-d control space: Heisenberg would read it as a cone
+    # of full tangent vectors, the 2-d models would fail without a path
+    path = write_config(tmp_path, {
+        "version": 1, "preset": preset, "samples": 8,
+        "cone": {"kind": "lorentz", "form": np.diag([1.0, -1.0, -1.0]).tolist(),
+                 "nappe_selector": [1.0, 0.0, 0.0]}})
+    assert main([subcommand, "--config", path]) == 2
+    assert ("config error: cone: cone dim 3 does not match the control space dim 2"
+            in capsys.readouterr().err)
+
+
 def test_main_missing_file_exit_two(capsys):
     assert main(["solve", "--config", "/nonexistent/x.json"]) == 2
 

@@ -7,7 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import linprog, nnls
+from scipy.optimize import linprog, minimize, nnls
 
 from sublorentz import (
     DimensionMismatchError,
@@ -22,7 +22,8 @@ from sublorentz import (
     check_antinorm_axioms,
     find_time_covector,
 )
-from sublorentz.cones import _nnls_rows
+from sublorentz.cones import _nnls_rows, _unit_rows
+from sublorentz.groups import MAX_DIM
 from sublorentz.verify import (
     EuclideanNormCandidate,
     _check_antinorm_axioms,
@@ -33,6 +34,7 @@ from sublorentz.verify import (
     _check_reverse_triangle,
     _polyhedral_cases,
     _projection_rows,
+    _tilted_lorentz_cones,
 )
 
 MINK = [[1.0, 0.0], [0.0, -1.0]]
@@ -103,10 +105,21 @@ ROW_CONES = {
 }
 
 
+def _boundary_rays(cone, rng, n=8):
+    """Unit boundary rays: the unit generators of a polyhedral cone, n light
+    rays W^-1 (1, phi) with random unit phi of a Lorentz cone."""
+    if isinstance(cone, PolyhedralCone):
+        return cone._unit
+    phi = rng.standard_normal((n, cone.dim - 1))
+    V = np.hstack([np.ones((n, 1)), phi / np.linalg.norm(phi, axis=1, keepdims=True)])
+    V = V @ cone._Winv.T
+    return V / np.linalg.norm(V, axis=1, keepdims=True)
+
+
 @pytest.mark.parametrize("kind", sorted(ROW_CONES))
 def test_contains_rows_match_the_row_loop(kind, rng):
     cone = ROW_CONES[kind]
-    rays = cone.extreme_directions(8, rng)
+    rays = _boundary_rays(cone, rng)
     V = np.vstack([rays, 3.0 * rays, -rays, np.zeros(cone.dim),
                    cone.sample(50, rng), rng.normal(size=(50, cone.dim))])
     rows = cone.contains(V)
@@ -427,6 +440,94 @@ def test_covector_margin_positive_on_pointed_cones(rng):
     assert res.passed, res.detail
 
 
+# ---------------------------------------------------------------------------
+# ray minima
+# ---------------------------------------------------------------------------
+
+
+def _light_sphere_minimum(cone, c, starts=12, seed=0):
+    """min c . v / |v| over the light rays v = W^-1 (1, phi / |phi|) of a
+    Lorentz cone: BFGS with the exact gradient, from several random starts.
+    Each run ends at a ray, so the result bounds the minimum from above."""
+    Winv = cone._Winv
+
+    def f(phi):
+        n = np.linalg.norm(phi)
+        v = Winv @ np.concatenate([[1.0], phi / n])
+        nv = np.linalg.norm(v)
+        h = Winv[:, 1:].T @ (c / nv - (c @ v) * v / nv ** 3)
+        return c @ v / nv, (h - (phi @ h) * phi / n ** 2) / n
+
+    rng = np.random.default_rng(seed)
+    return min(minimize(f, rng.standard_normal(cone.dim - 1), jac=True,
+                        method="BFGS", options={"gtol": 1e-13}).fun
+               for _ in range(starts))
+
+
+@pytest.mark.parametrize("dim", [3, 5, 8, 16, MAX_DIM])
+def test_lorentz_ray_minimum_matches_the_multistart_oracle(dim):
+    cone = _tilted_lorentz_cones((3, 5, 8, 16, MAX_DIM))[dim]
+    phi = np.random.default_rng(dim).standard_normal(dim - 1)
+    # the time covector, and one tilted toward a random light ray
+    tilted = cone._W.T @ np.concatenate([[1.0], 0.5 * phi / np.linalg.norm(phi)])
+    for c in (cone.time_covector(), tilted):
+        least, ray = cone.ray_minimum(c)
+        assert ray is None
+        assert least == pytest.approx(_light_sphere_minimum(cone, c), rel=1e-10)
+
+
+def test_lorentz_ray_minimum_names_an_offending_light_ray():
+    cone = _tilted_lorentz_cones((3, 5))[5]
+    # (1, 1, 0, 0, 0) in the diagonal coordinates vanishes on one light ray,
+    # and (1, 2, 0, 0, 0) is negative on some
+    for ct, sign in (([1.0, 1.0, 0, 0, 0], 0.0), ([1.0, 2.0, 0, 0, 0], -1.0)):
+        c = cone._W.T @ np.array(ct)
+        least, ray = cone.ray_minimum(c)
+        assert np.sign(round(least, 12)) == sign
+        assert ray is not None and np.linalg.norm(ray) == pytest.approx(1.0)
+        assert cone.contains(ray) and c @ ray == pytest.approx(least, abs=1e-15)
+    # a negative multiple of the time covector is negative everywhere
+    least, ray = cone.ray_minimum(-cone.time_covector())
+    assert least < 0.0 and cone.contains(ray)
+
+
+def test_two_dim_ray_minimum_takes_both_light_rays(mink_cone):
+    assert mink_cone.ray_minimum([1.0, 0.0]) == (pytest.approx(np.sqrt(0.5)), None)
+    least, ray = mink_cone.ray_minimum([1.0, 1.0])
+    assert least == 0.0 and np.allclose(ray, np.array([1.0, -1.0]) / np.sqrt(2))
+
+
+def test_polyhedral_ray_minimum_names_the_first_offending_generator():
+    cone = PolyhedralCone([[2.0, 2.0], [3.0, 0.0], [1.0, -1.0], [0.0, 0.0]])
+    least, ray = cone.ray_minimum([0.0, 1.0])
+    assert least == pytest.approx(-np.sqrt(0.5)) and np.array_equal(ray, [1.0, 0.0])
+    assert cone.ray_minimum([1.0, 0.0]) == (pytest.approx(np.sqrt(0.5)), None)
+    with pytest.raises(DimensionMismatchError):
+        cone.ray_minimum([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("dim", [3, 5, 8])
+def test_lorentz_time_covector_maximizes_the_exact_margin(dim):
+    # the reflections of A's spacelike eigenvectors keep the cone and the
+    # Euclidean norm, and the best unit covector is unique, so it lies on the
+    # timelike eigenvector: no perturbation of W[0] does better
+    cone = _tilted_lorentz_cones((3, 5, 8))[dim]
+    best = find_time_covector(cone).margin
+    rng = np.random.default_rng(dim)
+    tau = cone.time_covector() / np.linalg.norm(cone.time_covector())
+    for _ in range(100):
+        c = tau + 10.0 ** rng.uniform(-6.0, -1.0) * rng.standard_normal(dim)
+        assert cone.ray_minimum(c)[0] / np.linalg.norm(c) <= best + 1e-15
+
+
+def test_two_dim_lorentz_time_covector_is_the_bisector(rng):
+    for _ in range(20):
+        cone = LorentzCone(MINK, [1.0, 0.0]).image(np.eye(2) + 0.4 * rng.normal(size=(2, 2)))
+        (a, b), (c, d) = _unit_rows(np.array([[1.0, 1.0], [1.0, -1.0]]) @ cone._Winv.T)
+        half = 0.5 * abs(np.arctan2(a * d - b * c, a * c + b * d))
+        assert find_time_covector(cone).margin == pytest.approx(np.cos(half), abs=1e-15)
+
+
 def test_linear_image_cone(mink_cone):
     M = np.array([[2.0, 1.0], [0.0, 1.0]])
     image = mink_cone.image(M)
@@ -513,17 +614,6 @@ def test_image_under_an_ill_conditioned_map_is_refused():
         PolyhedralCone([[1.0, 0.0], [1.0, 1.0]]).image(c * np.eye(2) + c * 0.1)
     with pytest.raises(ValueError, match="map must be finite"):
         LorentzCone(MINK, [1.0, 0.0]).image([[np.inf, 0.0], [0.0, 1.0]])
-
-
-def test_extreme_directions_are_unit_cone_members(rng):
-    cones = [LorentzCone(MINK, [1, 0]),
-             LorentzCone(np.diag([1.0, -1.0, -1.0]), [1, 0, 0]),
-             PolyhedralCone([[2.0, 0.0], [1.0, 1.0], [0.0, 0.0]]),
-             LorentzCone(MINK, [1, 0]).image([[2.0, 1.0], [0.0, 1.0]])]
-    for cone in cones:
-        dirs = cone.extreme_directions(64, rng)
-        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
-        assert all(cone.contains(d) for d in dirs)
 
 
 # ---------------------------------------------------------------------------

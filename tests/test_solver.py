@@ -504,8 +504,7 @@ def _desk_reference(prob, form, n_samples, seed):
     t1 = potential(form, prob.x1)
     gap = t1 - potential(form, prob.x0)
     metric = prob.model.natural_metric()
-    radius = section_sup_norm(prob.cone, form, metric, samples=2048,
-                              seed=seed) * max(gap, 0.0)
+    radius = section_sup_norm(prob.cone, form, metric) * max(gap, 0.0)
     rng = np.random.default_rng(seed)
     ident = prob.model.identity()
     mono_bad = stalled = radius_bad = 0
