@@ -26,7 +26,6 @@ from .dynamics import (
     oriented_area,
     sl_length,
     trajectory_to_csv,
-    write_trajectory_csv,
 )
 from .errors import (
     ConfigError,
@@ -73,6 +72,7 @@ from .timeform import (
     LeftInvariantForm,
     TimeForm,
     check_growth_condition,
+    dtau,
     exterior_derivative_fd,
     is_exact,
     potential,

@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -20,13 +21,7 @@ from .cones import (_check_antinorm_dim, _check_cone_dim, check_antinorm_axioms,
 from .dynamics import ControlSignal, integrate, trajectory_to_csv
 from .errors import ConfigError, DimensionMismatchError, SubLorentzError
 from .solver import SolveStatus, reachability_sample, solve_longest
-from .timeform import (
-    check_growth_condition,
-    exterior_derivative_fd,
-    is_exact,
-    potential,
-    tau_duration,
-)
+from .timeform import check_growth_condition, dtau, potential, tau_duration
 from .verify import run_all
 
 
@@ -126,6 +121,16 @@ def _check_control_cone(cfg: RunConfig) -> None:
         raise ConfigError(str(exc), field="cone")
 
 
+@contextmanager
+def _cone_paths():
+    """Exit 2 under ``cone`` when a path sampled in the cone leaves the
+    model: generators so large that the flow overflows."""
+    try:
+        yield
+    except ValueError as exc:   # InvalidPointError is a ValueError too
+        raise ConfigError(f"a sampled path leaves the model: {exc}", field="cone")
+
+
 def _run_check_structure(cfg: RunConfig) -> Tuple[int, RunReport]:
     if cfg.cone is None or cfg.antinorm is None:
         raise ConfigError("check-structure needs 'cone' and 'antinorm'", field="cone")
@@ -162,21 +167,11 @@ def _run_check_timeform(cfg: RunConfig) -> Tuple[int, RunReport]:
         _check_control_cone(cfg)
     form = cfg.timeform
     model = cfg.model
-    rng = np.random.default_rng(cfg.seed)
-    basis = np.eye(model.point_dim)
-    worst = 0.0
-    for _ in range(20):
-        p = model.exp_step(model.identity(), rng.uniform(-2, 2, model.point_dim), 1.0)
-        # coordinate stencils: dtau components in the chart basis
-        for i in range(model.point_dim):
-            for j in range(i + 1, model.point_dim):
-                worst = max(worst, abs(exterior_derivative_fd(
-                    form, p, basis[i], basis[j], 1e-3)))
-    # closed <=> exact on these simply connected models; the sampled |dtau|
-    # is evidence only, as a small [g, g] component passes any cut on it
-    closed = is_exact(form)
-    payload: Dict = {"max_sampled_dtau": worst, "closed": closed}
-    text = [f"max sampled |dtau| = {worst:.3g} -> "
+    # closed <=> exact on these simply connected models
+    dtau_norm = float(np.abs(dtau(form)).max())
+    closed = dtau_norm == 0.0
+    payload: Dict = {"dtau_norm": dtau_norm, "closed": closed}
+    text = [f"max |dtau(e_i, e_j)| = {dtau_norm:.3g} -> "
             f"{'closed' if closed else 'NOT closed'}"]
     ok = closed
 
@@ -191,10 +186,12 @@ def _run_check_timeform(cfg: RunConfig) -> Tuple[int, RunReport]:
 
     payload["exact"] = closed
     if closed and cfg.cone is not None:
+        rng = np.random.default_rng(cfg.seed)
         worst_gap = 0.0
         for _ in range(10):
-            u = ControlSignal(cfg.cone.sample(int(rng.integers(1, 9)), rng))
-            traj = integrate(model, model.identity(), u)
+            with _cone_paths():
+                u = ControlSignal(cfg.cone.sample(int(rng.integers(1, 9)), rng))
+                traj = integrate(model, model.identity(), u)
             gap = abs(tau_duration(traj, form)
                       - (potential(form, traj.endpoint)
                          - potential(form, model.identity())))
@@ -213,8 +210,9 @@ def _run_reach(cfg: RunConfig) -> Tuple[int, RunReport]:
         raise ConfigError("reach needs 'model', 'cone' and endpoints.x0",
                           field="model")
     _check_control_cone(cfg)
-    cloud = reachability_sample(cfg.model, cfg.cone, cfg.x0, cfg.samples,
-                                seed=cfg.seed)
+    with _cone_paths():
+        cloud = reachability_sample(cfg.model, cfg.cone, cfg.x0, cfg.samples,
+                                    seed=cfg.seed)
     payload = {
         "n_samples": int(cloud.shape[0]),
         "coordinate_mins": cloud.min(axis=0).tolist(),
@@ -227,7 +225,7 @@ def _run_reach(cfg: RunConfig) -> Tuple[int, RunReport]:
     return 0, report
 
 
-def _run_verify(cfg: Optional[RunConfig], seed: int) -> Tuple[int, RunReport]:
+def _run_verify(seed: int) -> Tuple[int, RunReport]:
     results = run_all(seed)
     n_pass = sum(r.passed for r in results)
     payload = {
@@ -252,7 +250,7 @@ def run_config(path: Optional[str], subcommand: str, seed: Optional[int] = None,
         cfg.seed = seed
         cfg.solver_options = replace(cfg.solver_options, seed=seed)
     if subcommand == "verify":
-        code, report = _run_verify(cfg, seed if seed is not None
+        code, report = _run_verify(seed if seed is not None
                                    else (cfg.seed if cfg else 0))
     else:
         if cfg is None:

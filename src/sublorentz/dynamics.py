@@ -15,11 +15,7 @@ import numpy as np
 
 from .cones import Antinorm, Cone, antinorm_eval, as_vector
 from .errors import DimensionMismatchError, WrongModelError
-from .groups import (
-    CarnotGroup,
-    GroupModel,
-    minkowski_area_algebra,
-)
+from .groups import GroupModel, minkowski_area_algebra
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,15 +148,12 @@ def admissibility_check(cone: Cone, u: ControlSignal, tol: float = 1e-9
 
 
 def _area_rank(model: GroupModel) -> int:
-    """Spatial rank r when model is the step-2 area-tracking group, else raise."""
-    if not isinstance(model, CarnotGroup) or model.algebra.step != 2:
+    """Spatial rank r when model is the step-2 area-tracking group, that is
+    when its structure constants are those of minkowski_area(r), else raise."""
+    r, odd = divmod(model.point_dim - 1, 2)
+    if (r < 1 or odd or not np.allclose(model.structure_constants,
+                                        minkowski_area_algebra(r).table, atol=1e-12)):
         raise WrongModelError("oriented areas live on the step-2 area-tracking group")
-    m1, m2 = model.algebra.layer_dims
-    r = m1 - 1
-    if r < 1 or m2 != r:
-        raise WrongModelError(f"unexpected layer dims {model.algebra.layer_dims}")
-    if not np.allclose(model.algebra.table, minkowski_area_algebra(r).table, atol=1e-12):
-        raise WrongModelError("structure constants are not the area-tracking ones")
     return r
 
 
@@ -227,8 +220,3 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         cells.append(f"{traj.z[k]:.17g}" if traj.z is not None else "")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trajectory_to_csv(traj))

@@ -212,16 +212,16 @@ class GroupModel:
     and a global chart (points are coordinate vectors).
 
     Everything left-invariant is decided at the identity, so a model also
-    supplies the maps between identity tangents and chart tangents, the
-    chart indices of the derived algebra [g, g], and the endpoint map of
-    piecewise-constant controls, alone or with its Jacobian.
+    supplies its Lie bracket there, the maps between identity tangents and
+    chart tangents, and the endpoint map of piecewise-constant controls,
+    alone or with its Jacobian.
     """
 
     point_dim: int
     control_dim: int
-    #: chart indices spanning [g, g]; a left-invariant form is exact exactly
-    #: when its covector vanishes there
-    derived_coords: slice
+    #: ``structure_constants[i, j, k]`` is the e_k-component of [e_i, e_j] in
+    #: the chart basis at the identity
+    structure_constants: np.ndarray
 
     def identity(self) -> np.ndarray:
         raise NotImplementedError
@@ -376,7 +376,7 @@ class AbelianGroup(GroupModel):
         self.dim = int(dim)
         self.point_dim = self.dim
         self.control_dim = self.dim
-        self.derived_coords = slice(self.dim, None)
+        self.structure_constants = np.zeros((self.dim,) * 3)
 
     def __repr__(self) -> str:
         return f"AbelianGroup(dim={self.dim})"
@@ -493,7 +493,11 @@ class HyperbolicPlane(GroupModel):
 
     point_dim = 2
     control_dim = 2
-    derived_coords = slice(0, 1)
+    #: the left-invariant fields are y d/dx and y d/dy, and
+    #: [y d/dx, y d/dy] = -y d/dx: [e_x, e_y] = -e_x
+    structure_constants = np.array([[[0.0, 0.0], [-1.0, 0.0]],
+                                    [[1.0, 0.0], [0.0, 0.0]]])
+    structure_constants.flags.writeable = False
 
     def __repr__(self) -> str:
         return "HyperbolicPlane()"
@@ -614,7 +618,7 @@ class CarnotGroup(GroupModel):
         self.algebra = algebra
         self.point_dim = algebra.dim
         self.control_dim = algebra.layer_dims[0]
-        self.derived_coords = slice(self.control_dim, None)
+        self.structure_constants = algebra.table
         self._first_layer = np.eye(self.point_dim, self.control_dim)
 
     def __repr__(self) -> str:

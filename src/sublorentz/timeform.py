@@ -4,11 +4,11 @@ the unit-time reparametrization.
 
 All shipped forms are left-invariant, so everything is decided at the
 identity: the spread of tau0 is closed exactly when tau0 vanishes on
-[g, g], and the models are simply connected, so a closed form always has a
-potential.  The growth ratio, which is also the unit-time section's norm
-bound, is computed there too, exactly, in a left-invariant metric, so one
-bound holds at every point.  The hyperbolic family (a dx + b dy)/y is the
-spread of (a, b).
+[g, g], which the model's structure constants decide, and the models are
+simply connected, so a closed form always has a potential.  The growth
+ratio, which is also the unit-time section's norm bound, is computed there
+too, exactly, in a left-invariant metric, so one bound holds at every
+point.  The hyperbolic family (a dx + b dy)/y is the spread of (a, b).
 """
 
 from __future__ import annotations
@@ -83,28 +83,30 @@ def exterior_derivative_fd(form: TimeForm, p, v, w, h: float = 1e-3) -> float:
     return d_v - d_w
 
 
+def dtau(form: LeftInvariantForm) -> np.ndarray:
+    """The exterior derivative of the spread at the identity on basis pairs,
+    exactly: d tau(e_i, e_j) = -tau0([e_i, e_j]) for left-invariant fields."""
+    return -(form.model.structure_constants @ form.tau0)
+
+
 def potential(form: LeftInvariantForm, p):
     """The function T with dT = tau, normalized to T(identity) = 0: the
     covector applied to the group logarithm.  A float for a point, an array
     for a stack of points (..., point_dim), each entry the float of its row.
 
-    Raises NotExactError when the covector does not vanish on [g, g] (on the
-    hyperbolic plane: a != 0), so that the spread is not closed.
+    Raises NotExactError when d tau is not zero, that is when the covector
+    does not vanish on [g, g] (on the hyperbolic plane: a != 0).
     """
-    model = form.model
-    if np.any(form.tau0[model.derived_coords] != 0.0):
+    if not is_exact(form):
         raise NotExactError("covector does not vanish on [g, g]; the "
                             "left-invariant spread is not closed")
-    T = _row_dots(model.log(p), form.tau0)
+    T = _row_dots(form.model.log(p), form.tau0)
     return float(T) if T.ndim == 0 else T
 
 
-def is_exact(form: TimeForm) -> bool:
-    try:
-        potential(form, form.model.identity())
-    except NotExactError:
-        return False
-    return True
+def is_exact(form: LeftInvariantForm) -> bool:
+    """Closed, hence exact on these simply connected models: d tau = 0."""
+    return not np.any(dtau(form))
 
 
 # ---------------------------------------------------------------------------

@@ -309,19 +309,19 @@ def test_check_timeform_closed_and_not(tmp_path):
         "open.json")
     code, rep = run_config(broken, "check-timeform")
     assert code == 1 and not rep.payload["closed"]
-    # d tau = a / y^2 at the sampled scale
-    assert rep.payload["max_sampled_dtau"] > 0.05
+    # d tau(e_x, e_y) = -tau0([e_x, e_y]) = a at the identity
+    assert rep.payload["dtau_norm"] == 1.0
 
 
 def test_check_timeform_tiny_bracket_component_is_not_closed(tmp_path):
-    # |dtau| ~ 1e-12 passes any sampled cut; closed <=> exact decides
+    # |dtau| = 1e-12 exactly: tau0([e_0, e_1]) = 1e-12 is not zero
     path = write_config(tmp_path, {
         "version": 1, "preset": "heisenberg-sl",
         "timeform": {"kind": "left_invariant", "tau0": [1.0, 0.0, 1e-12]}})
     code, rep = run_config(path, "check-timeform")
     assert code == 1
     assert not rep.payload["closed"] and not rep.payload["exact"]
-    assert rep.payload["max_sampled_dtau"] < 1e-8
+    assert rep.payload["dtau_norm"] == 1e-12
 
 
 def test_check_structure_on_a_polyhedral_linear_image(tmp_path):
@@ -463,6 +463,20 @@ def test_cone_outside_the_control_space_exits_two_under_cone(tmp_path, capsys,
                  "nappe_selector": [1.0, 0.0, 0.0]}})
     assert main([subcommand, "--config", path]) == 2
     assert ("config error: cone: cone dim 3 does not match the control space dim 2"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("preset", ["heisenberg-sl", "hyperbolic"])
+@pytest.mark.parametrize("subcommand", ["check-timeform", "reach"])
+def test_huge_generators_exit_two_under_cone(tmp_path, capsys, preset, subcommand):
+    # controls of 1e300 overflow the flow: a non-finite Heisenberg point, a
+    # hyperbolic point with y = 0
+    path = write_config(tmp_path, {
+        "version": 1, "preset": preset, "samples": 8,
+        "cone": {"kind": "polyhedral", "generators": [[1e300, 0.0], [0.0, -1e300]]}})
+    with np.errstate(all="ignore"):
+        assert main([subcommand, "--config", path]) == 2
+    assert ("config error: cone: a sampled path leaves the model"
             in capsys.readouterr().err)
 
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from sublorentz import (
+    AbelianGroup,
+    CarnotAlgebra,
     CarnotGroup,
     ControlSignal,
     HyperbolicPlane,
@@ -16,11 +18,12 @@ from sublorentz import (
     heisenberg_algebra,
     integrate,
     integrate_rk4_step2,
+    minkowski_area_algebra,
     oriented_area,
     sl_length,
     trajectory_to_csv,
 )
-from sublorentz.dynamics import Trajectory
+from sublorentz.dynamics import Trajectory, _area_rank
 from sublorentz.verify import (
     _check_refinement,
     _check_rk4_crosscheck,
@@ -172,6 +175,23 @@ def test_oriented_area_wrong_model(plane):
     traj2 = integrate(fil, fil.identity(), ControlSignal([[1.0, 0.0]]))
     with pytest.raises(ValueError, match="spatial index"):
         oriented_area(traj2, 2)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_area_rank_reads_the_area_tracking_structure_constants(r):
+    assert _area_rank(CarnotGroup(minkowski_area_algebra(r))) == r
+
+
+@pytest.mark.parametrize("model", [
+    AbelianGroup(3), AbelianGroup(5),
+    CarnotGroup(CarnotAlgebra.from_brackets((2, 1, 1), {(0, 1): {2: 1.0},
+                                                        (0, 2): {3: 1.0}})),
+    CarnotGroup(CarnotAlgebra.from_brackets((2, 1), {(0, 1): {2: 2.0}}))],
+    ids=["abelian-3", "abelian-5", "engel", "heisenberg-scaled"])
+def test_area_rank_refuses_other_brackets(model):
+    # the zero tables have point dim 2 r + 1: only the table comparison stops them
+    with pytest.raises(WrongModelError):
+        _area_rank(model)
 
 
 @pytest.mark.parametrize("r", [1, 2])

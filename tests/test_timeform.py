@@ -3,6 +3,8 @@ import pytest
 
 from sublorentz import (
     AbelianGroup,
+    CarnotAlgebra,
+    CarnotGroup,
     ControlSignal,
     DimensionMismatchError,
     HyperbolicAB,
@@ -20,10 +22,13 @@ from sublorentz import (
     check_antinorm_axioms,
     check_growth_condition,
     check_hyperbolicity_desk,
+    dtau,
     exterior_derivative_fd,
     find_time_covector,
+    heisenberg_algebra,
     integrate,
     is_exact,
+    minkowski_area_algebra,
     potential,
     reparametrize,
     section_sup_norm,
@@ -127,6 +132,44 @@ def test_dtau_detects_nonclosed_carnot_covector(heis):
     form = LeftInvariantForm([0.0, 0.0, 1.0], heis)
     d = exterior_derivative_fd(form, np.zeros(3), [1, 0, 0], [0, 1, 0], 1e-4)
     assert d == pytest.approx(-1.0, abs=1e-6)
+
+
+def bracket_model(name):
+    if name == "abelian":
+        return AbelianGroup(3)
+    if name == "hyperbolic":
+        return HyperbolicPlane()
+    if name == "heisenberg":
+        return CarnotGroup(heisenberg_algebra())
+    if name == "minkowski-area":
+        return CarnotGroup(minkowski_area_algebra(2))
+    if name == "engel":
+        return CarnotGroup(CarnotAlgebra.from_brackets(
+            (2, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}}))
+    return CarnotGroup(CarnotAlgebra.from_brackets(
+        (2, 1, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}, (0, 3): {4: 1.0}}))
+
+
+@pytest.mark.parametrize("name", ["abelian", "hyperbolic", "heisenberg",
+                                  "minkowski-area", "engel", "filiform"])
+def test_exact_dtau_matches_finite_differences(name, rng):
+    # d tau_p(e_i, e_j) is the identity 2-form on the pulled-back basis; the
+    # stencil's O(h^2) error grows like b h^2 / y^4 on the hyperbolic plane,
+    # so the points keep y >= 1/e
+    model = bracket_model(name)
+    basis = np.eye(model.point_dim)
+    for _ in range(20):
+        p = model.exp_step(model.identity(), rng.uniform(-1, 1, model.point_dim), 1.0)
+        form = LeftInvariantForm(rng.uniform(-1, 1, model.point_dim), model)
+        L = model.pullback(p, basis)
+        fd = [[exterior_derivative_fd(form, p, e_i, e_j, 1e-4) for e_j in basis]
+              for e_i in basis]
+        assert np.allclose(fd, L @ dtau(form) @ L.T, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.0, 1.0), (-0.7, 2.5)])
+def test_hyperbolic_dtau_is_a_exactly(a, b):
+    assert np.array_equal(dtau(HyperbolicAB(a, b)), [[0.0, a], [-a, 0.0]])
 
 
 # ---------------------------------------------------------------------------
