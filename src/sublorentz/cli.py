@@ -124,9 +124,11 @@ def _check_control_cone(cfg: RunConfig) -> None:
 @contextmanager
 def _cone_paths():
     """Exit 2 under ``cone`` when a path sampled in the cone leaves the
-    model: generators so large that the flow overflows."""
+    model: generators so large that the flow overflows.  The overflow is
+    reported by that exit, so numpy's warnings about it are silenced."""
     try:
-        yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
     except ValueError as exc:   # InvalidPointError is a ValueError too
         raise ConfigError(f"a sampled path leaves the model: {exc}", field="cone")
 

@@ -344,18 +344,24 @@ def _least_distance(U: np.ndarray):
     return x @ rows[:, :d], x > 0.0
 
 
-def _unit_rows(G: np.ndarray) -> np.ndarray:
-    """The rows of G, none of them zero, scaled to unit length.  A row whose
-    squared norm leaves the normal float range (overflows, or falls below the
-    least normal number) is first divided by its largest magnitude, so
-    generators of 1e300 or 1e-200 keep their directions; every other row
-    is divided by its ``np.linalg.norm``, as it always was."""
+def _scaled_rows(G: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """G with each nonzero row whose squared norm leaves the normal float
+    range (overflows, or falls below the least normal number) divided by its
+    largest magnitude, and the divisors, 1 for every other row: the scaled
+    rows' ``np.linalg.norm`` neither overflows nor underflows."""
     with np.errstate(over="ignore", under="ignore"):
         sq = (G * G).sum(axis=1)
-    odd = ~((sq >= np.finfo(float).tiny) & (sq < np.inf))
-    if odd.any():
-        G = G.copy()
-        G[odd] /= np.abs(G[odd]).max(axis=1, keepdims=True)
+    odd = ~((sq >= np.finfo(float).tiny) & (sq < np.inf)) & np.any(G != 0.0, axis=1)
+    big = np.ones(len(G))
+    big[odd] = np.abs(G[odd]).max(axis=1)
+    return G / big[:, None], big
+
+
+def _unit_rows(G: np.ndarray) -> np.ndarray:
+    """The rows of G, none of them zero, scaled to unit length, so
+    generators of 1e300 or 1e-200 keep their directions; a row of normal
+    range is divided by its ``np.linalg.norm``, as it always was."""
+    G = _scaled_rows(G)[0]
     return G / np.linalg.norm(G, axis=1, keepdims=True)
 
 
@@ -793,7 +799,9 @@ def check_antinorm_axioms(nu, cone: Cone, sample_count: int = 10_000,
                                  "nu(xi+zeta)": float(vsum[i]),
                                  "nu(xi)+nu(zeta)": float(va[i] + vb[i])})
 
-    scale = 1.0 + np.linalg.norm(a, axis=1)
+    # the rows' lengths, finite for samples of 1e300
+    scaled, big = _scaled_rows(a)
+    scale = 1.0 + big * np.linalg.norm(scaled, axis=1)
     neg_bad = va < -1e-12 * scale
     rep.nonnegativity_failures = int(neg_bad.sum())
     if rep.nonnegativity_failures:

@@ -11,6 +11,12 @@ endpoint pass per chunk, and builds the accepted trial's Jacobian from that
 pass.  It accepts the trial, and reaches the iterate, that a search trying
 one step at a time would, bit for bit.
 
+The restarts run in lockstep (``_run_restarts``): in each round, the pending
+chunks of every restart share one projection, one endpoint pass and one
+antinorm evaluation.  Each restart keeps its own decisions, Jacobians,
+gradients and evaluation counts, so every restart reaches the iterates, and
+counts the evaluations, that it would run alone.
+
 The problem is non-convex on non-abelian groups; the solver certifies
 feasibility and delivers bound-consistent local maximizers, not global
 optimality.
@@ -162,15 +168,16 @@ def _polish_average(model: GroupModel, cone: Cone, x0, x1,
     return u
 
 
-def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
-                              x0, x1, u0: np.ndarray, horizon: float,
-                              opts: SolveOptions,
-                              retraction=None,
-                              gradient_projector: Optional[np.ndarray] = None
-                              ) -> _RunResult:
+def _augmented_lagrangian_run(prob: ProblemInstance, u0: np.ndarray, horizon: float,
+                              opts: SolveOptions, project,
+                              gradient_projector: Optional[np.ndarray] = None):
+    """One restart, as a generator that returns its _RunResult.  It yields
+    each chunk of line-search trials as a request (u, grad, steps) and is
+    sent the chunk's stacked pass (``_trial_pass``), or None when that pass
+    raised."""
+    model, cone, nu, x0, x1 = prob.model, prob.cone, prob.nu, prob.x0, prob.x1
     n_seg = u0.shape[0]
     h = horizon / n_seg
-    project = retraction if retraction is not None else cone.project_batch
     axis = cone.interior_direction()
 
     u = project(u0.copy())
@@ -225,26 +232,23 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
 
     def scan(u, grad, steps, ref):
         """The first of the trials project(u + step * grad) whose phi beats
-        ref, as (trial, phi, rho, J), or None.  The trials share one stacked
-        pass, and the accepted one's Jacobian is built from it; a stack that
-        raises, in its projection or its pass, is scanned again one trial at
-        a time."""
-        m = u.shape[1]
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                trials = project((u + steps[:, None, None] * grad).reshape(-1, m))
-                trials = trials.reshape(len(steps), n_seg, m)
-                rho, _, chain = model.endpoint_pass(x0, x1, trials, horizon)
-                phi = h * nu.values_on_cone(trials).sum(axis=-1) - penalties(rho)
-        except (ValueError, FloatingPointError):
+        ref, as (trial, phi, rho, J), or None.  The trials are requested as
+        one stacked pass, and the accepted one's Jacobian is built from it;
+        a stack that raises, in its projection or its pass, is requested
+        again one trial at a time."""
+        reply = yield u, grad, steps
+        if reply is None:
             if len(steps) == 1:
                 counts["endpoint"] += 1
                 return None
             for i in range(len(steps)):
-                found = scan(u, grad, steps[i:i + 1], ref)
+                found = yield from scan(u, grad, steps[i:i + 1], ref)
                 if found is not None:
                     return found
             return None
+        trials, rho, chain, values = reply
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = h * values.sum(axis=-1) - penalties(rho)
         finite = np.all(np.isfinite(rho), axis=-1)
         for i in range(len(steps)):
             counts["endpoint"] += 1
@@ -298,7 +302,7 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
             for lo, hi in chunks:
                 if found is not None or lo >= len(steps):
                     break
-                found = scan(u, grad, steps[lo:hi], ref)
+                found = yield from scan(u, grad, steps[lo:hi], ref)
             if found is None:
                 break
             u_prev, g_prev = u, grad
@@ -331,6 +335,74 @@ def _augmented_lagrangian_run(model: GroupModel, cone: Cone, nu: Antinorm,
                       outer_iters=outer, history=history,
                       endpoint_evaluations=counts["endpoint"],
                       jacobian_evaluations=counts["jacobian"])
+
+
+def _trial_pass(prob: ProblemInstance, horizon: float, project, requests):
+    """The trials project(u + step * grad) of every request (u, grad, steps)
+    in one projection, one endpoint pass and one antinorm evaluation: per
+    request, its slice (trials, rho, chain, nu values) of the stack.  A lone
+    request is evaluated as it stands, without concatenation or slicing."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        stack = [u + steps[:, None, None] * grad for u, grad, steps in requests]
+        stack = stack[0] if len(stack) == 1 else np.concatenate(stack)
+        trials = project(stack.reshape(-1, stack.shape[-1])).reshape(stack.shape)
+        rho, _, chain = prob.model.endpoint_pass(prob.x0, prob.x1, trials, horizon)
+        values = prob.nu.values_on_cone(trials)
+    if len(requests) == 1:
+        return [(trials, rho, chain, values)]
+    ends = np.cumsum([len(steps) for _, _, steps in requests]).tolist()
+    return [(trials[lo:hi], rho[lo:hi], chain[lo:hi], values[lo:hi])
+            for lo, hi in zip([0] + ends, ends)]
+
+
+def _run_restarts(prob: ProblemInstance, starts: List[np.ndarray], horizon: float,
+                  opts: SolveOptions, project,
+                  gradient_projector: Optional[np.ndarray] = None) -> List[_RunResult]:
+    """One augmented-Lagrangian run per start, advanced in lockstep: each
+    round answers the pending request of every live run with one stacked
+    ``_trial_pass``.
+
+    Stacked rows are evaluated independently of each other, so each run
+    gets the bits it would get alone.  Two cases keep it so: a round that
+    raises is evaluated again one request at a time, and a request that
+    still raises is answered None, as it would be alone; and runs of one
+    segment are never stacked, because a stack of one-segment trials
+    projects by a matrix-matrix product where a lone trial projects by a
+    matrix-vector product, which may round differently."""
+    runs = [_augmented_lagrangian_run(prob, u0, horizon, opts, project,
+                                      gradient_projector)
+            for u0 in starts]
+    results: List[Optional[_RunResult]] = [None] * len(runs)
+    pending = {}
+
+    def advance(i, reply):
+        try:
+            pending[i] = runs[i].send(reply)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    def alone(request):
+        try:
+            return _trial_pass(prob, horizon, project, [request])[0]
+        except (ValueError, FloatingPointError):
+            return None
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while pending:
+        order, requests = list(pending), list(pending.values())
+        pending.clear()
+        replies = None
+        if len(requests) > 1 and prob.segments > 1:
+            try:
+                replies = _trial_pass(prob, horizon, project, requests)
+            except (ValueError, FloatingPointError):
+                pass
+        if replies is None:
+            replies = [alone(r) for r in requests]
+        for i, reply in zip(order, replies):
+            advance(i, reply)
+    return results
 
 
 def _starting_controls(prob: ProblemInstance, horizon: float,
@@ -410,9 +482,8 @@ def solve_longest(prob: ProblemInstance, opts: Optional[SolveOptions] = None
     opts = opts or SolveOptions()
     if not prob.model.admits_path(prob.cone, prob.x0, prob.x1):
         return _no_admissible_path()
-    runs = [_augmented_lagrangian_run(prob.model, prob.cone, prob.nu,
-                                      prob.x0, prob.x1, u0, 1.0, opts)
-            for u0 in _starting_controls(prob, 1.0, opts)]
+    runs = _run_restarts(prob, _starting_controls(prob, 1.0, opts), 1.0, opts,
+                         prob.cone.project_batch)
     return _report_from_runs(prob, runs, 1.0, opts)
 
 
@@ -437,12 +508,9 @@ def solve_longest_reparametrized(prob: ProblemInstance, form: TimeForm,
     tau_c = _control_covector(prob.model, form)
     projector = np.eye(prob.control_dim) - np.outer(tau_c, tau_c) / (tau_c @ tau_c)
 
-    runs = [_augmented_lagrangian_run(prob.model, prob.cone, prob.nu,
-                                      prob.x0, prob.x1, u0, s1, opts,
-                                      retraction=lambda U: _unit_tau_retract(
-                                          prob.cone, tau_c, U),
-                                      gradient_projector=projector)
-            for u0 in _starting_controls(prob, s1, opts, unit_tau=form)]
+    runs = _run_restarts(prob, _starting_controls(prob, s1, opts, unit_tau=form),
+                         s1, opts, lambda U: _unit_tau_retract(prob.cone, tau_c, U),
+                         projector)
     return _report_from_runs(prob, runs, s1, opts)
 
 

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,17 @@ def test_check_structure_on_huge_generators(tmp_path, capsys):
     assert "cone pointed: True" in capsys.readouterr().out
 
 
+def test_check_structure_on_huge_generators_warns_of_nothing(tmp_path, capsys):
+    # the axiom check's tolerances scale with row lengths that stay finite
+    path = write_config(tmp_path, {"version": 1, "cone": {
+        "kind": "polyhedral", "generators": [[1e300, 0.0], [0.0, -1e300]]},
+        "antinorm": {"kind": "zero"}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check-structure", "--config", path]) == 0
+    assert "antinorm axioms hold" in capsys.readouterr().out
+
+
 def test_carnot_model_from_structure_file(tmp_path):
     sc = tmp_path / "heis.txt"
     sc.write_text("layers: 2 1\n0 1 2 1.0\n")
@@ -475,6 +487,21 @@ def test_huge_generators_exit_two_under_cone(tmp_path, capsys, preset, subcomman
         "version": 1, "preset": preset, "samples": 8,
         "cone": {"kind": "polyhedral", "generators": [[1e300, 0.0], [0.0, -1e300]]}})
     with np.errstate(all="ignore"):
+        assert main([subcommand, "--config", path]) == 2
+    assert ("config error: cone: a sampled path leaves the model"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("preset", ["heisenberg-sl", "hyperbolic"])
+@pytest.mark.parametrize("subcommand", ["check-timeform", "reach"])
+def test_huge_generators_exit_two_without_warnings(tmp_path, capsys, preset,
+                                                   subcommand):
+    # the exit reports the overflow; numpy warns of none of it
+    path = write_config(tmp_path, {
+        "version": 1, "preset": preset, "samples": 8,
+        "cone": {"kind": "polyhedral", "generators": [[1e300, 0.0], [0.0, -1e300]]}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main([subcommand, "--config", path]) == 2
     assert ("config error: cone: a sampled path leaves the model"
             in capsys.readouterr().err)

@@ -194,6 +194,25 @@ def test_area_rank_refuses_other_brackets(model):
         _area_rank(model)
 
 
+def test_area_rank_builds_no_algebra(monkeypatch):
+    # the reference table is written out, so no call validates an algebra
+    model = CarnotGroup(minkowski_area_algebra(2))
+    u = ControlSignal([[1.0, 0.2, -0.3], [1.5, -0.4, 0.1], [0.8, 0.3, 0.2]])
+    traj = integrate(model, model.identity(), u)
+    # point dim 3 = 2 r + 1: only the table comparison refuses it
+    flat = integrate(AbelianGroup(3), np.zeros(3), ControlSignal([[1.0, 0.0, 0.0]]))
+    areas = [oriented_area(traj, i) for i in (1, 2)]
+    endpoint = integrate_rk4_step2(model, model.identity(), u)
+
+    def refuse(self):
+        raise AssertionError("an algebra was validated")
+    monkeypatch.setattr(CarnotAlgebra, "_validate", refuse)
+    assert [oriented_area(traj, i) for i in (1, 2)] == areas
+    assert np.array_equal(integrate_rk4_step2(model, model.identity(), u), endpoint)
+    with pytest.raises(WrongModelError):
+        oriented_area(flat, 1)
+
+
 @pytest.mark.parametrize("r", [1, 2])
 def test_stokes_identity_bulk(r, rng):
     res = _check_stokes(rng, 200, (r,))

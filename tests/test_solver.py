@@ -32,6 +32,7 @@ from sublorentz import (
     solve_longest_reparametrized,
 )
 from sublorentz import ControlSignal, HyperbolicityReport, integrate, section_sup_norm
+from sublorentz import solver
 from sublorentz.solver import _control_covector, _unit_tau_retract
 from sublorentz.verify import (
     _check_abelian_oracle,
@@ -429,6 +430,112 @@ def test_polyhedral_solve_keeps_its_iterates(heis):
     assert rep.objective == pytest.approx(1.7500000000000002, rel=1e-12, abs=0.0)
     assert (rep.endpoint_evaluations, rep.jacobian_evaluations) == (1239, 432)
     assert rep.endpoint_residual == pytest.approx(8.585387817349533e-10, rel=1e-9)
+
+
+def test_heisenberg_solve_keeps_its_iterates(heis, mink_cone, mink_nu):
+    # the pinned outcome of the bench's heisenberg-sl solve: its three
+    # restarts run in lockstep and must take the steps each takes alone
+    prob = make_prob(heis, mink_cone, mink_nu, np.zeros(3), [3.0, 0.5, 0.2], n=50)
+    rep = solve_longest(prob, SolveOptions(restarts=3, max_iter=60, inner_iter=40))
+    assert rep.status == SolveStatus.SOLVED
+    assert rep.iterations == 17
+    assert rep.objective == pytest.approx(2.948732626365034, rel=1e-12, abs=0.0)
+    assert (rep.endpoint_evaluations, rep.jacobian_evaluations) == (4386, 980)
+    assert rep.endpoint_residual == pytest.approx(3.868605297219219e-09, rel=1e-9)
+
+
+# Lockstep cases: (model, cone, antinorm, x0, x1, exact time form)
+HYP_FORM = [[-4.0, 0.0], [0.0, 1.0]]
+ENGEL = CarnotAlgebra.from_brackets((2, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}})
+
+
+def _lockstep_case(name):
+    heis = CarnotGroup(heisenberg_algebra())
+    mink = (LorentzCone(MINK, [1.0, 0.0]), LorentzSqrt(MINK))
+    if name == "abelian":
+        plane = AbelianGroup(2)
+        return (plane, *mink, np.zeros(2), [5.0, 3.0],
+                LeftInvariantForm([1.0, 0.0], plane))
+    if name == "heisenberg":
+        return (heis, *mink, np.zeros(3), [3.0, 0.5, 0.2],
+                LeftInvariantForm([1.0, 0.0, 0.0], heis))
+    if name == "polyhedral":
+        return (heis, PolyhedralCone([[1.0, 1.0], [1.0, -1.0]]),
+                MinOfLinear([[1.0, 0.5], [1.0, -0.5]]), np.zeros(3), [2.0, 0.5, 0.1],
+                LeftInvariantForm([1.0, 0.0, 0.0], heis))
+    if name == "engel":
+        engel = CarnotGroup(ENGEL)
+        return (engel, *mink, np.zeros(4), [2.0, 0.5, 0.3, 0.1],
+                LeftInvariantForm([1.0, 0.0, 0.0, 0.0], engel))
+    return (HyperbolicPlane(), LorentzCone(HYP_FORM, [0.0, 1.0]), LorentzSqrt(HYP_FORM),
+            [0.0, 1.0], [0.3, 2.0], HyperbolicAB(0.0, 1.0))
+
+
+def _runs_in_lockstep_and_alone(monkeypatch, solve):
+    """Each restart's run in the solve's lockstep, and the same restart
+    driven alone through the same driver."""
+    drive = solver._run_restarts
+    seen = []
+
+    def spy(prob, starts, *rest):
+        runs = drive(prob, starts, *rest)
+        seen.append((runs, [drive(prob, [u0], *rest)[0] for u0 in starts]))
+        return runs
+    monkeypatch.setattr(solver, "_run_restarts", spy)
+    solve()
+    (runs, alone), = seen
+    return runs, alone
+
+
+def _assert_same_runs(runs, alone):
+    assert len(runs) == len(alone) == 3
+    for a, b in zip(runs, alone):
+        assert a.u.tobytes() == b.u.tobytes()
+        assert (a.objective, a.residual, a.outer_iters, a.history) == \
+            (b.objective, b.residual, b.outer_iters, b.history)
+        assert (a.endpoint_evaluations, a.jacobian_evaluations) == \
+            (b.endpoint_evaluations, b.jacobian_evaluations)
+
+
+LOCKSTEP_OPTS = SolveOptions(restarts=3, max_iter=4, inner_iter=8)
+
+
+@pytest.mark.parametrize("segments", [12, 1])
+@pytest.mark.parametrize("name", ["abelian", "heisenberg", "polyhedral", "engel",
+                                  "hyperbolic"])
+def test_restarts_in_lockstep_run_as_alone(monkeypatch, name, segments):
+    model, cone, nu, x0, x1, form = _lockstep_case(name)
+    prob = make_prob(model, cone, nu, x0, x1, n=segments)
+    _assert_same_runs(*_runs_in_lockstep_and_alone(
+        monkeypatch, lambda: solve_longest(prob, LOCKSTEP_OPTS)))
+    _assert_same_runs(*_runs_in_lockstep_and_alone(
+        monkeypatch, lambda: solve_longest_reparametrized(prob, form, LOCKSTEP_OPTS)))
+
+
+class _FragilePlane(HyperbolicPlane):
+    """The hyperbolic plane, but a pass over a control row longer than 3
+    raises: some restarts below try such trials, and no iterate is one."""
+
+    def __init__(self):
+        self.raised = []
+
+    def endpoint_pass(self, x0, x1, u, horizon):
+        if np.linalg.norm(u, axis=-1).max() > 3.0:
+            self.raised.append(u.shape[:-2])
+            raise ValueError("a control row is longer than 3")
+        return super().endpoint_pass(x0, x1, u, horizon)
+
+
+def test_restarts_in_lockstep_run_as_alone_when_a_round_raises(monkeypatch):
+    model = _FragilePlane()
+    prob = make_prob(model, LorentzCone(HYP_FORM, [0.0, 1.0]), LorentzSqrt(HYP_FORM),
+                     [0.0, 1.0], [0.3, 2.0], n=12)
+    runs, alone = _runs_in_lockstep_and_alone(
+        monkeypatch, lambda: solve_longest(prob, LOCKSTEP_OPTS))
+    _assert_same_runs(runs, alone)
+    # stacks of several trials raised, and so did lone trials
+    assert any(len(shape) == 1 and shape[0] > 1 for shape in model.raised)
+    assert (1,) in model.raised
 
 
 # ---------------------------------------------------------------------------
