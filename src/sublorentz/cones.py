@@ -28,6 +28,7 @@ Gram solve on the set it ends on, which is the named face.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +41,18 @@ NEG_INF = float("-inf")
 DEFAULT_TOL = 1e-9
 
 _EPS = np.finfo(float).eps
+
+#: how near, relative, a vector must lie to an extreme ray to count as on it:
+#: a few thousand ulp, the level of rounding.  Much looser would be wrong: a
+#: vector inside the cone by a relative delta is the average of controls that
+#: are not parallel, whose brackets reach second-layer endpoints of order
+#: delta |v|^2.  On the Heisenberg group with the Minkowski cone the
+#: reachable set is x^2 - y^2 >= 4|z| (Grochowski, J. Dyn. Control Syst.,
+#: 2006), so v = (100, 100 (1 - 1e-8)) reaches areas up to 5e-5, far above
+#: a solve's tol, which a tolerance of 1e-8 would refuse.  Even at 1e-12 the
+#: reachable spread grows as |v|^2, so the solver refuses only a residual
+#: beyond tol by more than that spread (``solver._ray_slack``)
+RAY_TOL = 1e-12
 
 
 def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
@@ -115,6 +128,12 @@ class Cone:
 
     def time_covector(self) -> np.ndarray:
         """A covector > 0 on the cone minus 0; NotPointedError when none exists."""
+        raise NotImplementedError
+
+    def on_extreme_ray(self, v) -> bool:
+        """Whether the vector v is nonzero and spans an extreme ray of the
+        cone, to within ``RAY_TOL`` relative.  A face's sums stay on it, so
+        controls with such an average are all parallel to it."""
         raise NotImplementedError
 
     def sample(self, n: int, rng: np.random.Generator,
@@ -439,6 +458,30 @@ class PolyhedralCone(Cone):
         tau = np.linalg.lstsq(U[active], np.ones(active.sum()), rcond=None)[0]
         return tau / np.linalg.norm(tau)
 
+    def on_extreme_ray(self, v):
+        """On the ray of a unit generator that is extreme (``_extreme``)."""
+        v = as_vector(v, self.dim)
+        if not np.any(v):
+            return False
+        unit = _unit_rows(v[None])[0]
+        return bool(np.any(np.linalg.norm(self._extreme - unit, axis=1) <= RAY_TOL))
+
+    @cached_property
+    def _extreme(self) -> np.ndarray:
+        """The unit generators farther than 1e-4 from the cone of the
+        generators not parallel to them.  That margin lies above the 1e-5
+        rad by which ``_nnls_rows`` may miss a cone's point, so a redundant
+        generator is never taken for extreme; an extreme one taken for
+        redundant only gives no certificate."""
+        U = self._unit
+        keep = np.ones(len(U), dtype=bool)
+        for j, g in enumerate(U):
+            others = U[np.linalg.norm(U - g, axis=1) > RAY_TOL]
+            if len(others):
+                fit = _nnls_rows(others, g[None])[0] @ others
+                keep[j] = np.linalg.norm(g - fit) > 1e-4
+        return U[keep]
+
     def sample(self, n, rng, boundary_fraction=0.25, relative_interior=False):
         k = len(self._nonzero)
         if k == 0:
@@ -540,6 +583,16 @@ class LorentzCone(Cone):
         covector is unique (the margin is concave, and the mean of two best
         ones would do better), so every reflection fixes it."""
         return self._W[0].copy()
+
+    def on_extreme_ray(self, v):
+        """Every nonzero ray of the nappe's boundary is extreme, where
+        |v^T A v| is at most RAY_TOL of max|eig A| |v|^2; in dim 1 the cone
+        is one ray."""
+        v = as_vector(v, self.dim)
+        nv = np.linalg.norm(v)
+        q = np.einsum("i,ij,j->", v, self.form, v)
+        light = self.dim == 1 or abs(q) <= RAY_TOL * self._form_scale * nv * nv
+        return bool(nv > 0.0 and v @ self.nappe_selector > 0.0 and light)
 
     def ray_minimum(self, c):
         """The two light rays when dim = 2.  Otherwise c~ = W^-T c, and c

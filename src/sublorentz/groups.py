@@ -620,6 +620,8 @@ class CarnotGroup(GroupModel):
         self.control_dim = algebra.layer_dims[0]
         self.structure_constants = algebra.table
         self._first_layer = np.eye(self.point_dim, self.control_dim)
+        # the step-2 residual's Jacobian in the endpoint, with the x1 it is for
+        self._drho_dxi = (None, None)
 
     def __repr__(self) -> str:
         return f"CarnotGroup(layers={self.algebra.layer_dims})"
@@ -676,10 +678,18 @@ class CarnotGroup(GroupModel):
         # d xiE / d u_k: first layer h I; second layer (h/2) [P_k - after_k, .]
         W = chain - after
         DxiE = np.zeros((n_seg, n, m1))
-        DxiE[:, :m1, :] = h * np.eye(m1)
+        DxiE[:, :m1, :] = h * self._first_layer[:m1]
         DxiE[:, m1:, :] = 0.5 * h * np.einsum("ijk,ti->tkj", T12, W)
-        drho_dxi = -np.eye(n) + 0.5 * alg.ad(np.asarray(x1, dtype=float))
-        return np.einsum("ab,tbc->tac", drho_dxi, DxiE)
+        return np.einsum("ab,tbc->tac", self._residual_factor(x1), DxiE)
+
+    def _residual_factor(self, x1) -> np.ndarray:
+        """d rho / d xiE = -I + ad(x1)/2 at step 2, built once for each x1
+        in turn: a solve asks for it at every accepted trial."""
+        x1 = np.asarray(x1, dtype=float)
+        key = x1.tobytes()
+        if self._drho_dxi[0] != key:
+            self._drho_dxi = (key, -np.eye(self.point_dim) + 0.5 * self.algebra.ad(x1))
+        return self._drho_dxi[1]
 
     def _area_chain(self, x0, x1, u, horizon):
         """Step 2 in closed form, for a control or a stack of them: rho, the

@@ -6,6 +6,18 @@ an augmented Lagrangian on the group-log residual.  Inner updates are
 projected (sub)gradient ascent with exact cone projection; restarts combine
 the abelianized constant control with seeded random admissible controls.
 
+Two certificates come first (``_certified``).  On R^n and Carnot groups the
+endpoints force the first-layer control average v, and by Jensen (nu is
+superadditive and 1-homogeneous) nu(v) bounds every admissible length.  When
+the constant control at v (projected onto the cone, as every iterate is)
+meets the endpoint within tol it attains that bound, and the solve returns
+it after one endpoint evaluation.  When it does not, and v is the apex or
+spans an extreme ray of the cone, every control with that average is
+parallel to v and ends at x0 exp(v), so no admissible path exists; the
+refusal waits for a residual beyond what the ray tolerance lets a reachable
+endpoint miss by.  A solve that neither certificate decides runs as it
+would without them, bit for bit.
+
 Each line search evaluates its step-halving trials in stacked chunks, one
 endpoint pass per chunk, and builds the accepted trial's Jacobian from that
 pass.  It accepts the trial, and reaches the iterate, that a search trying
@@ -30,8 +42,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .cones import (NEG_INF, Antinorm, Cone, _check_antinorm_dim, _check_cone_dim,
-                    _positive_count, _row_dots, antinorm_eval)
+from .cones import (NEG_INF, RAY_TOL, Antinorm, Cone, _check_antinorm_dim,
+                    _check_cone_dim, _positive_count, _row_dots, antinorm_eval)
 from .dynamics import ControlSignal, Trajectory, integrate
 from .errors import NegativeAntinormError, WrongModelError
 from .groups import GroupModel
@@ -465,10 +477,64 @@ def _report_from_runs(prob: ProblemInstance, runs: List[_RunResult],
                        jacobian_evaluations=sum(r.jacobian_evaluations for r in runs))
 
 
-def _no_admissible_path() -> SolveReport:
+def _no_admissible_path(endpoint_evaluations: int = 0) -> SolveReport:
     return SolveReport(status=SolveStatus.NO_ADMISSIBLE_PATH, objective=NEG_INF,
                        control=None, trajectory=None,
-                       endpoint_residual=np.inf, iterations=0)
+                       endpoint_residual=np.inf, iterations=0,
+                       endpoint_evaluations=endpoint_evaluations)
+
+
+def _certified(prob: ProblemInstance, horizon: float, opts: SolveOptions,
+               tau_c: Optional[np.ndarray] = None) -> Optional[SolveReport]:
+    """The answer of the first-layer certificates, or None when neither
+    decides the problem.  They need the control average v that the
+    endpoints force, which the hyperbolic plane has not.
+
+    The constant control at w, v projected onto the cone as every iterate
+    is (w / horizon, or w / tau(w) on the unit-tau slice when tau_c is
+    given), attains the Jensen bound nu(w): when its one residual is within
+    tol, it is the answer.  Otherwise, when v is the apex or spans an
+    extreme ray and the residual exceeds tol by more than ``_ray_slack``,
+    no admissible path exists: every control with that average is parallel
+    to v, and so ends at x0 exp(v).  A check that decides nothing, or whose
+    endpoint pass raises, leaves no trace in the solve's report."""
+    v = prob.model.forced_average(prob.x0, prob.x1)
+    if v is None:
+        return None
+    # admits_path lets v leave the cone by 1e-9 relative; its control may not
+    w = prob.cone.project_batch(v[None])[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = np.tile(w / (horizon if tau_c is None else tau_c @ w), (prob.segments, 1))
+        try:
+            rho = prob.model.endpoint_residual(prob.x0, prob.x1, u, horizon)[0]
+        except (ValueError, FloatingPointError):
+            return None
+    res = float(np.linalg.norm(rho))
+    if res <= opts.tol:
+        run = _RunResult(u=u, objective=float(antinorm_eval(prob.nu, prob.cone, w)),
+                         residual=res, outer_iters=0, history=[],
+                         endpoint_evaluations=1, jacobian_evaluations=0)
+        return _report_from_runs(prob, [run], horizon, opts)
+    if (not np.any(v) or prob.cone.on_extreme_ray(v)) and \
+            res > opts.tol + _ray_slack(prob.model, v):
+        return _no_admissible_path(endpoint_evaluations=1)
+    return None
+
+
+def _ray_slack(model: GroupModel, v: np.ndarray) -> float:
+    """How far a reachable endpoint may lie from x0 exp(v) when v is only
+    within RAY_TOL of an extreme ray, plus the constant control's rounding.
+    Controls with such an average spread by about RAY_TOL |v| across the
+    ray, and bracket that spread into layer s by about c^(s-1) |v|^s
+    RAY_TOL (c the largest structure constant, s up to the step, which is
+    at most point_dim - control_dim + 1).  The pass rounds each layer by
+    about segments * eps of its size, below that under 4,000 segments.  A
+    factor 8 covers the constants."""
+    c = float(np.max(np.abs(model.structure_constants)))
+    r = float(np.linalg.norm(v))
+    steps = np.arange(model.point_dim - model.control_dim + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(8.0 * RAY_TOL * r * np.sum((c * r) ** steps))
 
 
 def solve_longest(prob: ProblemInstance, opts: Optional[SolveOptions] = None
@@ -476,12 +542,17 @@ def solve_longest(prob: ProblemInstance, opts: Optional[SolveOptions] = None
     """Maximize the sub-Lorentzian length between the fixed endpoints.
 
     Returns NO_ADMISSIBLE_PATH with objective -inf when the model's
-    certificate (GroupModel.admits_path) rules every admissible path out;
+    certificate (GroupModel.admits_path) or the extreme-ray certificate
+    rules every admissible path out; the constant control, after one
+    endpoint evaluation, when it attains the first-layer bound; and
     MAX_ITERATIONS when no restart reaches the endpoint tolerance.
     """
     opts = opts or SolveOptions()
     if not prob.model.admits_path(prob.cone, prob.x0, prob.x1):
         return _no_admissible_path()
+    certified = _certified(prob, 1.0, opts)
+    if certified is not None:
+        return certified
     runs = _run_restarts(prob, _starting_controls(prob, 1.0, opts), 1.0, opts,
                          prob.cone.project_batch)
     return _report_from_runs(prob, runs, 1.0, opts)
@@ -494,7 +565,8 @@ def solve_longest_reparametrized(prob: ProblemInstance, form: TimeForm,
 
     The horizon s1 = T(x1) - T(x0) is forced by the potential of the exact
     form; controls are retracted onto the unit-time slice of the cone.
-    Objectives agree with solve_longest up to discretization.
+    Objectives agree with solve_longest up to discretization.  The same
+    certificates come first, with the constant control v / tau(v).
     """
     opts = opts or SolveOptions()
     s1 = potential(form, prob.x1) - potential(form, prob.x0)
@@ -503,9 +575,12 @@ def solve_longest_reparametrized(prob: ProblemInstance, form: TimeForm,
                            trajectory=None, endpoint_residual=0.0, iterations=0)
     if s1 <= 1e-12 or not prob.model.admits_path(prob.cone, prob.x0, prob.x1):
         return _no_admissible_path()
-
     # tau in control coordinates; ascent happens in its kernel
     tau_c = _control_covector(prob.model, form)
+    certified = _certified(prob, s1, opts, tau_c)
+    if certified is not None:
+        return certified
+
     projector = np.eye(prob.control_dim) - np.outer(tau_c, tau_c) / (tau_c @ tau_c)
 
     runs = _run_restarts(prob, _starting_controls(prob, s1, opts, unit_tau=form),

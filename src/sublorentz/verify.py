@@ -412,20 +412,34 @@ def _check_hyperbolic_certificate(seed: int, samples: int = 100) -> CheckResult:
 def _check_abelian_oracle(seed, samples: int = 3, opts: SolveOptions = _LIGHT
                           ) -> CheckResult:
     """Solves to interior endpoints of R^{1,1}, 50 segments, against the
-    closed form."""
+    closed form; each answer is also a path: its control lies in the cone,
+    its length h sum nu(u_k) is the objective to 1e-12 relative, and its
+    trajectory ends within tol of x1."""
     model = AbelianGroup(2)
     cone = _MINK_CONE
     nu = LorentzSqrt(_MINK)
     rng = np.random.default_rng(seed)
     worst = 0.0
+    paths = True
     for _ in range(samples):
         x1 = cone.sample(1, rng, relative_interior=True)[0] + np.array([0.5, 0.0])
         prob = ProblemInstance(model, cone, nu, np.zeros(2), x1, segments=50)
         rep = solve_longest(prob, opts)
         oracle = abelianized_upper_bound(prob)
         worst = max(worst, abs(rep.objective - oracle) / max(abs(oracle), 1e-12))
-    return CheckResult("abelian solves match the closed form", worst <= 1e-3,
-                       f"max relative gap {worst:.2e}")
+        paths &= rep.control is not None and _is_path_of(rep, cone, nu, x1, opts.tol)
+    return CheckResult("abelian solves match the closed form", worst <= 1e-3 and paths,
+                       f"max relative gap {worst:.2e}, answers are paths {paths}")
+
+
+def _is_path_of(rep, cone, nu, x1, tol: float) -> bool:
+    """A solve's control lies in the cone, its length h sum nu(u_k) is the
+    objective to 1e-12 relative, and its trajectory ends within tol of x1."""
+    u = rep.control.values
+    length = rep.trajectory.horizon / len(u) * nu.values_on_cone(u).sum()
+    return bool(np.all(cone.contains(u))
+                and abs(length - rep.objective) <= 1e-12 * abs(rep.objective)
+                and np.linalg.norm(rep.trajectory.endpoint - x1) <= tol)
 
 
 def _check_bound_dominance(seed: int, samples: int = 5, opts: SolveOptions = _LIGHT

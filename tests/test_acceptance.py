@@ -41,6 +41,7 @@ from sublorentz.verify import (
     _check_hyperbolicity,
     _check_path_independence,
     _check_stokes,
+    _is_path_of,
 )
 
 MINK = [[1.0, 0.0], [0.0, -1.0]]
@@ -70,7 +71,10 @@ def test_criterion_1_minkowski_oracle(mink_setup):
     elapsed = time.time() - t0
     oracle = abelianized_upper_bound(prob)
     rel = abs(rep.objective - oracle) / oracle
-    ok = rep.status == SolveStatus.SOLVED and rel <= 1e-3 and elapsed < 5.0
+    # the answer is a path: in the cone, of length the objective, ending at x1
+    path = rep.control is not None and _is_path_of(rep, cone, nu, prob.x1,
+                                                   SolveOptions().tol)
+    ok = rep.status == SolveStatus.SOLVED and rel <= 1e-3 and path and elapsed < 5.0
 
     # twin paradox: two-segment admissible detours never beat the straight line
     rng = np.random.default_rng(1)
@@ -87,7 +91,7 @@ def test_criterion_1_minkowski_oracle(mink_setup):
         worst = max(worst, split - oracle)
     ok = ok and worst <= 1e-9
     report(1, ok, f"objective {rep.objective:.6f} vs oracle {oracle} "
-                  f"(rel {rel:.2e}), {elapsed:.2f}s, "
+                  f"(rel {rel:.2e}), a path {path}, {elapsed:.2f}s, "
                   f"max two-segment excess {worst:.2e}")
 
 
@@ -134,18 +138,22 @@ def test_criterion_6_jensen_bound_dominance(heis_setup):
     opts = SolveOptions(restarts=2, max_iter=50, inner_iter=35)
     dominance = _check_bound_dominance(6, 50, opts)
 
-    # first-layer-exponential endpoints attain the bound
+    # first-layer-exponential endpoints attain the bound, and the constant
+    # control certifies it before any iteration
     rng = np.random.default_rng(66)
     worst_rel = 0.0
+    certified = True
     for v in cone.sample(10, rng, relative_interior=True):
         x1 = np.array([v[0], v[1], 0.0])
         prob = ProblemInstance(model, cone, nu, model.identity(), x1, segments=30)
         rep = solve_longest(prob, opts)
         bound = abelianized_upper_bound(prob)
         worst_rel = max(worst_rel, abs(rep.objective - bound) / bound)
-    report(6, dominance.passed and worst_rel <= 1e-3,
+        certified &= (rep.iterations, rep.endpoint_evaluations,
+                      rep.jacobian_evaluations) == (0, 1, 0)
+    report(6, dominance.passed and worst_rel <= 1e-3 and certified,
            f"{dominance.detail} over 50 endpoints; exp(g1) endpoints "
-           f"within {worst_rel:.2e} of bound")
+           f"within {worst_rel:.2e} of bound, answered at iteration 0 {certified}")
 
 
 def test_criterion_7_section_compactness(mink_setup):

@@ -506,6 +506,30 @@ def test_polyhedral_ray_minimum_names_the_first_offending_generator():
         cone.ray_minimum([1.0, 0.0, 0.0])
 
 
+def test_light_rays_are_extreme(mink_cone):
+    assert mink_cone.on_extreme_ray([1.0, 1.0]) and mink_cone.on_extreme_ray([3.0, -3.0])
+    # the apex, the axis, the other nappe and a vector inside by 1e-8 relative
+    for v in ([0.0, 0.0], [1.0, 0.0], [-1.0, -1.0], [1.0, 1.0 - 1e-8]):
+        assert not mink_cone.on_extreme_ray(v)
+    # every light ray of a 3-d cone
+    cone = LorentzCone(np.diag([1.0, -1.0, -1.0]), [1.0, 0.0, 0.0])
+    theta = np.linspace(0.0, 2 * np.pi, 7)
+    assert all(cone.on_extreme_ray([1.0, np.cos(t), np.sin(t)]) for t in theta)
+    assert not cone.on_extreme_ray([1.0, 0.6, 0.8 * (1.0 - 1e-8)])
+
+
+def test_only_extreme_generators_span_extreme_rays():
+    cone = PolyhedralCone([[1.0, 1.0], [1.0, -1.0], [1.0, 0.0]])
+    assert cone.on_extreme_ray([2.0, 2.0]) and cone.on_extreme_ray([0.5, -0.5])
+    # (1, 0) is a generator, but the other two generate it
+    assert not cone.on_extreme_ray([1.0, 0.0])
+    assert not cone.on_extreme_ray([1.0, 1.0 - 1e-8])
+    assert not cone.on_extreme_ray([0.0, 0.0])
+    # a repeated generator is still extreme, and a lone one spans the cone
+    assert PolyhedralCone([[1.0, 1.0], [2.0, 2.0], [1.0, -1.0]]).on_extreme_ray([1.0, 1.0])
+    assert PolyhedralCone([[1.0, 2.0]]).on_extreme_ray([1e300, 2e300])
+
+
 @pytest.mark.parametrize("dim", [3, 5, 8])
 def test_lorentz_time_covector_maximizes_the_exact_margin(dim):
     # the reflections of A's spacelike eigenvectors keep the cone and the

@@ -36,6 +36,7 @@ from sublorentz import solver
 from sublorentz.solver import _control_covector, _unit_tau_retract
 from sublorentz.verify import (
     _check_abelian_oracle,
+    _check_bound_dominance,
     _check_hyperbolic_certificate,
     _check_hyperbolicity,
 )
@@ -235,6 +236,129 @@ def test_abelianized_upper_bound_examples(heis, mink_cone, mink_nu):
 def test_oracle_agreement_random_endpoints(light_opts, rng):
     res = _check_abelian_oracle(rng, 20, light_opts)
     assert res.passed, res.detail
+
+
+# ---------------------------------------------------------------------------
+# first-layer certificates
+# ---------------------------------------------------------------------------
+
+
+MINK3 = np.diag([1.0, -1.0, -1.0])
+
+
+def _exp_endpoint_case(name):
+    """A problem whose endpoint is x0 exp(v) for v inside the cone, with an
+    exact time form."""
+    heis = CarnotGroup(heisenberg_algebra())
+    mink = (LorentzCone(MINK, [1.0, 0.0]), LorentzSqrt(MINK))
+    mink3 = (LorentzCone(MINK3, [1.0, 0.0, 0.0]), LorentzSqrt(MINK3))
+    if name == "abelian-2":
+        model, (cone, nu), x0, v = AbelianGroup(2), mink, [0.1, 0.7], [5.0, 3.0]
+    elif name == "abelian-3":
+        model, (cone, nu), x0, v = AbelianGroup(3), mink3, [1.0, 0.0, -2.0], [3.0, 1.0, -0.5]
+    elif name == "heisenberg":
+        model, (cone, nu), x0, v = heis, mink, [0.5, -0.2, 0.3], [3.0, 0.5, 0.0]
+    elif name == "heisenberg-polyhedral":
+        model, x0, v = heis, np.zeros(3), [2.0, 0.5, 0.0]
+        cone, nu = PolyhedralCone([[1.0, 1.0], [1.0, -1.0]]), MinOfLinear([[1.0, 0.5],
+                                                                           [1.0, -0.5]])
+    elif name == "engel":
+        model, (cone, nu), x0, v = CarnotGroup(ENGEL), mink, np.zeros(4), [2.0, 0.5, 0.0, 0.0]
+    else:
+        model, (cone, nu) = CarnotGroup(minkowski_area_algebra(2)), mink3
+        x0, v = [0.2, 0.0, 0.1, -0.3, 0.4], [3.0, 0.5, -0.4, 0.0, 0.0]
+    tau0 = np.eye(model.point_dim)[0]
+    return (make_prob(model, cone, nu, x0, model.multiply(x0, v), n=30),
+            LeftInvariantForm(tau0, model))
+
+
+@pytest.mark.parametrize("name", ["abelian-2", "abelian-3", "heisenberg",
+                                  "heisenberg-polyhedral", "engel", "minkowski-area"])
+def test_constant_control_certifies_the_first_layer_bound(name):
+    prob, form = _exp_endpoint_case(name)
+    bound = abelianized_upper_bound(prob)
+    opts = SolveOptions()
+    for rep in (solve_longest(prob, opts), solve_longest_reparametrized(prob, form, opts)):
+        assert rep.status == SolveStatus.SOLVED
+        assert (rep.iterations, rep.endpoint_evaluations, rep.jacobian_evaluations) == \
+            (0, 1, 0)
+        assert rep.history == [] and rep.objective == bound > 0.0
+        assert rep.endpoint_residual <= opts.tol
+        u = rep.control.values
+        assert np.array_equal(u, np.broadcast_to(u[0], u.shape))
+        assert np.linalg.norm(rep.trajectory.endpoint - prob.x1) <= opts.tol
+    # on the unit-tau slice, over the horizon tau(v)
+    tau_c = _control_covector(prob.model, form)
+    assert u[0] @ tau_c == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("cone, nu, x1", [
+    (LorentzCone(MINK, [1.0, 0.0]), LorentzSqrt(MINK), [1.0, 1.0, 0.1]),
+    (LorentzCone(MINK, [1.0, 0.0]), LorentzSqrt(MINK), [2.0, -2.0, -0.3]),
+    (PolyhedralCone([[1.0, 1.0], [1.0, -1.0]]), MinOfLinear([[1.0, 0.5], [1.0, -0.5]]),
+     [1.0, 1.0, 0.1]),
+    (LorentzCone(MINK, [1.0, 0.0]), LorentzSqrt(MINK), [0.0, 0.0, 0.5]),
+    # minkowski_area(2), whose 3-d cone has a circle of light rays
+    (LorentzCone(MINK3, [1.0, 0.0, 0.0]), LorentzSqrt(MINK3), [1.0, 0.6, 0.8, 0.1, 0.0]),
+], ids=["light-ray", "other-light-ray", "polyhedral-generator", "apex", "light-ray-3d"])
+def test_average_on_an_extreme_ray_with_area_is_refused_at_once(cone, nu, x1):
+    model = CarnotGroup(heisenberg_algebra() if len(x1) == 3 else minkowski_area_algebra(2))
+    prob = make_prob(model, cone, nu, np.zeros(len(x1)), x1, n=30)
+    form = LeftInvariantForm(np.eye(len(x1))[0], model)
+    for rep in (solve_longest(prob), solve_longest_reparametrized(prob, form)):
+        assert rep.status == SolveStatus.NO_ADMISSIBLE_PATH
+        assert rep.iterations == 0 and rep.objective == NEG_INF
+        assert rep.endpoint_evaluations <= 1 and rep.jacobian_evaluations == 0
+    # the certificate's one evaluation is counted (the unit-tau solve refuses
+    # the apex before it, since there tau(v) = 0)
+    assert solve_longest(prob).endpoint_evaluations == 1
+
+
+def test_average_on_a_redundant_generator_is_not_refused(heis):
+    # (1, 0) is a generator, but not an extreme one: controls along (1, 1)
+    # and (1, -1) reach the area 0.1 (x^2 - y^2 = 1 >= 4|z|)
+    prob = make_prob(heis, PolyhedralCone([[1.0, 1.0], [1.0, -1.0], [1.0, 0.0]]),
+                     MinOfLinear([[1.0, 0.5], [1.0, -0.5]]), np.zeros(3),
+                     [1.0, 0.0, 0.1], n=12)
+    rep = solve_longest(prob, SolveOptions(restarts=1, max_iter=2, inner_iter=5))
+    assert rep.status != SolveStatus.NO_ADMISSIBLE_PATH and rep.iterations > 0
+
+
+def test_average_near_a_light_ray_far_out_is_not_refused(heis, mink_cone, mink_nu):
+    # v = (1e4, 1e4 - 5e-9) lies within 1e-12 of a light ray relative to
+    # |v|^2, yet x^2 - y^2 = 1e-4 >= 4|z| = 8e-5: the endpoint is reachable
+    prob = make_prob(heis, mink_cone, mink_nu, np.zeros(3),
+                     [1e4, 1e4 - 5e-9, 2e-5], n=12)
+    assert mink_cone.on_extreme_ray(heis.forced_average(prob.x0, prob.x1))
+    rep = solve_longest(prob, SolveOptions(restarts=1, max_iter=2, inner_iter=5))
+    assert rep.status != SolveStatus.NO_ADMISSIBLE_PATH and rep.iterations > 0
+
+
+@pytest.mark.parametrize("model", [AbelianGroup(2), CarnotGroup(heisenberg_algebra())],
+                         ids=["abelian", "heisenberg"])
+def test_average_just_outside_the_cone_is_answered_by_a_control_inside(model):
+    # admits_path lets v = (1, 1 + 5e-10) leave the cone by 1e-9 relative;
+    # the certificate's control is its projection, so it stays admissible
+    cone, nu = PolyhedralCone([[1.0, 1.0], [1.0, -1.0]]), MinOfLinear([[1.0, -1.0],
+                                                                       [1.0, 1.0]])
+    x1 = np.zeros(model.point_dim)
+    x1[:2] = [1.0, 1.0 + 5e-10]
+    prob = make_prob(model, cone, nu, np.zeros(model.point_dim), x1, n=8)
+    rep = solve_longest(prob)
+    assert rep.status == SolveStatus.SOLVED and rep.iterations == 0
+    assert np.all(cone.contains(rep.control.values, 1e-15))
+    assert rep.objective >= 0.0 and rep.endpoint_residual <= SolveOptions().tol
+
+
+class _FailingPass(CarnotGroup):
+    def endpoint_residual(self, x0, x1, u, horizon):
+        raise FloatingPointError("non-finite point")
+
+
+def test_a_certificate_whose_pass_raises_decides_nothing(mink_cone, mink_nu):
+    prob = make_prob(_FailingPass(heisenberg_algebra()), mink_cone, mink_nu,
+                     np.zeros(3), [1.0, 1.0, 0.1], n=8)
+    assert solver._certified(prob, 1.0, SolveOptions()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +630,24 @@ LOCKSTEP_OPTS = SolveOptions(restarts=3, max_iter=4, inner_iter=8)
 def test_restarts_in_lockstep_run_as_alone(monkeypatch, name, segments):
     model, cone, nu, x0, x1, form = _lockstep_case(name)
     prob = make_prob(model, cone, nu, x0, x1, n=segments)
-    _assert_same_runs(*_runs_in_lockstep_and_alone(
-        monkeypatch, lambda: solve_longest(prob, LOCKSTEP_OPTS)))
-    _assert_same_runs(*_runs_in_lockstep_and_alone(
-        monkeypatch, lambda: solve_longest_reparametrized(prob, form, LOCKSTEP_OPTS)))
+    solves = [lambda: solve_longest(prob, LOCKSTEP_OPTS),
+              lambda: solve_longest_reparametrized(prob, form, LOCKSTEP_OPTS)]
+    if name == "abelian":
+        # on R^n the bound-attained certificate answers both solves before
+        # any restart runs, so `_run_restarts` is called as the solves call it
+        s1 = potential(form, prob.x1) - potential(form, prob.x0)
+        tau_c = _control_covector(model, form)
+        projector = np.eye(2) - np.outer(tau_c, tau_c) / (tau_c @ tau_c)
+        solves = [
+            lambda: solver._run_restarts(
+                prob, solver._starting_controls(prob, 1.0, LOCKSTEP_OPTS), 1.0,
+                LOCKSTEP_OPTS, cone.project_batch),
+            lambda: solver._run_restarts(
+                prob, solver._starting_controls(prob, s1, LOCKSTEP_OPTS, unit_tau=form),
+                s1, LOCKSTEP_OPTS, lambda U: _unit_tau_retract(cone, tau_c, U),
+                projector)]
+    for solve in solves:
+        _assert_same_runs(*_runs_in_lockstep_and_alone(monkeypatch, solve))
 
 
 class _FragilePlane(HyperbolicPlane):
@@ -575,17 +713,20 @@ def test_reachability_deterministic(heis, mink_cone):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "lightlike endpoint: its first-layer bound is 0, and a residual within tol "
-    "lets the square-root antinorm overshoot it by about sqrt(tol); needs the "
-    "exact oracle of ROADMAP item 3, which is 0 on the reachable set's boundary"))
 def test_lightlike_endpoint_respects_the_first_layer_bound(heis, mink_cone, mink_nu):
-    # the endpoint on which `sublorentz verify --seed 18` fails
+    # the endpoint on which `sublorentz verify --seed 18` failed
     e = reachability_sample(heis, mink_cone, heis.identity(), 5, seed=18)[3]
     prob = make_prob(heis, mink_cone, mink_nu, heis.identity(), e, n=30)
     rep = solve_longest(prob, SolveOptions(restarts=2, max_iter=40, inner_iter=30))
     assert rep.status == SolveStatus.SOLVED
     assert rep.objective - abelianized_upper_bound(prob) <= 1e-9
+
+
+def test_first_layer_bound_check_passes_on_the_seed_18_endpoints():
+    # verify's check on the endpoint set of `sublorentz verify --seed 18`,
+    # which holds lightlike exp(v) endpoints
+    res = _check_bound_dominance(18)
+    assert res.passed, res.detail
 
 
 def test_minkowski_diamond_radius():
