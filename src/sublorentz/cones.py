@@ -518,10 +518,16 @@ class LorentzCone(Cone):
             raise ValueError("form must be symmetric")
         self.form = 0.5 * (A + A.T)
         self.dim = A.shape[0]
-        self.nappe_selector = as_vector(nappe_selector, self.dim, "nappe_selector")
+        # a unit selector, so its tests hold at any scale (a zero one stays
+        # zero and is refused below)
+        s = as_vector(nappe_selector, self.dim, "nappe_selector")
+        self.nappe_selector = _unit_rows(s[None])[0] if s.any() else s
 
         w, U = np.linalg.eigh(self.form)
-        if np.sum(w > 1e-12) != 1 or np.sum(w < -1e-12) != self.dim - 1:
+        self._form_scale = float(np.max(np.abs(w)))
+        # the signature cut is relative to max|eig|: A and c A agree
+        rel = w / (self._form_scale or 1.0)
+        if np.sum(rel > 1e-12) != 1 or np.sum(rel < -1e-12) != self.dim - 1:
             raise ValueError(f"form must have signature (1, {self.dim - 1}), eigenvalues {w}")
         i0 = int(np.argmax(w))
         axis = U[:, i0]
@@ -538,8 +544,6 @@ class LorentzCone(Cone):
         self._W = W
         self._Winv = np.linalg.inv(W)
         self._axis = self._Winv[:, 0] / np.linalg.norm(self._Winv[:, 0])
-        self._form_scale = float(np.max(np.abs(w)))
-        self._selector_norm = float(np.linalg.norm(self.nappe_selector))
         cb = self._Winv.T @ self.nappe_selector
         if cb[0] <= np.linalg.norm(cb[1:]) * (1 + 1e-12):
             raise ValueError("nappe_selector is not strictly positive on the nappe")
@@ -553,7 +557,7 @@ class LorentzCone(Cone):
         q = np.einsum("...i,ij,...j->...", V, self.form, V)
         sel = V @ self.nappe_selector
         return ((q >= -tol * self._form_scale * nv * nv)
-                & (sel >= -tol * self._selector_norm * nv))
+                & (sel >= -tol * nv))
 
     def is_pointed(self) -> bool:
         # a single nappe of a signature-(1, r) cone never contains a line
@@ -637,7 +641,8 @@ class LorentzCone(Cone):
 
     def image(self, map_matrix):
         """The nappe of M^-T A M^-1 selected by M^-T s, the form scaled to
-        entries of at most 1 so the signature cut is relative."""
+        entries of at most 1, so a map of extreme scale keeps its values in
+        range."""
         Minv = np.linalg.inv(_invertible_map(map_matrix, self.dim))
         F = Minv.T @ self.form @ Minv
         return LorentzCone(F / np.max(np.abs(F)), Minv.T @ self.nappe_selector)

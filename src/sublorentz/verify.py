@@ -307,14 +307,21 @@ def _check_fd_convergence(seed, point=(0.3, 1.4), steps=(1e-2, 5e-3, 2.5e-3)
 
 
 def _check_path_independence(seed, samples: int = 50) -> CheckResult:
-    model = CarnotGroup(heisenberg_algebra())
-    form = LeftInvariantForm([1, 0, 0], model)
+    """The tau integral of each sampled path is the potential at its end, on
+    every model check-timeform accepts: Heisenberg and R^2 with the Minkowski
+    cone, the hyperbolic plane with dy / y and the preset's cone."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
-        u = ControlSignal(_MINK_CONE.sample(int(rng.integers(1, 9)), rng))
-        traj = integrate(model, model.identity(), u)
-        worst = max(worst, abs(tau_duration(traj, form) - potential(form, traj.endpoint)))
+    for form, cone in ((LeftInvariantForm([1, 0, 0], CarnotGroup(heisenberg_algebra())),
+                        _MINK_CONE),
+                       (HyperbolicAB(0, 1), LorentzCone([[-4.0, 0.0], [0.0, 1.0]], [0, 1])),
+                       (LeftInvariantForm([1, 0], AbelianGroup(2)), _MINK_CONE)):
+        model = form.model
+        for _ in range(samples):
+            u = ControlSignal(cone.sample(int(rng.integers(1, 9)), rng))
+            traj = integrate(model, model.identity(), u)
+            worst = max(worst, abs(tau_duration(traj, form)
+                                   - potential(form, traj.endpoint)))
     return CheckResult("path independence of the tau integral", worst <= 1e-8,
                        f"max |integral - potential| {worst:.2e}")
 

@@ -478,18 +478,30 @@ def test_cone_outside_the_control_space_exits_two_under_cone(tmp_path, capsys,
             in capsys.readouterr().err)
 
 
+#: subcommand -> (exit, message) on generators of 1e300.  reach samples
+#: paths, and the flow overflows: a non-finite Heisenberg point, a hyperbolic
+#: point with y = 0.  check-timeform samples none: its exact growth check
+#: finds the generator that tau vanishes on.
+HUGE_GENERATOR_VERDICTS = {
+    "check-timeform": (1, "growth condition FAILS"),
+    "reach": (2, "config error: cone: a sampled path leaves the model")}
+
+
+def _huge_generator_message(capsys, code):
+    out, err = capsys.readouterr()
+    return err if code == 2 else out
+
+
 @pytest.mark.parametrize("preset", ["heisenberg-sl", "hyperbolic"])
 @pytest.mark.parametrize("subcommand", ["check-timeform", "reach"])
 def test_huge_generators_exit_two_under_cone(tmp_path, capsys, preset, subcommand):
-    # controls of 1e300 overflow the flow: a non-finite Heisenberg point, a
-    # hyperbolic point with y = 0
     path = write_config(tmp_path, {
         "version": 1, "preset": preset, "samples": 8,
         "cone": {"kind": "polyhedral", "generators": [[1e300, 0.0], [0.0, -1e300]]}})
+    code, message = HUGE_GENERATOR_VERDICTS[subcommand]
     with np.errstate(all="ignore"):
-        assert main([subcommand, "--config", path]) == 2
-    assert ("config error: cone: a sampled path leaves the model"
-            in capsys.readouterr().err)
+        assert main([subcommand, "--config", path]) == code
+    assert message in _huge_generator_message(capsys, code)
 
 
 @pytest.mark.parametrize("preset", ["heisenberg-sl", "hyperbolic"])
@@ -500,11 +512,93 @@ def test_huge_generators_exit_two_without_warnings(tmp_path, capsys, preset,
     path = write_config(tmp_path, {
         "version": 1, "preset": preset, "samples": 8,
         "cone": {"kind": "polyhedral", "generators": [[1e300, 0.0], [0.0, -1e300]]}})
+    code, message = HUGE_GENERATOR_VERDICTS[subcommand]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([subcommand, "--config", path]) == code
+    assert message in _huge_generator_message(capsys, code)
+
+
+def test_valid_huge_cone_passes_check_timeform(tmp_path):
+    # generators of 1e300 inside the preset's cone: check-timeform integrates
+    # no path, and the exact growth ratio is |(1, 1/2)| = sqrt(5) / 2
+    path = write_config(tmp_path, {
+        "version": 1, "preset": "heisenberg-sl",
+        "cone": {"kind": "polyhedral",
+                 "generators": [[1e300, 5e299], [1e300, -5e299]]}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run_config(path, "check-timeform")
+    assert code == 0
+    assert rep.payload["growth_rho"] == pytest.approx(np.sqrt(5.0) / 2.0, rel=1e-12)
+    assert "potential_consistency_gap" not in rep.payload
+
+
+@pytest.mark.parametrize("subcommand",
+                         ["solve", "check-structure", "check-timeform", "reach"])
+def test_ill_conditioned_lorentz_cone_exits_two_under_cone(tmp_path, capsys,
+                                                           subcommand):
+    # eigenvalues 1e12 and -1: the relative signature cut refuses the form,
+    # as it would refuse the rescaled image the growth check builds
+    path = write_config(tmp_path, {
+        "version": 1, "preset": "heisenberg-sl", "samples": 8,
+        "cone": {"kind": "lorentz", "form": [[1e12, 0.0], [0.0, -1.0]],
+                 "nappe_selector": [1.0, 0.0]}})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([subcommand, "--config", path]) == 2
-    assert ("config error: cone: a sampled path leaves the model"
-            in capsys.readouterr().err)
+    assert "config error: cone: form must have signature" in capsys.readouterr().err
+
+
+def test_huge_nappe_selector_refuses_a_past_endpoint(tmp_path):
+    # a selector of 1e200 selects the future nappe, which (-5, 3) is not in
+    path = write_config(tmp_path, {
+        "version": 1, "preset": "minkowski11",
+        "cone": {"kind": "lorentz", "form": [[1.0, 0.0], [0.0, -1.0]],
+                 "nappe_selector": [1e200, 0.0]},
+        "endpoints": {"x0": [0.0, 0.0], "x1": [-5.0, 3.0]}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run_config(path, "solve")
+    assert code == 1
+    assert rep.payload["solver_status"] == "no_admissible_path"
+
+
+#: entries of the sweep's cones: both overflow edges, the square-root edge,
+#: the subnormal edge, zero and the unit
+SWEEP_VALUES = [1e300, -1e300, 1e154, 1e-300, 0.0, 1.0, -1.0]
+
+
+def _sweep_cones(x):
+    for form in ([[x, 0.0], [0.0, -1.0]], [[-1.0, 0.0], [0.0, x]],
+                 [[1.0, x], [x, -1.0]]):
+        for selector in ([1.0, 0.0], [0.0, 1.0]):
+            yield {"kind": "lorentz", "form": form, "nappe_selector": selector}
+    for selector in ([x, 0.0], [0.0, x], [x, 1.0], [1.0, x]):
+        yield {"kind": "lorentz", "form": [[1.0, 0.0], [0.0, -1.0]],
+               "nappe_selector": selector}
+        yield {"kind": "lorentz", "form": [[-1.0, 0.0], [0.0, 1.0]],
+               "nappe_selector": selector}
+    for gens in ([[x, 1.0], [x, -1.0]], [[1.0, x], [-1.0, x]], [[x, x], [x, -x]],
+                 [[1.0, 0.0], [x, 1.0]], [[x, 0.0], [0.0, x]]):
+        yield {"kind": "polyhedral", "generators": gens}
+
+
+@pytest.mark.parametrize("x", SWEEP_VALUES)
+@pytest.mark.parametrize("preset", ["heisenberg-sl", "hyperbolic"])
+def test_check_timeform_sweep_of_extreme_cones(tmp_path, capsys, preset, x):
+    # every cone built from extreme entries is answered or refused under
+    # cone, with no traceback and no numpy warning
+    for k, cone in enumerate(_sweep_cones(x)):
+        path = write_config(tmp_path, {"version": 1, "preset": preset,
+                                       "cone": cone}, f"{k}.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check-timeform", "--config", path])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), cone
+        if code == 2:
+            assert err.startswith("config error: cone"), (cone, err)
 
 
 def test_main_missing_file_exit_two(capsys):

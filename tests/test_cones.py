@@ -53,6 +53,29 @@ def test_lorentz_membership_examples(mink_cone):
     assert mink_cone.contains([0.0, 0.0])
 
 
+def test_lorentz_signature_cut_is_relative():
+    # A and c A are accepted or refused together, so an image, whose form is
+    # rescaled, keeps the verdict of the cone it came from
+    for c in (1e-200, 1.0, 1e200):
+        LorentzCone(c * np.diag([1e11, -1.0]), [1.0, 0.0]).image(np.eye(2))
+        with pytest.raises(ValueError, match="signature"):
+            LorentzCone(c * np.diag([1e12, -1.0]), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-20])
+def test_nappe_selector_of_any_scale_selects_one_nappe(scale):
+    # a selector of 1e200 used to overflow the band of the nappe test and
+    # admit the past nappe; one of 1e-20 used to be refused as vanishing
+    cone = LorentzCone(MINK, [scale, 0.0])
+    assert cone.contains([1.0, 0.0]) and cone.contains([2.0, 1.0])
+    assert not cone.contains([-1.0, 0.0]) and not cone.contains([-2.0, 1.0])
+
+
+def test_zero_nappe_selector_is_refused():
+    with pytest.raises(ValueError, match="vanishes"):
+        LorentzCone(MINK, [0.0, 0.0])
+
+
 def test_polyhedral_membership():
     cone = PolyhedralCone([[1.0, 0.0], [1.0, 1.0]])
     assert cone.contains([2.0, 1.0])
@@ -613,7 +636,7 @@ def test_lorentz_image_3d_projection_lands_in_the_cone(rng):
 
 
 def test_lorentz_image_under_a_large_scaling_is_the_same_cone(mink_cone, rng):
-    # the pulled-back form is 1e-14 A, scaled back before the signature cut
+    # the pulled-back form is 1e-14 A, scaled back to entries of at most 1
     image = mink_cone.image(1e7 * np.eye(2))
     V = rng.normal(size=(200, 2))
     assert np.array_equal(image.contains(V), mink_cone.contains(V))
