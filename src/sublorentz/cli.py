@@ -79,7 +79,8 @@ def _history_csv(history) -> str:
 
 def _cloud_csv(points: np.ndarray, model) -> str:
     lines = [",".join(model.coordinate_names())]
-    lines += [",".join(f"{c:.17g}" for c in row) for row in points]
+    # Python floats format as numpy's scalars do, and much faster
+    lines += [",".join(f"{c:.17g}" for c in row) for row in points.tolist()]
     return "\n".join(lines) + "\n"
 
 

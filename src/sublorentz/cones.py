@@ -54,6 +54,9 @@ _EPS = np.finfo(float).eps
 #: beyond tol by more than that spread (``solver._ray_slack``)
 RAY_TOL = 1e-12
 
+#: the share of sampled points put on the cone's boundary by default
+BOUNDARY_FRACTION = 0.25
+
 
 def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
     """Validate and convert to a finite 1-d float array."""
@@ -91,6 +94,17 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the stacked matmul runs the dot of a single pair, where einsum or a
     matrix-vector product may fuse multiply-adds and round differently."""
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _row_products(R: np.ndarray, M: np.ndarray, alone: np.ndarray) -> np.ndarray:
+    """R @ M, bit for bit as if each block of rows were multiplied alone:
+    numpy sends a one-row product to gemv and a longer one to gemm, which
+    round differently, so the rows marked alone go through the stacked
+    one-row product (as in ``_row_dots``) and the rest through one gemm."""
+    out = np.empty((len(R), M.shape[1]))
+    out[alone] = np.matmul(R[alone][:, None, :], M)[:, 0]
+    out[~alone] = R[~alone] @ M
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +151,38 @@ class Cone:
         raise NotImplementedError
 
     def sample(self, n: int, rng: np.random.Generator,
-               boundary_fraction: float = 0.25,
+               boundary_fraction: float = BOUNDARY_FRACTION,
                relative_interior: bool = False) -> np.ndarray:
         """Draw n cone points, (n, dim). Deterministic given the rng state."""
+        return self._rows(self._draws(n, rng, relative_interior), np.full(n, n == 1),
+                          relative_interior, boundary_fraction)
+
+    def sample_paths(self, n_paths: int, rng: np.random.Generator,
+                     relative_interior: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+        """The controls of n_paths random paths: their segment counts, each
+        ``int(rng.integers(1, 9))``, and their rows stacked path after path,
+        (counts.sum(), dim), bit for bit what a loop of
+        ``sample(count, rng, relative_interior=...)`` calls would give.  The
+        draws keep the seed's order, path by path; the arithmetic runs once
+        on the whole batch."""
+        counts, draws = [], []
+        for _ in range(n_paths):
+            counts.append(int(rng.integers(1, 9)))
+            draws.append(self._draws(counts[-1], rng, relative_interior))
+        counts = np.array(counts)
+        fields = [np.concatenate(f) for f in zip(*draws)]
+        return counts, self._rows(fields, np.repeat(counts == 1, counts), relative_interior,
+                                  BOUNDARY_FRACTION)
+
+    def _draws(self, n: int, rng: np.random.Generator, relative_interior: bool) -> tuple:
+        """The rng calls of ``sample(n, ...)``, in its order: a tuple of
+        arrays of n rows each, which stack row-wise across draws."""
+        raise NotImplementedError
+
+    def _rows(self, draws, alone: np.ndarray, relative_interior: bool,
+              boundary_fraction: float) -> np.ndarray:
+        """The cone points, (len(alone), dim), of stacked ``_draws`` output;
+        alone marks the rows drawn by a draw of one row (``_row_products``)."""
         raise NotImplementedError
 
     def image(self, map_matrix) -> "Cone":
@@ -376,6 +419,21 @@ def _scaled_rows(G: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return G / big[:, None], big
 
 
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of a vector or of each row of a stack, finite for
+    finite rows: a row whose plain norm overflows is measured scaled
+    (``_scaled_rows``), and every other row keeps the plain norm's bits."""
+    V = np.asarray(V)
+    # the sum of squares norm() takes along an axis, without its wrapper
+    with np.errstate(over="ignore"):
+        n = np.asarray(np.sqrt(np.add.reduce(V * V, axis=-1)))
+    if n.max(initial=0.0) == np.inf:
+        big = np.isinf(n)
+        scaled, s = _scaled_rows(V[big])
+        n[big] = s * np.linalg.norm(scaled, axis=1)
+    return n
+
+
 def _unit_rows(G: np.ndarray) -> np.ndarray:
     """The rows of G, none of them zero, scaled to unit length, so
     generators of 1e300 or 1e-200 keep their directions; a row of normal
@@ -482,21 +540,32 @@ class PolyhedralCone(Cone):
                 keep[j] = np.linalg.norm(g - fit) > 1e-4
         return U[keep]
 
-    def sample(self, n, rng, boundary_fraction=0.25, relative_interior=False):
+    def _draws(self, n, rng, relative_interior):
+        """Exponential weights on the generators; off the relative interior,
+        a boundary coin and, for k > 1, a coin per generator and the one kept;
+        then the log10 scale."""
         k = len(self._nonzero)
         if k == 0:
-            return np.zeros((n, self.dim))
-        lam = rng.exponential(1.0, size=(n, k))
-        if relative_interior:
-            lam += 0.05
-        else:
-            on_boundary = rng.random(n) < boundary_fraction
+            return ()
+        draws = [rng.exponential(1.0, size=(n, k))]
+        if not relative_interior:
+            draws.append(rng.random(n))
             if k > 1:
-                mask = rng.random((n, k)) < 0.5
-                mask[np.arange(n), rng.integers(0, k, n)] = False  # keep one
-                lam[on_boundary] = np.where(mask[on_boundary], 0.0, lam[on_boundary])
-        scale = 10.0 ** rng.uniform(-1.0, 1.0, size=(n, 1))
-        return (lam * scale) @ self._nonzero
+                draws += [rng.random((n, k)), rng.integers(0, k, n)]
+        return (*draws, rng.uniform(-1.0, 1.0, size=(n, 1)))
+
+    def _rows(self, draws, alone, relative_interior, boundary_fraction):
+        if len(self._nonzero) == 0:
+            return np.zeros((len(alone), self.dim))
+        lam, *coins, exponent = draws
+        if relative_interior:
+            lam = lam + 0.05
+        elif len(coins) > 1:
+            on_boundary = coins[0] < boundary_fraction
+            mask = coins[1] < 0.5
+            mask[np.arange(len(lam)), coins[2]] = False  # keep one
+            lam[on_boundary] = np.where(mask[on_boundary], 0.0, lam[on_boundary])
+        return _row_products(lam * 10.0 ** exponent, self._nonzero, alone)
 
     def image(self, map_matrix):
         return PolyhedralCone(self.generators @ _invertible_map(map_matrix, self.dim).T)
@@ -524,11 +593,14 @@ class LorentzCone(Cone):
         self.nappe_selector = _unit_rows(s[None])[0] if s.any() else s
 
         w, U = np.linalg.eigh(self.form)
-        self._form_scale = float(np.max(np.abs(w)))
+        scale = float(np.max(np.abs(w)))
         # the signature cut is relative to max|eig|: A and c A agree
-        rel = w / (self._form_scale or 1.0)
+        rel = w / (scale or 1.0)
         if np.sum(rel > 1e-12) != 1 or np.sum(rel < -1e-12) != self.dim - 1:
             raise ValueError(f"form must have signature (1, {self.dim - 1}), eigenvalues {w}")
+        # the form over max|eig|, whose values v^T A v stay in range for a
+        # form of 1e300; a power-of-two scale changes no bit of a test
+        self._unit_form = self.form / scale
         i0 = int(np.argmax(w))
         axis = U[:, i0]
         s = float(self.nappe_selector @ axis)
@@ -554,10 +626,9 @@ class LorentzCone(Cone):
     def contains(self, v, tol: float = DEFAULT_TOL):
         V = as_vectors(v, self.dim)
         nv = np.linalg.norm(V, axis=-1)
-        q = np.einsum("...i,ij,...j->...", V, self.form, V)
+        q = np.einsum("...i,ij,...j->...", V, self._unit_form, V)
         sel = V @ self.nappe_selector
-        return ((q >= -tol * self._form_scale * nv * nv)
-                & (sel >= -tol * nv))
+        return (q >= -tol * nv * nv) & (sel >= -tol * nv)
 
     def is_pointed(self) -> bool:
         # a single nappe of a signature-(1, r) cone never contains a line
@@ -590,12 +661,12 @@ class LorentzCone(Cone):
 
     def on_extreme_ray(self, v):
         """Every nonzero ray of the nappe's boundary is extreme, where
-        |v^T A v| is at most RAY_TOL of max|eig A| |v|^2; in dim 1 the cone
+        |v^T A v| / max|eig A| is at most RAY_TOL |v|^2; in dim 1 the cone
         is one ray."""
         v = as_vector(v, self.dim)
         nv = np.linalg.norm(v)
-        q = np.einsum("i,ij,j->", v, self.form, v)
-        light = self.dim == 1 or abs(q) <= RAY_TOL * self._form_scale * nv * nv
+        q = np.einsum("i,ij,j->", v, self._unit_form, v)
+        light = self.dim == 1 or abs(q) <= RAY_TOL * nv * nv
         return bool(nv > 0.0 and v @ self.nappe_selector > 0.0 and light)
 
     def ray_minimum(self, c):
@@ -624,20 +695,26 @@ class LorentzCone(Cone):
             lo, hi = (lam, hi) if V[:, 0] @ self.form @ V[:, 0] < 0.0 else (lo, lam)
         return min(float(np.sqrt(best)), float(c @ ray)), None
 
-    def sample(self, n, rng, boundary_fraction=0.25, relative_interior=False):
-        r = self.dim - 1
-        phi = rng.standard_normal((n, r))
+    def _draws(self, n, rng, relative_interior):
+        """A normal direction in the spacelike coordinates, a radius, off the
+        relative interior a boundary coin, then the log10 magnitude."""
+        draws = [rng.standard_normal((n, self.dim - 1)), rng.random(n)]
+        if not relative_interior:
+            draws.append(rng.random(n))
+        return (*draws, rng.uniform(-1.0, 1.0, n))
+
+    def _rows(self, draws, alone, relative_interior, boundary_fraction):
+        """The points W^-1 (m, m rho phi / |phi|) of magnitude m = 10^u."""
+        phi, rho, *coin, exponent = draws
         norms = np.linalg.norm(phi, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
-        phi /= norms
-        rho = rng.random(n)
         if relative_interior:
-            rho *= 0.95
+            rho = rho * 0.95
         else:
-            rho[rng.random(n) < boundary_fraction] = 1.0
-        mag = 10.0 ** rng.uniform(-1.0, 1.0, n)
-        b = np.hstack([mag[:, None], (mag * rho)[:, None] * phi])
-        return b @ self._Winv.T
+            rho = np.where(coin[0] < boundary_fraction, 1.0, rho)
+        mag = 10.0 ** exponent
+        b = np.hstack([mag[:, None], (mag * rho)[:, None] * (phi / norms)])
+        return _row_products(b, self._Winv.T, alone)
 
     def image(self, map_matrix):
         """The nappe of M^-T A M^-1 selected by M^-T s, the form scaled to
@@ -708,7 +785,17 @@ class LorentzSqrt(Antinorm):
         # einsum, not the BLAS dot: it may use FMA, breaking the exact
         # cancellation on the light cone
         q = np.einsum("...i,ij,...j->...", V, self.form, V)
-        return np.sqrt(np.maximum(q, 0.0))
+        vals = np.asarray(np.sqrt(np.maximum(q, 0.0)))
+        # a row whose q leaves the float range is measured at entries of at
+        # most 1 and scaled back; every other row keeps its bits
+        if not np.isfinite(q).all():
+            odd = ~np.isfinite(q)
+            rows = V[odd]
+            big = np.abs(rows).max(axis=1)
+            W = rows / big[:, None]
+            q = np.einsum("...i,ij,...j->...", W, self.form, W)
+            vals[odd] = big * np.sqrt(np.maximum(q, 0.0))
+        return vals[()]
 
     def grads_on_cone(self, V):
         vals = self.values_on_cone(V)
@@ -732,12 +819,12 @@ class MinOfLinear(Antinorm):
     def values_on_cone(self, V):
         vals = (V @ self.family.T).min(axis=-1)
         # boundary rounding can push an exactly-zero minimum slightly negative
-        band = 1e-12 * self._scale * (1.0 + np.linalg.norm(V, axis=-1))
+        band = 1e-12 * self._scale * (1.0 + _row_norms(V))
         return np.where((vals < 0.0) & (vals >= -band), 0.0, vals)[()]
 
     def grads_on_cone(self, V):
         vals = V @ self.family.T
-        band = 1e-12 * self._scale * (1.0 + np.linalg.norm(V, axis=1))
+        band = 1e-12 * self._scale * (1.0 + _row_norms(V))
         active = vals <= vals.min(axis=1, keepdims=True) + band[:, None]
         weights = active / active.sum(axis=1, keepdims=True)
         return weights @ self.family

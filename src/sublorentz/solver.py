@@ -614,16 +614,17 @@ def abelianized_upper_bound(prob: ProblemInstance) -> float:
 _REACH_BATCH = 256
 
 
-def _path_points(model: GroupModel, x0, controls: List[np.ndarray]) -> np.ndarray:
+def _path_points(model: GroupModel, x0, counts: np.ndarray, U: np.ndarray) -> np.ndarray:
     """The points of unit-horizon controls of 1 to 8 segments, (n, 9,
-    point_dim), each padded with its endpoint.  The controls that share a
-    segment count go through one ``model.points`` pass, and validate_points
-    meets the paths' points in the order listed."""
-    counts = np.array([len(u) for u in controls])
-    chains = np.empty((len(controls), 9, model.point_dim))
+    point_dim), each padded with its endpoint; path i has counts[i] segments,
+    stacked in U after those of the paths before it (``Cone.sample_paths``).
+    The controls that share a segment count go through one ``model.points``
+    pass, and validate_points meets the paths' points in the order listed."""
+    chains = np.empty((len(counts), 9, model.point_dim))
+    first = np.cumsum(counts) - counts
     for n_seg in np.unique(counts):
         rows = np.flatnonzero(counts == n_seg)
-        pts = model.points(x0, np.stack([controls[i] for i in rows]), 1.0 / n_seg)
+        pts = model.points(x0, U[first[rows, None] + np.arange(n_seg)], 1.0 / n_seg)
         chains[rows, :n_seg + 1] = pts
         chains[rows, n_seg + 1:] = pts[:, -1:]
     return model.validate_points(chains)
@@ -642,9 +643,9 @@ def reachability_sample(model: GroupModel, cone: Cone, x0, n_samples: int,
     x0 = model.validate_point(x0)
     cloud = np.empty((n_samples, model.point_dim))
     for start in range(0, n_samples, _REACH_BATCH):
-        controls = [cone.sample(int(rng.integers(1, 9)), rng, relative_interior=interior)
-                    for _ in range(min(_REACH_BATCH, n_samples - start))]
-        cloud[start:start + len(controls)] = _path_points(model, x0, controls)[:, -1]
+        counts, U = cone.sample_paths(min(_REACH_BATCH, n_samples - start), rng,
+                                      relative_interior=interior)
+        cloud[start:start + len(counts)] = _path_points(model, x0, counts, U)[:, -1]
     return cloud
 
 
@@ -705,16 +706,13 @@ def check_hyperbolicity_desk(prob: ProblemInstance, form: TimeForm,
     for start in range(0, n_samples, _REACH_BATCH):
         # each path's segment count and controls in the order drawn, then
         # the batch's paths checked together
-        controls = [prob.cone.sample(int(rng.integers(1, 9)), rng)
-                    for _ in range(min(_REACH_BATCH, n_samples - start))]
-        n_seg = np.array([len(u) for u in controls])
-        pots = potential(form, _path_points(prob.model, prob.x0, controls))
+        n_seg, U = prob.cone.sample_paths(min(_REACH_BATCH, n_samples - start), rng)
+        pots = potential(form, _path_points(prob.model, prob.x0, n_seg, U))
         scale = 1.0 + np.abs(pots).max(axis=1)
         mono_bad += int(np.count_nonzero(
             np.any(np.diff(pots, axis=1) < -1e-9 * scale[:, None], axis=1)))
         # rates and speeds of the segments that exist, zero on the padding
         real = np.arange(8) < n_seg[:, None]
-        U = np.concatenate(controls)
         rates = np.zeros(real.shape)
         rates[real] = antinorm_eval(prob.nu, prob.cone, U)
         length = np.cumsum((1.0 / n_seg)[:, None] * rates, axis=1)[:, -1]

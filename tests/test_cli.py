@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sublorentz import LorentzCone, PolyhedralCone, verify
-from sublorentz.cli import emit_report, main, run_config
+from sublorentz.cli import _cloud_csv, emit_report, main, run_config
 from sublorentz.config import build_cone, load_config, parse_config
 from sublorentz.errors import ConfigError
 from sublorentz.groups import MAX_DIM
@@ -534,6 +534,22 @@ def test_valid_huge_cone_passes_check_timeform(tmp_path):
     assert "potential_consistency_gap" not in rep.payload
 
 
+@pytest.mark.parametrize("antinorm", [None, {"kind": "min_of_linear", "family": [[1.0, 0.0]]}],
+                         ids=["lorentz_sqrt", "min_of_linear"])
+def test_huge_generators_pass_check_structure_without_warnings(tmp_path, antinorm):
+    # sampled rows of 1e155: the antinorm values and the min_of_linear band
+    # used to overflow, warn, and fail homogeneity on inf - inf
+    payload = {"version": 1, "preset": "heisenberg-sl",
+               "cone": {"kind": "polyhedral",
+                        "generators": [[1e154, 1e-300], [1e154, -1e-300]]}}
+    if antinorm:
+        payload["antinorm"] = antinorm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run_config(write_config(tmp_path, payload), "check-structure")
+    assert code == 0 and rep.status == "ok"
+
+
 @pytest.mark.parametrize("subcommand",
                          ["solve", "check-structure", "check-timeform", "reach"])
 def test_ill_conditioned_lorentz_cone_exits_two_under_cone(tmp_path, capsys,
@@ -624,6 +640,21 @@ def test_verify_failure_exits_one(tmp_path, monkeypatch, capsys):
     assert "FAIL  forced: by the test" in capsys.readouterr().out
     record = json.loads((tmp_path / "report.json").read_text())
     assert record["checks_passed"] == record["checks_total"] - 1
+
+
+def test_cloud_csv_formats_as_numpy_scalars_do():
+    # the rows go through tolist(); the text is what formatting each numpy
+    # scalar gave
+    cloud = np.array([[-0.0, 5e-324, 1e300], [-1e300, 0.1, 1.0 / 3.0],
+                      [2.0 ** -1074 * 3, -1.5e-308, 123456789.0]])
+
+    class Model:
+        def coordinate_names(self):
+            return ["x", "y", "z"]
+
+    old = "\n".join(["x,y,z"] + [",".join(f"{c:.17g}" for c in row) for row in cloud]) + "\n"
+    assert _cloud_csv(cloud, Model()) == old
+    assert "-0,4.9406564584124654e-324,1.0000000000000001e+300" in old
 
 
 def test_emit_report_returns_paths(tmp_path):

@@ -71,6 +71,17 @@ def test_nappe_selector_of_any_scale_selects_one_nappe(scale):
     assert not cone.contains([-1.0, 0.0]) and not cone.contains([-2.0, 1.0])
 
 
+def test_form_of_1e300_keeps_its_values_in_range():
+    # v^T A v used to be inf - inf = nan for moderate vectors, which every
+    # test then refused
+    with np.errstate(all="raise"):
+        cone = LorentzCone(np.diag([1e300, -1e300]), [1.0, 0.0])
+        assert cone.contains([2e5, 1e5])
+        assert np.array_equal(cone.contains([[2e5, 1e5], [1e5, 2e5], [-2e5, 1e5]]),
+                              [True, False, False])
+        assert cone.on_extreme_ray([1e5, 1e5]) and not cone.on_extreme_ray([2e5, 1e5])
+
+
 def test_zero_nappe_selector_is_refused():
     with pytest.raises(ValueError, match="vanishes"):
         LorentzCone(MINK, [0.0, 0.0])
@@ -710,6 +721,29 @@ def test_min_of_linear_values(mink_cone):
     assert antinorm_eval(nu, mink_cone, [3.0, 1.0]) == pytest.approx(2.0)
     assert antinorm_eval(nu, mink_cone, [1.0, 1.0]) == pytest.approx(0.0)
     assert antinorm_eval(nu, mink_cone, [0.0, 1.0]) == NEG_INF
+
+
+def test_min_of_linear_band_is_finite_for_huge_rows():
+    # the band's row norm used to overflow to inf, which made every covector
+    # active, and warned
+    nu = MinOfLinear([[1.0, -0.5], [1.0, 0.5]])
+    v = np.array([1.0, 0.3])
+    with np.errstate(all="raise"):
+        for scale in (1.0, 1e200):
+            assert np.array_equal(nu.grads_on_cone((scale * v)[None]), [[1.0, -0.5]])
+        assert nu.values_on_cone(1e200 * v) == 1e200 * 0.85
+        assert np.array_equal(nu.values_on_cone(np.array([1e200 * v, v])),
+                              [1e200 * 0.85, 0.85])
+
+
+def test_lorentz_sqrt_is_finite_for_huge_rows(mink_nu):
+    # v^T A v overflows; the row is measured scaled, the others keep their bits
+    V = np.array([[2e200, 1e200], [5.0, 3.0], [1e300, -1e300]])
+    vals = mink_nu.values_on_cone(V)
+    assert vals[0] == pytest.approx(np.sqrt(3.0) * 1e200, rel=1e-15)
+    assert vals[1] == 4.0 and vals[2] == 0.0
+    assert mink_nu.values_on_cone(V[0]) == vals[0]
+    assert np.allclose(mink_nu.grads_on_cone(V[:1]), np.array([[2.0, -1.0]]) / np.sqrt(3.0))
 
 
 def test_homogeneity_example(mink_cone, mink_nu):

@@ -39,6 +39,7 @@ from sublorentz.verify import (
     _check_bound_dominance,
     _check_hyperbolic_certificate,
     _check_hyperbolicity,
+    _tilted_lorentz_cones,
 )
 
 MINK = [[1.0, 0.0], [0.0, -1.0]]
@@ -746,6 +747,43 @@ def test_heisenberg_potential_band(heis, mink_cone, mink_nu):
     assert np.all(in_band[:, 0] <= rep.potential_gap + 1e-12)
 
 
+def _reach_cones():
+    """name -> cone: diagonal and tilted Lorentz cones, on which a one-row
+    and a many-row product round differently, and polyhedral ones."""
+    tilted = _tilted_lorentz_cones((2, 3, 5))
+    return {"minkowski": LorentzCone(MINK, [1.0, 0.0]),
+            "hyperbolic-preset": LorentzCone([[-4.0, 0.0], [0.0, 1.0]], [0.0, 1.0]),
+            "tilted-2": tilted[2], "tilted-3": tilted[3], "tilted-5": tilted[5],
+            "poly3": PolyhedralCone([[1.0, 0.0], [1.0, 0.6], [1.0, -0.6]]),
+            "one-generator": PolyhedralCone([[1.0, 0.3]]),
+            "random-poly": PolyhedralCone(np.random.default_rng(5).normal(size=(5, 3))
+                                          + [3.0, 0.0, 0.0])}
+
+
+REACH_CONES = _reach_cones()
+
+
+@pytest.mark.parametrize("interior", [False, True], ids=["closed", "interior"])
+@pytest.mark.parametrize("name", list(REACH_CONES))
+def test_reach_matches_the_per_path_loop(name, interior):
+    # each path drawn and integrated alone; up to more than two batches
+    cone = REACH_CONES[name]
+    model = CarnotGroup(heisenberg_algebra()) if cone.dim == 2 else AbelianGroup(cone.dim)
+    x0 = np.linspace(0.5, -0.5, model.point_dim)
+    for seed, n_samples in ((3, 1), (0, 255), (1, 256), (2, 257), (4, 600)):
+        rng = np.random.default_rng(seed)
+        controls = [cone.sample(int(rng.integers(1, 9)), rng, relative_interior=interior)
+                    for _ in range(n_samples)]
+        ends = [integrate(model, x0, ControlSignal(u)).points[-1] for u in controls]
+        counts, U = cone.sample_paths(n_samples, np.random.default_rng(seed),
+                                      relative_interior=interior)
+        assert np.array_equal(counts, [len(u) for u in controls])
+        assert np.array_equal(U, np.concatenate(controls))
+        cloud = reachability_sample(model, cone, x0, n_samples, seed=seed,
+                                    interior=interior)
+        assert np.array_equal(cloud, ends)
+
+
 def _desk_reference(prob, form, n_samples, seed):
     """check_hyperbolicity_desk one path at a time: integrate, then the
     potential of each point."""
@@ -779,11 +817,17 @@ def _desk_reference(prob, form, n_samples, seed):
         stalled_positive_length_paths=stalled, radius_violations=radius_bad)
 
 
-@pytest.mark.parametrize("kind", ["heisenberg", "hyperbolic"])
+@pytest.mark.parametrize("kind", ["heisenberg", "hyperbolic", "tilted"])
 def test_desk_check_matches_the_per_path_loop(kind, heis, mink_cone, mink_nu):
     if kind == "heisenberg":
         prob = make_prob(heis, mink_cone, mink_nu, np.zeros(3), [3.0, 0.5, 0.2])
         form = LeftInvariantForm([1.0, 0.0, 0.0], heis)
+    elif kind == "tilted":
+        # off-diagonal W^-1: its one-row and many-row products round apart
+        cone = REACH_CONES["tilted-2"]
+        x1 = np.append(3.0 * cone.interior_direction(), 0.2)
+        prob = make_prob(heis, cone, LorentzSqrt(cone.form), np.zeros(3), x1)
+        form = LeftInvariantForm(np.append(cone.time_covector(), 0.0), heis)
     else:
         hyp_form = [[-4.0, 0.0], [0.0, 1.0]]
         prob = make_prob(HyperbolicPlane(), LorentzCone(hyp_form, [0.0, 1.0]),
