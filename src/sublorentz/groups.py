@@ -53,7 +53,10 @@ class CarnotAlgebra:
 
     ``table[i, j, k]`` is the e_k-component of [e_i, e_j] in a basis ordered
     layer by layer.  Antisymmetry, grading, the Jacobi identity, and the
-    generating property of g_1 are validated eagerly.
+    generating property of g_1 are validated eagerly.  ``blocks[l - 1]`` is
+    layer l's block ``table[:lo, :lo, lo:hi]`` (layer l spans lo:hi): the
+    brackets of the layers below l that land in layer l.  The grading makes
+    every other entry of the table's layer-l columns 0.
     """
 
     def __init__(self, layer_dims: Tuple[int, ...], table: np.ndarray) -> None:
@@ -71,6 +74,9 @@ class CarnotAlgebra:
         self.layer_of = np.concatenate(
             [np.full(d, ell + 1) for ell, d in enumerate(layer_dims)])
         self._validate()
+        start = np.concatenate([[0], np.cumsum(layer_dims)])
+        self.blocks = tuple(np.ascontiguousarray(table[:lo, :lo, lo:hi])
+                            for lo, hi in zip(start[:-1], start[1:]))
 
     # -- construction helpers ------------------------------------------------
 
@@ -137,21 +143,26 @@ def _check_step(algebra: CarnotAlgebra) -> None:
 
 
 # BCH series through total order 4; exact on algebras of step <= 4.
-def _bch_terms(algebra: CarnotAlgebra, a: np.ndarray, b: np.ndarray,
-               degree: int) -> list:
-    """The terms of log(exp(a) exp(b)) after a, through ``degree``, in the
-    order they are added: b, [a, b]/2, ([a, [a, b]] - [b, [a, b]])/12 and
-    -[b, [a, [a, b]]]/24.  A term of degree n lies in the layers >= n."""
+def _bch_terms(b: np.ndarray, brackets) -> list:
+    """The terms of log(exp(a) exp(b)) after a, in the order they are added:
+    b, [a, b]/2, ([a, [a, b]] - [b, [a, b]])/12 and -[b, [a, [a, b]]]/24,
+    from b and the brackets ([a, b], [a, [a, b]], [b, [a, b]],
+    [b, [a, [a, b]]]) or a prefix of them: [a, b] gives the terms through
+    degree 2, the next two through degree 3 and all four through degree 4."""
     terms = [b]
-    if degree >= 2:
-        ab = algebra.bracket(a, b)
-        terms.append(0.5 * ab)
-        if degree >= 3:
-            aab = algebra.bracket(a, ab)
-            terms.append((aab - algebra.bracket(b, ab)) / 12.0)
-            if degree >= 4:
-                terms.append(-(algebra.bracket(b, aab) / 24.0))
+    if len(brackets) >= 1:
+        terms.append(0.5 * brackets[0])
+    if len(brackets) >= 3:
+        terms.append((brackets[1] - brackets[2]) / 12.0)
+    if len(brackets) >= 4:
+        terms.append(-(brackets[3] / 24.0))
     return terms
+
+
+def _zero_or_nan(x: np.ndarray) -> np.ndarray:
+    """Per row of x, +-0 where every entry is finite and NaN where one is not:
+    what a zero entry of the structure table makes of that row's entries."""
+    return (0.0 * x).sum(-1, keepdims=True)
 
 
 def bch_log_product(algebra: CarnotAlgebra, a, b) -> np.ndarray:
@@ -159,9 +170,14 @@ def bch_log_product(algebra: CarnotAlgebra, a, b) -> np.ndarray:
     _check_step(algebra)
     a = as_vectors(a, algebra.dim)
     b = as_vectors(b, algebra.dim)
-    z = a
     # at step 1 the half bracket is +0, and still turns a sum of -0 into +0
-    for term in _bch_terms(algebra, a, b, max(algebra.step, 2)):
+    brackets = [algebra.bracket(a, b)]
+    if algebra.step >= 3:
+        brackets += [algebra.bracket(a, brackets[0]), algebra.bracket(b, brackets[0])]
+        if algebra.step >= 4:
+            brackets.append(algebra.bracket(b, brackets[1]))
+    z = a
+    for term in _bch_terms(b, brackets):
         z = z + term
     return z
 
@@ -718,23 +734,58 @@ class CarnotGroup(GroupModel):
         < j of its arguments, so once those are known for every point, the
         terms give layer j of all points by one cumsum.  Its input lists
         each segment's terms in the order bch_log_product adds them, so every
-        point keeps that association."""
+        point keeps that association.
+
+        A layer's brackets come from one einsum over the algebra's layer-j
+        block (``CarnotAlgebra.blocks``) and the lower layers of the points,
+        the steps, and the [a, b] and [a, [a, b]] kept from the layers
+        before.  The entries of the full table that the block leaves out
+        are 0 and add only +-0 to a finite sum.  Where one of them met an
+        inf of a full row, the full table's bracket was NaN; _zero_or_nan
+        puts that NaN back, so an overflowing flow raises the same error.
+        (At step 4 the full table also formed layer 4 of [a, b] from a
+        zeroed layer 3 while it found layer 3, and made layer 3 NaN where
+        that overflowed; here layer 3 keeps its true value.)"""
         alg = self.algebra
         _check_step(alg)
         u = self._controls(u)
-        steps = h * self.embed_control(u.reshape(-1, u.shape[-1])).reshape(
-            u.shape[:-1] + (self.point_dim,))
-        batch, n_seg = steps.shape[:-2], steps.shape[-2]
-        P = np.zeros(batch + (n_seg + 1, self.point_dim))
+        batch, n_seg = u.shape[:-2], u.shape[-2]
+        # the points and, in row k, segment k's step b = h u_k and the layers
+        # found so far of [a, b] and [a, [a, b]], a = p_k (as far as the
+        # step needs them)
+        S = np.zeros((max(alg.step, 2),) + batch + (n_seg + 1, self.point_dim))
+        P, steps = S[0], S[1, ..., :-1, :]
         P[..., 0, :] = self.validate_point(x0)
+        np.multiply(h, self.embed_control(u.reshape(-1, u.shape[-1])).reshape(
+            steps.shape), out=steps)
         lo = 0
         for layer, width in enumerate(alg.layer_dims, start=1):
             hi = lo + width
-            terms = _bch_terms(alg, P[..., :-1, :], steps, layer)
+            brackets = ()
+            if layer >= 2:
+                # [x, y] for x in (a, b) and y in (b, [a, b], [a, [a, b]]),
+                # as far as a term of degree <= layer needs them
+                X = S[..., :-1, :lo]
+                B = np.einsum("ijk,...i,...j->...k", alg.blocks[layer - 1],
+                              X[:min(layer - 1, 2), None], X[None, 1:layer])
+                if u.shape[-1] != self.control_dim:
+                    B += _zero_or_nan(steps[..., lo:])
+                if layer >= 3 and not np.isfinite(B).all():
+                    B[:, 1] += _zero_or_nan(B[0, 0])
+                    if layer >= 4:
+                        B[1, 2] += _zero_or_nan(B[0, 1])
+                brackets = [B[0, 0]]
+                if layer >= 3:
+                    brackets += [B[0, 1], B[1, 1]]
+                if layer >= 4:
+                    brackets.append(B[1, 2])
+                if layer < alg.step:
+                    S[2:layer + 1, ..., :-1, lo:hi] = B[0]
+            terms = _bch_terms(steps[..., lo:hi], brackets)
             seq = np.empty(batch + (n_seg * len(terms) + 1, width))
             seq[..., 0, :] = P[..., 0, lo:hi]
             for t, term in enumerate(terms):
-                seq[..., 1 + t::len(terms), :] = term[..., lo:hi]
+                seq[..., 1 + t::len(terms), :] = term
             P[..., lo:hi] = seq.cumsum(axis=-2)[..., ::len(terms), :]
             lo = hi
         # the series also adds [a, b]/2 = +0 on the first layer, which turns

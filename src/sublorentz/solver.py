@@ -675,6 +675,34 @@ class HyperbolicityReport:
                 f"{self.monotonicity_violations} monotonicity violation(s)")
 
 
+def _desk_paths(prob: ProblemInstance, form: TimeForm, n_samples: int, seed: int):
+    """The desk check's sampled paths from x0, a batch at a time: for each
+    path, the potentials and arc lengths at its points, padded with its
+    endpoint as ``_path_points`` pads them (n, 9), and its length (n,)."""
+    rng = np.random.default_rng(seed)
+    # integrate's grid steps np.diff(np.linspace(0, 1, n + 1)), zero-padded
+    widths = np.zeros((9, 8))
+    for n in range(1, 9):
+        widths[n, :n] = np.diff(np.linspace(0.0, 1.0, n + 1))
+    metric = prob.model.natural_metric()
+    ident = prob.model.identity()
+    for start in range(0, n_samples, _REACH_BATCH):
+        # each path's segment count and controls in the order drawn, then
+        # the batch's paths integrated together
+        n_seg, U = prob.cone.sample_paths(min(_REACH_BATCH, n_samples - start), rng)
+        pots = potential(form, _path_points(prob.model, prob.x0, n_seg, U))
+        # rates and speeds of the segments that exist, zero on the padding
+        real = np.arange(8) < n_seg[:, None]
+        rates = np.zeros(real.shape)
+        rates[real] = antinorm_eval(prob.nu, prob.cone, U)
+        length = np.cumsum((1.0 / n_seg)[:, None] * rates, axis=1)[:, -1]
+        speeds = np.zeros(real.shape)
+        speeds[real] = metric.norm(prob.model, ident, prob.model.embed_control(U))
+        arcs = np.zeros(pots.shape)
+        arcs[:, 1:] = np.cumsum(widths[n_seg] * speeds, axis=1)
+        yield pots, arcs, length
+
+
 def check_hyperbolicity_desk(prob: ProblemInstance, form: TimeForm,
                              n_samples: int = 200, seed: int = 0
                              ) -> HyperbolicityReport:
@@ -693,35 +721,16 @@ def check_hyperbolicity_desk(prob: ProblemInstance, form: TimeForm,
     sup_u = section_sup_norm(prob.cone, form, metric)
     radius = sup_u * max(gap, 0.0)
 
-    rng = np.random.default_rng(seed)
-    # integrate's grid steps np.diff(np.linspace(0, 1, n + 1)), zero-padded
-    widths = np.zeros((9, 8))
-    for n in range(1, 9):
-        widths[n, :n] = np.diff(np.linspace(0.0, 1.0, n + 1))
-    ident = prob.model.identity()
     mono_bad = 0
     stalled = 0
     radius_bad = 0
     max_arc = 0.0
-    for start in range(0, n_samples, _REACH_BATCH):
-        # each path's segment count and controls in the order drawn, then
-        # the batch's paths checked together
-        n_seg, U = prob.cone.sample_paths(min(_REACH_BATCH, n_samples - start), rng)
-        pots = potential(form, _path_points(prob.model, prob.x0, n_seg, U))
+    for pots, arcs, length in _desk_paths(prob, form, n_samples, seed):
         scale = 1.0 + np.abs(pots).max(axis=1)
         mono_bad += int(np.count_nonzero(
             np.any(np.diff(pots, axis=1) < -1e-9 * scale[:, None], axis=1)))
-        # rates and speeds of the segments that exist, zero on the padding
-        real = np.arange(8) < n_seg[:, None]
-        rates = np.zeros(real.shape)
-        rates[real] = antinorm_eval(prob.nu, prob.cone, U)
-        length = np.cumsum((1.0 / n_seg)[:, None] * rates, axis=1)[:, -1]
         stalled += int(np.count_nonzero(
             (length > 1e-9) & (pots[:, -1] - pots[:, 0] <= 1e-12 * scale)))
-        speeds = np.zeros(real.shape)
-        speeds[real] = metric.norm(prob.model, ident, prob.model.embed_control(U))
-        arcs = np.zeros(pots.shape)
-        arcs[:, 1:] = np.cumsum(widths[n_seg] * speeds, axis=1)
         in_band = pots <= t1 + 1e-9 * scale[:, None]
         arc_in = np.where(in_band, arcs, -np.inf).max(axis=1)[in_band.any(axis=1)]
         if len(arc_in):

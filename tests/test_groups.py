@@ -12,12 +12,14 @@ from sublorentz import (
     HyperbolicPlane,
     InvalidPointError,
     LeftInvariantQuadratic,
+    PolyhedralCone,
     UnsupportedStepError,
     bch_log_product,
     format_structure_constants,
     heisenberg_algebra,
     minkowski_area_algebra,
     parse_structure_constants,
+    reachability_sample,
 )
 from sublorentz import ControlSignal, integrate
 from sublorentz.groups import (
@@ -548,3 +550,159 @@ def test_chain_matches_the_segment_walk(case, full, rng):
             assert np.array_equal(e, walk[-1])
             assert np.array_equal(r, rho_walk)
         assert np.array_equal(J, _walk_jacobian(model, walk, x1, u, h))
+
+
+# ---------------------------------------------------------------------------
+# The graded layer pass against the full structure table
+# ---------------------------------------------------------------------------
+
+
+def _full_table_terms(alg, a, b, degree):
+    """The BCH terms through ``degree``, with every bracket summed over the
+    whole n x n x n table."""
+    terms = [b]
+    if degree >= 2:
+        ab = alg.bracket(a, b)
+        terms.append(0.5 * ab)
+        if degree >= 3:
+            aab = alg.bracket(a, ab)
+            terms.append((aab - alg.bracket(b, ab)) / 12.0)
+            if degree >= 4:
+                terms.append(-(alg.bracket(b, aab) / 24.0))
+    return terms
+
+
+def _full_table_points(model, x0, u, h):
+    """CarnotGroup.points as it was before the layer blocks: at layer l,
+    every term through degree l over the full table, of the points whose
+    layers >= l are still those of x0 (row 0) or 0."""
+    alg = model.algebra
+    u = model._controls(u)
+    steps = h * model.embed_control(u.reshape(-1, u.shape[-1])).reshape(
+        u.shape[:-1] + (model.point_dim,))
+    batch, n_seg = steps.shape[:-2], steps.shape[-2]
+    P = np.zeros(batch + (n_seg + 1, model.point_dim))
+    P[..., 0, :] = model.validate_point(x0)
+    lo = 0
+    for layer, width in enumerate(alg.layer_dims, start=1):
+        hi = lo + width
+        terms = _full_table_terms(alg, P[..., :-1, :], steps, layer)
+        seq = np.empty(batch + (n_seg * len(terms) + 1, width))
+        seq[..., 0, :] = P[..., 0, lo:hi]
+        for t, term in enumerate(terms):
+            seq[..., 1 + t::len(terms), :] = term[..., lo:hi]
+        P[..., lo:hi] = seq.cumsum(axis=-2)[..., ::len(terms), :]
+        lo = hi
+    P[..., 1:, :model.control_dim] += 0.0
+    return P
+
+
+POINT_ALGEBRAS = {
+    "heisenberg": heisenberg_algebra(),
+    "minkowski-area-2": minkowski_area_algebra(2),
+    "minkowski-area-3": minkowski_area_algebra(3),
+    "minkowski-area-4": minkowski_area_algebra(4),
+    "engel": _endpoint_case("engel")[0].algebra,
+    "filiform": FILIFORM4,
+    "step3-multiterm": _endpoint_case("step3-multiterm")[0].algebra,
+    "step1": _endpoint_case("carnot-step1")[0].algebra,
+}
+
+
+def _same_bits(a, b):
+    """Equal arrays, NaN where NaN, signs of zero (and of NaN) included."""
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _signed_zero_controls(rng, shape, scale):
+    """Normal controls times scale, a third of their entries exactly +0 or -0."""
+    u = rng.normal(size=shape) * scale
+    zero = rng.random(shape) < 0.3
+    u[zero] = np.where(rng.random(np.count_nonzero(zero)) < 0.5, 0.0, -0.0)
+    return u
+
+
+@pytest.mark.parametrize("name", list(POINT_ALGEBRAS))
+def test_points_match_the_full_table_pass(name, rng):
+    model = CarnotGroup(POINT_ALGEBRAS[name])
+    n = model.point_dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        for full in (False, True):
+            m = n if full else model.control_dim
+            for stack in ((), (1,), (2,), (5,)):
+                for n_seg in (1, 2, 9, 40):
+                    # finite, and overflowing flows: the NaN and inf of their
+                    # non-finite rows stay where they were
+                    for scale in (1.0, 1e80, 1e160, 1e300):
+                        x0 = _signed_zero_controls(rng, (n,), 1.0)
+                        u = _signed_zero_controls(rng, stack + (n_seg, m), scale)
+                        h = 1.3 / n_seg
+                        got = model.points(x0, u, h)
+                        ref = _full_table_points(model, x0, u, h)
+                        if full and scale > 1.0 and model.algebra.step == 4:
+                            # see test_points_find_layer_3_from_the_true_layer_3
+                            bad = ~np.isfinite(ref).all(axis=-1)
+                            assert np.array_equal(~np.isfinite(got).all(axis=-1), bad)
+                            assert _same_bits(got[~bad], ref[~bad])
+                        else:
+                            assert _same_bits(got, ref), (full, stack, n_seg, scale)
+
+
+def test_points_find_layer_3_from_the_true_layer_3():
+    # At step 4 the full-table pass formed [a, b] on every layer while it
+    # found layer 3, reading the points' layer 3 as 0 (as x0's on row 0);
+    # where that layer-4 part overflowed, 0 * inf made layer 3 NaN.  The
+    # graded pass never forms it: here exp(x0) exp(h u) keeps layer 3 of x0.
+    model = CarnotGroup(FILIFORM4)
+    x0 = np.array([0.0, 0.0, 0.0, 1e10, 0.0])
+    u = np.array([[1e300, 0.0], [1.0, 0.5]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = model.points(x0, u, 0.5)
+        ref = _full_table_points(model, x0, u, 0.5)
+    assert got[1, 3] == 1e10 and np.isnan(ref[1, 3])
+    assert np.isnan(got[1, 4]) and np.isnan(ref[1, 4])
+    assert _same_bits(got[:, :3], ref[:, :3])
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "engel", "filiform"])
+def test_overflow_errors_keep_their_text(name, monkeypatch):
+    # flows of polyhedral generators up to 1e300 from the identity: integrate
+    # and reach raise what they raised with the full-table pass, bad point
+    # included, and return the same points where they do not raise
+    model = CarnotGroup(POINT_ALGEBRAS[name])
+    x0 = model.identity()
+    ops = []
+    for g in (1e80, 1e160, 1e300):
+        cone = PolyhedralCone([[g, 0.5 * g], [g, -0.5 * g]])
+        rng = np.random.default_rng(int(math.log10(g)))
+        for n_seg in (1, 2, 9, 40):
+            u = ControlSignal(cone.sample(n_seg, rng))
+            for horizon in (1.0, 7.0):
+                ops.append(lambda u=u, horizon=horizon:
+                           integrate(model, x0, u, horizon).points)
+        for seed in (0, 1):
+            ops.append(lambda cone=cone, seed=seed:
+                       reachability_sample(model, cone, x0, 300, seed=seed))
+
+    def outcomes():
+        out = []
+        for op in ops:
+            try:
+                out.append(op())
+            except ValueError as err:
+                out.append(err)
+        return out
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        graded = outcomes()
+        monkeypatch.setattr(CarnotGroup, "points", _full_table_points)
+        full = outcomes()
+    assert any(isinstance(r, ValueError) for r in full)
+    assert any(not isinstance(r, ValueError) for r in full)
+    for got, ref in zip(graded, full):
+        if isinstance(ref, ValueError):
+            assert type(got) is type(ref) and str(got) == str(ref)
+            assert "non-finite" in str(ref)
+        else:
+            assert _same_bits(got, ref)

@@ -784,27 +784,34 @@ def test_reach_matches_the_per_path_loop(name, interior):
         assert np.array_equal(cloud, ends)
 
 
-def _desk_reference(prob, form, n_samples, seed):
-    """check_hyperbolicity_desk one path at a time: integrate, then the
-    potential of each point."""
-    t1 = potential(form, prob.x1)
-    gap = t1 - potential(form, prob.x0)
+def _desk_reference_paths(prob, form, n_samples, seed):
+    """The desk check's paths one at a time: integrate each, then the
+    potential and the arc length at each of its points, and its length."""
     metric = prob.model.natural_metric()
-    radius = section_sup_norm(prob.cone, form, metric) * max(gap, 0.0)
     rng = np.random.default_rng(seed)
     ident = prob.model.identity()
-    mono_bad = stalled = radius_bad = 0
-    max_arc = 0.0
     for _ in range(n_samples):
         controls = prob.cone.sample(int(rng.integers(1, 9)), rng)
         traj = integrate(prob.model, prob.x0, ControlSignal(controls),
                          nu=prob.nu, cone=prob.cone)
         pots = np.array([potential(form, p) for p in traj.points])
-        scale = 1.0 + np.abs(pots).max()
-        mono_bad += bool(np.any(np.diff(pots) < -1e-9 * scale))
-        stalled += bool(traj.z[-1] > 1e-9 and pots[-1] - pots[0] <= 1e-12 * scale)
         speeds = metric.norm(prob.model, ident, prob.model.embed_control(controls))
         arcs = np.concatenate([[0.0], np.cumsum(np.diff(traj.times) * speeds)])
+        yield pots, arcs, traj.z[-1]
+
+
+def _desk_reference(prob, form, n_samples, seed):
+    """check_hyperbolicity_desk one path at a time."""
+    t1 = potential(form, prob.x1)
+    gap = t1 - potential(form, prob.x0)
+    metric = prob.model.natural_metric()
+    radius = section_sup_norm(prob.cone, form, metric) * max(gap, 0.0)
+    mono_bad = stalled = radius_bad = 0
+    max_arc = 0.0
+    for pots, arcs, length in _desk_reference_paths(prob, form, n_samples, seed):
+        scale = 1.0 + np.abs(pots).max()
+        mono_bad += bool(np.any(np.diff(pots) < -1e-9 * scale))
+        stalled += bool(length > 1e-9 and pots[-1] - pots[0] <= 1e-12 * scale)
         in_band = pots <= t1 + 1e-9 * scale
         if np.any(in_band):
             arc_in = float(arcs[in_band].max())
@@ -837,6 +844,16 @@ def test_desk_check_matches_the_per_path_loop(kind, heis, mink_cone, mink_nu):
     for seed, n_samples in ((0, 1), (0, 2), (0, 5), (0, 12), (0, 300), (1, 300)):
         rep = check_hyperbolicity_desk(prob, form, n_samples=n_samples, seed=seed)
         assert repr(rep) == repr(_desk_reference(prob, form, n_samples, seed))
+        # and path by path: the potentials and arc lengths at every point,
+        # padded with the endpoint
+        batches = list(solver._desk_paths(prob, form, n_samples, seed))
+        pots, arcs = (np.concatenate(b) for b in list(zip(*batches))[:2])
+        paths = _desk_reference_paths(prob, form, n_samples, seed)
+        for i, (ref_pots, ref_arcs, _) in enumerate(paths):
+            n = len(ref_pots)
+            for got, ref in ((pots[i], ref_pots), (arcs[i], ref_arcs)):
+                assert np.array_equal(got[:n], ref)
+                assert np.all(got[n:] == ref[-1])
 
 
 @pytest.mark.parametrize("x0", [[0.0, 0.0, 0.0], [0.0, 3.0, 0.0], [3.0, -3.0, 0.0]],
