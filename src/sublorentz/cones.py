@@ -150,6 +150,10 @@ class Cone:
         controls with such an average are all parallel to it."""
         raise NotImplementedError
 
+    #: the two unit extreme rays, as rows (2, 2), of a cone in the plane
+    #: that is the sector between them; None for any other cone
+    edge_rays: Optional[np.ndarray] = None
+
     def sample(self, n: int, rng: np.random.Generator,
                boundary_fraction: float = BOUNDARY_FRACTION,
                relative_interior: bool = False) -> np.ndarray:
@@ -540,6 +544,21 @@ class PolyhedralCone(Cone):
                 keep[j] = np.linalg.norm(g - fit) > 1e-4
         return U[keep]
 
+    @cached_property
+    def edge_rays(self) -> Optional[np.ndarray]:
+        """The two extreme generators farthest apart, when every extreme
+        generator lies on one of their rays and they span the plane."""
+        E = self._extreme
+        if self.dim != 2 or len(E) < 2:
+            return None
+        i, j = np.unravel_index(np.argmin(E @ E.T), (len(E), len(E)))
+        pair = E[[i, j]]
+        apart = np.linalg.norm(E[:, None] - pair[None], axis=2).min(axis=1)
+        if np.any(apart > RAY_TOL) or not abs(np.linalg.det(pair)) > RAY_TOL:
+            return None
+        pair.flags.writeable = False
+        return pair
+
     def _draws(self, n, rng, relative_interior):
         """Exponential weights on the generators; off the relative interior,
         a boundary coin and, for k > 1, a coin per generator and the one kept;
@@ -669,6 +688,15 @@ class LorentzCone(Cone):
         light = self.dim == 1 or abs(q) <= RAY_TOL * nv * nv
         return bool(nv > 0.0 and v @ self.nappe_selector > 0.0 and light)
 
+    @cached_property
+    def edge_rays(self) -> Optional[np.ndarray]:
+        """The two light rays when dim = 2."""
+        if self.dim != 2:
+            return None
+        pair = _unit_rows(np.array([[1.0, 1.0], [1.0, -1.0]]) @ self._Winv.T)
+        pair.flags.writeable = False
+        return pair
+
     def ray_minimum(self, c):
         """The two light rays when dim = 2.  Otherwise c~ = W^-T c, and c
         offends on the light ray W^-1 (1, -c~_r / |c~_r|), where it is least
@@ -678,10 +706,13 @@ class LorentzCone(Cone):
         for dim >= 3 (Polyak's S-lemma, J. Optim. Theory Appl. 99, 1998).
         g is concave, with slope -v^T A v at its eigenvector v, and negative
         past |c|^2 / |W[0]|^2, so bisection on the slope finds its maximum.
-        The ray's value caps the result where the square loses digits."""
+        Each g(lam) kept is eigh's value less 4 ulp of the matrix's norm,
+        about ten times eigh's rounding, so the result is a lower bound in
+        floating point.  The ray's value caps it where the square loses
+        digits."""
         c = as_vector(c, self.dim, "covector")
         if self.dim == 2:
-            return _least_of(_unit_rows(np.array([[1., 1.], [1., -1.]]) @ self._Winv.T), c)
+            return _least_of(self.edge_rays, c)
         ct = self._Winv.T @ c
         ray = self._Winv @ np.concatenate([[1.0], -ct[1:] / (np.linalg.norm(ct[1:]) or 1)])
         ray /= np.linalg.norm(ray)
@@ -691,7 +722,7 @@ class LorentzCone(Cone):
         while lo < 0.5 * (lo + hi) < hi:
             lam = 0.5 * (lo + hi)
             w, V = np.linalg.eigh(C - lam * self.form)
-            best = max(best, w[0])
+            best = max(best, w[0] - 4.0 * _EPS * np.abs(w).max())
             lo, hi = (lam, hi) if V[:, 0] @ self.form @ V[:, 0] < 0.0 else (lo, lam)
         return min(float(np.sqrt(best)), float(c @ ray)), None
 

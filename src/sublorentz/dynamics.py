@@ -149,18 +149,11 @@ def admissibility_check(cone: Cone, u: ControlSignal, tol: float = 1e-9
 
 def _area_rank(model: GroupModel) -> int:
     """Spatial rank r when model is the step-2 area-tracking group, that is
-    when its structure constants are those of minkowski_area(r), else raise.
-    The reference table, [e_0, e_i] = y_i, is written out directly: building
-    the algebra would validate it, n^4 work for a table known to be valid."""
-    r, odd = divmod(model.point_dim - 1, 2)
-    if r >= 1 and not odd:
-        table = np.zeros((model.point_dim,) * 3)
-        space = np.arange(1, r + 1)
-        table[0, space, r + space] = 1.0
-        table[space, 0, r + space] = -1.0
-        if np.allclose(model.structure_constants, table, atol=1e-12):
-            return r
-    raise WrongModelError("oriented areas live on the step-2 area-tracking group")
+    when its structure constants are those of minkowski_area(r)
+    (``GroupModel.area_rank``), else raise."""
+    if model.area_rank is None:
+        raise WrongModelError("oriented areas live on the step-2 area-tracking group")
+    return model.area_rank
 
 
 def oriented_area(traj: Trajectory, i: int) -> float:

@@ -21,11 +21,12 @@ to the identity through the model's ``pullback``.  Every model's
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .cones import Cone, as_vector, as_vectors
+from .cones import RAY_TOL, Cone, as_vector, as_vectors
 from .errors import DimensionMismatchError, InvalidPointError, UnsupportedStepError
 
 MAX_STEP = 4
@@ -238,6 +239,9 @@ class GroupModel:
     #: ``structure_constants[i, j, k]`` is the e_k-component of [e_i, e_j] in
     #: the chart basis at the identity
     structure_constants: np.ndarray
+    #: r when the structure constants are those of minkowski_area(r), the
+    #: step-2 group whose second layer integrates oriented areas, else None
+    area_rank: Optional[int] = None
 
     def identity(self) -> np.ndarray:
         raise NotImplementedError
@@ -304,17 +308,22 @@ class GroupModel:
         """Identity tangents whose left-translates at p have chart components v."""
         raise NotImplementedError
 
-    def forced_average(self, x0, x1) -> Optional[np.ndarray]:
-        """Control average forced by the endpoints, or None when the model
-        pins none down."""
+    def forced_average(self, x0, x1, cone: Cone) -> Optional[np.ndarray]:
+        """Control average forced by the endpoints of a path admissible for
+        the cone, or None when the model pins none down."""
         return None
 
     def admits_path(self, cone: Cone, x0, x1) -> bool:
         """False when a certificate rules out every cone-admissible path from
         x0 to x1: here, a forced control average outside the cone."""
-        target = self.forced_average(x0, x1)
+        target = self.forced_average(x0, x1, cone)
         return (target is None or np.linalg.norm(target) == 0.0
                 or cone.contains(target, 1e-9))
+
+    def staircase(self, cone: Cone, x0, x1) -> Optional[tuple]:
+        """The reachable set in closed form (``CarnotGroup.staircase``), or
+        None when the model has none for the cone."""
+        return None
 
     def coordinate_names(self) -> list:
         return [f"x{i}" for i in range(self.point_dim)]
@@ -421,7 +430,7 @@ class AbelianGroup(GroupModel):
         self.validate_point(p)
         return as_vectors(v, self.dim, "tangent vector").copy()
 
-    def forced_average(self, x0, x1):
+    def forced_average(self, x0, x1, cone):
         return self.log(self.multiply(self.inverse(x0), x1))
 
     def endpoint_pass(self, x0, x1, u, horizon):
@@ -572,6 +581,14 @@ class HyperbolicPlane(GroupModel):
         w = self.multiply(self.inverse(x0), x1)
         return cone.contains(w - self.identity(), 1e-9)
 
+    def forced_average(self, x0, x1, cone):
+        """log(w), w = x0^-1 x1, when w - e spans an extreme ray of the
+        cone: every segment of an admissible path then moves along that ray
+        (admits_path), so the path runs on one one-parameter subgroup, and
+        its control average is log(w)."""
+        w = self.multiply(self.inverse(x0), x1)
+        return self.log(w) if cone.on_extreme_ray(w - self.identity()) else None
+
     def coordinate_names(self):
         return ["x", "y"]
 
@@ -669,8 +686,61 @@ class CarnotGroup(GroupModel):
         v = as_vectors(v, self.point_dim, "tangent vector")
         return np.linalg.solve(left_translation_jacobian(self.algebra, p), v.T).T
 
-    def forced_average(self, x0, x1):
+    def forced_average(self, x0, x1, cone):
         return self.log(self.multiply(self.inverse(x0), x1))[:self.control_dim]
+
+    @cached_property
+    def area_rank(self) -> Optional[int]:
+        """The reference table, [e_0, e_i] = y_i, is written out directly:
+        building the algebra would validate it, n^4 work for a table known
+        to be valid."""
+        r, odd = divmod(self.point_dim - 1, 2)
+        if r < 1 or odd:
+            return None
+        table = np.zeros((self.point_dim,) * 3)
+        space = np.arange(1, r + 1)
+        table[0, space, r + space] = 1.0
+        table[space, 0, r + space] = -1.0
+        return r if np.allclose(self.structure_constants, table, atol=1e-12) else None
+
+    def admits_path(self, cone, x0, x1):
+        """On the Heisenberg group (area rank 1) with a cone of two edge rays
+        g1, g2, a path's area z lies between those of the staircases
+        exp(a g1) exp(b g2) and exp(b g2) exp(a g1), where a g1 + b g2 is its
+        displacement d (Grochowski, J. Dyn. Control Syst., 2006): |z| <=
+        a b |det(g1, g2)| / 2.  The endpoint must also meet that bound, to
+        within the rounding slack; a d with a, b >= 0 lies in the cone."""
+        stairs = self.staircase(cone, x0, x1)
+        if stairs is None:
+            return super().admits_path(cone, x0, x1)
+        d, ab, z, half, slack = stairs
+        inside = np.all(ab >= 0.0) or not np.any(d) or cone.contains(d, 1e-9)
+        return bool(inside and abs(z) <= half + slack)
+
+    def staircase(self, cone, x0, x1):
+        """(d, (a, b), z, half, slack) on the Heisenberg group with a cone of
+        two edge rays (``Cone.edge_rays``), else None: the displacement d =
+        a g1 + b g2 of w = log(x0^-1 x1), its area z, the largest area half =
+        a b |det(g1, g2)| / 2 that a path of displacement d reaches, with a
+        and b taken as 0 where they are negative, and ``_area_slack``."""
+        edges = cone.edge_rays if self.area_rank == 1 else None
+        if edges is None:
+            return None
+        w = self.log(self.multiply(self.inverse(x0), x1))
+        ab = np.linalg.solve(edges.T, w[:2])
+        a, b = np.maximum(ab, 0.0)
+        return (w[:2], ab, w[2], 0.5 * a * b * abs(np.linalg.det(edges)),
+                self._area_slack(x0, x1))
+
+    def _area_slack(self, x0, x1) -> float:
+        """How far a reachable endpoint's area may pass the staircase bound
+        by rounding: 8 RAY_TOL, a few thousand ulp, of the sizes of the terms
+        it is formed from, |d|^2 for the bound and the path's brackets, and
+        |z0|, |z1| and |p0| |p1| (p the first layers) for log(x0^-1 x1)."""
+        x0, x1 = self.validate_point(x0), self.validate_point(x1)
+        d = x1[:2] - x0[:2]
+        return 8.0 * RAY_TOL * float(d @ d + abs(x0[2]) + abs(x1[2])
+                                     + np.linalg.norm(x0[:2]) * np.linalg.norm(x1[:2]))
 
     def endpoint_pass(self, x0, x1, u, horizon):
         if self.algebra.step != 2:

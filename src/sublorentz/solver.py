@@ -6,7 +6,7 @@ an augmented Lagrangian on the group-log residual.  Inner updates are
 projected (sub)gradient ascent with exact cone projection; restarts combine
 the abelianized constant control with seeded random admissible controls.
 
-Two certificates come first (``_certified``).  On R^n and Carnot groups the
+Certificates come first (``_certified``).  On R^n and Carnot groups the
 endpoints force the first-layer control average v, and by Jensen (nu is
 superadditive and 1-homogeneous) nu(v) bounds every admissible length.  When
 the constant control at v (projected onto the cone, as every iterate is)
@@ -15,8 +15,15 @@ it after one endpoint evaluation.  When it does not, and v is the apex or
 spans an extreme ray of the cone, every control with that average is
 parallel to v and ends at x0 exp(v), so no admissible path exists; the
 refusal waits for a residual beyond what the ray tolerance lets a reachable
-endpoint miss by.  A solve that neither certificate decides runs as it
-would without them, bit for bit.
+endpoint miss by.  On the Heisenberg group with a planar cone the reachable
+set is known in closed form (``CarnotGroup.admits_path``): an endpoint
+outside it is refused before any evaluation, and one on its edge, or one
+inside it where a min-of-linear antinorm is linear on a sector that reaches
+it, is answered by a staircase or a three-piece path after one endpoint
+evaluation (``_reachable_set_paths``).  The hyperbolic plane forces an
+average, and so takes the constant control, when x0^-1 x1 - e spans an
+extreme ray.  A solve that no certificate decides runs as it would without
+them, bit for bit.
 
 Each line search evaluates its step-halving trials in stacked chunks, one
 endpoint pass per chunk, and builds the accepted trial's Jacobian from that
@@ -167,7 +174,7 @@ def _polish_average(model: GroupModel, cone: Cone, x0, x1,
     Keeps the superadditivity bound sharp in reports; reverted when the shift
     would push a segment out of the cone.
     """
-    target = model.forced_average(x0, x1)
+    target = model.forced_average(x0, x1, cone)
     if target is None:
         return u
     h = horizon / u.shape[0]
@@ -424,7 +431,7 @@ def _starting_controls(prob: ProblemInstance, horizon: float,
     rng = np.random.default_rng(opts.seed)
     n_seg, m = prob.segments, prob.control_dim
     starts: List[np.ndarray] = []
-    target = prob.model.forced_average(prob.x0, prob.x1)
+    target = prob.model.forced_average(prob.x0, prob.x1, prob.cone)
     if target is None:
         target = _displacement_log(prob.model, prob.x0, prob.x1)
     base = np.tile(target / horizon, (n_seg, 1))
@@ -486,9 +493,10 @@ def _no_admissible_path(endpoint_evaluations: int = 0) -> SolveReport:
 
 def _certified(prob: ProblemInstance, horizon: float, opts: SolveOptions,
                tau_c: Optional[np.ndarray] = None) -> Optional[SolveReport]:
-    """The answer of the first-layer certificates, or None when neither
-    decides the problem.  They need the control average v that the
-    endpoints force, which the hyperbolic plane has not.
+    """The answer of the certificates, or None when none decides the
+    problem.  They need the control average v that the endpoints force,
+    which the hyperbolic plane has only when x0^-1 x1 - e spans an extreme
+    ray of the cone.
 
     The constant control at w, v projected onto the cone as every iterate
     is (w / horizon, or w / tau(w) on the unit-tau slice when tau_c is
@@ -496,29 +504,127 @@ def _certified(prob: ProblemInstance, horizon: float, opts: SolveOptions,
     tol, it is the answer.  Otherwise, when v is the apex or spans an
     extreme ray and the residual exceeds tol by more than ``_ray_slack``,
     no admissible path exists: every control with that average is parallel
-    to v, and so ends at x0 exp(v).  A check that decides nothing, or whose
+    to v, and so ends at x0 exp(v).  Otherwise, on the Heisenberg group
+    with a cone of two edge rays and without tau_c, the paths of
+    ``_reachable_set_paths`` come next, each answering when its one
+    residual is within tol.  A check that decides nothing, or whose
     endpoint pass raises, leaves no trace in the solve's report."""
-    v = prob.model.forced_average(prob.x0, prob.x1)
+    v = prob.model.forced_average(prob.x0, prob.x1, prob.cone)
     if v is None:
         return None
     # admits_path lets v leave the cone by 1e-9 relative; its control may not
     w = prob.cone.project_batch(v[None])[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = np.tile(w / (horizon if tau_c is None else tau_c @ w), (prob.segments, 1))
+    res = _residual_norm(prob, u, horizon)
+    if res is None:
+        return None
+    if res <= opts.tol:
+        return _answer(prob, u, res, float(antinorm_eval(prob.nu, prob.cone, w)),
+                       horizon, opts)
+    if (not np.any(v) or prob.cone.on_extreme_ray(v)) and \
+            res > opts.tol + _ray_slack(prob.model, v):
+        return _no_admissible_path(endpoint_evaluations=1)
+    if tau_c is not None:
+        return None
+    for u in _reachable_set_paths(prob, horizon):
+        res = _residual_norm(prob, u, horizon)
+        if res is not None and res <= opts.tol:
+            h = horizon / prob.segments
+            return _answer(prob, u, res, _objective(prob.nu, u, h), horizon, opts)
+    return None
+
+
+def _residual_norm(prob: ProblemInstance, u: np.ndarray, horizon: float
+                   ) -> Optional[float]:
+    """|rho| of the control u, one endpoint evaluation; None when the pass
+    raises."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             rho = prob.model.endpoint_residual(prob.x0, prob.x1, u, horizon)[0]
         except (ValueError, FloatingPointError):
             return None
-    res = float(np.linalg.norm(rho))
-    if res <= opts.tol:
-        run = _RunResult(u=u, objective=float(antinorm_eval(prob.nu, prob.cone, w)),
-                         residual=res, outer_iters=0, history=[],
-                         endpoint_evaluations=1, jacobian_evaluations=0)
-        return _report_from_runs(prob, [run], horizon, opts)
-    if (not np.any(v) or prob.cone.on_extreme_ray(v)) and \
-            res > opts.tol + _ray_slack(prob.model, v):
-        return _no_admissible_path(endpoint_evaluations=1)
-    return None
+    return float(np.linalg.norm(rho))
+
+
+def _answer(prob: ProblemInstance, u: np.ndarray, res: float, objective: float,
+            horizon: float, opts: SolveOptions) -> SolveReport:
+    """The report of a certified control, after its one endpoint evaluation."""
+    run = _RunResult(u=u, objective=objective, residual=res, outer_iters=0,
+                     history=[], endpoint_evaluations=1, jacobian_evaluations=0)
+    return _report_from_runs(prob, [run], horizon, opts)
+
+
+def _reachable_set_paths(prob: ProblemInstance, horizon: float) -> List[np.ndarray]:
+    """Controls that answer a Heisenberg problem inside its reachable set
+    (``CarnotGroup.staircase``) for a min-of-linear antinorm, or on its
+    edge, when their residual is within tol.
+
+    - Where nu = min_i c_i . v is least on the piece c_i at d, every path
+      whose velocities stay in the sector where c_i is least has length
+      c_i . d = nu(d), the Jensen bound.  A three-piece path in that sector
+      (``_three_piece``) reaches every area its staircases bound.
+    - The staircase along the cone's edge rays g1 and g2 reaches the
+      largest or the least area that the displacement d = a g1 + b g2
+      allows.  There it is the only admissible path up to speed, and its
+      length nu(a g1) + nu(b g2) is the answer; it is built only when the
+      area lies on that edge to within the rounding slack, since inside
+      the set, however near the edge, longer paths exist."""
+    stairs = prob.model.staircase(prob.cone, prob.x0, prob.x1)
+    if stairs is None:
+        return []
+    d, ab, z, half, slack = stairs
+    edges, paths = prob.cone.edge_rays, []
+    family = getattr(prob.nu, "family", None)
+    sector = None if family is None else _linear_sector(family, edges, d)
+    if sector is not None:
+        paths.append(_three_piece(sector, np.maximum(np.linalg.solve(sector.T, d), 0.0),
+                                  z, prob.segments, horizon))
+    if abs(z) >= half - slack:
+        paths.append(_three_piece(edges, np.maximum(ab, 0.0), z, prob.segments,
+                                  horizon, staircase=True))
+    return [u for u in paths if u is not None]
+
+
+def _linear_sector(family: np.ndarray, edges: np.ndarray, d: np.ndarray
+                   ) -> Optional[np.ndarray]:
+    """The edge rays (2, 2) of the part of the cone between ``edges`` where
+    the covector of the family least at d is least, or None when that part
+    is a ray.  Along v(t) = (1 - t) g1 + t g2, t in [0, 1], each condition
+    (c_i - c_j) . v(t) <= 0 is alpha + t beta <= 0."""
+    g1, g2 = edges
+    diff = family[np.argmin(family @ d)] - family
+    alpha, beta = diff @ g1, diff @ (g2 - g1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -alpha / beta
+    lo, hi = t[beta < 0.0].max(initial=0.0), t[beta > 0.0].min(initial=1.0)
+    if not lo < hi:
+        return None
+    return np.array([(1.0 - lo) * g1 + lo * g2, (1.0 - hi) * g1 + hi * g2])
+
+
+def _three_piece(edges: np.ndarray, ab: np.ndarray, z: float, n_seg: int,
+                 horizon: float, staircase: bool = False) -> Optional[np.ndarray]:
+    """The control of n_seg segments that moves by s a r1, then b r2, then
+    (1 - s) a r1, for edge rays (r1, r2): its displacement is a r1 + b r2,
+    and its area (2 s - 1) A, A = a b det(r1, r2) / 2, is affine in s.  s
+    solves for the area z, clamped to [0, 1], or, for the staircase, is
+    rounded to 0 or 1.  Each piece takes at least one segment and the rest
+    in proportion to its length; None when there are more pieces than
+    segments."""
+    (a, b), (r1, r2) = ab, edges
+    area = 0.5 * a * b * np.linalg.det(edges)
+    s = min(max(0.5 + 0.5 * z / area, 0.0), 1.0) if area else 1.0
+    if staircase:
+        s = float(s >= 0.5)
+    legs = np.array([s * a * r1, b * r2, (1.0 - s) * a * r1])
+    legs = legs[np.any(legs != 0.0, axis=1)]
+    if not 1 <= len(legs) <= n_seg:
+        return None
+    lengths = np.linalg.norm(legs, axis=1)
+    counts = 1 + np.floor((n_seg - len(legs)) * lengths / lengths.sum()).astype(int)
+    counts[np.argmax(lengths)] += n_seg - counts.sum()
+    return np.repeat(legs / (counts[:, None] * (horizon / n_seg)), counts, axis=0)
 
 
 def _ray_slack(model: GroupModel, v: np.ndarray) -> float:
@@ -542,10 +648,14 @@ def solve_longest(prob: ProblemInstance, opts: Optional[SolveOptions] = None
     """Maximize the sub-Lorentzian length between the fixed endpoints.
 
     Returns NO_ADMISSIBLE_PATH with objective -inf when the model's
-    certificate (GroupModel.admits_path) or the extreme-ray certificate
-    rules every admissible path out; the constant control, after one
-    endpoint evaluation, when it attains the first-layer bound; and
-    MAX_ITERATIONS when no restart reaches the endpoint tolerance.
+    certificate (GroupModel.admits_path: on the Heisenberg group with a
+    planar cone, an area beyond the staircases') or the extreme-ray
+    certificate rules every admissible path out; after one endpoint
+    evaluation, the constant control when it attains the first-layer bound,
+    and on the Heisenberg group the staircase on the reachable set's edge or
+    the three-piece path that attains a min-of-linear antinorm's Jensen
+    bound (``_certified``); and MAX_ITERATIONS when no restart reaches the
+    endpoint tolerance.
     """
     opts = opts or SolveOptions()
     if not prob.model.admits_path(prob.cone, prob.x0, prob.x1):
@@ -566,7 +676,10 @@ def solve_longest_reparametrized(prob: ProblemInstance, form: TimeForm,
     The horizon s1 = T(x1) - T(x0) is forced by the potential of the exact
     form; controls are retracted onto the unit-time slice of the cone.
     Objectives agree with solve_longest up to discretization.  The same
-    certificates come first, with the constant control v / tau(v).
+    refusals come first, and the constant control v / tau(v).  The
+    Heisenberg staircase and three-piece answers do not: equal unit-tau
+    segments cannot in general switch rays where those paths do, so such
+    problems iterate.
     """
     opts = opts or SolveOptions()
     s1 = potential(form, prob.x1) - potential(form, prob.x0)
@@ -600,10 +713,10 @@ def abelianized_upper_bound(prob: ProblemInstance) -> float:
     path's length, -inf when the average leaves the cone (no admissible path
     at all).  On R^n the straight segment attains it, so it is exact there.
 
-    Raises WrongModelError on a model whose endpoints force no average, the
-    hyperbolic plane.
+    Raises WrongModelError on a model whose endpoints force no average: the
+    hyperbolic plane, unless x0^-1 x1 - e spans an extreme ray of the cone.
     """
-    target = prob.model.forced_average(prob.x0, prob.x1)
+    target = prob.model.forced_average(prob.x0, prob.x1, prob.cone)
     if target is None:
         raise WrongModelError(f"{prob.model!r} forces no control average; "
                               "the first-layer bound needs one")

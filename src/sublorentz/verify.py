@@ -4,7 +4,7 @@ Each ``_check_*`` is the only implementation of its identity and holds its
 one bound.  It takes a seed or a ``numpy`` Generator (checks that sample
 through a library call need an integer seed; deterministic checks ignore
 it), plus its sizes, whose defaults are the desk-scale counts.  ``run_all``
-runs all 22 at desk scale, which is what ``sublorentz verify`` reports; the
+runs all 23 at desk scale, which is what ``sublorentz verify`` reports; the
 test suite calls the same checks at full sample counts.
 """
 
@@ -416,6 +416,32 @@ def _check_hyperbolic_certificate(seed: int, samples: int = 100) -> CheckResult:
                        + (f", first {refused[0].tolist()}" if refused else ""))
 
 
+def _check_heisenberg_certificate(seed: int, samples: int = 100,
+                                  opts: SolveOptions = _LIGHT) -> CheckResult:
+    """Reachable points pass CarnotGroup.admits_path on the Heisenberg
+    group, for the Minkowski cone and a tilted sector; and on each cone the
+    staircase corner x0 exp(1.5 g1) exp(0.8 g2), g1 and g2 its edge rays,
+    is answered at iteration 0 by a path of 20 segments."""
+    model = CarnotGroup(heisenberg_algebra())
+    x0 = np.array([0.5, -0.2, 0.3])
+    refused, answered = [], True
+    for cone, nu in ((_MINK_CONE, LorentzSqrt(_MINK)),
+                     (PolyhedralCone([[1.0, 0.3], [0.4, 1.0]]),
+                      MinOfLinear([[1.0, 0.0], [0.0, 1.0]]))):
+        refused += [x1 for x1 in reachability_sample(model, cone, x0, samples, seed=seed)
+                    if not model.admits_path(cone, x0, x1)]
+        g1, g2 = model.embed_control(cone.edge_rays)
+        x1 = model.multiply(model.multiply(x0, 1.5 * g1), 0.8 * g2)
+        rep = solve_longest(ProblemInstance(model, cone, nu, x0, x1, segments=20), opts)
+        answered &= (rep.status == SolveStatus.SOLVED and rep.iterations == 0
+                     and _is_path_of(rep, cone, nu, x1, opts.tol))
+    return CheckResult("Heisenberg reachable points pass the certificate, corners "
+                       "answered at once", not refused and answered,
+                       f"{len(refused)}/{2 * samples} refused"
+                       + (f", first {refused[0].tolist()}" if refused else "")
+                       + f"; staircase corners answered at iteration 0: {answered}")
+
+
 def _check_abelian_oracle(seed, samples: int = 3, opts: SolveOptions = _LIGHT
                           ) -> CheckResult:
     """Solves to interior endpoints of R^{1,1}, 50 segments, against the
@@ -502,6 +528,7 @@ ALL_CHECKS: List[Callable[[int], CheckResult]] = [
     _check_rk4_crosscheck,
     _check_refinement,
     _check_hyperbolic_certificate,
+    _check_heisenberg_certificate,
     _check_abelian_oracle,
     _check_bound_dominance,
     _check_hyperbolicity,

@@ -310,6 +310,17 @@ def test_solve_spacelike_exit_one(tmp_path):
     assert report.payload["solver_status"] == "no_admissible_path"
 
 
+def test_solve_refuses_an_area_beyond_the_staircases(tmp_path):
+    # x^2 - y^2 = 1 < 4 |z|: no admissible path reaches it, and none is tried
+    path = write_config(tmp_path, {
+        "version": 1, "preset": "heisenberg-sl",
+        "endpoints": {"x0": [0.0, 0.0, 0.0], "x1": [1.0, 0.0, 0.3]}})
+    code, report = run_config(path, "solve")
+    assert code == 1
+    assert report.payload["solver_status"] == "no_admissible_path"
+    assert report.payload["endpoint_evaluations"] == 0
+
+
 def test_check_timeform_closed_and_not(tmp_path):
     closed = write_config(tmp_path, {"version": 1, "preset": "hyperbolic"},
                           "closed.json")

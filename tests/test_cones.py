@@ -507,7 +507,9 @@ def test_lorentz_ray_minimum_matches_the_multistart_oracle(dim):
     for c in (cone.time_covector(), tilted):
         least, ray = cone.ray_minimum(c)
         assert ray is None
-        assert least == pytest.approx(_light_sphere_minimum(cone, c), rel=1e-10)
+        # the oracle's value is a ray's: the minimum is a lower bound of it
+        oracle = _light_sphere_minimum(cone, c)
+        assert least == pytest.approx(oracle, rel=1e-10) and least <= oracle
 
 
 def test_lorentz_ray_minimum_names_an_offending_light_ray():
@@ -538,6 +540,18 @@ def test_polyhedral_ray_minimum_names_the_first_offending_generator():
     assert cone.ray_minimum([1.0, 0.0]) == (pytest.approx(np.sqrt(0.5)), None)
     with pytest.raises(DimensionMismatchError):
         cone.ray_minimum([1.0, 0.0, 0.0])
+
+
+def test_edge_rays_of_planar_sectors(mink_cone):
+    assert np.allclose(mink_cone.edge_rays, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2))
+    # the extreme generators farthest apart, past a redundant and a repeated one
+    cone = PolyhedralCone([[1.0, 0.0], [2.0, 1.0], [3.0, 0.0], [1.0, 2.0]])
+    assert np.allclose(cone.edge_rays, _unit_rows(np.array([[1.0, 0.0], [1.0, 2.0]])))
+    # a ray, and cones off the plane, have none
+    for other in (PolyhedralCone([[1.0, 1.0], [2.0, 2.0]]),
+                  PolyhedralCone(np.eye(3)),
+                  LorentzCone(np.diag([1.0, -1.0, -1.0]), [1.0, 0.0, 0.0])):
+        assert other.edge_rays is None
 
 
 def test_light_rays_are_extreme(mink_cone):

@@ -37,8 +37,10 @@ from sublorentz.solver import _control_covector, _unit_tau_retract
 from sublorentz.verify import (
     _check_abelian_oracle,
     _check_bound_dominance,
+    _check_heisenberg_certificate,
     _check_hyperbolic_certificate,
     _check_hyperbolicity,
+    _is_path_of,
     _tilted_lorentz_cones,
 )
 
@@ -310,9 +312,14 @@ def test_average_on_an_extreme_ray_with_area_is_refused_at_once(cone, nu, x1):
         assert rep.status == SolveStatus.NO_ADMISSIBLE_PATH
         assert rep.iterations == 0 and rep.objective == NEG_INF
         assert rep.endpoint_evaluations <= 1 and rep.jacobian_evaluations == 0
-    # the certificate's one evaluation is counted (the unit-tau solve refuses
-    # the apex before it, since there tau(v) = 0)
-    assert solve_longest(prob).endpoint_evaluations == 1
+    # on Heisenberg its reachable set refuses the endpoint before any
+    # evaluation; on minkowski_area(2) the extreme-ray certificate does, and
+    # its one evaluation is counted (the unit-tau solve refuses the apex
+    # before it, since there tau(v) = 0).  The certificate decides every case.
+    assert solve_longest(prob).endpoint_evaluations == (0 if len(x1) == 3 else 1)
+    refusal = solver._certified(prob, 1.0, SolveOptions())
+    assert refusal.status == SolveStatus.NO_ADMISSIBLE_PATH
+    assert refusal.endpoint_evaluations == 1
 
 
 def test_average_on_a_redundant_generator_is_not_refused(heis):
@@ -330,7 +337,7 @@ def test_average_near_a_light_ray_far_out_is_not_refused(heis, mink_cone, mink_n
     # |v|^2, yet x^2 - y^2 = 1e-4 >= 4|z| = 8e-5: the endpoint is reachable
     prob = make_prob(heis, mink_cone, mink_nu, np.zeros(3),
                      [1e4, 1e4 - 5e-9, 2e-5], n=12)
-    assert mink_cone.on_extreme_ray(heis.forced_average(prob.x0, prob.x1))
+    assert mink_cone.on_extreme_ray(heis.forced_average(prob.x0, prob.x1, mink_cone))
     rep = solve_longest(prob, SolveOptions(restarts=1, max_iter=2, inner_iter=5))
     assert rep.status != SolveStatus.NO_ADMISSIBLE_PATH and rep.iterations > 0
 
@@ -351,6 +358,18 @@ def test_average_just_outside_the_cone_is_answered_by_a_control_inside(model):
     assert rep.objective >= 0.0 and rep.endpoint_residual <= SolveOptions().tol
 
 
+def test_abelian_average_just_outside_far_out_decides_nothing(mink_cone, mink_nu):
+    # v = (1e4, 1e4 (1 + 5e-10)) passes admits_path, its projection misses
+    # the endpoint by more than tol, and it spans no extreme ray: R^2 has no
+    # reachable-set paths to try, so the certificates leave the solve alone
+    prob = make_prob(AbelianGroup(2), mink_cone, mink_nu, np.zeros(2),
+                     [1e4, 1e4 * (1.0 + 5e-10)], n=8)
+    assert prob.model.admits_path(prob.cone, prob.x0, prob.x1)
+    assert solver._certified(prob, 1.0, SolveOptions()) is None
+    assert solve_longest(prob, SolveOptions(restarts=1, max_iter=1, inner_iter=2)
+                         ).iterations > 0
+
+
 class _FailingPass(CarnotGroup):
     def endpoint_residual(self, x0, x1, u, horizon):
         raise FloatingPointError("non-finite point")
@@ -360,6 +379,139 @@ def test_a_certificate_whose_pass_raises_decides_nothing(mink_cone, mink_nu):
     prob = make_prob(_FailingPass(heisenberg_algebra()), mink_cone, mink_nu,
                      np.zeros(3), [1.0, 1.0, 0.1], n=8)
     assert solver._certified(prob, 1.0, SolveOptions()) is None
+
+
+# ---------------------------------------------------------------------------
+# the Heisenberg reachable set
+# ---------------------------------------------------------------------------
+
+
+#: a tilted sector of the plane, and an antinorm that vanishes on its edges
+SECTOR = PolyhedralCone([[1.0, 0.0], [1.0, 1.0]])
+SECTOR_NU = MinOfLinear([[0.0, 1.0], [1.0, -1.0]])
+
+
+@pytest.mark.parametrize("cone", [LorentzCone(MINK, [1.0, 0.0]),
+                                  PolyhedralCone([[1.0, 0.3], [0.4, 1.0], [1.0, 0.8]])],
+                         ids=["minkowski", "tilted-polyhedral"])
+def test_reachable_endpoints_pass_the_staircase_bound(heis, cone):
+    x0 = np.array([0.5, -0.3, 0.7])
+    cloud = reachability_sample(heis, cone, x0, 3000, seed=1)
+    assert all(heis.admits_path(cone, x0, x1) for x1 in cloud)
+
+
+@pytest.mark.parametrize("cone", [LorentzCone(MINK, [1.0, 0.0]),
+                                  PolyhedralCone([[1.0, 0.3], [0.4, 1.0]])],
+                         ids=["minkowski", "tilted-polyhedral"])
+def test_staircase_endpoints_far_out_are_not_refused(heis, cone):
+    # |d| up to 1e4, from the identity and from a far x0: about half of the
+    # staircases' own endpoints pass the computed bound by rounding, and
+    # areas 1e-12 inside the bound are reachable too
+    g1, g2 = heis.embed_control(cone.edge_rays)
+    rng = np.random.default_rng(3)
+    over = 0
+    for x0 in (np.zeros(3), np.array([3e3, -1e3, 5e5])):
+        for a, b in 10.0 ** rng.uniform(0.0, 4.0, (50, 2)):
+            for x1 in (heis.multiply(heis.multiply(x0, a * g1), b * g2),
+                       heis.multiply(heis.multiply(x0, b * g2), a * g1)):
+                assert heis.admits_path(cone, x0, x1)
+                d, _, z, half, _ = heis.staircase(cone, x0, x1)
+                over += abs(z) > half
+                inside = heis.multiply(x0, [*d, np.sign(z) * half * (1.0 - 1e-12)])
+                assert heis.admits_path(cone, x0, inside)
+    assert over > 0
+
+
+@pytest.mark.parametrize("x1", [[1.0, 0.0, 0.3], [2.0, 1.0, 1.0], [2.0, 1.0, -1.0]])
+def test_areas_beyond_the_staircases_are_refused_at_once(heis, mink_cone, mink_nu, x1):
+    prob = make_prob(heis, mink_cone, mink_nu, np.zeros(3), x1, n=30)
+    form = LeftInvariantForm([1.0, 0.0, 0.0], heis)
+    for rep in (solve_longest(prob), solve_longest_reparametrized(prob, form)):
+        assert rep.status == SolveStatus.NO_ADMISSIBLE_PATH
+        assert (rep.iterations, rep.endpoint_evaluations, rep.jacobian_evaluations) == \
+            (0, 0, 0)
+
+
+def _answered_at_once(rep, prob, tol=1e-6):
+    return (rep.status == SolveStatus.SOLVED and rep.iterations == 0
+            and (rep.endpoint_evaluations, rep.jacobian_evaluations) == (1, 0)
+            and _is_path_of(rep, prob.cone, prob.nu, prob.x1, tol))
+
+
+@pytest.mark.parametrize("cone, nu, x1, n", [
+    (LorentzCone(MINK, [1.0, 0.0]), LorentzSqrt(MINK), [2.0, 1.0, 0.75], 30),
+    (LorentzCone(MINK, [1.0, 0.0]), LorentzSqrt(MINK), [3.0, 0.0, 2.25], 30),
+    (LorentzCone(MINK, [1.0, 0.0]), LorentzSqrt(MINK), [3.0, 0.0, -2.25], 2),
+    # 2 (1, 0) then (1, 1), and the other order
+    (SECTOR, SECTOR_NU, [3.0, 1.0, 1.0], 7),
+    (SECTOR, SECTOR_NU, [3.0, 1.0, -1.0], 7),
+], ids=["minkowski", "minkowski-x-axis", "minkowski-two-segments", "sector",
+        "sector-reversed"])
+def test_staircase_corners_are_answered_at_once(heis, cone, nu, x1, n):
+    # the staircase is the only admissible path, and its length is 0
+    prob = make_prob(heis, cone, nu, np.zeros(3), x1, n=n)
+    rep = solve_longest(prob)
+    assert _answered_at_once(rep, prob) and rep.objective == 0.0
+    # its rows run along one edge ray, then the other
+    assert len(np.unique(rep.control.values, axis=0)) == 2
+
+
+@pytest.mark.parametrize("cone, nu, x1", [
+    (LorentzCone(MINK, [1.0, 0.0]), LorentzSqrt(MINK), [2.0, 1.0, 0.75 - 5e-7]),
+    (SECTOR, SECTOR_NU, [3.0, 1.0, 1.0 - 5e-7]),
+], ids=["minkowski", "sector"])
+def test_area_just_inside_the_edge_takes_no_staircase(heis, cone, nu, x1):
+    # the staircase misses such an endpoint by less than tol, but longer
+    # paths reach it (about 3 sqrt(5e-7) on the Minkowski cone), so it is
+    # no answer; nor is the sector's three-piece path, whose staircases
+    # bound |z| by 0.5 there
+    prob = make_prob(heis, cone, nu, np.zeros(3), x1, n=30)
+    assert solver._certified(prob, 1.0, SolveOptions()) is None
+    assert solve_longest(prob, SolveOptions(restarts=1, max_iter=1, inner_iter=2)
+                         ).iterations > 0
+
+
+def test_polyhedral_jensen_bound_is_answered_by_three_pieces(heis):
+    # the bench's heisenberg-polyhedral problem: nu = (1, -0.5) . v on the
+    # sector between (1, 1) and (1, 0), whose staircases reach |z| <= 0.375
+    prob = make_prob(heis, PolyhedralCone([[1.0, 1.0], [1.0, -1.0]]),
+                     MinOfLinear([[1.0, 0.5], [1.0, -0.5]]), np.zeros(3),
+                     [2.0, 0.5, 0.1], n=50)
+    rep = solve_longest(prob, SolveOptions(restarts=3, max_iter=60, inner_iter=40))
+    assert _answered_at_once(rep, prob)
+    assert rep.objective == pytest.approx(1.75, rel=0.0, abs=1e-12)
+    assert rep.objective == pytest.approx(abelianized_upper_bound(prob), abs=1e-12)
+    assert len(np.unique(rep.control.values, axis=0)) == 3
+    # three pieces need three segments: two cannot hold them
+    short = make_prob(heis, prob.cone, prob.nu, prob.x0, prob.x1, n=2)
+    assert solve_longest(short, SolveOptions(restarts=1, max_iter=1, inner_iter=2)
+                         ).iterations > 0
+
+
+def test_unit_tau_solve_takes_no_staircase(heis, mink_cone, mink_nu):
+    # equal unit-tau segments cannot in general split along two rays
+    prob = make_prob(heis, mink_cone, mink_nu, np.zeros(3), [2.0, 1.0, 0.75], n=4)
+    form = LeftInvariantForm([1.0, 0.0, 0.0], heis)
+    rep = solve_longest_reparametrized(prob, form, SolveOptions(restarts=1, max_iter=1,
+                                                                inner_iter=2))
+    assert rep.iterations > 0
+
+
+def test_hyperbolic_light_ray_endpoint_is_answered_at_once():
+    prob = make_prob(HyperbolicPlane(), LorentzCone(HYP_FORM, [0.0, 1.0]),
+                     LorentzSqrt(HYP_FORM), [0.0, 1.0], [0.5, 2.0], n=30)
+    for rep in (solve_longest(prob),
+                solve_longest_reparametrized(prob, HyperbolicAB(0.0, 1.0))):
+        assert _answered_at_once(rep, prob) and rep.objective == 0.0
+    # the average is forced only along an extreme ray, where the first-layer
+    # bound is the answer
+    assert prob.model.forced_average([0.0, 1.0], [0.3, 2.0], prob.cone) is None
+    assert abelianized_upper_bound(prob) == 0.0
+
+
+def test_heisenberg_certificate_check_passes():
+    res = _check_heisenberg_certificate(0, samples=200)
+    assert res.passed, res.detail
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +695,18 @@ def test_line_search_keeps_its_iterates(mink_cone, mink_nu):
 
 
 def test_polyhedral_solve_keeps_its_iterates(heis):
-    # the pinned outcome of the bench's heisenberg-polyhedral solve: a
+    # the pinned restarts on the bench's heisenberg-polyhedral problem: a
     # change to how a polyhedral projection is computed must leave every
-    # projection, and so every iterate, as it was
+    # projection, and so every iterate, as it was.  The reachable-set
+    # certificate answers the solve itself, so the restarts run as the solve
+    # would run them without it
     prob = make_prob(heis, PolyhedralCone([[1.0, 1.0], [1.0, -1.0]]),
                      MinOfLinear([[1.0, 0.5], [1.0, -0.5]]), np.zeros(3),
                      [2.0, 0.5, 0.1], n=50)
-    rep = solve_longest(prob, SolveOptions(restarts=3, max_iter=60, inner_iter=40))
+    opts = SolveOptions(restarts=3, max_iter=60, inner_iter=40)
+    runs = solver._run_restarts(prob, solver._starting_controls(prob, 1.0, opts), 1.0,
+                                opts, prob.cone.project_batch)
+    rep = solver._report_from_runs(prob, runs, 1.0, opts)
     assert rep.status == SolveStatus.SOLVED
     assert rep.iterations == 4
     assert rep.objective == pytest.approx(1.7500000000000002, rel=1e-12, abs=0.0)
@@ -633,9 +790,11 @@ def test_restarts_in_lockstep_run_as_alone(monkeypatch, name, segments):
     prob = make_prob(model, cone, nu, x0, x1, n=segments)
     solves = [lambda: solve_longest(prob, LOCKSTEP_OPTS),
               lambda: solve_longest_reparametrized(prob, form, LOCKSTEP_OPTS)]
-    if name == "abelian":
+    if name in ("abelian", "polyhedral"):
         # on R^n the bound-attained certificate answers both solves before
-        # any restart runs, so `_run_restarts` is called as the solves call it
+        # any restart runs, and on the polyhedral case the reachable-set
+        # certificate answers the direct solve, so `_run_restarts` is called
+        # as the solves call it
         s1 = potential(form, prob.x1) - potential(form, prob.x0)
         tau_c = _control_covector(model, form)
         projector = np.eye(2) - np.outer(tau_c, tau_c) / (tau_c @ tau_c)
