@@ -46,7 +46,6 @@ from .groups import (
     CarnotGroup,
     GroupModel,
     HyperbolicPlane,
-    LeftInvariantQuadratic,
     bch_log_product,
     format_structure_constants,
     heisenberg_algebra,

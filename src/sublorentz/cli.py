@@ -165,7 +165,7 @@ def _run_check_timeform(cfg: RunConfig) -> Tuple[int, RunReport]:
     ok = closed
 
     if cfg.cone is not None:
-        growth = check_growth_condition(form, cfg.cone, cfg.model.natural_metric())
+        growth = check_growth_condition(form, cfg.cone)
         payload["growth_passed"] = growth.passed
         payload["growth_rho"] = None if np.isinf(growth.rho) else growth.rho
         payload["growth_tau_scale"] = None if np.isinf(growth.tau_scale) \

@@ -137,7 +137,16 @@ class Cone:
 
     def ray_minimum(self, c) -> Tuple[float, Optional[np.ndarray]]:
         """The least value of the covector c on the unit extreme rays, exact,
-        and a unit ray on which c <= 1e-12 |c|, None when c exceeds that."""
+        and a unit ray on which c <= 1e-12 |c|, None when c exceeds that.
+        A covector whose squared norm leaves the float range is divided by
+        its largest entry (``_scaled_rows``) and its least value multiplied
+        back, so a covector of 1e308 is measured as one of 1."""
+        c, s = _scaled_rows(as_vector(c, self.dim, "covector")[None])
+        least, ray = self._ray_minimum(c[0])
+        return float(s[0] * least), ray
+
+    def _ray_minimum(self, c: np.ndarray) -> Tuple[float, Optional[np.ndarray]]:
+        """``ray_minimum`` of a checked covector with a squared norm in range."""
         raise NotImplementedError
 
     def time_covector(self) -> np.ndarray:
@@ -502,9 +511,9 @@ class PolyhedralCone(Cone):
             raise NotPointedError("generator average vanishes; cone not pointed")
         return d / n
 
-    def ray_minimum(self, c):
+    def _ray_minimum(self, c):
         """Over the unit generators; the ray is the first that offends."""
-        return _least_of(self._unit, as_vector(c, self.dim, "covector"))
+        return _least_of(self._unit, c)
 
     def time_covector(self):
         """The least-distance covector: the unit tau maximizing the minimum
@@ -697,7 +706,7 @@ class LorentzCone(Cone):
         pair.flags.writeable = False
         return pair
 
-    def ray_minimum(self, c):
+    def _ray_minimum(self, c):
         """The two light rays when dim = 2.  Otherwise c~ = W^-T c, and c
         offends on the light ray W^-1 (1, -c~_r / |c~_r|), where it is least
         per unit b0 = (W v)_0, if it is at most 1e-12 |c| there.  If not,
@@ -710,7 +719,6 @@ class LorentzCone(Cone):
         about ten times eigh's rounding, so the result is a lower bound in
         floating point.  The ray's value caps it where the square loses
         digits."""
-        c = as_vector(c, self.dim, "covector")
         if self.dim == 2:
             return _least_of(self.edge_rays, c)
         ct = self._Winv.T @ c

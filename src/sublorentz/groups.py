@@ -11,11 +11,6 @@ shape (n, d), answered row by row.  The points of a piecewise-constant
 control come from one vectorized pass over all its segments
 (``GroupModel.points``), which every segment walk shares, and a stack of
 controls goes through the endpoint residual in one pass.
-
-The one reference metric, ``LeftInvariantQuadratic``, is a form at the
-identity spread by left translations: its norm pulls a chart tangent back
-to the identity through the model's ``pullback``.  Every model's
-``natural_metric`` is the identity form there.
 """
 
 from __future__ import annotations
@@ -327,11 +322,6 @@ class GroupModel:
 
     def coordinate_names(self) -> list:
         return [f"x{i}" for i in range(self.point_dim)]
-
-    def natural_metric(self) -> LeftInvariantQuadratic:
-        """The invariant reference metric of the diagnostics: the identity
-        form at the identity, spread by left translations."""
-        return LeftInvariantQuadratic(np.eye(self.point_dim))
 
     def endpoint_residual(self, x0, x1, u: np.ndarray, horizon: float
                           ) -> Tuple[np.ndarray, np.ndarray]:
@@ -874,30 +864,6 @@ class CarnotGroup(GroupModel):
 
     def _residual(self, endpoint, x1):
         return bch_log_product(self.algebra, -endpoint, np.asarray(x1, dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# The invariant reference metric
-# ---------------------------------------------------------------------------
-
-
-class LeftInvariantQuadratic:
-    """Left-invariant metric from a positive-definite form at the identity."""
-
-    def __init__(self, form) -> None:
-        Q = np.asarray(form, dtype=float)
-        if np.any(np.linalg.eigvalsh(0.5 * (Q + Q.T)) <= 0):
-            raise ValueError("form at identity must be positive definite")
-        self.form = 0.5 * (Q + Q.T)
-
-    def __repr__(self):
-        return f"LeftInvariantQuadratic(dim={self.form.shape[0]})"
-
-    def norm(self, model: GroupModel, p, v):
-        """Norm of the chart tangent vector v at the point p (of each row of
-        a stack v): the form applied to its pullback to the identity."""
-        w = model.pullback(p, v)
-        return np.sqrt(np.einsum("...i,ij,...j->...", w, self.form, w))
 
 
 # ---------------------------------------------------------------------------

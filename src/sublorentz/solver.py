@@ -50,7 +50,8 @@ from typing import List, Optional
 import numpy as np
 
 from .cones import (NEG_INF, RAY_TOL, Antinorm, Cone, _check_antinorm_dim,
-                    _check_cone_dim, _positive_count, _row_dots, antinorm_eval)
+                    _check_cone_dim, _positive_count, _row_dots, _row_norms,
+                    antinorm_eval)
 from .dynamics import ControlSignal, Trajectory, integrate
 from .errors import NegativeAntinormError, WrongModelError
 from .groups import GroupModel
@@ -108,7 +109,7 @@ class ProblemInstance:
         # a min of covectors is >= 0 when each is; the others clamp at 0
         for c in getattr(self.nu, "family", ()):
             least, ray = self.cone.ray_minimum(c)
-            if least < -1e-12 * np.linalg.norm(c):
+            if least < -1e-12 * _row_norms(c):
                 raise NegativeAntinormError(
                     f"antinorm is negative on the cone: its covector {c.tolist()} "
                     f"is {least:.6g} on the ray {ray.tolist()}")
@@ -769,7 +770,9 @@ def reachability_sample(model: GroupModel, cone: Cone, x0, n_samples: int,
 
 @dataclass
 class HyperbolicityReport:
-    """Sampled evidence for the compact-diamond and no-closed-path conditions."""
+    """Sampled evidence for the compact-diamond and no-closed-path conditions.
+    Arc lengths are in the invariant metric that is Euclidean at the
+    identity: a segment adds its duration times its control's norm."""
 
     passed: bool
     n_paths: int
@@ -782,10 +785,15 @@ class HyperbolicityReport:
 
     def summary(self) -> str:
         verdict = "consistent" if self.passed else "INCONSISTENT"
-        return (f"hyperbolicity evidence {verdict} over {self.n_paths} paths: "
+        text = (f"hyperbolicity evidence {verdict} over {self.n_paths} paths: "
                 f"radius {self.radius:.6g}, max in-band arc length "
                 f"{self.max_inband_arclength:.6g}, "
                 f"{self.monotonicity_violations} monotonicity violation(s)")
+        if self.stalled_positive_length_paths:
+            text += f", {self.stalled_positive_length_paths} stalled positive-length path(s)"
+        if self.radius_violations:
+            text += f", {self.radius_violations} radius violation(s)"
+        return text
 
 
 def _desk_paths(prob: ProblemInstance, form: TimeForm, n_samples: int, seed: int):
@@ -797,8 +805,6 @@ def _desk_paths(prob: ProblemInstance, form: TimeForm, n_samples: int, seed: int
     widths = np.zeros((9, 8))
     for n in range(1, 9):
         widths[n, :n] = np.diff(np.linspace(0.0, 1.0, n + 1))
-    metric = prob.model.natural_metric()
-    ident = prob.model.identity()
     for start in range(0, n_samples, _REACH_BATCH):
         # each path's segment count and controls in the order drawn, then
         # the batch's paths integrated together
@@ -810,7 +816,7 @@ def _desk_paths(prob: ProblemInstance, form: TimeForm, n_samples: int, seed: int
         rates[real] = antinorm_eval(prob.nu, prob.cone, U)
         length = np.cumsum((1.0 / n_seg)[:, None] * rates, axis=1)[:, -1]
         speeds = np.zeros(real.shape)
-        speeds[real] = metric.norm(prob.model, ident, prob.model.embed_control(U))
+        speeds[real] = np.linalg.norm(U, axis=1)
         arcs = np.zeros(pots.shape)
         arcs[:, 1:] = np.cumsum(widths[n_seg] * speeds, axis=1)
         yield pots, arcs, length
@@ -830,9 +836,7 @@ def check_hyperbolicity_desk(prob: ProblemInstance, form: TimeForm,
     t0 = potential(form, prob.x0)
     t1 = potential(form, prob.x1)
     gap = t1 - t0
-    metric = prob.model.natural_metric()
-    sup_u = section_sup_norm(prob.cone, form, metric)
-    radius = sup_u * max(gap, 0.0)
+    radius = section_sup_norm(prob.cone, form) * max(gap, 0.0)
 
     mono_bad = 0
     stalled = 0

@@ -7,8 +7,11 @@ identity: the spread of tau0 is closed exactly when tau0 vanishes on
 [g, g], which the model's structure constants decide, and the models are
 simply connected, so a closed form always has a potential.  The growth
 ratio, which is also the unit-time section's norm bound, is computed there
-too, exactly, in a left-invariant metric, so one bound holds at every
-point.  The hyperbolic family (a dx + b dy)/y is the spread of (a, b).
+too, exactly, from the covector on the cone's unit extreme rays.  Left
+translation carries the identity's Euclidean norm to a complete invariant
+metric, so one bound holds at every point; any other invariant metric is
+equivalent to it up to a constant factor and gives the same verdict.  The
+hyperbolic family (a dx + b dy)/y is the spread of (a, b).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .cones import Cone, _check_cone_dim, _row_dots, as_vector, as_vectors
 from .dynamics import Trajectory
 from .errors import NotExactError, StalledParameterError, UnboundedSectionError
-from .groups import GroupModel, HyperbolicPlane, LeftInvariantQuadratic
+from .groups import GroupModel, HyperbolicPlane
 
 #: headroom used when suggesting a rescaling of tau for the growth condition
 GROWTH_EPS = 0.05
@@ -116,7 +119,8 @@ def is_exact(form: LeftInvariantForm) -> bool:
 
 @dataclass
 class GrowthReport:
-    """Supremum rho of |xi| / tau(xi) over identity cone directions xi, exact.
+    """Supremum rho of |xi| / tau(xi) over identity cone directions xi, exact:
+    one over tau's least value on the cone's unit extreme rays.
 
     In the invariant setting a finite ratio rho certifies the sublinear
     growth condition globally once tau is multiplied by rho * (1 + eps).
@@ -135,23 +139,20 @@ class GrowthReport:
                 f"scale tau by {self.tau_scale:.6g} for a unit bound")
 
 
-def check_growth_condition(form: TimeForm, cone: Cone,
-                           metric: LeftInvariantQuadratic) -> GrowthReport:
+def check_growth_condition(form: TimeForm, cone: Cone) -> GrowthReport:
     """Check tau > 0 on the cone minus the origin and bound |xi| / tau(xi),
     at the identity; left invariance transports the bound to every point.
-    With R^T R the metric on the controls and tau_c the covector on them,
-    |xi| / tau(xi) = |R xi| / (R^-T tau_c) . (R xi), so rho is one over the
-    least value of R^-T tau_c on the unit rays of R K (``Cone.ray_minimum``).
+    The ratio is largest on an extreme ray, so with tau_c the covector on
+    the controls, rho is one over tau_c's least value on the unit extreme
+    rays (``Cone.ray_minimum``).
     """
     model = form.model
     _check_cone_dim(cone, model)
-    E = model.embed_control(np.eye(model.control_dim))
-    R = np.linalg.cholesky(E @ metric.form @ E.T).T
-    least, ray = cone.image(R).ray_minimum(np.linalg.solve(R.T, form.value_at_identity(E)))
+    tau_c = form.value_at_identity(model.embed_control(np.eye(model.control_dim)))
+    least, ray = cone.ray_minimum(tau_c)
     if ray is not None:
-        ray = np.linalg.solve(R, ray)
         return GrowthReport(passed=False, rho=np.inf, tau_scale=np.inf,
-                            offending_direction=ray / np.linalg.norm(ray))
+                            offending_direction=ray)
     rho = 1.0 / least
     return GrowthReport(passed=True, rho=rho, tau_scale=rho * (1.0 + GROWTH_EPS))
 
@@ -161,15 +162,15 @@ def check_growth_condition(form: TimeForm, cone: Cone,
 # ---------------------------------------------------------------------------
 
 
-def section_sup_norm(cone: Cone, form: TimeForm, metric: LeftInvariantQuadratic) -> float:
-    """Supremum of the metric norm over the unit-time slice
+def section_sup_norm(cone: Cone, form: TimeForm) -> float:
+    """Supremum of the Euclidean norm over the unit-time slice
     {xi in cone : tau(xi) = 1} at the identity.  Left invariance makes it
-    the supremum at every point.
+    the supremum of the invariant norm at every point.
 
     That supremum is the growth ratio rho of ``check_growth_condition``.
     Raises UnboundedSectionError when tau fails to be positive on some ray.
     """
-    rep = check_growth_condition(form, cone, metric)
+    rep = check_growth_condition(form, cone)
     if not rep.passed:
         raise UnboundedSectionError(
             f"tau is not positive on the extreme direction "

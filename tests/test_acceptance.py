@@ -169,7 +169,7 @@ def test_criterion_7_section_compactness(mink_setup):
     for name, cone in cones.items():
         tc = find_time_covector(cone)
         form = LeftInvariantForm(tc.components, plane)
-        sups[name] = section_sup_norm(cone, form, plane.natural_metric())
+        sups[name] = section_sup_norm(cone, form)
     finite = all(np.isfinite(s) for s in sups.values())
 
     # polyhedral values against explicit vertex enumeration
@@ -188,8 +188,7 @@ def test_criterion_7_section_compactness(mink_setup):
         unpointed = True
     tangent = False
     try:
-        section_sup_norm(cones["polyhedral"], LeftInvariantForm([0.0, 1.0], plane),
-                         plane.natural_metric())
+        section_sup_norm(cones["polyhedral"], LeftInvariantForm([0.0, 1.0], plane))
     except UnboundedSectionError:
         tangent = True
     ok = finite and exact and unpointed and tangent

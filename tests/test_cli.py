@@ -545,6 +545,41 @@ def test_valid_huge_cone_passes_check_timeform(tmp_path):
     assert "potential_consistency_gap" not in rep.payload
 
 
+#: a covector whose |tau| overflows, on the preset's cone and a 3-d Minkowski
+#: cone, and its growth ratio: one over its least value on the light rays
+HUGE_TAU = {
+    "heisenberg-sl": ({"preset": "heisenberg-sl",
+                       "timeform": {"kind": "left_invariant", "tau0": [1e308, 0.0, 0.0]}},
+                      np.sqrt(2.0) / 1e308),
+    "minkowski3": ({"model": {"kind": "abelian", "dim": 3},
+                    "cone": {"kind": "lorentz", "form": np.diag([1.0, -1.0, -1.0]).tolist(),
+                             "nappe_selector": [1.0, 0.0, 0.0]},
+                    "timeform": {"kind": "left_invariant", "tau0": [1.7e308, 0.0, 0.0]}},
+                   np.sqrt(2.0) / 1.7e308)}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_TAU))
+def test_huge_covector_passes_check_timeform(tmp_path, case):
+    # the offend threshold 1e-12 |tau| read inf, so tau "vanished" on a ray
+    config, rho = HUGE_TAU[case]
+    path = write_config(tmp_path, {"version": 1, **config})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run_config(path, "check-timeform")
+    assert code == 0 and rep.payload["growth_passed"]
+    assert rep.payload["growth_rho"] == pytest.approx(rho, rel=1e-12)
+
+
+def test_huge_negative_antinorm_exits_two_under_antinorm(tmp_path, capsys):
+    # the covector is -1.41e307 on the light ray (1, -1) / sqrt 2; with |c|
+    # overflowing, the negativity test passed it and the solve exited 0
+    path = write_config(tmp_path, {
+        "version": 1, "preset": "heisenberg-sl",
+        "antinorm": {"kind": "min_of_linear", "family": [[1e308, 1.2e308]]}})
+    assert main(["solve", "--config", path]) == 2
+    assert "config error: antinorm: antinorm is negative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("antinorm", [None, {"kind": "min_of_linear", "family": [[1.0, 0.0]]}],
                          ids=["lorentz_sqrt", "min_of_linear"])
 def test_huge_generators_pass_check_structure_without_warnings(tmp_path, antinorm):

@@ -542,6 +542,24 @@ def test_polyhedral_ray_minimum_names_the_first_offending_generator():
         cone.ray_minimum([1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("scale", [1e308, 1e-200])
+@pytest.mark.parametrize("kind", ["polyhedral", "lorentz-2", "lorentz-3"])
+def test_ray_minimum_of_a_covector_out_of_range_scales_with_it(kind, scale):
+    # |c|^2 overflows (or underflows): the least value and the ray are those
+    # of c / max|c|, scaled back; the offend threshold 1e-12 |c| read inf
+    # (or 0, and a 3-d light cone's least value 0) before
+    cone = {"polyhedral": PolyhedralCone([[1.0, 0.5], [1.0, -0.5], [2.0, 0.1]]),
+            "lorentz-2": LorentzCone(MINK, [1.0, 0.0]),
+            "lorentz-3": LorentzCone(np.diag([1.0, -1.0, -1.0]), [1.0, 0.0, 0.0])}[kind]
+    c = np.append([1.2, 0.3], [0.2] * (cone.dim - 2))
+    least, ray = cone.ray_minimum(c)
+    big_least, big_ray = cone.ray_minimum(scale * c)
+    assert ray is None and big_ray is None
+    assert big_least == pytest.approx(scale * least, rel=1e-14)
+    least, ray = cone.ray_minimum(-scale * c)
+    assert least < 0.0 and ray is not None
+
+
 def test_edge_rays_of_planar_sectors(mink_cone):
     assert np.allclose(mink_cone.edge_rays, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2))
     # the extreme generators farthest apart, past a redundant and a repeated one

@@ -11,7 +11,6 @@ from sublorentz import (
     CarnotGroup,
     HyperbolicPlane,
     InvalidPointError,
-    LeftInvariantQuadratic,
     PolyhedralCone,
     UnsupportedStepError,
     bch_log_product,
@@ -285,27 +284,8 @@ def test_hyperbolic_exp_matches_numerical_flow(rng):
 
 
 # ---------------------------------------------------------------------------
-# metrics and projections
+# tangent maps
 # ---------------------------------------------------------------------------
-
-
-def test_lobachevsky_norm_examples():
-    # the natural metric of the hyperbolic plane is (dx^2 + dy^2) / y^2
-    hyp = HyperbolicPlane()
-    metric = hyp.natural_metric()
-    assert metric.norm(hyp, [0, 2], [2, 0]) == pytest.approx(1.0)
-    assert metric.norm(hyp, [0, 1], [1, 0]) == pytest.approx(1.0)
-
-
-def test_norm_scaling(rng):
-    hyp = HyperbolicPlane()
-    metric = hyp.natural_metric()
-    for _ in range(100):
-        v = rng.normal(size=2)
-        lam = rng.uniform(0.1, 10)
-        p = np.array([rng.normal(), np.exp(rng.normal())])
-        assert metric.norm(hyp, p, lam * v) == pytest.approx(
-            lam * metric.norm(hyp, p, v))
 
 
 def flow_velocity(model, p, V):
@@ -322,43 +302,12 @@ def flow_velocity(model, p, V):
     return (forward - backward) / 2.0
 
 
-def test_left_invariant_quadratic_is_left_invariant(heis, rng):
-    metric = LeftInvariantQuadratic(np.diag([1.0, 2.0, 3.0]))
-    u = rng.normal(size=3)
-    ref = metric.norm(heis, heis.identity(), u)
-    for _ in range(20):
-        p = rng.normal(size=3)
-        v = flow_velocity(heis, p, u)
-        assert metric.norm(heis, p, v) == pytest.approx(ref, abs=1e-12)
-
-
-def test_left_invariant_quadratic_rejects_indefinite():
-    with pytest.raises(ValueError):
-        LeftInvariantQuadratic([[1.0, 0.0], [0.0, -1.0]])
-
-
-def test_euclidean_norm(plane):
-    # the natural metric of R^n is the Euclidean one, at every point
-    assert plane.natural_metric().norm(plane, [0, 0], [3, 4]) == 5.0
-    assert plane.natural_metric().norm(plane, [7, -2], [3, 4]) == 5.0
-
-
 ROW_MODELS = {
     "abelian": AbelianGroup(3),
     "hyperbolic": HyperbolicPlane(),
     "heisenberg": CarnotGroup(heisenberg_algebra()),
     "filiform": CarnotGroup(FILIFORM4),
 }
-
-
-@pytest.mark.parametrize("kind", ["abelian", "hyperbolic", "heisenberg"])
-def test_natural_metric_at_the_identity_is_the_euclidean_norm(kind, rng):
-    # every diagnostic measures at the identity, where the invariant metric
-    # must give np.linalg.norm bit for bit
-    model = ROW_MODELS[kind]
-    V = rng.normal(size=(5000, model.point_dim)) * 10.0 ** rng.uniform(-5, 5, (5000, 1))
-    norms = model.natural_metric().norm(model, model.identity(), V)
-    assert np.array_equal(norms, np.linalg.norm(V, axis=-1))
 
 
 def _rows_and_point(model, rng):
@@ -394,25 +343,6 @@ def test_tangent_maps_keep_their_errors(kind):
         fn(p, np.full(model.point_dim, np.inf))
     with pytest.raises(DimensionMismatchError):
         fn(np.ones((2, model.point_dim)), np.ones(model.point_dim))
-
-
-@pytest.mark.parametrize("kind, metric", [
-    ("abelian", LeftInvariantQuadratic(np.eye(3))),
-    ("heisenberg", LeftInvariantQuadratic(np.eye(3))),
-    ("hyperbolic", LeftInvariantQuadratic(np.eye(2))),
-    ("hyperbolic", LeftInvariantQuadratic([[2.0, 0.3], [0.3, 1.0]])),
-    ("heisenberg", LeftInvariantQuadratic(np.diag([1.0, 2.0, 3.0]))),
-    ("filiform", LeftInvariantQuadratic(np.eye(5)))])
-def test_norm_on_rows_matches_the_row_loop(kind, metric, rng):
-    model = ROW_MODELS[kind]
-    p, V = _rows_and_point(model, rng)
-    rows = metric.norm(model, p, V)
-    assert rows.shape == (len(V),) and rows[-1] == 0.0
-    np.testing.assert_allclose(rows, [metric.norm(model, p, v) for v in V],
-                               rtol=1e-14, atol=0.0)
-    assert np.ndim(metric.norm(model, p, V[0])) == 0
-    with pytest.raises(DimensionMismatchError):
-        metric.norm(model, p, np.ones(model.point_dim + 1))
 
 
 def test_left_translation_jacobian_matches_flow(rng):

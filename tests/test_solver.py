@@ -946,15 +946,13 @@ def test_reach_matches_the_per_path_loop(name, interior):
 def _desk_reference_paths(prob, form, n_samples, seed):
     """The desk check's paths one at a time: integrate each, then the
     potential and the arc length at each of its points, and its length."""
-    metric = prob.model.natural_metric()
     rng = np.random.default_rng(seed)
-    ident = prob.model.identity()
     for _ in range(n_samples):
         controls = prob.cone.sample(int(rng.integers(1, 9)), rng)
         traj = integrate(prob.model, prob.x0, ControlSignal(controls),
                          nu=prob.nu, cone=prob.cone)
         pots = np.array([potential(form, p) for p in traj.points])
-        speeds = metric.norm(prob.model, ident, prob.model.embed_control(controls))
+        speeds = np.linalg.norm(controls, axis=1)
         arcs = np.concatenate([[0.0], np.cumsum(np.diff(traj.times) * speeds)])
         yield pots, arcs, traj.z[-1]
 
@@ -963,8 +961,7 @@ def _desk_reference(prob, form, n_samples, seed):
     """check_hyperbolicity_desk one path at a time."""
     t1 = potential(form, prob.x1)
     gap = t1 - potential(form, prob.x0)
-    metric = prob.model.natural_metric()
-    radius = section_sup_norm(prob.cone, form, metric) * max(gap, 0.0)
+    radius = section_sup_norm(prob.cone, form) * max(gap, 0.0)
     mono_bad = stalled = radius_bad = 0
     max_arc = 0.0
     for pots, arcs, length in _desk_reference_paths(prob, form, n_samples, seed):
@@ -1015,10 +1012,28 @@ def test_desk_check_matches_the_per_path_loop(kind, heis, mink_cone, mink_nu):
                 assert np.all(got[n:] == ref[-1])
 
 
+def test_desk_summary_names_each_kind_of_failure():
+    def report(stalled, radius_bad):
+        return HyperbolicityReport(
+            passed=not (stalled or radius_bad), n_paths=10, radius=4.5,
+            potential_gap=1.5, max_inband_arclength=4.25, monotonicity_violations=0,
+            stalled_positive_length_paths=stalled, radius_violations=radius_bad)
+    head = ("over 10 paths: radius 4.5, max in-band arc length 4.25, "
+            "0 monotonicity violation(s)")
+    assert report(0, 0).summary() == "hyperbolicity evidence consistent " + head
+    assert report(2, 0).summary() == ("hyperbolicity evidence INCONSISTENT " + head
+                                      + ", 2 stalled positive-length path(s)")
+    assert report(0, 3).summary() == ("hyperbolicity evidence INCONSISTENT " + head
+                                      + ", 3 radius violation(s)")
+    assert report(2, 3).summary().endswith(
+        ", 2 stalled positive-length path(s), 3 radius violation(s)")
+
+
 @pytest.mark.parametrize("x0", [[0.0, 0.0, 0.0], [0.0, 3.0, 0.0], [3.0, -3.0, 0.0]],
                          ids=["identity", "0,3,0", "3,-3,0"])
 def test_heisenberg_desk_radius_does_not_depend_on_x0(x0, heis, mink_cone, mink_nu):
-    # the slice and the arcs are both measured in the invariant metric, so
+    # the slice and the arcs are both measured in the invariant metric that
+    # is Euclidean at the identity, so
     # the radius is sqrt 2 (the unit slice's sup norm) times the gap 3
     x0 = np.array(x0)
     prob = make_prob(heis, mink_cone, mink_nu, x0, x0 + [3.0, 0.5, 0.2])
