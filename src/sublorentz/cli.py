@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -15,25 +16,28 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import RunConfig, load_config
-from .cones import (_check_antinorm_dim, _check_cone_dim, check_antinorm_axioms,
-                    find_time_covector)
+from .cones import check_antinorm_axioms, find_time_covector
 from .dynamics import trajectory_to_csv
-from .errors import ConfigError, DimensionMismatchError, SubLorentzError
+from .errors import ConfigError, SubLorentzError
 from .solver import SolveStatus, reachability_sample, solve_longest
 from .timeform import check_growth_condition, dtau
 from .verify import run_all
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    """obj in plain JSON values: numpy scalars and arrays as Python ones, and
+    a non-finite float as None, so report.json is strict JSON."""
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(value) for value in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, (np.bool_, np.integer)):
+        return obj.item()
+    return obj
 
 
 @dataclass
@@ -50,8 +54,8 @@ class RunReport:
     def to_json(self) -> str:
         record = {"subcommand": self.subcommand, "status": self.status,
                   "seed": self.seed, **self.payload}
-        return json.dumps(record, sort_keys=True, indent=2,
-                          default=_jsonable) + "\n"
+        return json.dumps(_jsonable(record), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
 
     def summary(self) -> str:
         return "\n".join([f"[{self.subcommand}] {self.status}"] + self.text)
@@ -112,22 +116,8 @@ def _run_solve(cfg: RunConfig) -> Tuple[int, RunReport]:
     return (0 if ok else 1), report
 
 
-def _check_control_cone(cfg: RunConfig) -> None:
-    """Exit 2 under ``cone`` when the cone is not in the control space, as
-    a solve's ProblemInstance refuses it."""
-    try:
-        _check_cone_dim(cfg.cone, cfg.model)
-    except DimensionMismatchError as exc:
-        raise ConfigError(str(exc), field="cone")
-
-
 def _run_check_structure(cfg: RunConfig) -> Tuple[int, RunReport]:
-    if cfg.cone is None or cfg.antinorm is None:
-        raise ConfigError("check-structure needs 'cone' and 'antinorm'", field="cone")
-    try:
-        _check_antinorm_dim(cfg.antinorm, cfg.cone)
-    except DimensionMismatchError as exc:
-        raise ConfigError(str(exc), field="antinorm")
+    cfg.require("check-structure", "cone", "antinorm")
     pointed = cfg.cone.is_pointed()
     payload: Dict = {"pointed": pointed}
     text = [f"cone pointed: {pointed}"]
@@ -150,11 +140,7 @@ def _run_check_structure(cfg: RunConfig) -> Tuple[int, RunReport]:
 
 
 def _run_check_timeform(cfg: RunConfig) -> Tuple[int, RunReport]:
-    if cfg.model is None or cfg.timeform is None:
-        raise ConfigError("check-timeform needs 'model' and 'timeform'",
-                          field="timeform")
-    if cfg.cone is not None:
-        _check_control_cone(cfg)
+    cfg.require("check-timeform", "model", "timeform")
     form = cfg.timeform
     # closed <=> exact on these simply connected models
     dtau_norm = float(np.abs(dtau(form)).max())
@@ -167,9 +153,8 @@ def _run_check_timeform(cfg: RunConfig) -> Tuple[int, RunReport]:
     if cfg.cone is not None:
         growth = check_growth_condition(form, cfg.cone)
         payload["growth_passed"] = growth.passed
-        payload["growth_rho"] = None if np.isinf(growth.rho) else growth.rho
-        payload["growth_tau_scale"] = None if np.isinf(growth.tau_scale) \
-            else growth.tau_scale
+        payload["growth_rho"] = growth.rho
+        payload["growth_tau_scale"] = growth.tau_scale
         text.append(growth.summary())
         ok = ok and growth.passed
 
@@ -181,10 +166,7 @@ def _run_check_timeform(cfg: RunConfig) -> Tuple[int, RunReport]:
 
 
 def _run_reach(cfg: RunConfig) -> Tuple[int, RunReport]:
-    if cfg.model is None or cfg.cone is None or cfg.x0 is None:
-        raise ConfigError("reach needs 'model', 'cone' and endpoints.x0",
-                          field="model")
-    _check_control_cone(cfg)
+    cfg.require("reach", "model", "cone", "endpoints")
     # generators so large that the flow overflows: a sampled path leaves the
     # model, which the exit reports, so numpy's warnings about it are silenced
     try:

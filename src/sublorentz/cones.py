@@ -447,6 +447,29 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     return n
 
 
+#: the least norm whose square is a normal float; a smaller one loses digits
+_TINY_NORM = float(np.sqrt(np.finfo(float).tiny))
+
+
+def _at_scale(V: np.ndarray, nv=None):
+    """A vector or stack of rows V and its norms nv (by default the bits of
+    ``np.linalg.norm(V, axis=-1)``, without its wrapper), rescaled by
+    ``_scaled_rows`` when some nonzero row's norm overflows or falls below
+    ``_TINY_NORM``, so a cone's tests, which are scale invariant, hold for
+    rows of 1e300 or 1e-200. When every norm is in range, or below it only
+    for zero rows, V and nv come back as they are, for the cost of two
+    reductions (and a look at the rows of small norm)."""
+    if nv is None:
+        nv = np.sqrt(np.add.reduce(V * V, axis=-1))
+    if np.maximum.reduce(nv, axis=None, initial=0.0) < np.inf and (
+            np.minimum.reduce(nv, axis=None, initial=np.inf) >= _TINY_NORM
+            or not np.any(V[nv < _TINY_NORM])):
+        return V, nv
+    rows = _scaled_rows(V.reshape(-1, V.shape[-1]))[0]
+    n = np.sqrt(np.add.reduce(rows * rows, axis=1))
+    return rows.reshape(V.shape), n.reshape(np.shape(nv))[()]
+
+
 def _unit_rows(G: np.ndarray) -> np.ndarray:
     """The rows of G, none of them zero, scaled to unit length, so
     generators of 1e300 or 1e-200 keep their directions; a row of normal
@@ -474,8 +497,7 @@ class PolyhedralCone(Cone):
         return f"PolyhedralCone({self.generators.tolist()})"
 
     def contains(self, v, tol: float = DEFAULT_TOL):
-        V = as_vectors(v, self.dim)
-        nv = np.linalg.norm(V, axis=-1)
+        V, nv = _at_scale(as_vectors(v, self.dim))
         if len(self._nonzero) == 0:
             return nv == 0.0
         # distance to the cone: nonnegative least squares on the coefficients
@@ -652,8 +674,7 @@ class LorentzCone(Cone):
         return f"LorentzCone(dim={self.dim})"
 
     def contains(self, v, tol: float = DEFAULT_TOL):
-        V = as_vectors(v, self.dim)
-        nv = np.linalg.norm(V, axis=-1)
+        V, nv = _at_scale(as_vectors(v, self.dim))
         q = np.einsum("...i,ij,...j->...", V, self._unit_form, V)
         sel = V @ self.nappe_selector
         return (q >= -tol * nv * nv) & (sel >= -tol * nv)
@@ -666,7 +687,7 @@ class LorentzCone(Cone):
         V = as_vectors(V, self.dim)
         B = V.reshape(-1, self.dim) @ self._W.T
         t, X = B[:, 0], B[:, 1:]
-        nx = np.linalg.norm(X, axis=1)
+        nx = _row_norms(X)
         out = B.copy()
         zero = t <= -nx
         out[zero] = 0.0
@@ -692,7 +713,7 @@ class LorentzCone(Cone):
         |v^T A v| / max|eig A| is at most RAY_TOL |v|^2; in dim 1 the cone
         is one ray."""
         v = as_vector(v, self.dim)
-        nv = np.linalg.norm(v)
+        v, nv = _at_scale(v, np.linalg.norm(v))
         q = np.einsum("i,ij,j->", v, self._unit_form, v)
         light = self.dim == 1 or abs(q) <= RAY_TOL * nv * nv
         return bool(nv > 0.0 and v @ self.nappe_selector > 0.0 and light)
@@ -817,7 +838,8 @@ class LorentzSqrt(Antinorm):
         A = np.asarray(form, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("form must be a square matrix")
-        self.form = 0.5 * (A + A.T)
+        # halved before the sum, which overflows for entries of 1e308
+        self.form = 0.5 * A + 0.5 * A.T
         self.dim = A.shape[0]
 
     def values_on_cone(self, V):

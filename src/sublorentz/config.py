@@ -7,14 +7,15 @@ of the offending field.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .cones import Antinorm, Cone, LorentzCone, LorentzSqrt, MinOfLinear, \
-    PolyhedralCone, ZeroAntinorm
-from .errors import ConfigError, InvalidPointError
+    PolyhedralCone, ZeroAntinorm, _check_antinorm_dim, _check_cone_dim
+from .errors import ConfigError
 from .groups import (
     AbelianGroup,
     CarnotGroup,
@@ -73,134 +74,116 @@ def _string(value, path: str) -> str:
     return value
 
 
-def _matrix(value, path: str) -> np.ndarray:
+def _array(section: dict, path: str, key: str, ndim: int) -> np.ndarray:
+    """The finite numeric vector (ndim 1) or matrix (ndim 2) under ``key``."""
+    noun, field = ("vector", "matrix")[ndim - 1], f"{path}.{key}"
     try:
-        m = np.asarray(value, dtype=float)
+        a = np.asarray(section.get(key), dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"not a numeric matrix: {exc}", field=path)
-    if m.ndim != 2 or not np.all(np.isfinite(m)):
-        raise ConfigError("must be a finite 2-d matrix", field=path)
-    return m
+        raise ConfigError(f"not a numeric {noun}: {exc}", field=field)
+    if a.ndim != ndim or not np.all(np.isfinite(a)):
+        raise ConfigError(f"must be a finite {ndim}-d {noun}", field=field)
+    return a
 
 
-def _vector(value, path: str) -> np.ndarray:
+@contextmanager
+def _under(path: str):
+    """A ``ValueError`` raised inside, other than a ConfigError, becomes a
+    ConfigError under ``path``."""
     try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"not a numeric vector: {exc}", field=path)
-    if v.ndim != 1 or not np.all(np.isfinite(v)):
-        raise ConfigError("must be a finite 1-d vector", field=path)
-    return v
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc), field=path)
 
 
-def build_model(section: dict, path: str = "model") -> GroupModel:
+def _build(section, path: str, noun: str, kinds: dict, *args):
+    """The object a kinded section describes: ``section`` must be an object
+    whose ``kind`` names an entry (extra keys, builder) of ``kinds``; the
+    builder gets the section, its path and ``args``, and a ``ValueError`` it
+    raises becomes a ConfigError under ``path``."""
     if not isinstance(section, dict) or "kind" not in section:
         raise ConfigError("expected an object with a 'kind'", field=path)
     kind = section["kind"]
-    if kind == "abelian":
-        _require_keys(section, {"kind", "dim"}, path)
-        if "dim" not in section:
-            raise ConfigError("abelian model needs 'dim'", field=f"{path}.dim")
-        return AbelianGroup(_integer(section["dim"], f"{path}.dim", 1, MAX_DIM))
-    if kind == "hyperbolic":
-        _require_keys(section, {"kind"}, path)
-        return HyperbolicPlane()
-    if kind == "carnot":
-        _require_keys(section, {"kind", "builtin", "r", "structure_file"}, path)
-        if "structure_file" in section:
-            source = _string(section["structure_file"], f"{path}.structure_file")
-            try:
-                algebra = load_structure_constants(source)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"cannot load structure constants: {exc}",
-                                  field=f"{path}.structure_file")
-            return CarnotGroup(algebra)
-        builtin = section.get("builtin")
-        if builtin == "heisenberg":
-            return CarnotGroup(heisenberg_algebra())
-        if builtin == "minkowski_area":
-            # minkowski_area(r) has dimension 2 r + 1
-            r = _integer(section.get("r", 1), f"{path}.r", 1, (MAX_DIM - 1) // 2)
-            return CarnotGroup(minkowski_area_algebra(r))
-        raise ConfigError(f"unknown builtin {builtin!r} "
-                          "(use 'heisenberg', 'minkowski_area', or a structure_file)",
-                          field=f"{path}.builtin")
-    raise ConfigError(f"unknown model kind {kind!r}", field=f"{path}.kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {noun} kind {kind!r}", field=f"{path}.kind")
+    keys, builder = kinds[kind]
+    _require_keys(section, {"kind", *keys}, path)
+    with _under(path):
+        return builder(section, path, *args)
+
+
+def _abelian(section: dict, path: str) -> GroupModel:
+    if "dim" not in section:
+        raise ConfigError("abelian model needs 'dim'", field=f"{path}.dim")
+    return AbelianGroup(_integer(section["dim"], f"{path}.dim", 1, MAX_DIM))
+
+
+def _carnot(section: dict, path: str) -> GroupModel:
+    if "structure_file" in section:
+        source = _string(section["structure_file"], f"{path}.structure_file")
+        try:
+            return CarnotGroup(load_structure_constants(source))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load structure constants: {exc}",
+                              field=f"{path}.structure_file")
+    builtin = section.get("builtin")
+    if builtin == "heisenberg":
+        return CarnotGroup(heisenberg_algebra())
+    if builtin == "minkowski_area":
+        # minkowski_area(r) has dimension 2 r + 1
+        r = _integer(section.get("r", 1), f"{path}.r", 1, (MAX_DIM - 1) // 2)
+        return CarnotGroup(minkowski_area_algebra(r))
+    raise ConfigError(f"unknown builtin {builtin!r} "
+                      "(use 'heisenberg', 'minkowski_area', or a structure_file)",
+                      field=f"{path}.builtin")
+
+
+def _hyperbolic_ab(section: dict, path: str, model: GroupModel) -> TimeForm:
+    if not isinstance(model, HyperbolicPlane):
+        raise ConfigError("hyperbolic_ab requires the hyperbolic model",
+                          field=f"{path}.kind")
+    return HyperbolicAB(_number(section.get("a", 0.0), f"{path}.a"),
+                        _number(section.get("b", 1.0), f"{path}.b"))
+
+
+# kind -> (its keys besides 'kind', builder(section, path, *args))
+_MODELS = {
+    "abelian": ({"dim"}, _abelian),
+    "hyperbolic": ((), lambda s, p: HyperbolicPlane()),
+    "carnot": ({"builtin", "r", "structure_file"}, _carnot),
+}
+_CONES = {
+    "polyhedral": ({"generators"},
+                   lambda s, p: PolyhedralCone(_array(s, p, "generators", 2))),
+    "lorentz": ({"form", "nappe_selector"}, lambda s, p: LorentzCone(
+        _array(s, p, "form", 2), _array(s, p, "nappe_selector", 1))),
+    "linear_image": ({"base", "map"}, lambda s, p: build_cone(
+        s.get("base"), f"{p}.base").image(_array(s, p, "map", 2))),
+}
+_ANTINORMS = {
+    "lorentz_sqrt": ({"form"}, lambda s, p: LorentzSqrt(_array(s, p, "form", 2))),
+    "min_of_linear": ({"family"}, lambda s, p: MinOfLinear(_array(s, p, "family", 2))),
+    "zero": ((), lambda s, p: ZeroAntinorm()),
+}
+_TIMEFORMS = {
+    "left_invariant": ({"tau0"}, lambda s, p, model: LeftInvariantForm(
+        _array(s, p, "tau0", 1), model)),
+    "hyperbolic_ab": ({"a", "b"}, _hyperbolic_ab),
+}
 
 
 def build_cone(section: dict, path: str = "cone") -> Cone:
-    if not isinstance(section, dict) or "kind" not in section:
-        raise ConfigError("expected an object with a 'kind'", field=path)
-    kind = section["kind"]
-    try:
-        if kind == "polyhedral":
-            _require_keys(section, {"kind", "generators"}, path)
-            return PolyhedralCone(_matrix(section.get("generators"),
-                                          f"{path}.generators"))
-        if kind == "lorentz":
-            _require_keys(section, {"kind", "form", "nappe_selector"}, path)
-            return LorentzCone(_matrix(section.get("form"), f"{path}.form"),
-                               _vector(section.get("nappe_selector"),
-                                       f"{path}.nappe_selector"))
-        if kind == "linear_image":
-            _require_keys(section, {"kind", "base", "map"}, path)
-            return build_cone(section.get("base"), f"{path}.base").image(
-                _matrix(section.get("map"), f"{path}.map"))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), field=path)
-    raise ConfigError(f"unknown cone kind {kind!r}", field=f"{path}.kind")
-
-
-def build_antinorm(section: dict, path: str = "antinorm"):
-    if not isinstance(section, dict) or "kind" not in section:
-        raise ConfigError("expected an object with a 'kind'", field=path)
-    kind = section["kind"]
-    try:
-        if kind == "lorentz_sqrt":
-            _require_keys(section, {"kind", "form"}, path)
-            return LorentzSqrt(_matrix(section.get("form"), f"{path}.form"))
-        if kind == "min_of_linear":
-            _require_keys(section, {"kind", "family"}, path)
-            return MinOfLinear(_matrix(section.get("family"), f"{path}.family"))
-        if kind == "zero":
-            _require_keys(section, {"kind"}, path)
-            return ZeroAntinorm()
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), field=path)
-    raise ConfigError(f"unknown antinorm kind {kind!r}", field=f"{path}.kind")
-
-
-def build_timeform(section: dict, model: GroupModel, path: str = "timeform"
-                   ) -> TimeForm:
-    if not isinstance(section, dict) or "kind" not in section:
-        raise ConfigError("expected an object with a 'kind'", field=path)
-    kind = section["kind"]
-    try:
-        if kind == "left_invariant":
-            _require_keys(section, {"kind", "tau0"}, path)
-            return LeftInvariantForm(_vector(section.get("tau0"), f"{path}.tau0"),
-                                     model)
-        if kind == "hyperbolic_ab":
-            _require_keys(section, {"kind", "a", "b"}, path)
-            if not isinstance(model, HyperbolicPlane):
-                raise ConfigError("hyperbolic_ab requires the hyperbolic model",
-                                  field=f"{path}.kind")
-            return HyperbolicAB(_number(section.get("a", 0.0), f"{path}.a"),
-                                _number(section.get("b", 1.0), f"{path}.b"))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), field=path)
-    raise ConfigError(f"unknown timeform kind {kind!r}", field=f"{path}.kind")
+    return _build(section, path, "cone", _CONES)
 
 
 @dataclass
 class RunConfig:
-    """Validated configuration with lazily built domain objects."""
+    """A validated configuration: the domain objects it names, built and
+    checked against one another (the cone against the model's controls, the
+    antinorm against the cone), and the run's sizes, seeds and options.  A
+    section the config leaves out is None."""
 
     model: Optional[GroupModel] = None
     cone: Optional[Cone] = None
@@ -214,16 +197,20 @@ class RunConfig:
     solver_options: SolveOptions = SolveOptions()
     output_dir: Optional[str] = None
 
-    def instance(self) -> ProblemInstance:
-        missing = [name for name, val in [("model", self.model), ("cone", self.cone),
-                                          ("antinorm", self.antinorm),
-                                          ("endpoints", self.x0)] if val is None]
+    def require(self, subcommand: str, *sections: str) -> None:
+        """ConfigError under the first of ``sections`` the config lacks."""
+        missing = [name for name in sections
+                   if getattr(self, "x0" if name == "endpoints" else name) is None]
         if missing:
-            raise ConfigError(f"solve needs {', '.join(missing)}", field=missing[0])
+            raise ConfigError(f"{subcommand} needs {', '.join(missing)}",
+                              field=missing[0])
+
+    def instance(self) -> ProblemInstance:
+        self.require("solve", "model", "cone", "antinorm", "endpoints")
         try:
             return ProblemInstance(self.model, self.cone, self.antinorm,
                                    self.x0, self.x1, self.segments)
-        except (ValueError, InvalidPointError) as exc:
+        except ValueError as exc:   # InvalidPointError is a ValueError too
             # the cone and antinorm checks name their component first
             subject = str(exc).split(" ", 1)[0]
             raise ConfigError(str(exc), field=subject if subject in ("cone", "antinorm")
@@ -255,7 +242,7 @@ def parse_config(raw: dict) -> RunConfig:
     merged = dict(raw)
     preset_name = merged.pop("preset", None)
     if preset_name is not None:
-        if preset_name not in PRESETS:
+        if not isinstance(preset_name, str) or preset_name not in PRESETS:
             raise ConfigError(f"unknown preset {preset_name!r} "
                               f"(available: {sorted(PRESETS)})", field="preset")
         base = dict(PRESETS[preset_name])
@@ -264,15 +251,22 @@ def parse_config(raw: dict) -> RunConfig:
 
     cfg = RunConfig()
     if "model" in merged:
-        cfg.model = build_model(merged["model"])
+        cfg.model = _build(merged["model"], "model", "model", _MODELS)
     if "cone" in merged:
         cfg.cone = build_cone(merged["cone"])
+        if cfg.model is not None:
+            with _under("cone"):
+                _check_cone_dim(cfg.cone, cfg.model)
     if "antinorm" in merged:
-        cfg.antinorm = build_antinorm(merged["antinorm"])
+        cfg.antinorm = _build(merged["antinorm"], "antinorm", "antinorm", _ANTINORMS)
+        if cfg.cone is not None:
+            with _under("antinorm"):
+                _check_antinorm_dim(cfg.antinorm, cfg.cone)
     if "timeform" in merged:
         if cfg.model is None:
             raise ConfigError("timeform needs a model", field="timeform")
-        cfg.timeform = build_timeform(merged["timeform"], cfg.model)
+        cfg.timeform = _build(merged["timeform"], "timeform", "timeform", _TIMEFORMS,
+                              cfg.model)
     if "endpoints" in merged:
         section = merged["endpoints"]
         if not isinstance(section, dict):
@@ -283,12 +277,9 @@ def parse_config(raw: dict) -> RunConfig:
         for name in ("x0", "x1"):
             if name not in section:
                 raise ConfigError(f"missing {name}", field=f"endpoints.{name}")
-            vec = _vector(section[name], f"endpoints.{name}")
-            try:
-                vec = cfg.model.validate_point(vec)
-            except (ValueError, InvalidPointError) as exc:
-                raise ConfigError(str(exc), field=f"endpoints.{name}")
-            setattr(cfg, name, vec)
+            vec = _array(section, "endpoints", name, 1)
+            with _under(f"endpoints.{name}"):
+                setattr(cfg, name, cfg.model.validate_point(vec))
 
     for name, default, minimum, maximum in (("segments", 50, 1, 10_000),
                                             ("samples", 1000, 1, 1_000_000),

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import Antinorm, Cone, antinorm_eval, as_vector
+from .cones import Antinorm, Cone, antinorm_eval
 from .errors import DimensionMismatchError, WrongModelError
 from .groups import GroupModel
 
@@ -175,26 +175,21 @@ def oriented_area(traj: Trajectory, i: int) -> float:
 def integrate_rk4_step2(model: GroupModel, x0, u: ControlSignal,
                         substeps: int = 16, horizon: float = 1.0) -> np.ndarray:
     """Independent endpoint oracle: classical RK4 on the printed coordinate
-    system x_i' = u_i, y_i' = (x_0 u_i - x_i u_0)/2 of the step-2 group."""
+    system x_i' = u_i, y_i' = w_i + (x_0 u_i - x_i u_0)/2 of the step-2
+    group, for controls (u, w) of the point dimension or u of the control
+    dimension (w = 0)."""
     r = _area_rank(model)
     x0 = model.validate_point(x0)
 
     def rhs(state, uk):
-        x, y = state[:r + 1], state[r + 1:]
-        dx = uk
-        dy = 0.5 * (x[0] * uk[1:] - x[1:] * uk[0])
+        x = state[:r + 1]
+        dx = uk[:r + 1]
+        dy = 0.5 * (x[0] * uk[1:r + 1] - x[1:] * uk[0]) + uk[r + 1:]
         return np.concatenate([dx, dy])
 
     state = x0.copy()
     h = horizon / u.segments / substeps
-    for uk in u.values:
-        uk = as_vector(uk)
-        if uk.shape[0] == r + 1:
-            pass
-        elif uk.shape[0] == model.point_dim:
-            uk = uk[:r + 1]
-        else:
-            raise DimensionMismatchError("control dim mismatch")
+    for uk in model.embed_control(u.values):
         for _ in range(substeps):
             k1 = rhs(state, uk)
             k2 = rhs(state + 0.5 * h * k1, uk)

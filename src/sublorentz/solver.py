@@ -100,6 +100,10 @@ class ProblemInstance:
     def __post_init__(self):
         object.__setattr__(self, "x0", self.model.validate_point(self.x0))
         object.__setattr__(self, "x1", self.model.validate_point(self.x1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = self.model.multiply(self.model.inverse(self.x0), self.x1)
+        if not np.all(np.isfinite(step)):
+            raise ValueError(f"x0^-1 x1 = {step.tolist()} leaves the float range")
         if self.segments < 1:
             raise ValueError("need at least one segment")
         _check_cone_dim(self.cone, self.model)
@@ -179,8 +183,10 @@ def _polish_average(model: GroupModel, cone: Cone, x0, x1,
     if target is None:
         return u
     h = horizon / u.shape[0]
-    shift = (target - h * u.sum(axis=0)) / horizon
-    if np.linalg.norm(shift) == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = (target - h * u.sum(axis=0)) / horizon
+    # controls whose sum overflows are left as they are
+    if not np.all(np.isfinite(shift)) or np.linalg.norm(shift) == 0.0:
         return u
     shifted = u + shift
     if np.all(cone.contains(shifted, 1e-9)):

@@ -489,6 +489,122 @@ def test_cone_outside_the_control_space_exits_two_under_cone(tmp_path, capsys,
             in capsys.readouterr().err)
 
 
+MINK3 = np.diag([1.0, -1.0, -1.0]).tolist()
+SQUARE = {"kind": "polyhedral", "generators": [[1.0, 1.0], [1.0, -1.0]]}
+
+
+@pytest.mark.parametrize("preset", [{"kind": "nope"}, [1.0], 3])
+def test_preset_of_another_type_exits_two_under_preset(tmp_path, capsys, preset):
+    # a dict or a list raised TypeError (unhashable) in the preset lookup
+    path = write_config(tmp_path, {"version": 1, "preset": preset})
+    assert main(["solve", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("config error: preset: unknown preset")
+
+
+@pytest.mark.parametrize("subcommand, config, error", [
+    ("check-structure", {"cone": SQUARE}, "antinorm: check-structure needs antinorm"),
+    ("reach", {"model": {"kind": "abelian", "dim": 2}, "cone": SQUARE},
+     "endpoints: reach needs endpoints"),
+    ("check-timeform", {}, "model: check-timeform needs model, timeform"),
+    ("solve", {"cone": SQUARE}, "model: solve needs model, antinorm, endpoints"),
+])
+def test_missing_section_is_named(tmp_path, capsys, subcommand, config, error):
+    # each used to be reported under another section: cone, model, timeform
+    path = write_config(tmp_path, {"version": 1, **config})
+    assert main([subcommand, "--config", path]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "check-structure", "check-timeform",
+                                        "reach"])
+@pytest.mark.parametrize("preset, override, error", [
+    ("heisenberg-sl", {"cone": {"kind": "lorentz", "form": MINK3,
+                                "nappe_selector": [1.0, 0.0, 0.0]},
+                       "antinorm": {"kind": "lorentz_sqrt", "form": MINK3}},
+     "cone: cone dim 3 does not match the control space dim 2"),
+    ("minkowski11", {"antinorm": {"kind": "lorentz_sqrt", "form": MINK3}},
+     "antinorm: antinorm dim 3 does not match the cone dim 2"),
+])
+def test_sections_that_disagree_exit_two_on_every_subcommand(
+        tmp_path, capsys, subcommand, preset, override, error):
+    # check-structure took the first, check-timeform and reach the second
+    path = write_config(tmp_path, {"version": 1, "preset": preset, "samples": 8,
+                                   **override})
+    assert main([subcommand, "--config", path]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+
+
+def test_require_names_the_first_missing_section():
+    cfg = parse_config({"version": 1, "preset": "minkowski11"})
+    cfg.require("solve", "model", "cone", "antinorm", "endpoints")
+    cfg.antinorm = cfg.x0 = None
+    with pytest.raises(ConfigError) as info:
+        cfg.require("solve", "model", "antinorm", "endpoints")
+    assert info.value.field == "antinorm"
+    assert "solve needs antinorm, endpoints" in str(info.value)
+
+
+IMAGE_CONE = {"kind": "linear_image", "map": [[3.0, 0.4], [0.5, 1.0]],
+              "base": {"kind": "polyhedral", "generators": [[1.0, -1.0], [1.0, 1.0]]}}
+TINY_SOLVER = {"restarts": 1, "max_iter": 2, "inner_iter": 2}
+
+
+@pytest.mark.parametrize("config", [
+    {"preset": "minkowski11", "endpoints": {"x0": [1e300, 0.0], "x1": [5.0, 3.0]}},
+    {"preset": "hyperbolic", "endpoints": {"x0": [1e308, 1.0], "x1": [0.3, 2.0]}},
+    {"model": {"kind": "abelian", "dim": 2}, "cone": IMAGE_CONE,
+     "antinorm": {"kind": "min_of_linear", "family": [[1.0, 0.0]]},
+     "endpoints": {"x0": [1e300, 0.0], "x1": [5.0, 3.0]}},
+], ids=["minkowski11", "hyperbolic", "linear_image"])
+def test_far_start_is_refused_by_its_certificate(tmp_path, capsys, config):
+    # the membership tolerance scaled by an overflowing norm let the forced
+    # average of x0^-1 x1 pass, and each solve ended in a traceback
+    path = write_config(tmp_path, {"version": 1, "solver": TINY_SOLVER, **config})
+    code, rep = run_config(path, "solve")
+    assert code == 1 and rep.payload["solver_status"] == "no_admissible_path"
+
+
+@pytest.mark.parametrize("preset, x0, x1", [
+    ("minkowski11", [1e308, 0.0], [-1e308, 0.0]),
+    ("heisenberg-sl", [1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]),
+    ("hyperbolic", [1e308, 1.0], [-1e308, 1.0]),
+])
+def test_endpoints_beyond_the_float_range_exit_two(tmp_path, capsys, preset, x0, x1):
+    # x0^-1 x1 overflows: a non-finite point raised a traceback
+    path = write_config(tmp_path, {"version": 1, "preset": preset,
+                                   "endpoints": {"x0": x0, "x1": x1}})
+    assert main(["solve", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("config error: endpoints: x0^-1 x1 = [-inf")
+
+
+def _strict_report(out_dir):
+    """report.json read by a parser that refuses NaN and +-Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    with open(out_dir / "report.json", encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("override, objective", [
+    ({"endpoints": {"x0": [0.0, 0.0, 0.0], "x1": [1.0, 1.0, 0.1]}}, None),
+    ({"antinorm": {"kind": "min_of_linear", "family": [[1e308, 5e307]]}}, None),
+    ({"antinorm": {"kind": "lorentz_sqrt", "form": [[1e308, 0.0], [0.0, -1e308]]}},
+     3e154),
+], ids=["refused", "huge-family", "huge-form"])
+def test_solve_report_is_strict_json(tmp_path, override, objective):
+    # -inf, inf and NaN went out as the bare tokens -Infinity, Infinity, NaN
+    path = write_config(tmp_path, {"version": 1, "preset": "heisenberg-sl",
+                                   "solver": TINY_SOLVER, **override})
+    with np.errstate(over="ignore"):
+        run_config(path, "solve", out_dir=str(tmp_path / "out"))
+    report = _strict_report(tmp_path / "out")
+    if objective is None:
+        assert report["objective"] is None
+    else:
+        assert report["objective"] == pytest.approx(objective, rel=1e-15)
+        assert report["status"] == "ok"
+
+
 #: subcommand -> (exit, message) on generators of 1e300.  reach samples
 #: paths, and the flow overflows: a non-finite Heisenberg point, a hyperbolic
 #: point with y = 0.  check-timeform samples none: its exact growth check

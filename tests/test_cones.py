@@ -768,6 +768,55 @@ def test_min_of_linear_band_is_finite_for_huge_rows():
                               [1e200 * 0.85, 0.85])
 
 
+#: vectors whose norm overflows or underflows; their tests are scale invariant
+FAR_ROWS = [[-1e300, 3.0], [1e300, 1e299], [1e-200, 2e-200]]
+FAR_CONES = {"polyhedral": PolyhedralCone([[1.0, 1.0], [1.0, -1.0]]),
+             "lorentz": LorentzCone(np.diag([1.0, -1.0]), [1.0, 0.0])}
+
+
+@pytest.mark.parametrize("kind", sorted(FAR_CONES))
+@pytest.mark.parametrize("row", FAR_ROWS)
+def test_membership_of_far_rows_is_measured_at_scale(kind, row):
+    # the tolerance scaled by np.linalg.norm(v), which overflows to inf
+    # (every row passed) or underflows to 0 (rows of the cone failed)
+    cone, v = FAR_CONES[kind], np.array(row)
+    verdict = cone.contains(v / np.abs(v).max())
+    with np.errstate(over="ignore"):
+        copies = [s * v for s in (1.0, 1e150, 1e-150)
+                  if np.all(np.isfinite(s * v)) and np.all(s * v != 0.0)]
+        assert len(copies) == 2
+        assert [cone.contains(w) for w in copies] == [verdict] * 2
+        assert np.array_equal(cone.contains(np.array(copies)), [verdict] * 2)
+        mixed = cone.contains(np.array([copies[0], [1.0, 0.3], [0.0, 0.0]]))
+    assert np.array_equal(mixed, [verdict, True, True])
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e300])
+def test_lorentz_extreme_ray_is_measured_at_scale(scale):
+    cone = FAR_CONES["lorentz"]
+    with np.errstate(over="ignore"):
+        assert cone.on_extreme_ray(scale * np.array([1.0, 1.0]))
+        assert not cone.on_extreme_ray(scale * np.array([1.0, 0.5]))
+        assert not cone.on_extreme_ray(scale * np.array([-1.0, 1.0]))
+
+
+def test_lorentz_projection_of_huge_rows_is_finite(mink_cone):
+    # the spacelike part's norm overflowed, and the rows projected to NaN
+    V = np.array([[1e300, 3e299], [1e300, -2e300], [3.0, 1.0]])
+    P = mink_cone.project_batch(V)
+    assert np.array_equal(P[0], V[0])
+    assert np.allclose(P[1] / 1e300, [1.5, -1.5], rtol=1e-15, atol=0.0)
+    assert np.array_equal(P[2], mink_cone.project_batch(V[2:])[0])
+
+
+def test_lorentz_sqrt_of_a_form_of_1e308_is_finite():
+    # 0.5 * (A + A.T) overflowed to inf - inf = NaN
+    nu = LorentzSqrt([[1e308, 0.0], [0.0, -1e308]])
+    assert np.all(np.isfinite(nu.form))
+    assert nu.values_on_cone(np.array([3.0, 0.0])) == pytest.approx(3e154, rel=1e-15)
+    assert np.array_equal(LorentzSqrt(MINK).form, MINK)
+
+
 def test_lorentz_sqrt_is_finite_for_huge_rows(mink_nu):
     # v^T A v overflows; the row is measured scaled, the others keep their bits
     V = np.array([[2e200, 1e200], [5.0, 3.0], [1e300, -1e300]])

@@ -6,6 +6,7 @@ from sublorentz import (
     CarnotAlgebra,
     CarnotGroup,
     ControlSignal,
+    DimensionMismatchError,
     HyperbolicPlane,
     InvalidPointError,
     LorentzCone,
@@ -227,6 +228,21 @@ def test_velocity_inclusion_first_layer_exact(rng):
 def test_rk4_crosscheck(rng):
     res = _check_rk4_crosscheck(rng, 1, (1, 8, 64))
     assert res.passed, res.detail
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_rk4_takes_point_dimension_controls(r, rng):
+    # the oracle kept only the first layer of such a control, so on r = 1
+    # the rows [[1, .5, .7], [.8, -.2, 0]] gave y = -0.075, not 0.275
+    model = CarnotGroup(minkowski_area_algebra(r))
+    rows = np.vstack([[1.0, 0.5] + [0.1] * (r - 1) + [0.7] + [-0.3] * (r - 1),
+                      rng.uniform(-0.5, 0.5, (3, 2 * r + 1))])
+    x0 = rng.uniform(-1.0, 1.0, 2 * r + 1)
+    u = ControlSignal(rows)
+    exact = integrate(model, x0, u).points[-1]
+    assert np.allclose(integrate_rk4_step2(model, x0, u), exact, rtol=0.0, atol=1e-8)
+    with pytest.raises(DimensionMismatchError):
+        integrate_rk4_step2(model, x0, ControlSignal(np.ones((2, 2 * r + 2))))
 
 
 def test_rk4_rejects_non_step2_model(plane):

@@ -105,6 +105,33 @@ def test_minkowski_spacelike_no_admissible_path(plane, mink_cone, mink_nu):
     assert rep.control is None
 
 
+@pytest.mark.parametrize("x1", [[1e-200, 5e-200], [-1e-200, 0.0]])
+def test_tiny_spacelike_displacement_is_refused(plane, mink_cone, mink_nu, x1):
+    # the zero-average shortcut measured |v| with np.linalg.norm, which
+    # underflows to 0, and called these endpoints "solved" with objective 0
+    rep = solve_longest(make_prob(plane, mink_cone, mink_nu, np.zeros(2), x1))
+    assert rep.status == SolveStatus.NO_ADMISSIBLE_PATH
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e307])
+def test_huge_timelike_displacement_is_answered_by_its_constant_control(
+        plane, mink_cone, mink_nu, scale):
+    # the Lorentz projection's spacelike norm overflowed, so the constant
+    # control projected to NaN and the solve raised
+    x1 = scale * np.array([1.0, 0.3])
+    rep = solve_longest(make_prob(plane, mink_cone, mink_nu, np.zeros(2), x1, n=4),
+                        SolveOptions(restarts=1, max_iter=2, inner_iter=2))
+    assert rep.status == SolveStatus.SOLVED and rep.iterations == 0
+    assert rep.objective == pytest.approx(scale * np.sqrt(0.91), rel=1e-12)
+
+
+def test_controls_whose_sum_overflows_are_not_polished(plane, mink_cone):
+    # the shift to the forced average was -inf, and the cone test raised
+    u = np.full((4, 2), [1e308, 0.0])
+    assert solver._polish_average(plane, mink_cone, np.zeros(2), np.array([1e308, 0.0]),
+                                  u, 1.0) is u
+
+
 def test_heisenberg_first_layer_target_attains_bound(heis, mink_cone, mink_nu,
                                                      light_opts):
     prob = make_prob(heis, mink_cone, mink_nu, np.zeros(3), [3.0, 0.0, 0.0], n=50)
