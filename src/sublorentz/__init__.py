@@ -3,6 +3,7 @@ direct-transcription maximizer of the length functional on group models."""
 
 from .cones import (
     Antinorm,
+    AntinormCertificate,
     AxiomCheckReport,
     Cone,
     LorentzCone,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,6 +57,11 @@ RAY_TOL = 1e-12
 
 #: the share of sampled points put on the cone's boundary by default
 BOUNDARY_FRACTION = 0.25
+
+#: how far below 0, relative, a quadratic form's value on the cone's unit
+#: vectors must lie to count as negative (``Cone.form_witness``); the same
+#: cut counts an eigenvalue as positive, as LorentzCone's signature does
+FORM_TOL = 1e-12
 
 
 def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
@@ -135,18 +141,42 @@ class Cone:
         """A unit vector in the relative interior (requires pointedness)."""
         raise NotImplementedError
 
-    def ray_minimum(self, c) -> Tuple[float, Optional[np.ndarray]]:
+    def ray_minimum(self, c, least_ray: bool = False) -> Tuple[float, Optional[np.ndarray]]:
         """The least value of the covector c on the unit extreme rays, exact,
-        and a unit ray on which c <= 1e-12 |c|, None when c exceeds that.
+        and a unit ray on which c <= 1e-12 |c|, None when c exceeds that:
+        the first such ray, or with ``least_ray`` the first on which c is
+        least (a Lorentz cone of dim >= 3 names one ray either way).
         A covector whose squared norm leaves the float range is divided by
         its largest entry (``_scaled_rows``) and its least value multiplied
         back, so a covector of 1e308 is measured as one of 1."""
         c, s = _scaled_rows(as_vector(c, self.dim, "covector")[None])
-        least, ray = self._ray_minimum(c[0])
+        least, ray = self._ray_minimum(c[0], least_ray)
         return float(s[0] * least), ray
 
-    def _ray_minimum(self, c: np.ndarray) -> Tuple[float, Optional[np.ndarray]]:
+    def _ray_minimum(self, c: np.ndarray, least_ray: bool
+                     ) -> Tuple[float, Optional[np.ndarray]]:
         """``ray_minimum`` of a checked covector with a squared norm in range."""
+        raise NotImplementedError
+
+    def span_rows(self) -> np.ndarray:
+        """Rows (k, dim) whose span is the cone's linear span."""
+        raise NotImplementedError
+
+    def relative_interior_point(self) -> np.ndarray:
+        """A point of the relative interior (0 when the cone is a subspace)."""
+        raise NotImplementedError
+
+    def form_witness(self, F) -> Optional[np.ndarray]:
+        """A unit point v of the cone with v^T F v < 0, or None when
+        v^T F v >= -FORM_TOL |v|^2 on the cone, F scaled to entries of at
+        most 1: an exact decision, up to that tolerance."""
+        raise NotImplementedError
+
+    def nappe_pair(self, B) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Two unit points x, y of the cone with x^T B y < 0, or None when
+        x^T B y >= -FORM_TOL on every pair, B scaled to entries of at most
+        1: the cone lies in one nappe of {v^T B v >= 0}.  Exact for a form
+        with one positive eigenvalue."""
         raise NotImplementedError
 
     def time_covector(self) -> np.ndarray:
@@ -203,12 +233,42 @@ class Cone:
         raise NotImplementedError
 
 
-def _least_of(rays: np.ndarray, c: np.ndarray) -> Tuple[float, Optional[np.ndarray]]:
+def _least_of(rays: np.ndarray, c: np.ndarray, least_ray: bool
+              ) -> Tuple[float, Optional[np.ndarray]]:
     """min c . r over the unit rays r (+inf over none), and the first ray
-    with c . r <= 1e-12 |c|."""
+    with c . r <= 1e-12 |c|, or the first on which c . r is least."""
     vals = rays @ c
     bad = np.flatnonzero(vals <= 1e-12 * np.linalg.norm(c))
-    return float(vals.min(initial=np.inf)), (rays[bad[0]].copy() if bad.size else None)
+    if not bad.size:
+        return float(vals.min(initial=np.inf)), None
+    return float(vals.min()), rays[np.argmin(vals) if least_ray else bad[0]].copy()
+
+
+def _s_lemma(F: np.ndarray, A: np.ndarray, hi: float, best: float):
+    """The maximum over lam in [0, hi] of g(lam), the least eigenvalue of
+    F - lam A, given best = g(0) or a lower bound of it.  g is concave, with
+    slope -v^T A v at its least eigenvector v, so bisection on the slope's
+    sign finds its maximum.  Each g(lam) kept is eigh's value less 4 ulp of
+    the matrix's norm, about ten times eigh's rounding, so the result is a
+    lower bound in floating point.  Returns it, and the least eigenvectors
+    at the last lam on either side of the maximum: one with v^T A v < 0,
+    and one with v^T A v >= 0 (None for a side never visited)."""
+    lo, outside, inside = 0.0, None, None
+    while lo < 0.5 * (lo + hi) < hi:
+        lam = 0.5 * (lo + hi)
+        w, V = np.linalg.eigh(F - lam * A)
+        best = max(best, w[0] - 4.0 * _EPS * np.abs(w).max())
+        if V[:, 0] @ A @ V[:, 0] < 0.0:
+            lo, outside = lam, V[:, 0]
+        else:
+            hi, inside = lam, V[:, 0]
+    return best, outside, inside
+
+
+def _scaled_form(F) -> np.ndarray:
+    """The symmetric form F divided by its largest entry (a zero form kept)."""
+    F = np.asarray(F, dtype=float)
+    return F / (np.abs(F).max() or 1.0)
 
 
 def _invertible_map(map_matrix, dim: int) -> np.ndarray:
@@ -533,9 +593,49 @@ class PolyhedralCone(Cone):
             raise NotPointedError("generator average vanishes; cone not pointed")
         return d / n
 
-    def _ray_minimum(self, c):
-        """Over the unit generators; the ray is the first that offends."""
-        return _least_of(self._unit, c)
+    def _ray_minimum(self, c, least_ray):
+        """Over the unit generators."""
+        return _least_of(self._unit, c, least_ray)
+
+    def span_rows(self):
+        return self._unit
+
+    def relative_interior_point(self):
+        """The sum of the unit generators, each with a positive weight."""
+        return self._unit.sum(axis=0)
+
+    def form_witness(self, F):
+        """With M = U F U^T on the unit generators U, F >= 0 on the cone iff
+        M is copositive, which holds when no entry of M is negative.  If one
+        is, Kaplan's test decides it (Linear Algebra Appl. 313, 2000): M is
+        copositive iff no principal submatrix has an eigenvector > 0 with a
+        negative eigenvalue, and such a vector x gives the witness x @ U.
+        The submatrices are taken by size, one batched eigh per size, up to
+        2^k of them when no smaller one yields a witness."""
+        U = self._unit
+        M = U @ _scaled_form(F) @ U.T
+        if not np.any(M < -FORM_TOL):
+            return None
+        for size in range(1, len(U) + 1):
+            sets = np.array(list(combinations(range(len(U)), size)))
+            w, V = np.linalg.eigh(M[sets[:, :, None], sets[:, None, :]])
+            V = V * np.where(V.sum(axis=1, keepdims=True) < 0.0, -1.0, 1.0)
+            hit = (w < -FORM_TOL) & np.all(V > 0.0, axis=1)
+            if hit.any():
+                s, j = np.argwhere(hit)[0]
+                return _unit_rows((V[s, :, j] @ U[sets[s]])[None])[0]
+        return None
+
+    def nappe_pair(self, B):
+        """The pair of unit generators on which B is least: x^T B y >= 0 on
+        all of the cone iff it holds on every pair of generators, the pairs
+        of one generator with itself included, for any form B."""
+        U = self._unit
+        M = U @ _scaled_form(B) @ U.T
+        if not M.size:
+            return None
+        i, j = np.unravel_index(np.argmin(M), M.shape)
+        return None if M[i, j] >= -FORM_TOL else (U[i], U[j])
 
     def time_covector(self):
         """The least-distance covector: the unit tau maximizing the minimum
@@ -727,33 +827,95 @@ class LorentzCone(Cone):
         pair.flags.writeable = False
         return pair
 
-    def _ray_minimum(self, c):
+    def _ray_minimum(self, c, least_ray):
         """The two light rays when dim = 2.  Otherwise c~ = W^-T c, and c
         offends on the light ray W^-1 (1, -c~_r / |c~_r|), where it is least
         per unit b0 = (W v)_0, if it is at most 1e-12 |c| there.  If not,
         min (c . v)^2 over unit v with v^T A v >= 0 is the maximum over
         lam >= 0 of g(lam), the least eigenvalue of c c^T - lam A, exactly
-        for dim >= 3 (Polyak's S-lemma, J. Optim. Theory Appl. 99, 1998).
-        g is concave, with slope -v^T A v at its eigenvector v, and negative
-        past |c|^2 / |W[0]|^2, so bisection on the slope finds its maximum.
-        Each g(lam) kept is eigh's value less 4 ulp of the matrix's norm,
-        about ten times eigh's rounding, so the result is a lower bound in
-        floating point.  The ray's value caps it where the square loses
-        digits."""
+        for dim >= 3 (Polyak's S-lemma, J. Optim. Theory Appl. 99, 1998),
+        bisected by ``_s_lemma``: g is negative past |c|^2 / |W[0]|^2.  The
+        ray's value caps the result where the square loses digits."""
         if self.dim == 2:
-            return _least_of(self.edge_rays, c)
+            return _least_of(self.edge_rays, c, least_ray)
         ct = self._Winv.T @ c
         ray = self._Winv @ np.concatenate([[1.0], -ct[1:] / (np.linalg.norm(ct[1:]) or 1)])
         ray /= np.linalg.norm(ray)
         if c @ ray <= 1e-12 * np.linalg.norm(c):
             return float(c @ ray), ray
-        C, lo, hi, best = np.outer(c, c), 0.0, (c @ c) / (self._W[0] @ self._W[0]), 0.0
-        while lo < 0.5 * (lo + hi) < hi:
-            lam = 0.5 * (lo + hi)
-            w, V = np.linalg.eigh(C - lam * self.form)
-            best = max(best, w[0] - 4.0 * _EPS * np.abs(w).max())
-            lo, hi = (lam, hi) if V[:, 0] @ self.form @ V[:, 0] < 0.0 else (lo, lam)
+        best = _s_lemma(np.outer(c, c), self.form, (c @ c) / (self._W[0] @ self._W[0]),
+                        0.0)[0]
         return min(float(np.sqrt(best)), float(c @ ray)), None
+
+    def span_rows(self):
+        return np.eye(self.dim)
+
+    def relative_interior_point(self):
+        return self._axis
+
+    def form_witness(self, F):
+        """By the S-lemma, F >= 0 on the nappe (equivalently on both nappes,
+        {v^T A v >= 0}) iff F - lam A is positive semidefinite for some
+        lam >= 0 (Pólik and Terlaky, SIAM Review 49, 2007): the maximum of
+        the concave g(lam) = least eigenvalue of F - lam A, bisected as in
+        ``_ray_minimum``, is >= -FORM_TOL.  Past lam = 2 |F| / a, with a the
+        form's timelike eigenvalue, g falls, since at the timelike unit
+        eigenvector F - lam A is below |F| - lam a.  Otherwise the witness
+        is the least of the vectors at which the bisection ended, each put
+        on the nappe: the least eigenvector at lam = 0, the last ones on
+        each side of the maximum, and their combination that the form A
+        takes to 0, which lies in the least eigenspace at the maximum when
+        that space holds both; there F is g(lam*) < 0."""
+        F = _scaled_form(F)
+        A = self._unit_form
+        # the multiplier at which F and lam A agree on the timelike axis
+        # proves most forms nonnegative without a bisection
+        t = self._axis
+        if np.linalg.eigvalsh(F - max(t @ F @ t / (t @ A @ t), 0.0) * A)[0] >= -FORM_TOL:
+            return None
+        w, V = np.linalg.eigh(F)
+        best = w[0] - 4.0 * _EPS * np.abs(w).max()
+        if best >= -FORM_TOL:
+            return None
+        outside = inside = None
+        if V[:, 0] @ A @ V[:, 0] < 0.0:
+            # g rises at 0, so its maximum lies beyond
+            hi = 2.0 * np.sqrt(np.sum(F * F)) / np.linalg.eigvalsh(A)[-1]
+            best, outside, inside = _s_lemma(F, A, hi, best)
+            if best >= -FORM_TOL:
+                return None
+        points = [V[:, 0]] + [v for v in (outside, inside) if v is not None]
+        if outside is not None and inside is not None:
+            # the two combinations a outside + b inside that A takes to 0:
+            # its 2x2 restriction has a negative and a nonnegative diagonal
+            G = np.array([outside, inside]) @ A @ np.array([outside, inside]).T
+            root = np.sqrt(max(G[0, 1] ** 2 - G[0, 0] * G[1, 1], 0.0))
+            points += [(sign * root - G[0, 1]) * outside + G[0, 0] * inside
+                       for sign in (1.0, -1.0)]
+        P = np.array(points)
+        P = self.project_batch(P * np.where(P @ self.nappe_selector < 0.0, -1.0, 1.0)[:, None])
+        P = _unit_rows(P[np.linalg.norm(P, axis=1) > 0.0])
+        values = np.einsum("ij,jk,ik->i", P, F, P)
+        if not len(P) or values.min() >= 0.0:
+            return None
+        return P[np.argmin(values)]
+
+    def nappe_pair(self, B):
+        """(v, v) for the ``form_witness`` v of B, where B is negative
+        somewhere on the nappe.  Otherwise the nappe lies in {v^T B v >= 0},
+        the two nappes of the form B, and in one of them iff B's positive
+        eigenvector e, or -e, is >= 0 on it: iff e lies in the dual nappe.
+        If not, the pair is the light rays on which e and -e are least."""
+        v = self.form_witness(B)
+        if v is not None:
+            return v, v
+        e = np.linalg.eigh(B)[1][:, -1]
+        # e or -e is >= 0 on the nappe iff it lies in the dual nappe
+        et = self._Winv.T @ e
+        if abs(et[0]) >= np.linalg.norm(et[1:]) - FORM_TOL * np.linalg.norm(et):
+            return None
+        return (self.ray_minimum(e, least_ray=True)[1],
+                self.ray_minimum(-e, least_ray=True)[1])
 
     def _draws(self, n, rng, relative_interior):
         """A normal direction in the spacelike coordinates, a radius, off the
@@ -817,6 +979,25 @@ def find_time_covector(cone: Cone) -> TimeCovector:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class AntinormCertificate:
+    """The exact verdict on the antinorm axioms on a cone.  On failure the
+    counterexample names the axiom, its points and the antinorm's values
+    there, which evaluation confirms: a pair xi, zeta with nu(xi + zeta) <
+    nu(xi) + nu(zeta), or a point xi with nu(xi) < 0."""
+
+    passed: bool
+    identically_zero: bool = False
+    counterexample: Optional[dict] = None
+
+    def summary(self) -> str:
+        if self.passed:
+            return ("antinorm axioms hold (exact certificate)"
+                    + (" (identically zero)" if self.identically_zero else ""))
+        return (f"antinorm axioms FAILED ({self.counterexample['axiom']})\n"
+                f"  counterexample: {self.counterexample}")
+
+
 class Antinorm:
     """Length functional on a cone: homogeneous, superadditive, >= 0 there."""
 
@@ -828,6 +1009,12 @@ class Antinorm:
     def grads_on_cone(self, V: np.ndarray) -> np.ndarray:
         """Row-wise (super)gradients at relative-interior points."""
         raise NotImplementedError
+
+    def certify(self, cone: Cone) -> AntinormCertificate:
+        """Decide the axioms on the cone exactly, at the identity's algebra:
+        no sample is drawn."""
+        raise NotImplementedError
+
 
 
 class LorentzSqrt(Antinorm):
@@ -865,6 +1052,41 @@ class LorentzSqrt(Antinorm):
         out[ok] = (V[ok] @ self.form) / vals[ok, None]
         return out
 
+    def certify(self, cone):
+        """nu = sqrt(max(q, 0)), q(v) = v^T B v, is 0 on all of the cone C
+        iff q <= 0 there (``Cone.form_witness`` of -B).  Otherwise, with u a
+        point of C where q > 0, it is an antinorm iff
+        - B has one positive eigenvalue on the span of C, counted on the
+          span's rows (Sylvester's law of inertia); and
+        - x^T B y >= 0 for all x, y in C (``Cone.nappe_pair``): on unit
+          generators g_i^T B g_j >= 0, i = j included, and on a Lorentz cone
+          max_{lam >= 0} lambda_min(B - lam A) >= 0 with B's positive
+          eigenvector of one sign on C.
+        Then C lies in one nappe of q, where the reverse Cauchy-Schwarz
+        inequality x^T B y >= nu(x) nu(y) gives superadditivity (O'Neill,
+        Semi-Riemannian Geometry, 1983), and q > 0 on the relative
+        interior.  Each failure is a superadditivity pair (``_spacelike_pair``,
+        ``_refuted``)."""
+        _check_antinorm_dim(self, cone)
+        B = _scaled_form(self.form)
+        p = cone.relative_interior_point()
+        u = p if p @ B @ p > FORM_TOL * (p @ p) else cone.form_witness(-B)
+        if u is None:
+            return AntinormCertificate(True, identically_zero=True)
+        R = cone.span_rows()
+        w = np.linalg.eigvalsh(R @ B @ R.T)
+        if np.sum(w > FORM_TOL * np.abs(w).max()) > 1:
+            xi, zeta = _spacelike_pair(cone, B, u, p)
+        else:
+            pair = cone.nappe_pair(B)
+            if pair is None:
+                return AntinormCertificate(True)
+            xi, zeta = _refuted(B, u, *pair)
+        va, vb, vsum = self.values_on_cone(np.array([xi, zeta, xi + zeta]))
+        return AntinormCertificate(False, counterexample={
+            "axiom": "superadditivity", "xi": xi.tolist(), "zeta": zeta.tolist(),
+            "nu(xi+zeta)": float(vsum), "nu(xi)+nu(zeta)": float(va + vb)})
+
 
 class MinOfLinear(Antinorm):
     """nu(v) = min_i c_i(v) over a finite covector family (concave, polyhedral)."""
@@ -890,6 +1112,24 @@ class MinOfLinear(Antinorm):
         weights = active / active.sum(axis=1, keepdims=True)
         return weights @ self.family
 
+    def certify(self, cone):
+        """A minimum of covectors is concave and homogeneous; it is >= 0 on
+        the cone iff every c_i is >= 0 on the unit extreme rays
+        (``ray_minimum``), up to the band in which ``values_on_cone`` rounds
+        to 0, and then it is > 0 on the relative interior unless some c_i,
+        and so nu, is 0 on all of the cone."""
+        _check_antinorm_dim(self, cone)
+        zero, band = False, 2e-12 * self._scale
+        for c in self.family:
+            least, ray = cone.ray_minimum(c, least_ray=True)
+            if ray is not None:
+                value = float(self.values_on_cone(ray))
+                if value < 0.0:
+                    return AntinormCertificate(False, counterexample={
+                        "axiom": "nonnegativity", "xi": ray.tolist(), "nu(xi)": value})
+            zero = zero or (least <= band and cone.ray_minimum(-c)[0] >= -band)
+        return AntinormCertificate(True, identically_zero=zero)
+
 
 class ZeroAntinorm(Antinorm):
     """Identically zero on the cone (still -inf off it)."""
@@ -899,6 +1139,55 @@ class ZeroAntinorm(Antinorm):
 
     def grads_on_cone(self, V):
         return np.zeros(np.shape(V))
+
+    def certify(self, cone):
+        return AntinormCertificate(True, identically_zero=True)
+
+
+def _spacelike_pair(cone: Cone, B: np.ndarray, u: np.ndarray, p: np.ndarray):
+    """Where B has two positive eigenvalues on the span of the cone, at a
+    relative-interior v with q(v) > 0 the form q(w) - (w^T B v)^2 / q(v)
+    is still positive on some w of the span; w made B-orthogonal to v has
+    q(v +- t w) = q(v) + t^2 q(w) > q(v), so xi = v + t w and zeta = v - t
+    w, both in the cone for t small, fail superadditivity at xi + zeta = 2v.
+    v is u moved into the relative interior toward p."""
+    step = np.linalg.norm(u) / (np.linalg.norm(p) or 1.0)
+    for _ in range(60):
+        v = u + 1e-3 * step * p
+        if v @ B @ v > 0.5 * (u @ B @ u):
+            break
+        step *= 0.5
+    Bv, qv = B @ v, v @ B @ v
+    R = cone.span_rows()
+    w = R.T @ np.linalg.eigh(R @ B @ R.T - np.outer(R @ Bv, R @ Bv) / qv)[1][:, -1]
+    w -= (w @ Bv / qv) * v
+    t = np.linalg.norm(v) / np.linalg.norm(w)
+    for _ in range(60):
+        if np.all(cone.contains(np.array([v + t * w, v - t * w]))):
+            break
+        t *= 0.5
+    return v + t * w, v - t * w
+
+
+def _refuted(B: np.ndarray, u: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """A superadditivity pair for q(v) = v^T B v from cone points x, y with
+    x^T B y < 0 and a cone point u with q(u) > 0:
+    - when q < 0 at z, the least of x, y and x + s y with s the least point
+      of q(x + s y) (or, where q(y) <= 0, far enough to make it negative),
+      xi = u and zeta = 2 r z with r the positive root of q(u + r z): then
+      nu(xi + zeta) = 0 < nu(u);
+    - otherwise q(x), q(y) > 0, and xi = x with zeta = y scaled to q(zeta)
+      = q(x) has q(xi + zeta) < 2 q(x): nu(xi + zeta) < sqrt(2) nu(x)."""
+    def q(v):
+        return v @ B @ v
+
+    b = x @ B @ y
+    s = -b / q(y) if q(y) > 0.0 else 1.0 + 2.0 * abs(q(x)) / -b
+    z = min([x, y, x + s * y], key=lambda v: q(v) / (v @ v) if v.any() else np.inf)
+    if q(z) < -FORM_TOL * (z @ z):
+        b = u @ B @ z
+        return u, 2.0 * (b + np.sqrt(b * b - q(u) * q(z))) / -q(z) * z
+    return x, np.sqrt(q(x) / q(y)) * y if q(x) > 0.0 and q(y) > 0.0 else y
 
 
 def _check_antinorm_dim(nu: Antinorm, cone: Cone) -> None:
@@ -965,7 +1254,9 @@ def check_antinorm_axioms(nu, cone: Cone, sample_count: int = 10_000,
     when nu is not identically zero there).
 
     Upper semicontinuity is not decidable from samples and is not checked.
-    Failures are report content, never exceptions.
+    Failures are report content, never exceptions.  A value that is not
+    finite fails every axiom it enters (a comparison with NaN is False, so
+    without that rule NaN would pass).
 
     Pairs are drawn from the closed cone without the sampler's exact-boundary
     atom: square-root antinorms are conditioned like sqrt(eps) right on the
@@ -988,8 +1279,11 @@ def check_antinorm_axioms(nu, cone: Cone, sample_count: int = 10_000,
         if rep.counterexample is None:
             rep.counterexample = {"axiom": kind, **payload}
 
-    hom_err = np.abs(vlam - lam * va)
+    finite_a = np.isfinite(va)
+    with np.errstate(invalid="ignore"):   # inf - inf, a failure below
+        hom_err = np.abs(vlam - lam * va)
     hom_bad = hom_err > 1e-9 * np.maximum(1.0, np.abs(lam * va))
+    hom_bad |= ~(finite_a & np.isfinite(vlam))
     rep.homogeneity_failures = int(hom_bad.sum())
     if rep.homogeneity_failures:
         i = int(np.argmax(hom_bad))
@@ -997,7 +1291,7 @@ def check_antinorm_axioms(nu, cone: Cone, sample_count: int = 10_000,
                              "nu(lambda xi)": float(vlam[i]),
                              "lambda nu(xi)": float(lam[i] * va[i])})
 
-    sup_bad = vsum < va + vb - 1e-9
+    sup_bad = (vsum < va + vb - 1e-9) | ~(finite_a & np.isfinite(vb) & np.isfinite(vsum))
     rep.superadditivity_failures = int(sup_bad.sum())
     if rep.superadditivity_failures:
         i = int(np.argmax(sup_bad))
@@ -1008,7 +1302,7 @@ def check_antinorm_axioms(nu, cone: Cone, sample_count: int = 10_000,
     # the rows' lengths, finite for samples of 1e300
     scaled, big = _scaled_rows(a)
     scale = 1.0 + big * np.linalg.norm(scaled, axis=1)
-    neg_bad = va < -1e-12 * scale
+    neg_bad = (va < -1e-12 * scale) | ~finite_a
     rep.nonnegativity_failures = int(neg_bad.sum())
     if rep.nonnegativity_failures:
         i = int(np.argmax(neg_bad))
@@ -1019,7 +1313,7 @@ def check_antinorm_axioms(nu, cone: Cone, sample_count: int = 10_000,
     if not rep.identically_zero:
         ri = cone.sample(min(sample_count, 1000), rng, relative_interior=True)
         vri = nu.values_on_cone(ri)
-        pos_bad = vri <= 0.0
+        pos_bad = (vri <= 0.0) | ~np.isfinite(vri)
         rep.positivity_failures = int(pos_bad.sum())
         if rep.positivity_failures:
             i = int(np.argmax(pos_bad))

@@ -633,6 +633,13 @@ class HyperbolicPlane(GroupModel):
         return self.log(self._offset(endpoint, x1))
 
 
+def _product(a: float, b: float) -> float:
+    """a b for a, b >= 0, +inf where it overflows, and 0 where either is 0,
+    though the other be +inf."""
+    with np.errstate(over="ignore"):
+        return a * b if a and b else 0.0
+
+
 class CarnotGroup(GroupModel):
     """Carnot group in exponential coordinates over a stratified algebra."""
 
@@ -718,18 +725,20 @@ class CarnotGroup(GroupModel):
         w = self.log(self.multiply(self.inverse(x0), x1))
         ab = np.linalg.solve(edges.T, w[:2])
         a, b = np.maximum(ab, 0.0)
-        return (w[:2], ab, w[2], 0.5 * a * b * abs(np.linalg.det(edges)),
+        return (w[:2], ab, w[2], 0.5 * _product(_product(a, b), abs(np.linalg.det(edges))),
                 self._area_slack(x0, x1))
 
     def _area_slack(self, x0, x1) -> float:
         """How far a reachable endpoint's area may pass the staircase bound
         by rounding: 8 RAY_TOL, a few thousand ulp, of the sizes of the terms
         it is formed from, |d|^2 for the bound and the path's brackets, and
-        |z0|, |z1| and |p0| |p1| (p the first layers) for log(x0^-1 x1)."""
+        |z0|, |z1| and |p0| |p1| (p the first layers) for log(x0^-1 x1).
+        +inf where these overflow, never NaN."""
         x0, x1 = self.validate_point(x0), self.validate_point(x1)
         d = x1[:2] - x0[:2]
-        return 8.0 * RAY_TOL * float(d @ d + abs(x0[2]) + abs(x1[2])
-                                     + np.linalg.norm(x0[:2]) * np.linalg.norm(x1[:2]))
+        with np.errstate(over="ignore"):
+            return 8.0 * RAY_TOL * float(d @ d + abs(x0[2]) + abs(x1[2]) + _product(
+                np.linalg.norm(x0[:2]), np.linalg.norm(x1[:2])))
 
     def endpoint_pass(self, x0, x1, u, horizon):
         if self.algebra.step != 2:
@@ -762,9 +771,12 @@ class CarnotGroup(GroupModel):
         in turn: a solve asks for it at every accepted trial."""
         x1 = np.asarray(x1, dtype=float)
         key = x1.tobytes()
-        if self._drho_dxi[0] != key:
-            self._drho_dxi = (key, -np.eye(self.point_dim) + 0.5 * self.algebra.ad(x1))
-        return self._drho_dxi[1]
+        # one read of the cached pair: a thread may swap it between two
+        cached = self._drho_dxi
+        if cached[0] != key:
+            cached = (key, -np.eye(self.point_dim) + 0.5 * self.algebra.ad(x1))
+            self._drho_dxi = cached
+        return cached[1]
 
     def _area_chain(self, x0, x1, u, horizon):
         """Step 2 in closed form, for a control or a stack of them: rho, the

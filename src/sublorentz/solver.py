@@ -443,11 +443,15 @@ def _starting_controls(prob: ProblemInstance, horizon: float,
         target = _displacement_log(prob.model, prob.x0, prob.x1)
     base = np.tile(target / horizon, (n_seg, 1))
     starts.append(base)
+    with np.errstate(over="ignore"):
+        size = np.linalg.norm(target)
+    if size == np.inf:
+        size = _row_norms(target)
     while len(starts) < max(1, opts.restarts):
         jitter = prob.cone.sample(n_seg, rng)
         mix = rng.uniform(0.2, 0.8)
         cand = mix * base + (1 - mix) * jitter * (
-            np.linalg.norm(target) / max(np.linalg.norm(jitter, axis=1).mean(), 1e-9))
+            size / max(np.linalg.norm(jitter, axis=1).mean(), 1e-9))
         starts.append(cand)
     if unit_tau is not None:
         tau_c = _control_covector(prob.model, unit_tau)
@@ -481,8 +485,11 @@ def _report_from_runs(prob: ProblemInstance, runs: List[_RunResult],
                    key=lambda i: (-pool[i].objective, pool[i].residual, i))
     best = pool[best_idx]
     control = ControlSignal(best.u)
-    traj = integrate(prob.model, prob.x0, control, horizon=horizon,
-                     nu=prob.nu, cone=prob.cone)
+    try:
+        traj = integrate(prob.model, prob.x0, control, horizon=horizon,
+                         nu=prob.nu, cone=prob.cone)
+    except ValueError:   # points that leave the float range, or the domain by underflow
+        traj = None
     status = SolveStatus.SOLVED if feasible else SolveStatus.MAX_ITERATIONS
     return SolveReport(status=status, objective=best.objective, control=control,
                        trajectory=traj, endpoint_residual=best.residual,
@@ -581,6 +588,8 @@ def _reachable_set_paths(prob: ProblemInstance, horizon: float) -> List[np.ndarr
     if stairs is None:
         return []
     d, ab, z, half, slack = stairs
+    if not np.isfinite(half + slack):   # areas beyond the float range
+        return []
     edges, paths = prob.cone.edge_rays, []
     family = getattr(prob.nu, "family", None)
     sector = None if family is None else _linear_sector(family, edges, d)

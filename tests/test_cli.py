@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sublorentz import LorentzCone, PolyhedralCone, verify
+from sublorentz import LorentzCone, PolyhedralCone, antinorm_eval, verify
 from sublorentz.cli import _cloud_csv, emit_report, main, run_config
 from sublorentz.config import build_cone, load_config, parse_config
 from sublorentz.errors import ConfigError
@@ -817,6 +817,11 @@ def test_cloud_csv_formats_as_numpy_scalars_do():
     old = "\n".join(["x,y,z"] + [",".join(f"{c:.17g}" for c in row) for row in cloud]) + "\n"
     assert _cloud_csv(cloud, Model()) == old
     assert "-0,4.9406564584124654e-324,1.0000000000000001e+300" in old
+    # one %-format per row gives the same bytes, non-finite entries included
+    rows = np.random.default_rng(0).standard_normal((500, 3)) * 10.0 ** np.arange(-3, 6, 3)
+    rows[0] = [np.inf, -np.inf, np.nan]
+    old = "\n".join(["x,y,z"] + [",".join(f"{c:.17g}" for c in row) for row in rows]) + "\n"
+    assert _cloud_csv(rows, Model()) == old
 
 
 def test_emit_report_returns_paths(tmp_path):
@@ -826,3 +831,52 @@ def test_emit_report_returns_paths(tmp_path):
     written = emit_report(rep, str(tmp_path / "emitted"))
     names = {p.split("/")[-1] for p in written}
     assert names == {"report.json", "summary.txt", "cloud.csv"}
+
+
+def test_check_structure_refuses_a_form_with_two_positive_eigenvalues(tmp_path, capsys):
+    # diag(1, 1e-8, -1) on the cone of diag(1, -4, -4): the sampled axioms
+    # passed it, and the exact certificate names a pair that fails
+    path = write_config(tmp_path, {
+        "version": 1,
+        "cone": {"kind": "lorentz", "form": [[1.0, 0.0, 0.0], [0.0, -4.0, 0.0],
+                                             [0.0, 0.0, -4.0]],
+                 "nappe_selector": [1.0, 0.0, 0.0]},
+        "antinorm": {"kind": "lorentz_sqrt", "form": [[1.0, 0.0, 0.0], [0.0, 1e-8, 0.0],
+                                                      [0.0, 0.0, -1.0]]}})
+    out = tmp_path / "out"
+    assert main(["check-structure", "--config", path, "--out", str(out)]) == 1
+    assert "antinorm axioms FAILED (superadditivity)" in capsys.readouterr().out
+    record = json.loads((out / "report.json").read_text())
+    assert record["antinorm_axioms_passed"] is False and record["status"] == "failed"
+    ce = record["antinorm_counterexample"]
+    cfg = load_config(path)
+    xi, zeta = np.array(ce["xi"]), np.array(ce["zeta"])
+    va, vb, vsum = antinorm_eval(cfg.antinorm, cfg.cone, np.array([xi, zeta, xi + zeta]))
+    assert vsum < va + vb and ce["nu(xi+zeta)"] == vsum
+
+
+def test_check_structure_reads_no_samples(tmp_path):
+    # the certificate is exact: samples and seed leave the report as it is
+    reports = []
+    for samples, seed in ((10, 0), (10000, 7)):
+        path = write_config(tmp_path, {"version": 1, "preset": "heisenberg-sl",
+                                       "samples": samples, "seed": seed})
+        code, rep = run_config(path, "check-structure")
+        assert code == 0
+        assert rep.text[-1] == "antinorm axioms hold (exact certificate)"
+        reports.append({k: v for k, v in json.loads(rep.to_json()).items() if k != "seed"})
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("antinorm", [{"kind": "lorentz_sqrt", "form": [[1.0, 0.0], [0.0, -1.0]]},
+                                      {"kind": "min_of_linear", "family": [[1.0, 0.0]]}],
+                         ids=["lorentz_sqrt", "min_of_linear"])
+def test_check_structure_on_generators_of_1e308_warns_of_nothing(tmp_path, antinorm):
+    # the sampled axioms drew rows that overflowed, warned, and passed NaN
+    path = write_config(tmp_path, {
+        "version": 1, "antinorm": antinorm,
+        "cone": {"kind": "polyhedral", "generators": [[1e308, 5e307], [1e308, -5e307]]}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run_config(path, "check-structure")
+    assert code == 0 and rep.payload["antinorm_axioms_passed"]

@@ -918,3 +918,206 @@ def test_axiom_report_summary_strings(mink_cone, mink_nu):
     bad = check_antinorm_axioms(EuclideanNormCandidate(), mink_cone,
                                 sample_count=100, seed=0)
     assert "FAILED" in bad.summary()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_values_fail_the_sampled_axioms(mink_cone, bad):
+    # every comparison with NaN is False, so NaN rows passed every axiom
+    class Stub:
+        def values_on_cone(self, V):
+            vals = LorentzSqrt(MINK).values_on_cone(V)
+            return np.where(np.arange(len(vals)) % 3 == 0, bad, vals)
+
+    rep = check_antinorm_axioms(Stub(), mink_cone, sample_count=300, seed=0)
+    assert not rep.passed
+    assert rep.superadditivity_failures > 0 and rep.nonnegativity_failures > 0
+    assert "FAILED" in rep.summary()
+
+
+# ---------------------------------------------------------------------------
+# exact antinorm certificates
+# ---------------------------------------------------------------------------
+
+
+MINK3 = np.diag([1.0, -1.0, -1.0])
+
+
+def _confirmed(nu, cone, cert):
+    """The certificate's counterexample fails its axiom by evaluation, with
+    its points in the cone."""
+    ce = cert.counterexample
+    if ce["axiom"] == "nonnegativity":
+        return antinorm_eval(nu, cone, np.array(ce["xi"])) < 0.0
+    xi, zeta = np.array(ce["xi"]), np.array(ce["zeta"])
+    va, vb, vsum = antinorm_eval(nu, cone, np.array([xi, zeta, xi + zeta]))
+    return ce["axiom"] == "superadditivity" and min(va, vb) >= 0.0 and vsum < va + vb
+
+
+def _structures():
+    """Every antinorm and cone that the tests, verify and the benchmark
+    check the axioms of, the presets' included, and forms that break each
+    condition of ``LorentzSqrt.certify``."""
+    tilted = _tilted_lorentz_cones((3, 5))
+    gens = [[1.0, 0.2], [1.0, 1.0]]
+    return {
+        "minkowski": (LorentzSqrt(MINK), LorentzCone(MINK, [1.0, 0.0])),
+        "min-of-linear on minkowski": (MinOfLinear([[1, 1], [1, -1]]),
+                                       LorentzCone(MINK, [1.0, 0.0])),
+        "zero on minkowski": (ZeroAntinorm(), LorentzCone(MINK, [1.0, 0.0])),
+        "negative family": (MinOfLinear([[0.0, 1.0], [1.0, -2.0]]),
+                            PolyhedralCone([[1.0, 0.0], [1.0, 1.0]])),
+        "minkowski3": (LorentzSqrt(MINK3), LorentzCone(MINK3, [1.0, 0.0, 0.0])),
+        "bench polyhedral3": (MinOfLinear([[1.0, 0.5], [1.0, -0.5]]),
+                              PolyhedralCone([[1.0, 0.0], [1.0, 0.6], [1.0, -0.6]])),
+        "bench polyhedral2": (MinOfLinear([[1.0, 0.5], [1.0, -0.5]]),
+                              PolyhedralCone([[1.0, 1.0], [1.0, -1.0]])),
+        "hyperbolic preset": (LorentzSqrt([[-4.0, 0.0], [0.0, 1.0]]),
+                              LorentzCone([[-4.0, 0.0], [0.0, 1.0]], [0.0, 1.0])),
+        "linear image": (MinOfLinear([[1.0, 0.0]]),
+                         PolyhedralCone(gens).image([[3.0, 0.4], [0.5, 1.0]])),
+        "not pointed": (ZeroAntinorm(),
+                        PolyhedralCone([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])),
+        "tilted 3": (LorentzSqrt(tilted[3].form), tilted[3]),
+        "tilted 5": (LorentzSqrt(tilted[5].form), tilted[5]),
+        "minkowski on tilted 5": (LorentzSqrt(np.diag([1.0, -1, -1, -1, -1])), tilted[5]),
+        "minkowski on a square": (LorentzSqrt(MINK3), PolyhedralCone(
+            [[1.0, 0.5, 0.5], [1.0, -0.5, 0.5], [1.0, -0.5, -0.5], [1.0, 0.5, -0.5]])),
+        "minkowski on a wide square": (LorentzSqrt(MINK3), PolyhedralCone(
+            [[1.0, 0.9, 0.9], [1.0, -0.9, 0.9], [1.0, -0.9, -0.9], [1.0, 0.9, -0.9]])),
+        "rank one": (LorentzSqrt([[1.0, 1.0], [1.0, 1.0]]), LorentzCone(MINK, [1.0, 0.0])),
+        "y squared": (LorentzSqrt([[0.0, 0.0], [0.0, 1.0]]), LorentzCone(MINK, [1.0, 0.0])),
+        "past-facing form": (LorentzSqrt(-np.eye(3)), LorentzCone(MINK3, [1.0, 0.0, 0.0])),
+        "two positive eigenvalues": (LorentzSqrt(np.diag([1.0, 0.5, -1.0])),
+                                     LorentzCone(np.diag([1.0, -4.0, -4.0]), [1.0, 0, 0])),
+        "too narrow a form": (LorentzSqrt(np.diag([1.0, -4.0, -4.0])),
+                              LorentzCone(MINK3, [1.0, 0.0, 0.0])),
+    }
+
+
+@pytest.mark.parametrize("name", list(_structures()))
+def test_certificate_agrees_with_the_sampled_oracle(name):
+    nu, cone = _structures()[name]
+    cert = nu.certify(cone)
+    oracle = check_antinorm_axioms(nu, cone, sample_count=5000, seed=1)
+    assert cert.passed == oracle.passed
+    assert not cert.passed or cert.identically_zero == oracle.identically_zero
+    assert cert.passed or _confirmed(nu, cone, cert)
+
+
+def test_certificate_refuses_the_form_the_sampled_oracle_passes():
+    # B = diag(1, 1e-8, -1) has two positive eigenvalues: at (1, 0, 0) the
+    # direction e_1 raises q, and (1, +-0.4, 0) break superadditivity by
+    # 1.6e-9, which 10,000 sampled pairs never meet
+    nu = LorentzSqrt(np.diag([1.0, 1e-8, -1.0]))
+    cone = LorentzCone(np.diag([1.0, -4.0, -4.0]), [1.0, 0.0, 0.0])
+    assert check_antinorm_axioms(nu, cone).passed
+    cert = nu.certify(cone)
+    assert not cert.passed and _confirmed(nu, cone, cert)
+    assert cert.summary().startswith("antinorm axioms FAILED (superadditivity)")
+
+
+def test_certificate_draws_no_sample(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(LorentzCone, "sample", refuse)
+    monkeypatch.setattr(PolyhedralCone, "sample", refuse)
+    for nu, cone in _structures().values():
+        nu.certify(cone)
+
+
+def test_identically_zero_certificates():
+    mink3 = LorentzCone(MINK3, [1.0, 0.0, 0.0])
+    for nu in (ZeroAntinorm(), LorentzSqrt(np.diag([-1.0, 1.0, 1.0])),
+               MinOfLinear([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])):
+        cert = nu.certify(mink3)
+        assert cert.passed and cert.identically_zero
+        assert cert.summary() == "antinorm axioms hold (exact certificate) (identically zero)"
+    cert = LorentzSqrt(MINK3).certify(mink3)
+    assert cert.passed and not cert.identically_zero
+
+
+def test_kaplan_finds_a_timelike_point_that_no_generator_or_pair_has():
+    # three generators just outside the light cone, 120 degrees apart: each
+    # is spacelike for q = x^2 - y^2 - z^2, and so is every point between
+    # two of them, but their sum (3, 0, 0) is timelike, and the cone holds
+    # spacelike and timelike points: q takes both signs on it
+    phi = np.array([0.0, 2.0, 4.0]) * np.pi / 3
+    gens = np.column_stack([np.ones(3), 1.05 * np.cos(phi), 1.05 * np.sin(phi)])
+    cone, nu = PolyhedralCone(gens), LorentzSqrt(MINK3)
+    q = np.einsum("ij,jk,ik->i", gens, MINK3, gens)
+    assert np.all(q < 0.0)
+    witness = cone.form_witness(-MINK3)
+    assert witness is not None and witness @ MINK3 @ witness > 0.0
+    assert cone.contains(witness)
+    cert = nu.certify(cone)
+    assert not cert.passed and _confirmed(nu, cone, cert)
+    # with -q, every generator and pair already shows q < 0 nowhere above
+    hexagon = PolyhedralCone(np.column_stack([np.ones(6), np.cos(np.arange(6) * np.pi / 3),
+                                              np.sin(np.arange(6) * np.pi / 3)]))
+    assert LorentzSqrt(-MINK3).certify(hexagon).identically_zero
+
+
+def test_polyhedral_pairs_decide_one_nappe():
+    # each generator is timelike for q, but they lie in opposite nappes
+    cone = PolyhedralCone([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.1]])
+    assert cone.nappe_pair(MINK3) is not None
+    cert = LorentzSqrt(MINK3).certify(cone)
+    assert not cert.passed and _confirmed(LorentzSqrt(MINK3), cone, cert)
+
+
+def _section_minimum(cone, F, starts=12, seed=0):
+    """min F(v) / |v|^2 over v = W^-1 (1, y), |y| <= 1, of a Lorentz cone,
+    with y = z / sqrt(1 + |z|^2): BFGS from several random starts, an upper
+    bound of the minimum."""
+    Winv = cone._Winv
+
+    def f(z):
+        v = Winv @ np.concatenate([[1.0], z / np.sqrt(1.0 + z @ z)])
+        return v @ F @ v / (v @ v)
+
+    rng = np.random.default_rng(seed)
+    return min(minimize(f, rng.standard_normal(cone.dim - 1), method="BFGS").fun
+               for _ in range(starts))
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_s_lemma_matches_the_scipy_oracle(dim):
+    # the S-lemma's verdict on F >= 0 over the nappe, and its witness
+    cone = _tilted_lorentz_cones((3, 5))[dim]
+    rng = np.random.default_rng(dim)
+    shift = rng.standard_normal((dim, dim))
+    for F in (cone.form + 0.05 * (shift + shift.T), cone.form + 0.3 * (shift + shift.T)):
+        oracle = _section_minimum(cone, F)
+        witness = cone.form_witness(F)
+        if witness is None:
+            assert oracle >= -1e-9
+        else:
+            assert oracle < 0.0 and witness @ F @ witness < 0.0 and cone.contains(witness)
+    # the cone's own form is 0 on its light rays and nowhere negative
+    assert cone.form_witness(cone.form) is None and _section_minimum(cone, cone.form) > -1e-9
+    assert cone.form_witness(-cone.form) is not None
+
+
+def test_min_of_linear_certificate_names_the_least_ray():
+    # (0, 1) vanishes on (1, 0) and is negative on (1, -1): the first ray
+    # that offends is not the one that shows the failure
+    cone = PolyhedralCone([[1.0, 1.0], [1.0, 0.0], [1.0, -1.0]])
+    nu = MinOfLinear([[0.0, 1.0]])
+    assert cone.ray_minimum([0.0, 1.0])[1].tolist() == [1.0, 0.0]
+    least, ray = cone.ray_minimum([0.0, 1.0], least_ray=True)
+    assert np.allclose(ray, np.array([1.0, -1.0]) / np.sqrt(2))
+    cert = nu.certify(cone)
+    assert cert.counterexample["axiom"] == "nonnegativity" and _confirmed(nu, cone, cert)
+    assert cert.summary().startswith("antinorm axioms FAILED (nonnegativity)")
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e300])
+def test_certificates_are_scale_free(scale):
+    with np.errstate(all="raise"):
+        cone = LorentzCone(MINK3, [1.0, 0.0, 0.0])
+        assert LorentzSqrt(scale * MINK3).certify(cone).passed
+        poly = PolyhedralCone(scale * np.array([[1.0, 0.5], [1.0, -0.5]]))
+        assert LorentzSqrt(scale * np.array(MINK)).certify(poly).passed
+        assert MinOfLinear([[scale, 0.5 * scale]]).certify(poly).passed
+        assert not LorentzSqrt(scale * np.diag([1.0, 0.5, -1.0])).certify(cone).passed

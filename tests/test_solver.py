@@ -1151,3 +1151,55 @@ def test_reparametrized_solve_rejects_negative_gap(plane, mink_cone, mink_nu,
     rep = solve_longest_reparametrized(rest, form, light_opts)
     assert (rep.status, rep.objective, rep.endpoint_residual) == \
         (SolveStatus.SOLVED, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("x1", [[1e300, 3e299, 0.0], [1e200, 1e199, 0.0]])
+def test_far_reachable_endpoints_have_no_nan_bound(heis, mink_cone, mink_nu, x1):
+    # |x1| |x0| was inf * 0 = NaN, so the constant control's own endpoint was
+    # refused as unreachable; the bound and its slack are +inf now
+    with np.errstate(all="raise"):
+        _, _, _, half, slack = heis.staircase(mink_cone, np.zeros(3), x1)
+        assert half == np.inf and slack == np.inf
+        assert heis.admits_path(mink_cone, np.zeros(3), x1)
+    # the endpoint pass overflows at this scale: the solve ends unsolved,
+    # without a trajectory, and raises nothing
+    for nu, cone in ((mink_nu, mink_cone),
+                     (MinOfLinear([[1.0, 0.5], [1.0, -0.5]]),
+                      PolyhedralCone([[1.0, 1.0], [1.0, -1.0]]))):
+        with np.errstate(all="ignore"):
+            rep = solve_longest(make_prob(heis, cone, nu, np.zeros(3), x1, n=4),
+                                SolveOptions(restarts=3, max_iter=3, inner_iter=3))
+        assert rep.status == SolveStatus.MAX_ITERATIONS and rep.trajectory is None
+
+
+def test_staircase_slack_keeps_its_bits_in_range(heis, mink_cone):
+    x0, x1 = np.array([0.5, -0.3, 0.7]), np.array([3.0, 0.5, 0.2])
+    slack = heis.staircase(mink_cone, x0, x1)[4]
+    d = x1[:2] - x0[:2]
+    assert slack == 8e-12 * float(d @ d + 0.7 + 0.2
+                                  + np.linalg.norm(x0[:2]) * np.linalg.norm(x1[:2]))
+
+
+def test_residual_factor_reads_its_cache_once(heis):
+    # a thread that swaps the cached pair between two reads must not hand
+    # this call the other x1's factor
+    x1, other = np.array([3.0, 0.5, 0.2]), np.array([1.0, 2.0, 0.0])
+    fresh = -np.eye(3) + 0.5 * heis.algebra.ad(x1)
+
+    class Swapped(CarnotGroup):
+        reads = 0
+
+        @property
+        def _drho_dxi(self):
+            self.reads += 1
+            # the first read finds x1's pair, every later one another x1's
+            return ((x1.tobytes(), fresh) if self.reads == 1
+                    else (other.tobytes(), np.full((3, 3), np.nan)))
+
+        @_drho_dxi.setter
+        def _drho_dxi(self, pair):
+            pass
+
+    model = Swapped(heisenberg_algebra())
+    assert np.array_equal(model._residual_factor(x1), fresh)
+    assert model.reads == 1
