@@ -14,15 +14,6 @@ shape (n, d), and then answers row by row.  A polyhedral cone projects a
 whole stack at once with ``_nnls_rows``, Lawson and Hanson's active-set
 nonnegative least squares run on every row together; the same kernel
 decides pointedness and gives the time covector (``_least_distance``).
-
-When the unit generators are linearly independent and well conditioned
-(``_FaceStart``), a projection or membership test first names the face
-each row lands on: all generators, one alone, or none, each decided with
-a margin far above rounding.  A named row is solved once on that face and
-skips the iteration, as Van Benthem and Keenan's combinatorial NNLS
-(J. Chemometrics 18, 2004) skips it for a known passive set.  The bits are
-the cold start's, because the iteration's answer for a row is the masked
-Gram solve on the set it ends on, which is the named face.
 """
 
 from __future__ import annotations
@@ -42,6 +33,7 @@ NEG_INF = float("-inf")
 DEFAULT_TOL = 1e-9
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 #: how near, relative, a vector must lie to an extreme ray to count as on it:
 #: a few thousand ulp, the level of rounding.  Much looser would be wrong: a
@@ -286,69 +278,33 @@ def _invertible_map(map_matrix, dim: int) -> np.ndarray:
     return M
 
 
-def _nnls_rows(U: np.ndarray, V: np.ndarray, start=None) -> np.ndarray:
+def _nnls_rows(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Coefficients x >= 0 minimizing |x @ U - v| for each row v of V, (n, k),
     for unit generators U, (k, d).
 
     Lawson and Hanson's active-set iteration (Solving Least Squares Problems,
-    1974, ch. 23), run on all rows together (``_active_set``), then one
-    refining solve on the final passive sets, which restores the digits the
-    Gram system loses.
-
-    ``start`` is None or a pair (S, named) of an (n, k) and an (n,) bool
-    array from ``_FaceStart``: a named row's final passive set is its row
-    of S, known beforehand, and the other rows of S are empty.  Named rows
-    are solved once on that set and never enter the iteration; the others
-    start empty, as every row does without a start.  The result is bit for
-    bit the cold start's whenever each named set is the one the iteration
-    ends on, because a row's output depends on nothing but its final set P:
-    its coefficients are the ``np.linalg.solve`` of the Gram system masked
-    to P against ``where(P, V @ U.T, 0)`` (the iteration's last solve, one
-    LAPACK call per row of the batch), and the refining solve follows.
-    """
-    k = len(U)
-    eye = np.eye(k)
-    # the 10 k ulp on the diagonal keeps every masked system nonsingular
-    gram = U @ U.T + 10 * k * _EPS * eye
-    uv = V @ U.T
-    if start is None:
-        X, P = _active_set(U, V, uv, gram)
-    else:
-        P, named = start
-        M = np.where(P[:, :, None] & P[:, None, :], gram, eye)
-        X = np.linalg.solve(M, np.where(P, uv, 0.0)[..., None])[..., 0]
-        if not named.all():
-            rest, P = ~named, P.copy()
-            X[rest], P[rest] = _active_set(U, V[rest], uv[rest], gram)
-    M = np.where(P[:, :, None] & P[:, None, :], gram, eye)
-    r = np.where(P, (V - X @ U) @ U.T, 0.0)
-    return np.maximum(X + np.linalg.solve(M, r[..., None])[..., 0], 0.0)
-
-
-def _active_set(U: np.ndarray, V: np.ndarray, uv: np.ndarray, gram: np.ndarray):
-    """The coefficients X and passive sets P, (n, k) each, on which Lawson
-    and Hanson's iteration stops for the rows of V, (n, d), started from
-    empty sets; uv = V @ U.T, and gram the regularized Gram matrix.
-
-    Each row keeps its own passive set, and each step is one batched solve
-    of the Gram system masked to those sets; a row drops out when no
-    generator outside its set has a gradient above rounding, or when the
-    set spans R^d.  A generator enters only with a positive coefficient and
-    at a squared distance of at least 1e-10 from the span of the set (its
-    gradient over its coefficient), so one within about 1e-5 rad of that
-    span is refused and the projection can miss by that angle times |v|.
-    RuntimeError when a row needs more than 3k solves, the limit scipy's
-    nnls keeps.
+    1974, ch. 23), run on all rows together.  Each row keeps its own passive
+    set, and each step is one batched solve of the Gram system U U^T masked
+    to those sets; a row drops out when no generator outside its set has a
+    gradient above rounding, or when the set spans R^d.  A generator enters
+    only with a positive coefficient and at a squared distance of at least
+    1e-10 from the span of the set (its gradient over its coefficient), so
+    one within about 1e-5 rad of that span is refused and the projection
+    can miss by that angle times |v|.  One refining solve on the final sets
+    restores the digits the Gram system loses.  RuntimeError when a row
+    needs more than 3k solves, the limit scipy's nnls keeps.
     """
     n, d = V.shape
     k = len(U)
     eye = np.eye(k)
+    # the 10 k ulp on the diagonal keeps every masked system nonsingular
+    gram = U @ U.T + 10 * k * _EPS * eye
     X = np.zeros((n, k))
     P = np.zeros((n, k), dtype=bool)
     # the live rows: their index, data and iterate x, last solve s, passive
     # set p, generators refused since x last moved, and the generator that
     # entered at the last solve (-1 for none) with its gradient
-    idx, v, vnorm = np.arange(n), V, np.linalg.norm(V, axis=1)
+    idx, v, uv, vnorm = np.arange(n), V, V @ U.T, np.linalg.norm(V, axis=1)
     x, s = X.copy(), X.copy()
     p, refused = P.copy(), P.copy()
     entered, gain = np.full(n, -1), np.zeros(n)
@@ -403,65 +359,9 @@ def _active_set(U: np.ndarray, V: np.ndarray, uv: np.ndarray, gram: np.ndarray):
         solves += 1
         M = np.where(p[:, :, None] & p[:, None, :], gram, eye)
         s = np.linalg.solve(M, np.where(p, uv, 0.0)[..., None])[..., 0]
-    return X, P
-
-
-class _FaceStart:
-    """Names the face that each row of a stack lands on, the ``start`` of
-    ``_nnls_rows``, for unit generators U, (k, d), that admit one.
-
-    ``of(U)`` is None when U admits none: more generators than dimensions,
-    or a smallest singular value s below 1e-3, far above the span test at
-    which the iteration refuses a generator.  Otherwise a row v is named
-    when a margin delta |v| decides its face:
-    - every generator, when all coefficients of the unconstrained fit
-      exceed it;
-    - generator j alone, when its coefficient does and every other
-      generator's gradient at that point is below -delta |v|;
-    - none, when every u_i . v is below -delta |v|.
-    Each face's k tests are linear in v, so one product with ``tests``
-    takes them all.  The rest of the rows start empty.
-
-    Where the iteration stops on a set missing a generator whose
-    coefficient exceeds delta |v|, some missing gradient is at least
-    s^2 delta |v| (the Gram matrix's least eigenvalue times that
-    coefficient).  delta puts that 1e4 times above the iteration's
-    gradient tolerance, 10 max(d, k) ulp of |v| + sum x with
-    sum x <= sqrt(k) |v| / s, and so also above cond(gram) ulp and the
-    rounding of the gradients and of these tests.  The tests only decide;
-    the bits come from ``_nnls_rows``'s own solve on the named set.
-    """
-
-    def __init__(self, U: np.ndarray, margin: float) -> None:
-        k = len(U)
-        gram = U @ U.T
-        # the faces as rows: every generator, each one alone, none
-        self.faces = np.vstack([np.ones(k, dtype=bool), np.eye(k, dtype=bool),
-                                np.zeros(k, dtype=bool)])
-        tests = []
-        for F in self.faces:
-            fit = np.linalg.solve(gram[np.ix_(F, F)], U[F])
-            # the coefficients of the fit on F, and minus the gradients u_i . r
-            # off F at its residual r, all above delta |v|
-            tests += [fit, gram[np.ix_(~F, F)] @ fit - U[~F]]
-        self.tests = np.vstack(tests).T
-        self.margin = margin
-
-    @classmethod
-    def of(cls, U: np.ndarray) -> Optional["_FaceStart"]:
-        k, d = U.shape
-        if k == 0 or k > d:
-            return None
-        s = np.linalg.svd(U, compute_uv=False)[-1]
-        if not s >= 1e-3:
-            return None
-        return cls(U, 1e5 * max(d, k) * _EPS * (1.0 + np.sqrt(k) / s) / s ** 2)
-
-    def __call__(self, V: np.ndarray):
-        m = self.margin * np.linalg.norm(V, axis=1)
-        t = (V @ self.tests).reshape(len(V), *self.faces.shape)
-        ok = np.all(t > m[:, None, None], axis=2)
-        return ok @ self.faces, ok.any(axis=1)
+    M = np.where(P[:, :, None] & P[:, None, :], gram, eye)
+    r = np.where(P, (V - X @ U) @ U.T, 0.0)
+    return np.maximum(X + np.linalg.solve(M, r[..., None])[..., 0], 0.0)
 
 
 def _least_distance(U: np.ndarray):
@@ -486,7 +386,7 @@ def _scaled_rows(G: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     rows' ``np.linalg.norm`` neither overflows nor underflows."""
     with np.errstate(over="ignore", under="ignore"):
         sq = (G * G).sum(axis=1)
-    odd = ~((sq >= np.finfo(float).tiny) & (sq < np.inf)) & np.any(G != 0.0, axis=1)
+    odd = ~((sq >= _TINY) & (sq < np.inf)) & np.any(G != 0.0, axis=1)
     big = np.ones(len(G))
     big[odd] = np.abs(G[odd]).max(axis=1)
     return G / big[:, None], big
@@ -508,7 +408,7 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
 
 
 #: the least norm whose square is a normal float; a smaller one loses digits
-_TINY_NORM = float(np.sqrt(np.finfo(float).tiny))
+_TINY_NORM = float(np.sqrt(_TINY))
 
 
 def _at_scale(V: np.ndarray, nv=None):
@@ -551,7 +451,6 @@ class PolyhedralCone(Cone):
         self.dim = G.shape[1]
         self._nonzero = G[np.any(G != 0.0, axis=1)]
         self._unit = _unit_rows(self._nonzero)
-        self._start = _FaceStart.of(self._unit)
 
     def __repr__(self) -> str:
         return f"PolyhedralCone({self.generators.tolist()})"
@@ -563,7 +462,7 @@ class PolyhedralCone(Cone):
         # distance to the cone: nonnegative least squares on the coefficients
         # (0 for the zero vector)
         rows = V.reshape(-1, self.dim)
-        residual = np.linalg.norm(rows - self._coefficients(rows) @ self._unit, axis=1)
+        residual = np.linalg.norm(rows - _nnls_rows(self._unit, rows) @ self._unit, axis=1)
         return residual.reshape(nv.shape) <= tol * nv
 
     def is_pointed(self) -> bool:
@@ -576,13 +475,7 @@ class PolyhedralCone(Cone):
         if len(self._unit) == 0:
             return np.zeros(V.shape)
         rows = V.reshape(-1, self.dim)
-        return (self._coefficients(rows) @ self._unit).reshape(V.shape)
-
-    def _coefficients(self, rows: np.ndarray) -> np.ndarray:
-        """The NNLS coefficients of each row on the unit generators, each
-        row started on its named face when the generators admit one."""
-        start = None if self._start is None else self._start(rows)
-        return _nnls_rows(self._unit, rows, start)
+        return (_nnls_rows(self._unit, rows) @ self._unit).reshape(V.shape)
 
     def interior_direction(self) -> np.ndarray:
         if len(self._unit) == 0:
@@ -1028,16 +921,24 @@ class LorentzSqrt(Antinorm):
         # halved before the sum, which overflows for entries of 1e308
         self.form = 0.5 * A + 0.5 * A.T
         self.dim = A.shape[0]
+        # |v^T A v| <= dim max|A| |v|^2: a row whose squared norm falls below
+        # the least normal float has |q| below this cut
+        self._cut = 2.0 * self.dim * _TINY * np.abs(self.form).max(initial=1.0)
 
     def values_on_cone(self, V):
         # einsum, not the BLAS dot: it may use FMA, breaking the exact
         # cancellation on the light cone
         q = np.einsum("...i,ij,...j->...", V, self.form, V)
         vals = np.asarray(np.sqrt(np.maximum(q, 0.0)))
-        # a row whose q leaves the float range is measured at entries of at
-        # most 1 and scaled back; every other row keeps its bits
-        if not np.isfinite(q).all():
-            odd = ~np.isfinite(q)
+        # a nonzero row whose q leaves the float range, or whose squared norm
+        # falls below the least normal float (the test of ``_scaled_rows``),
+        # is measured at entries of at most 1 and scaled back; every other
+        # row keeps its bits.  Only a call with some |q| below the cut or not
+        # finite looks for such rows
+        aq = np.abs(q)
+        if not (aq.min(initial=np.inf) >= self._cut and aq.max(initial=0.0) < np.inf):
+            odd = ~(np.isfinite(q) & (np.einsum("...i,...i->...", V, V) >= _TINY))
+            odd &= np.any(V != 0.0, axis=-1)
             rows = V[odd]
             big = np.abs(rows).max(axis=1)
             W = rows / big[:, None]

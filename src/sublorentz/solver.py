@@ -49,9 +49,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .cones import (NEG_INF, RAY_TOL, Antinorm, Cone, _check_antinorm_dim,
-                    _check_cone_dim, _positive_count, _row_dots, _row_norms,
-                    antinorm_eval)
+from .cones import (NEG_INF, RAY_TOL, Antinorm, Cone, _check_cone_dim,
+                    _positive_count, _row_dots, _row_norms, antinorm_eval)
 from .dynamics import ControlSignal, Trajectory, integrate
 from .errors import NegativeAntinormError, WrongModelError
 from .groups import GroupModel
@@ -109,14 +108,14 @@ class ProblemInstance:
         _check_cone_dim(self.cone, self.model)
         if not self.cone.is_pointed():
             raise ValueError("cone must be pointed")
-        _check_antinorm_dim(self.nu, self.cone)
-        # a min of covectors is >= 0 when each is; the others clamp at 0
-        for c in getattr(self.nu, "family", ()):
-            least, ray = self.cone.ray_minimum(c)
-            if least < -1e-12 * _row_norms(c):
-                raise NegativeAntinormError(
-                    f"antinorm is negative on the cone: its covector {c.tolist()} "
-                    f"is {least:.6g} on the ray {ray.tolist()}")
+        # the exact certificate checks the antinorm's dim and decides its
+        # nonnegativity (``Antinorm.certify``)
+        cert = self.nu.certify(self.cone)
+        if not cert.passed and cert.counterexample["axiom"] == "nonnegativity":
+            raise NegativeAntinormError(
+                f"antinorm is negative on the cone: it is "
+                f"{cert.counterexample['nu(xi)']:.6g} on the ray "
+                f"{cert.counterexample['xi']}")
 
     @property
     def control_dim(self) -> int:
@@ -206,7 +205,13 @@ def _augmented_lagrangian_run(prob: ProblemInstance, u0: np.ndarray, horizon: fl
     h = horizon / n_seg
     axis = cone.interior_direction()
 
-    u = project(u0.copy())
+    try:
+        u = project(u0.copy())
+    except (ValueError, FloatingPointError):
+        # a random start that overflowed: the restart fails, as a raising
+        # trial is rejected
+        return _RunResult(u=u0, objective=NEG_INF, residual=np.inf, outer_iters=0,
+                          history=[], endpoint_evaluations=0, jacobian_evaluations=0)
     lam = None
     mu = PENALTY0
     prev_res = np.inf
@@ -450,12 +455,18 @@ def _starting_controls(prob: ProblemInstance, horizon: float,
     while len(starts) < max(1, opts.restarts):
         jitter = prob.cone.sample(n_seg, rng)
         mix = rng.uniform(0.2, 0.8)
-        cand = mix * base + (1 - mix) * jitter * (
-            size / max(np.linalg.norm(jitter, axis=1).mean(), 1e-9))
+        # a start that overflows fails its run (``_augmented_lagrangian_run``)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cand = mix * base + (1 - mix) * jitter * (
+                size / max(np.linalg.norm(jitter, axis=1).mean(), 1e-9))
         starts.append(cand)
     if unit_tau is not None:
         tau_c = _control_covector(prob.model, unit_tau)
-        starts = [_unit_tau_retract(prob.cone, tau_c, s) for s in starts]
+        for i, s in enumerate(starts):
+            try:
+                starts[i] = _unit_tau_retract(prob.cone, tau_c, s)
+            except ValueError:   # kept as drawn: its run fails on the same retraction
+                pass
     return starts
 
 

@@ -605,6 +605,20 @@ def test_solve_report_is_strict_json(tmp_path, override, objective):
         assert report["status"] == "ok"
 
 
+def test_solve_with_overflowing_starts_exits_one(tmp_path, capsys):
+    # the random starts toward (1e308, 0, 0) overflow: a traceback, no report
+    path = write_config(tmp_path, {
+        "version": 1, "preset": "heisenberg-sl",
+        "cone": {"kind": "polyhedral", "generators": [[1.0, 1.0], [1.0, -1.0]]},
+        "antinorm": {"kind": "min_of_linear", "family": [[1.0, 0.5], [1.0, -0.5]]},
+        "endpoints": {"x0": [0.0, 0.0, 0.0], "x1": [1e308, 0.0, 0.0]},
+        "solver": {"restarts": 8, "max_iter": 2}})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert _strict_report(tmp_path / "out")["solver_status"] == "max_iterations"
+    assert "max_iterations" in capsys.readouterr().out
+
+
 #: subcommand -> (exit, message) on generators of 1e300.  reach samples
 #: paths, and the flow overflows: a non-finite Heisenberg point, a hyperbolic
 #: point with y = 0.  check-timeform samples none: its exact growth check

@@ -125,6 +125,29 @@ def test_huge_timelike_displacement_is_answered_by_its_constant_control(
     assert rep.objective == pytest.approx(scale * np.sqrt(0.91), rel=1e-12)
 
 
+def test_endpoint_whose_squared_norm_underflows_has_its_length(plane, mink_cone,
+                                                               mink_nu):
+    # nu of the constant control underflowed: "solved: objective 0"
+    prob = make_prob(plane, mink_cone, mink_nu, np.zeros(2), [5e-200, 1e-200], n=4)
+    rep = solve_longest(prob)
+    assert rep.status == SolveStatus.SOLVED
+    assert rep.objective == 4.898979485566356e-200
+
+
+def test_a_start_that_overflows_fails_its_restart_not_the_solve(heis):
+    # random starts toward (1e308, 0, 0) overflow to inf; their projection
+    # raised ValueError out of the solve
+    prob = make_prob(heis, PolyhedralCone([[1.0, 1.0], [1.0, -1.0]]),
+                     MinOfLinear([[1.0, 0.5], [1.0, -0.5]]), np.zeros(3),
+                     [1e308, 0.0, 0.0], n=50)
+    opts = SolveOptions(restarts=8, max_iter=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert solve_longest(prob, opts).status == SolveStatus.MAX_ITERATIONS
+        rep = solve_longest_reparametrized(prob, LeftInvariantForm([1.0, 0.0, 0.0], heis),
+                                           opts)
+    assert rep.status == SolveStatus.MAX_ITERATIONS
+
+
 def test_controls_whose_sum_overflows_are_not_polished(plane, mink_cone):
     # the shift to the forced average was -inf, and the cone test raised
     u = np.full((4, 2), [1e308, 0.0])
