@@ -474,8 +474,10 @@ class PolyhedralCone(Cone):
         V = as_vectors(V, self.dim)
         if len(self._unit) == 0:
             return np.zeros(V.shape)
-        rows = V.reshape(-1, self.dim)
-        return (_nnls_rows(self._unit, rows) @ self._unit).reshape(V.shape)
+        # rows out of the normal range are fit scaled (``_scaled_rows``) and
+        # scaled back; the others divide and multiply by 1
+        rows, s = _scaled_rows(V.reshape(-1, self.dim))
+        return ((_nnls_rows(self._unit, rows) @ self._unit) * s[:, None]).reshape(V.shape)
 
     def interior_direction(self) -> np.ndarray:
         if len(self._unit) == 0:

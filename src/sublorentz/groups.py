@@ -1,5 +1,6 @@
-"""Computable group models: abelian R^n, the hyperbolic plane R x R_+, and
-Carnot groups in exponential coordinates.
+"""Computable group models: the hyperbolic plane R x R_+, and Carnot groups
+in exponential coordinates, abelian R^n among them as the Carnot group of
+step 1 (``AbelianGroup``), with no engine of its own.
 
 Carnot group elements are stored as Lie-algebra vectors (log coordinates);
 products go through the Baker-Campbell-Hausdorff series, which terminates
@@ -94,16 +95,15 @@ class CarnotAlgebra:
         if not np.allclose(t, -np.transpose(t, (1, 0, 2)), atol=1e-12):
             raise ValueError("structure table is not antisymmetric")
         lo = self.layer_of
-        for i in range(self.dim):
-            for j in range(self.dim):
-                nz = np.nonzero(np.abs(t[i, j]) > 1e-15)[0]
-                if len(nz) and np.any(lo[nz] != lo[i] + lo[j]):
-                    raise ValueError(
-                        f"grading violated: [e_{i}, e_{j}] leaves layer {lo[i] + lo[j]}")
-        # Jacobi on basis triples: [ei,[ej,ek]] + cyclic = 0
-        jac = (np.einsum("jkm,iml->ijkl", t, t)
-               + np.einsum("kim,jml->ijkl", t, t)
-               + np.einsum("ijm,kml->ijkl", t, t))
+        target = lo[:, None] + lo[None, :]
+        off_grade = (np.abs(t) > 1e-15) & (lo[None, None, :] != target[:, :, None])
+        if off_grade.any():
+            i, j = np.argwhere(off_grade)[0, :2]
+            raise ValueError(f"grading violated: [e_{i}, e_{j}] leaves layer {target[i, j]}")
+        # Jacobi on basis triples: [ei,[ej,ek]] + cyclic = 0, each term a
+        # transpose of tt[a, b, c, l] = sum_m t[a, b, m] t[c, m, l]
+        tt = np.tensordot(t, t, axes=([2], [1]))
+        jac = tt.transpose(2, 0, 1, 3) + tt.transpose(1, 2, 0, 3) + tt
         worst = np.max(np.abs(jac))
         if worst > 1e-12:
             raise ValueError(f"Jacobi identity fails on basis triples (max {worst:.3g})")
@@ -379,57 +379,6 @@ class GroupModel:
     def _residual(self, endpoint: np.ndarray, x1) -> np.ndarray:
         """log(endpoint^{-1} x1), row by row for a stack of endpoints."""
         raise NotImplementedError
-
-
-class AbelianGroup(GroupModel):
-    """R^n under addition."""
-
-    def __init__(self, dim: int) -> None:
-        if dim < 1:
-            raise ValueError("dim must be positive")
-        self.dim = int(dim)
-        self.point_dim = self.dim
-        self.control_dim = self.dim
-        self.structure_constants = np.zeros((self.dim,) * 3)
-
-    def __repr__(self) -> str:
-        return f"AbelianGroup(dim={self.dim})"
-
-    def identity(self):
-        return np.zeros(self.dim)
-
-    def multiply(self, p, q):
-        return self.validate_point(p) + self.validate_point(q)
-
-    def inverse(self, p):
-        return -self.validate_point(p)
-
-    def points(self, x0, u, h):
-        x0 = self.validate_point(x0)
-        u = self._controls(u)
-        seq = np.empty(u.shape[:-2] + (u.shape[-2] + 1, self.dim))
-        seq[..., 0, :] = x0
-        seq[..., 1:, :] = h * u
-        return seq.cumsum(axis=-2)
-
-    def log(self, p):
-        return self.validate_points(p)
-
-    def pullback(self, p, v):
-        self.validate_point(p)
-        return as_vectors(v, self.dim, "tangent vector").copy()
-
-    def forced_average(self, x0, x1, cone):
-        return self.log(self.multiply(self.inverse(x0), x1))
-
-    def endpoint_pass(self, x0, x1, u, horizon):
-        """The endpoint is a sum; the chain is the endpoint alone."""
-        endpoint = x0 + (horizon / u.shape[-2]) * u.sum(axis=-2)
-        return x1 - endpoint, endpoint, endpoint
-
-    def endpoint_jacobian(self, x0, x1, u, horizon, chain):
-        n_seg, m = u.shape
-        return np.broadcast_to(-(horizon / n_seg) * np.eye(m), (n_seg, m, m)).copy()
 
 
 #: Taylor coefficients of E(z) = (e^z - 1)/z and of E'(z), highest order
@@ -875,6 +824,21 @@ class CarnotGroup(GroupModel):
 
     def _residual(self, endpoint, x1):
         return bch_log_product(self.algebra, -endpoint, np.asarray(x1, dtype=float))
+
+
+class AbelianGroup(CarnotGroup):
+    """R^n under addition: the Carnot group of step 1, over the zero algebra
+    with the one layer R^n, so its points, endpoint map and Jacobian are
+    CarnotGroup's."""
+
+    def __init__(self, dim: int) -> None:
+        if dim < 1:
+            raise ValueError("dim must be positive")
+        self.dim = int(dim)
+        super().__init__(CarnotAlgebra.from_brackets((self.dim,), {}))
+
+    def __repr__(self) -> str:
+        return f"AbelianGroup(dim={self.dim})"
 
 
 # ---------------------------------------------------------------------------

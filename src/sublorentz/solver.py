@@ -710,7 +710,7 @@ def solve_longest_reparametrized(prob: ProblemInstance, form: TimeForm,
     """
     opts = opts or SolveOptions()
     s1 = potential(form, prob.x1) - potential(form, prob.x0)
-    if s1 <= 1e-12 and np.allclose(prob.x0, prob.x1, atol=1e-12):
+    if s1 <= 1e-12 and np.allclose(prob.x0, prob.x1, rtol=0.0, atol=1e-12):
         return SolveReport(status=SolveStatus.SOLVED, objective=0.0, control=None,
                            trajectory=None, endpoint_residual=0.0, iterations=0)
     if s1 <= 1e-12 or not prob.model.admits_path(prob.cone, prob.x0, prob.x1):

@@ -746,6 +746,20 @@ def test_lorentz_projection_of_huge_rows_is_finite(mink_cone):
     assert np.array_equal(P[2], mink_cone.project_batch(V[2:])[0])
 
 
+def test_polyhedral_projection_of_huge_rows_keeps_their_scale():
+    # a row whose norm overflowed projected to 0; it is now fit scaled and
+    # multiplied back, and a row of normal size keeps its bits
+    cone = PolyhedralCone([[1.0, 1.0], [1.0, -1.0]])
+    V = np.array([[1e300, 0.0], [1e308, 0.0], [-1e300, 5e299], [3.0, 1.0]])
+    P = cone.project_batch(V)
+    for row, scale in ((0, 1e300), (1, 1e308)):
+        np.testing.assert_allclose(P[row] / scale, cone.project_batch([1.0, 0.0]),
+                                   rtol=1e-15, atol=0.0)
+    assert P[0, 0] == 1e300 and 0.0 < P[0, 1] < 1e284
+    assert np.array_equal(P[2], [0.0, 0.0])    # in the polar cone
+    assert np.array_equal(P[3], cone.project_batch(V[3]))
+
+
 def test_lorentz_sqrt_of_a_form_of_1e308_is_finite():
     # 0.5 * (A + A.T) overflowed to inf - inf = NaN
     nu = LorentzSqrt([[1e308, 0.0], [0.0, -1e308]])

@@ -22,6 +22,7 @@ from sublorentz import (
 )
 from sublorentz import ControlSignal, integrate
 from sublorentz.groups import (
+    MAX_DIM,
     _hyperbolic_flow,
     _hyperbolic_step,
     _hyperbolic_log_jacobian,
@@ -219,6 +220,35 @@ def test_abelian_and_carnot_inverse(heis, rng):
     assert np.allclose(AbelianGroup(3).inverse([1, 2, 3]), [-1, -2, -3])
     p = rng.normal(size=3)
     assert np.allclose(heis.multiply(p, heis.inverse(p)), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_abelian_group_is_the_step_1_carnot_group(n, rng):
+    # R^n is the Carnot group over the zero algebra, with its engine
+    model = AbelianGroup(n)
+    carnot = CarnotGroup(CarnotAlgebra((n,), np.zeros((n,) * 3)))
+    assert isinstance(model, CarnotGroup) and model.algebra.layer_dims == (n,)
+    assert model.control_dim == model.point_dim == n
+    x0, x1 = rng.normal(size=(2, n))
+    u = rng.normal(size=(9, n))
+    assert _identical(model.points(x0, u, 0.1), carnot.points(x0, u, 0.1))
+    passes = model.endpoint_pass(x0, x1, u, 0.9), carnot.endpoint_pass(x0, x1, u, 0.9)
+    for ours, theirs in zip(*passes):
+        assert _identical(ours, theirs)
+    assert _identical(model.endpoint_jacobian(x0, x1, u, 0.9, passes[0][2]),
+                      carnot.endpoint_jacobian(x0, x1, u, 0.9, passes[1][2]))
+    # the residual is read off the last of the points integrate writes
+    rho, endpoint = passes[0][:2]
+    assert _identical(endpoint, model.points(x0, u, 0.1)[-1])
+    assert np.array_equal(rho, x1 - endpoint)
+
+
+def test_abelian_group_keeps_the_algebra_cap():
+    assert AbelianGroup(MAX_DIM).point_dim == MAX_DIM
+    with pytest.raises(ValueError, match=f"exceeds the cap MAX_DIM = {MAX_DIM}"):
+        AbelianGroup(MAX_DIM + 1)
+    with pytest.raises(ValueError, match="dim must be positive"):
+        AbelianGroup(0)
 
 
 @pytest.mark.parametrize("model", [AbelianGroup(3), HyperbolicPlane(),
@@ -451,8 +481,8 @@ def test_forward_flow_matches_the_full_flow(case, rng):
         assert _identical(model.points(x0, U, h), chain[..., :2])
 
 
-#: their endpoint maps take closed forms (sums, step-2 areas), not the chain
-CLOSED_FORMS = ("abelian", "heisenberg", "minkowski-area")
+#: their endpoint maps take closed forms (step-2 areas), not the chain
+CLOSED_FORMS = ("heisenberg", "minkowski-area")
 
 
 @pytest.mark.parametrize("case, full", [(c, False) for c in ENDPOINT_CASES]

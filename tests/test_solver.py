@@ -1151,6 +1151,22 @@ def test_reparametrized_solve_matches_minkowski(plane, mink_cone, mink_nu,
     assert rs.trajectory.horizon == pytest.approx(5.0)  # s1 = T(x1)
 
 
+@pytest.mark.parametrize("x0, x1", [
+    ([1e6, 1e6], [1e6, 1e6 + 5.0]),
+    ([1e6, 1e6, 1e6], [1e6, 1e6 + 3.0, 1e6 + 2.0]),
+], ids=["minkowski", "heisenberg"])
+def test_reparametrized_shortcut_takes_only_x0_equal_x1(x0, x1, mink_cone, mink_nu):
+    # a spacelike step of a few units at 1e6 passed allclose's default rtol
+    # as x0 = x1, and came back SOLVED with objective 0
+    model = AbelianGroup(2) if len(x0) == 2 else CarnotGroup(heisenberg_algebra())
+    form = LeftInvariantForm(np.eye(len(x0))[0], model)
+    for end, status in ((x1, SolveStatus.NO_ADMISSIBLE_PATH), (x0, SolveStatus.SOLVED)):
+        prob = make_prob(model, mink_cone, mink_nu, np.array(x0), np.array(end), n=30)
+        for rep in (solve_longest(prob), solve_longest_reparametrized(prob, form)):
+            assert rep.status == status
+            assert rep.objective == (0.0 if status == SolveStatus.SOLVED else NEG_INF)
+
+
 def test_reparametrized_solve_heisenberg(heis, mink_cone, mink_nu, light_opts):
     ends = reachability_sample(heis, mink_cone, np.zeros(3), 2, seed=21,
                                interior=True)
