@@ -205,15 +205,6 @@ def bch_jacobians(algebra: CarnotAlgebra, a, b) -> Tuple[np.ndarray, np.ndarray]
     return Da, Db
 
 
-def left_translation_jacobian(algebra: CarnotAlgebra, xi) -> np.ndarray:
-    """Chart matrix of d(L_p) at the identity, p = exp(xi): the chart velocity
-    of t -> p exp(t u) at t = 0 is this matrix applied to u."""
-    _check_step(algebra)
-    xi = as_vector(xi, algebra.dim)
-    A = algebra.ad(xi)
-    return np.eye(algebra.dim) + 0.5 * A + (A @ A) / 12.0
-
-
 # ---------------------------------------------------------------------------
 # Group models
 # ---------------------------------------------------------------------------
@@ -225,8 +216,9 @@ class GroupModel:
 
     Everything left-invariant is decided at the identity, so a model also
     supplies its Lie bracket there, the maps between identity tangents and
-    chart tangents, and the endpoint map of piecewise-constant controls,
-    alone or with its Jacobian.
+    chart tangents, and the endpoint map of piecewise-constant controls from
+    the identity to g = x0^-1 x1, alone or with its Jacobian: left
+    invariance makes it the problem from x0 to x1.
     """
 
     point_dim: int
@@ -303,15 +295,15 @@ class GroupModel:
         """Identity tangents whose left-translates at p have chart components v."""
         raise NotImplementedError
 
-    def forced_average(self, x0, x1, cone: Cone) -> Optional[np.ndarray]:
-        """Control average forced by the endpoints of a path admissible for
-        the cone, or None when the model pins none down."""
+    def forced_average(self, g, cone: Cone) -> Optional[np.ndarray]:
+        """Control average forced on a path admissible for the cone from the
+        identity to g = x0^-1 x1, or None when the model pins none down."""
         return None
 
     def admits_path(self, cone: Cone, x0, x1) -> bool:
         """False when a certificate rules out every cone-admissible path from
         x0 to x1: here, a forced control average outside the cone."""
-        target = self.forced_average(x0, x1, cone)
+        target = self.forced_average(self.multiply(self.inverse(x0), x1), cone)
         return target is None or cone.contains(target, 1e-9)
 
     def staircase(self, cone: Cone, x0, x1) -> Optional[tuple]:
@@ -322,33 +314,34 @@ class GroupModel:
     def coordinate_names(self) -> list:
         return [f"x{i}" for i in range(self.point_dim)]
 
-    def endpoint_residual(self, x0, x1, u: np.ndarray, horizon: float
+    def endpoint_residual(self, g, u: np.ndarray, horizon: float
                           ) -> Tuple[np.ndarray, np.ndarray]:
-        """Residual rho = log(endpoint^{-1} x1) and the endpoint of the
-        piecewise-constant control u (N, m), or of each control of a stack
-        (K, N, m): the forward pass of endpoint_map, without its Jacobian."""
-        return self.endpoint_pass(x0, x1, u, horizon)[:2]
+        """Residual rho = log(endpoint^{-1} g) and the endpoint of the
+        piecewise-constant control u (N, m) from the identity, or of each
+        control of a stack (K, N, m): the forward pass of endpoint_map,
+        without its Jacobian."""
+        return self.endpoint_pass(g, u, horizon)[:2]
 
-    def endpoint_pass(self, x0, x1, u: np.ndarray, horizon: float
+    def endpoint_pass(self, g, u: np.ndarray, horizon: float
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The forward pass of a control or of a stack of controls: (rho,
-        endpoint, chain), where ``chain`` holds what endpoint_jacobian takes
-        from the pass, indexed by the stack's leading axes: here the points;
-        the hyperbolic plane adds its flow's exponentials, and step-2 Carnot
-        groups keep first layers only.  A stack with a bad row raises what
-        that row raises alone."""
-        points = self.points(x0, u, horizon / u.shape[-2])
-        return self._residual(points[..., -1, :], x1), points[..., -1, :], points
+        """The forward pass from the identity of a control or of a stack of
+        controls: (rho, endpoint, chain), where ``chain`` holds what
+        endpoint_jacobian takes from the pass, indexed by the stack's
+        leading axes: here the points; the hyperbolic plane adds its flow's
+        exponentials, and step-2 Carnot groups keep first layers only.  A
+        stack with a bad row raises what that row raises alone."""
+        points = self.points(self.identity(), u, horizon / u.shape[-2])
+        return self._residual(points[..., -1, :], g), points[..., -1, :], points
 
-    def endpoint_jacobian(self, x0, x1, u: np.ndarray, horizon: float,
+    def endpoint_jacobian(self, g, u: np.ndarray, horizon: float,
                           chain: np.ndarray) -> np.ndarray:
         """d rho / d u_k of one control, (N, res_dim, control_dim), from the
-        chain of its forward pass.  The reverse sweep stacks the suffix
-        products S_k = S_{k+1} Dp_k, right to left from the residual's
-        Jacobian S_N, one dgemm each on rows of the stacks, and J_k =
-        S_{k+1} Du_k is one batched matmul."""
+        chain of its forward pass from the identity.  The reverse sweep
+        stacks the suffix products S_k = S_{k+1} Dp_k, right to left from
+        the residual's Jacobian S_N, one dgemm each on rows of the stacks,
+        and J_k = S_{k+1} Du_k is one batched matmul."""
         n_seg = u.shape[0]
-        Dp, Du, S_end = self._chain_jacobians(chain, u, horizon / n_seg, x1)
+        Dp, Du, S_end = self._chain_jacobians(chain, u, horizon / n_seg, g)
         S = np.empty((n_seg + 1,) + S_end.shape)
         S[n_seg] = S_end
         # np.dot of 2-D float64 rows is the dgemm that matmul calls, without
@@ -358,26 +351,27 @@ class GroupModel:
             np.dot(Sv[k + 1], Dv[k], out=Sv[k])
         return S[1:] @ Du
 
-    def endpoint_map(self, x0, x1, u: np.ndarray, horizon: float
+    def endpoint_map(self, g, u: np.ndarray, horizon: float
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Residual rho = log(endpoint^{-1} x1) plus d rho / d u_k, analytically.
+        """Residual rho = log(endpoint^{-1} g) plus d rho / d u_k,
+        analytically, for the control u from the identity.
 
         Returns (rho, J, endpoint) with J of shape (N, res_dim, control_dim):
         the forward pass, then its Jacobian stage.
         """
-        rho, endpoint, chain = self.endpoint_pass(x0, x1, u, horizon)
-        return rho, self.endpoint_jacobian(x0, x1, u, horizon, chain), endpoint
+        rho, endpoint, chain = self.endpoint_pass(g, u, horizon)
+        return rho, self.endpoint_jacobian(g, u, horizon, chain), endpoint
 
-    def _chain_jacobians(self, chain: np.ndarray, u: np.ndarray, h: float, x1
+    def _chain_jacobians(self, chain: np.ndarray, u: np.ndarray, h: float, g
                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """From the chain of one control's forward pass: the Jacobians of
         p_k exp(h u_k) in p_k and in u_k, stacked over the segments,
         (N, point_dim, point_dim) and (N, point_dim, control_dim); then the
-        Jacobian of log(endpoint^{-1} x1) in the endpoint."""
+        Jacobian of log(endpoint^{-1} g) in the endpoint."""
         raise NotImplementedError
 
-    def _residual(self, endpoint: np.ndarray, x1) -> np.ndarray:
-        """log(endpoint^{-1} x1), row by row for a stack of endpoints."""
+    def _residual(self, endpoint: np.ndarray, g) -> np.ndarray:
+        """log(endpoint^{-1} g), row by row for a stack of endpoints."""
         raise NotImplementedError
 
 
@@ -519,13 +513,12 @@ class HyperbolicPlane(GroupModel):
         w = self.multiply(self.inverse(x0), x1)
         return cone.contains(w - self.identity(), 1e-9)
 
-    def forced_average(self, x0, x1, cone):
-        """log(w), w = x0^-1 x1, when w - e spans an extreme ray of the
-        cone: every segment of an admissible path then moves along that ray
-        (admits_path), so the path runs on one one-parameter subgroup, and
-        its control average is log(w)."""
-        w = self.multiply(self.inverse(x0), x1)
-        return self.log(w) if cone.on_extreme_ray(w - self.identity()) else None
+    def forced_average(self, g, cone):
+        """log(g) when g - e spans an extreme ray of the cone: every segment
+        of an admissible path then moves along that ray (admits_path), so
+        the path runs on one one-parameter subgroup, and its control average
+        is log(g)."""
+        return self.log(g) if cone.on_extreme_ray(g - self.identity()) else None
 
     def coordinate_names(self):
         return ["x", "y"]
@@ -551,13 +544,13 @@ class HyperbolicPlane(GroupModel):
         np.add.accumulate(x, axis=-1, out=x)
         return chain
 
-    def endpoint_pass(self, x0, x1, u, horizon):
+    def endpoint_pass(self, g, u, horizon):
         """The chain holds (x_k, y_k, f_k) per point; see _chain."""
-        chain = self._chain(x0, u, horizon / u.shape[-2])
+        chain = self._chain(self.identity(), u, horizon / u.shape[-2])
         endpoint = chain[..., -1, :2]
-        return self._residual(endpoint, x1), endpoint, chain
+        return self._residual(endpoint, g), endpoint, chain
 
-    def _chain_jacobians(self, chain, u, h, x1):
+    def _chain_jacobians(self, chain, u, h, g):
         X, Y, dXa, dXb, dYb = _hyperbolic_flow(u[:, 0], u[:, 1], h, chain[1:, 2])
         # [[1, X], [0, Y]] and y_k [[dXa, dXb], [0, dYb]], filled in place
         Dp, Du = np.zeros((2, u.shape[0], 2, 2))
@@ -566,20 +559,20 @@ class HyperbolicPlane(GroupModel):
         Du[:, 0, 0], Du[:, 0, 1], Du[:, 1, 1] = dXa, dXb, dYb
         Du *= chain[:-1, 1, None, None]
         ex, ey = endpoint = chain[-1, :2]
-        dw_dE = np.array([[-1.0 / ey, -(x1[0] - ex) / ey ** 2],
-                          [0.0, -x1[1] / ey ** 2]])
-        return Dp, Du, _hyperbolic_log_jacobian(self._offset(endpoint, x1)) @ dw_dE
+        dw_dE = np.array([[-1.0 / ey, -(g[0] - ex) / ey ** 2],
+                          [0.0, -g[1] / ey ** 2]])
+        return Dp, Du, _hyperbolic_log_jacobian(self._offset(endpoint, g)) @ dw_dE
 
     @staticmethod
-    def _offset(endpoint, x1) -> np.ndarray:
-        """endpoint^{-1} x1, row by row for a stack of endpoints."""
+    def _offset(endpoint, g) -> np.ndarray:
+        """endpoint^{-1} g, row by row for a stack of endpoints."""
         out = np.empty(np.shape(endpoint))
-        out[..., 0] = (x1[0] - endpoint[..., 0]) / endpoint[..., 1]
-        out[..., 1] = x1[1] / endpoint[..., 1]
+        out[..., 0] = (g[0] - endpoint[..., 0]) / endpoint[..., 1]
+        out[..., 1] = g[1] / endpoint[..., 1]
         return out
 
-    def _residual(self, endpoint, x1):
-        return self.log(self._offset(endpoint, x1))
+    def _residual(self, endpoint, g):
+        return self.log(self._offset(endpoint, g))
 
 
 def _product(a: float, b: float) -> float:
@@ -598,7 +591,7 @@ class CarnotGroup(GroupModel):
         self.control_dim = algebra.layer_dims[0]
         self.structure_constants = algebra.table
         self._first_layer = np.eye(self.point_dim, self.control_dim)
-        # the step-2 residual's Jacobian in the endpoint, with the x1 it is for
+        # the step-2 residual's Jacobian in the endpoint, with the g it is for
         self._drho_dxi = (None, None)
 
     def __repr__(self) -> str:
@@ -629,10 +622,10 @@ class CarnotGroup(GroupModel):
     def pullback(self, p, v):
         p = self.validate_point(p)
         v = as_vectors(v, self.point_dim, "tangent vector")
-        return np.linalg.solve(left_translation_jacobian(self.algebra, p), v.T).T
+        return np.linalg.solve(bch_jacobians(self.algebra, p, self.identity())[1], v.T).T
 
-    def forced_average(self, x0, x1, cone):
-        return self.log(self.multiply(self.inverse(x0), x1))[:self.control_dim]
+    def forced_average(self, g, cone):
+        return self.log(g)[:self.control_dim]
 
     @cached_property
     def area_rank(self) -> Optional[int]:
@@ -689,18 +682,18 @@ class CarnotGroup(GroupModel):
             return 8.0 * RAY_TOL * float(d @ d + abs(x0[2]) + abs(x1[2]) + _product(
                 np.linalg.norm(x0[:2]), np.linalg.norm(x1[:2])))
 
-    def endpoint_pass(self, x0, x1, u, horizon):
+    def endpoint_pass(self, g, u, horizon):
         if self.algebra.step != 2:
-            return super().endpoint_pass(x0, x1, u, horizon)
-        return self._area_chain(x0, x1, u, horizon)
+            return super().endpoint_pass(g, u, horizon)
+        return self._area_chain(g, u, horizon)
 
-    def endpoint_jacobian(self, x0, x1, u, horizon, chain):
+    def endpoint_jacobian(self, g, u, horizon, chain):
         """Step 2 in closed form from the first layers P_k of the pass's
         points; other steps sweep the exact BCH Jacobians of the chain's
         segments."""
         alg = self.algebra
         if alg.step != 2:
-            return super().endpoint_jacobian(x0, x1, u, horizon, chain)
+            return super().endpoint_jacobian(g, u, horizon, chain)
         n_seg = u.shape[0]
         h = horizon / n_seg
         n = alg.dim
@@ -713,40 +706,38 @@ class CarnotGroup(GroupModel):
         DxiE = np.zeros((n_seg, n, m1))
         DxiE[:, :m1, :] = h * self._first_layer[:m1]
         DxiE[:, m1:, :] = 0.5 * h * np.einsum("ijk,ti->tkj", T12, W)
-        return np.einsum("ab,tbc->tac", self._residual_factor(x1), DxiE)
+        return np.einsum("ab,tbc->tac", self._residual_factor(g), DxiE)
 
-    def _residual_factor(self, x1) -> np.ndarray:
-        """d rho / d xiE = -I + ad(x1)/2 at step 2, built once for each x1
-        in turn: a solve asks for it at every accepted trial."""
-        x1 = np.asarray(x1, dtype=float)
-        key = x1.tobytes()
+    def _residual_factor(self, g) -> np.ndarray:
+        """d rho / d xiE = -I + ad(g)/2 at step 2, built once for each g in
+        turn: a solve asks for it at every accepted trial."""
+        g = np.asarray(g, dtype=float)
+        key = g.tobytes()
         # one read of the cached pair: a thread may swap it between two
         cached = self._drho_dxi
         if cached[0] != key:
-            cached = (key, -np.eye(self.point_dim) + 0.5 * self.algebra.ad(x1))
+            cached = (key, -np.eye(self.point_dim) + 0.5 * self.algebra.ad(g))
             self._drho_dxi = cached
         return cached[1]
 
-    def _area_chain(self, x0, x1, u, horizon):
-        """Step 2 in closed form, for a control or a stack of them: rho, the
-        endpoint and the first layers P_k of the points before each segment,
-        which the Jacobian reuses."""
+    def _area_chain(self, g, u, horizon):
+        """Step 2 in closed form from the identity, for a control or a stack
+        of them: rho, the endpoint and the first layers P_k of the points
+        before each segment, which the Jacobian reuses."""
         alg = self.algebra
         h = horizon / u.shape[-2]
         m1 = alg.layer_dims[0]
-        xi0 = np.asarray(x0, dtype=float)
-        eta = np.asarray(x1, dtype=float)
+        g = np.asarray(g, dtype=float)
         csum = np.cumsum(u, axis=-2)
-        before = np.concatenate([np.zeros(csum.shape[:-2] + (1, m1)), csum[..., :-1, :]],
-                                axis=-2) * h  # sum h u_j, j < k
-        P = xi0[:m1] + before
-        first = xi0[:m1] + h * csum[..., -1, :]
+        P = np.concatenate([np.zeros(csum.shape[:-2] + (1, m1)), csum[..., :-1, :]],
+                           axis=-2) * h  # sum h u_j, j < k
+        first = h * csum[..., -1, :]
         # bracket of first-layer vectors, landing in the second layer
         T12 = alg.table[:m1, :m1, m1:]
-        second = xi0[m1:] + 0.5 * h * np.einsum("ijk,...ti,...tj->...k", T12, P, u)
+        second = 0.5 * h * np.einsum("ijk,...ti,...tj->...k", T12, P, u)
         xiE = np.concatenate([first, second], axis=-1)
-        # rho = bch(-xiE, eta) at step 2
-        rho = eta - xiE - 0.5 * alg.bracket(xiE, eta)
+        # rho = bch(-xiE, g) at step 2
+        rho = g - xiE - 0.5 * alg.bracket(xiE, g)
         return rho, xiE, P
 
     def points(self, x0, u, h):
@@ -813,17 +804,17 @@ class CarnotGroup(GroupModel):
         P[..., 1:, :self.control_dim] += 0.0
         return P
 
-    def _chain_jacobians(self, points, u, h, x1):
-        # the segment pairs (p_k, h u_k) and the residual pair (-p_N, x1) in
+    def _chain_jacobians(self, points, u, h, g):
+        # the segment pairs (p_k, h u_k) and the residual pair (-p_N, g) in
         # one call
         Da, Db = bch_jacobians(
             self.algebra, np.concatenate([points[:-1], -points[-1:]]),
             np.concatenate([h * self.embed_control(u),
-                            np.asarray(x1, dtype=float)[None]]))
+                            np.asarray(g, dtype=float)[None]]))
         return Da[:-1], Db[:-1] @ (h * self._first_layer), -Da[-1]
 
-    def _residual(self, endpoint, x1):
-        return bch_log_product(self.algebra, -endpoint, np.asarray(x1, dtype=float))
+    def _residual(self, endpoint, g):
+        return bch_log_product(self.algebra, -endpoint, np.asarray(g, dtype=float))
 
 
 class AbelianGroup(CarnotGroup):

@@ -13,7 +13,7 @@ the constant control at v (projected onto the cone, as every iterate is)
 meets the endpoint within tol it attains that bound, and the solve returns
 it after one endpoint evaluation.  When it does not, and v is the apex or
 spans an extreme ray of the cone, every control with that average is
-parallel to v and ends at x0 exp(v), so no admissible path exists; the
+parallel to v and ends at exp(v), so no admissible path exists; the
 refusal waits for a residual beyond what the ray tolerance lets a reachable
 endpoint miss by.  On the Heisenberg group with a planar cone the reachable
 set is known in closed form (``CarnotGroup.admits_path``): an endpoint
@@ -55,7 +55,7 @@ from .dynamics import ControlSignal, Trajectory, integrate
 from .errors import NegativeAntinormError, WrongModelError
 from .groups import GroupModel
 from .groups import bch_log_product  # noqa: F401 (the bench tracer test asserts it)
-from .timeform import TimeForm, potential, section_sup_norm
+from .timeform import TimeForm, _control_covector, potential, section_sup_norm
 
 
 #: initial augmented-Lagrangian penalty weight
@@ -87,7 +87,9 @@ class SolveOptions:
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """Fixed-endpoint longest-path problem on the unit time horizon."""
+    """Fixed-endpoint longest-path problem on the unit time horizon.  By
+    left invariance it is the problem from the identity to ``g`` = x0^-1 x1,
+    which the solver solves."""
 
     model: GroupModel
     cone: Cone
@@ -95,14 +97,17 @@ class ProblemInstance:
     x0: np.ndarray
     x1: np.ndarray
     segments: int = 50
+    g: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x0", self.model.validate_point(self.x0))
         object.__setattr__(self, "x1", self.model.validate_point(self.x1))
         with np.errstate(over="ignore", invalid="ignore"):
-            step = self.model.multiply(self.model.inverse(self.x0), self.x1)
-        if not np.all(np.isfinite(step)):
-            raise ValueError(f"x0^-1 x1 = {step.tolist()} leaves the float range")
+            g = self.model.multiply(self.model.inverse(self.x0), self.x1)
+        # non-finite, or off the hyperbolic plane by underflow
+        if not self.model._inside(g[None])[0]:
+            raise ValueError(f"x0^-1 x1 = {g.tolist()} leaves the float range")
+        object.__setattr__(self, "g", g)
         if self.segments < 1:
             raise ValueError("need at least one segment")
         _check_cone_dim(self.cone, self.model)
@@ -145,11 +150,6 @@ class SolveReport:
                 f"{self.iterations} outer iteration(s)")
 
 
-def _displacement_log(model: GroupModel, x0, x1) -> np.ndarray:
-    """log(x0^{-1} x1) in chart coordinates."""
-    return model.log(model.multiply(model.inverse(x0), x1))
-
-
 # ---------------------------------------------------------------------------
 # The augmented-Lagrangian core
 # ---------------------------------------------------------------------------
@@ -170,15 +170,15 @@ def _objective(nu: Antinorm, u: np.ndarray, h: float) -> float:
     return float(h * nu.values_on_cone(u).sum())
 
 
-def _polish_average(model: GroupModel, cone: Cone, x0, x1,
-                    u: np.ndarray, horizon: float) -> np.ndarray:
+def _polish_average(model: GroupModel, cone: Cone, g, u: np.ndarray,
+                    horizon: float) -> np.ndarray:
     """Shift all segments by a constant so the control average exactly matches
     the displacement the endpoints force (abelian and Carnot first layer).
 
     Keeps the superadditivity bound sharp in reports; reverted when the shift
     would push a segment out of the cone.
     """
-    target = model.forced_average(x0, x1, cone)
+    target = model.forced_average(g, cone)
     if target is None:
         return u
     h = horizon / u.shape[0]
@@ -200,7 +200,7 @@ def _augmented_lagrangian_run(prob: ProblemInstance, u0: np.ndarray, horizon: fl
     each chunk of line-search trials as a request (u, grad, steps) and is
     sent the chunk's stacked pass (``_trial_pass``), or None when that pass
     raised."""
-    model, cone, nu, x0, x1 = prob.model, prob.cone, prob.nu, prob.x0, prob.x1
+    model, cone, nu, g = prob.model, prob.cone, prob.nu, prob.g
     n_seg = u0.shape[0]
     h = horizon / n_seg
     axis = cone.interior_direction()
@@ -227,7 +227,7 @@ def _augmented_lagrangian_run(prob: ProblemInstance, u0: np.ndarray, horizon: fl
 
     def residual(uu):
         counts["endpoint"] += 1
-        return model.endpoint_residual(x0, x1, uu, horizon)[0]
+        return model.endpoint_residual(g, uu, horizon)[0]
 
     def penalties(rho):
         # 0.5 * mu * rho @ rho, plus lam @ rho, for rho or for each row
@@ -241,7 +241,7 @@ def _augmented_lagrangian_run(prob: ProblemInstance, u0: np.ndarray, horizon: fl
         counts["jacobian"] += 1
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                J = model.endpoint_jacobian(x0, x1, uu, horizon, chain)
+                J = model.endpoint_jacobian(g, uu, horizon, chain)
         except (ValueError, FloatingPointError):
             return None
         return J if np.all(np.isfinite(J)) else None
@@ -251,7 +251,7 @@ def _augmented_lagrangian_run(prob: ProblemInstance, u0: np.ndarray, horizon: fl
         # pass raises
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                rho, _, chain = model.endpoint_pass(x0, x1, uu, horizon)
+                rho, _, chain = model.endpoint_pass(g, uu, horizon)
         except (ValueError, FloatingPointError):
             counts["endpoint"] += 1
             counts["jacobian"] += 1
@@ -345,7 +345,7 @@ def _augmented_lagrangian_run(prob: ProblemInstance, u0: np.ndarray, horizon: fl
         res = float(np.linalg.norm(rho))
         history.append(_objective(nu, u, h))
         if res <= opts.tol:
-            polished = _polish_average(model, cone, x0, x1, u, horizon)
+            polished = _polish_average(model, cone, g, u, horizon)
             rho_p = residual(polished)
             if np.linalg.norm(rho_p) <= opts.tol:
                 u = polished
@@ -359,7 +359,7 @@ def _augmented_lagrangian_run(prob: ProblemInstance, u0: np.ndarray, horizon: fl
             mu = min(mu * 2.0, 1e12)
         prev_res = res
 
-    u = _polish_average(model, cone, x0, x1, u, horizon)
+    u = _polish_average(model, cone, g, u, horizon)
     rho = residual(u)
     return _RunResult(u=u, objective=_objective(nu, u, h),
                       residual=float(np.linalg.norm(rho)),
@@ -377,7 +377,7 @@ def _trial_pass(prob: ProblemInstance, horizon: float, project, requests):
         stack = [u + steps[:, None, None] * grad for u, grad, steps in requests]
         stack = stack[0] if len(stack) == 1 else np.concatenate(stack)
         trials = project(stack.reshape(-1, stack.shape[-1])).reshape(stack.shape)
-        rho, _, chain = prob.model.endpoint_pass(prob.x0, prob.x1, trials, horizon)
+        rho, _, chain = prob.model.endpoint_pass(prob.g, trials, horizon)
         values = prob.nu.values_on_cone(trials)
     if len(requests) == 1:
         return [(trials, rho, chain, values)]
@@ -443,9 +443,9 @@ def _starting_controls(prob: ProblemInstance, horizon: float,
     rng = np.random.default_rng(opts.seed)
     n_seg, m = prob.segments, prob.control_dim
     starts: List[np.ndarray] = []
-    target = prob.model.forced_average(prob.x0, prob.x1, prob.cone)
+    target = prob.model.forced_average(prob.g, prob.cone)
     if target is None:
-        target = _displacement_log(prob.model, prob.x0, prob.x1)
+        target = prob.model.log(prob.g)
     base = np.tile(target / horizon, (n_seg, 1))
     starts.append(base)
     with np.errstate(over="ignore"):
@@ -468,11 +468,6 @@ def _starting_controls(prob: ProblemInstance, horizon: float,
             except ValueError:   # kept as drawn: its run fails on the same retraction
                 pass
     return starts
-
-
-def _control_covector(model: GroupModel, form: TimeForm) -> np.ndarray:
-    """tau at the identity as a covector on the control space."""
-    return form.value_at_identity(model.embed_control(np.eye(model.control_dim)))
 
 
 def _unit_tau_retract(cone: Cone, tau_c: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -529,12 +524,12 @@ def _certified(prob: ProblemInstance, horizon: float, opts: SolveOptions,
     tol, it is the answer.  Otherwise, when v is the apex or spans an
     extreme ray and the residual exceeds tol by more than ``_ray_slack``,
     no admissible path exists: every control with that average is parallel
-    to v, and so ends at x0 exp(v).  Otherwise, on the Heisenberg group
+    to v, and so ends at exp(v).  Otherwise, on the Heisenberg group
     with a cone of two edge rays and without tau_c, the paths of
     ``_reachable_set_paths`` come next, each answering when its one
     residual is within tol.  A check that decides nothing, or whose
     endpoint pass raises, leaves no trace in the solve's report."""
-    v = prob.model.forced_average(prob.x0, prob.x1, prob.cone)
+    v = prob.model.forced_average(prob.g, prob.cone)
     if v is None:
         return None
     # admits_path lets v leave the cone by 1e-9 relative; its control may not
@@ -566,7 +561,7 @@ def _residual_norm(prob: ProblemInstance, u: np.ndarray, horizon: float
     raises."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            rho = prob.model.endpoint_residual(prob.x0, prob.x1, u, horizon)[0]
+            rho = prob.model.endpoint_residual(prob.g, u, horizon)[0]
         except (ValueError, FloatingPointError):
             return None
     return float(np.linalg.norm(rho))
@@ -655,7 +650,7 @@ def _three_piece(edges: np.ndarray, ab: np.ndarray, z: float, n_seg: int,
 
 
 def _ray_slack(model: GroupModel, v: np.ndarray) -> float:
-    """How far a reachable endpoint may lie from x0 exp(v) when v is only
+    """How far a reachable endpoint may lie from exp(v) when v is only
     within RAY_TOL of an extreme ray, plus the constant control's rounding.
     Controls with such an average spread by about RAY_TOL |v| across the
     ray, and bracket that spread into layer s by about c^(s-1) |v|^s
@@ -700,8 +695,9 @@ def solve_longest_reparametrized(prob: ProblemInstance, form: TimeForm,
                                  ) -> SolveReport:
     """Solve the fixed-horizon unit-tau-speed formulation of the same problem.
 
-    The horizon s1 = T(x1) - T(x0) is forced by the potential of the exact
-    form; controls are retracted onto the unit-time slice of the cone.
+    The horizon s1 = T(x1) - T(x0) = T(x0^-1 x1) is forced by the
+    potential of the exact left-invariant form; controls are retracted onto
+    the unit-time slice of the cone.
     Objectives agree with solve_longest up to discretization.  The same
     refusals come first, and the constant control v / tau(v).  The
     Heisenberg staircase and three-piece answers do not: equal unit-tau
@@ -709,7 +705,7 @@ def solve_longest_reparametrized(prob: ProblemInstance, form: TimeForm,
     problems iterate.
     """
     opts = opts or SolveOptions()
-    s1 = potential(form, prob.x1) - potential(form, prob.x0)
+    s1 = potential(form, prob.g)
     if s1 <= 1e-12 and np.allclose(prob.x0, prob.x1, rtol=0.0, atol=1e-12):
         return SolveReport(status=SolveStatus.SOLVED, objective=0.0, control=None,
                            trajectory=None, endpoint_residual=0.0, iterations=0)
@@ -743,7 +739,7 @@ def abelianized_upper_bound(prob: ProblemInstance) -> float:
     Raises WrongModelError on a model whose endpoints force no average: the
     hyperbolic plane, unless x0^-1 x1 - e spans an extreme ray of the cone.
     """
-    target = prob.model.forced_average(prob.x0, prob.x1, prob.cone)
+    target = prob.model.forced_average(prob.g, prob.cone)
     if target is None:
         raise WrongModelError(f"{prob.model!r} forces no control average; "
                               "the first-layer bound needs one")

@@ -112,6 +112,11 @@ def is_exact(form: LeftInvariantForm) -> bool:
     return not np.any(dtau(form))
 
 
+def _control_covector(model: GroupModel, form: TimeForm) -> np.ndarray:
+    """tau at the identity as a covector on the model's control space."""
+    return form.value_at_identity(model.embed_control(np.eye(model.control_dim)))
+
+
 # ---------------------------------------------------------------------------
 # Growth condition diagnostics
 # ---------------------------------------------------------------------------
@@ -146,10 +151,8 @@ def check_growth_condition(form: TimeForm, cone: Cone) -> GrowthReport:
     the controls, rho is one over tau_c's least value on the unit extreme
     rays (``Cone.ray_minimum``).
     """
-    model = form.model
-    _check_cone_dim(cone, model)
-    tau_c = form.value_at_identity(model.embed_control(np.eye(model.control_dim)))
-    least, ray = cone.ray_minimum(tau_c)
+    _check_cone_dim(cone, form.model)
+    least, ray = cone.ray_minimum(_control_covector(form.model, form))
     if ray is not None:
         return GrowthReport(passed=False, rho=np.inf, tau_scale=np.inf,
                             offending_direction=ray)

@@ -27,7 +27,6 @@ from sublorentz.groups import (
     _hyperbolic_step,
     _hyperbolic_log_jacobian,
     bch_jacobians,
-    left_translation_jacobian,
 )
 from sublorentz.verify import (
     _check_bch_associativity,
@@ -229,18 +228,19 @@ def test_abelian_group_is_the_step_1_carnot_group(n, rng):
     carnot = CarnotGroup(CarnotAlgebra((n,), np.zeros((n,) * 3)))
     assert isinstance(model, CarnotGroup) and model.algebra.layer_dims == (n,)
     assert model.control_dim == model.point_dim == n
-    x0, x1 = rng.normal(size=(2, n))
+    x0, g = rng.normal(size=(2, n))
     u = rng.normal(size=(9, n))
     assert _identical(model.points(x0, u, 0.1), carnot.points(x0, u, 0.1))
-    passes = model.endpoint_pass(x0, x1, u, 0.9), carnot.endpoint_pass(x0, x1, u, 0.9)
+    passes = model.endpoint_pass(g, u, 0.9), carnot.endpoint_pass(g, u, 0.9)
     for ours, theirs in zip(*passes):
         assert _identical(ours, theirs)
-    assert _identical(model.endpoint_jacobian(x0, x1, u, 0.9, passes[0][2]),
-                      carnot.endpoint_jacobian(x0, x1, u, 0.9, passes[1][2]))
-    # the residual is read off the last of the points integrate writes
+    assert _identical(model.endpoint_jacobian(g, u, 0.9, passes[0][2]),
+                      carnot.endpoint_jacobian(g, u, 0.9, passes[1][2]))
+    # the residual is read off the last of the points integrate writes from
+    # the identity
     rho, endpoint = passes[0][:2]
-    assert _identical(endpoint, model.points(x0, u, 0.1)[-1])
-    assert np.array_equal(rho, x1 - endpoint)
+    assert _identical(endpoint, model.points(model.identity(), u, 0.1)[-1])
+    assert np.array_equal(rho, g - endpoint)
 
 
 def test_abelian_group_keeps_the_algebra_cap():
@@ -376,14 +376,16 @@ def test_tangent_maps_keep_their_errors(kind):
 
 
 def test_left_translation_jacobian_matches_flow(rng):
-    # chart velocity of t -> exp(xi) exp(t u) at t = 0
+    # chart velocity of t -> exp(xi) exp(t u) at t = 0: D_b bch at (xi, 0),
+    # the matrix CarnotGroup.pullback solves with
     for alg in ALGEBRAS:
         xi, u = rng.normal(size=(2, alg.dim))
-        F = left_translation_jacobian(alg, xi)
+        F = bch_jacobians(alg, xi, np.zeros(alg.dim))[1]
         eps = 1e-6
         fd = (bch_log_product(alg, xi, eps * u)
               - bch_log_product(alg, xi, -eps * u)) / (2 * eps)
         assert np.abs(F @ u - fd).max() <= 1e-8
+        assert np.allclose(CarnotGroup(alg).pullback(xi, F @ u), u, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -404,22 +406,22 @@ def _walk(model, x0, u, h):
     return np.array(points)
 
 
-def _walk_jacobian(model, points, x1, u, h):
+def _walk_jacobian(model, points, g, u, h):
     """d rho / d u_k one segment at a time: each segment's Jacobians (by the
     BCH series on a Carnot group, by the flow's derivatives on the
     hyperbolic plane), chained by a reverse sweep of single products."""
     if isinstance(model, CarnotGroup):
         alg = model.algebra
-        S = -bch_jacobians(alg, -points[-1], x1)[0]
+        S = -bch_jacobians(alg, -points[-1], g)[0]
 
         def segment(k):
             Da, Db = bch_jacobians(alg, points[k], h * model.embed_control(u[k]))
             return Da, Db @ (h * np.eye(model.point_dim, model.control_dim))
     else:
         ex, ey = points[-1]
-        offset = np.array([(x1[0] - ex) / ey, x1[1] / ey])
+        offset = np.array([(g[0] - ex) / ey, g[1] / ey])
         S = _hyperbolic_log_jacobian(offset) @ np.array(
-            [[-1.0 / ey, -(x1[0] - ex) / ey ** 2], [0.0, -x1[1] / ey ** 2]])
+            [[-1.0 / ey, -(g[0] - ex) / ey ** 2], [0.0, -g[1] / ey ** 2]])
 
         def segment(k):
             X, Y, dXa, dXb, dYb = (v[0] for v in _hyperbolic_flow(u[k, :1], u[k, 1:], h))
@@ -462,7 +464,7 @@ def _identical(a, b):
 
 @pytest.mark.parametrize("case", ["hyperbolic", "hyperbolic-flat", "hyperbolic-mixed"])
 def test_forward_flow_matches_the_full_flow(case, rng):
-    model, x0, x1 = _endpoint_case(case)
+    model, g = _endpoint_case(case)
     for K in (1, 3, 16):
         U = rng.normal(size=(K, 40, 2)) * 0.5
         U[..., 0] += 1.2
@@ -477,8 +479,8 @@ def test_forward_flow_matches_the_full_flow(case, rng):
         for values in ((X, Y), _hyperbolic_flow(alpha, beta, h),
                        _hyperbolic_flow(alpha, beta, h, Y)):
             assert all(_identical(v, r) for v, r in zip(values, reference))
-        chain = model.endpoint_pass(x0, x1, U, 1.3)[2]
-        assert _identical(model.points(x0, U, h), chain[..., :2])
+        chain = model.endpoint_pass(g, U, 1.3)[2]
+        assert _identical(model.points(model.identity(), U, h), chain[..., :2])
 
 
 #: their endpoint maps take closed forms (step-2 areas), not the chain
@@ -488,7 +490,8 @@ CLOSED_FORMS = ("heisenberg", "minkowski-area")
 @pytest.mark.parametrize("case, full", [(c, False) for c in ENDPOINT_CASES]
                          + [("engel", True), ("step3-multiterm", True)])
 def test_chain_matches_the_segment_walk(case, full, rng):
-    model, x0, x1 = _endpoint_case(case)
+    model, g = _endpoint_case(case)
+    x0 = model.identity()
     for n_seg in (1, 2, 9, 40):
         # ``full``: Carnot controls in the point dimension, not the first layer
         m = model.point_dim if full else model.control_dim
@@ -503,13 +506,13 @@ def test_chain_matches_the_segment_walk(case, full, rng):
                               [model.points(x0, v, h) for v in batch])
         if case in CLOSED_FORMS:
             continue
-        rho_walk = model._residual(walk[-1], x1)
-        rho, endpoint = model.endpoint_residual(x0, x1, u, 1.3)
-        rho_full, J, endpoint_full = model.endpoint_map(x0, x1, u, 1.3)
+        rho_walk = model._residual(walk[-1], g)
+        rho, endpoint = model.endpoint_residual(g, u, 1.3)
+        rho_full, J, endpoint_full = model.endpoint_map(g, u, 1.3)
         for r, e in ((rho, endpoint), (rho_full, endpoint_full)):
             assert np.array_equal(e, walk[-1])
             assert np.array_equal(r, rho_walk)
-        assert np.array_equal(J, _walk_jacobian(model, walk, x1, u, h))
+        assert np.array_equal(J, _walk_jacobian(model, walk, g, u, h))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ from sublorentz import (
 )
 from sublorentz import ControlSignal, HyperbolicityReport, integrate, section_sup_norm
 from sublorentz import solver
-from sublorentz.solver import _control_covector, _unit_tau_retract
+from sublorentz.solver import _unit_tau_retract
+from sublorentz.timeform import _control_covector
 from sublorentz.verify import (
     _check_abelian_oracle,
     _check_bound_dominance,
@@ -79,6 +80,14 @@ def test_instance_dim_checks(heis, mink_cone, mink_nu):
     with pytest.raises(ValueError, match="segment"):
         ProblemInstance(heis, mink_cone, mink_nu, np.zeros(3),
                         [1.0, 0, 0], segments=0)
+
+
+def test_instance_refuses_a_displacement_that_underflows_off_the_plane():
+    # x0^-1 x1 = (0, 1e-400) rounds to y = 0, where the endpoint engine has
+    # no residual: the solve raised InvalidPointError from the forced average
+    with pytest.raises(ValueError, match=r"^x0\^-1 x1 = \[0.0, 0.0\] leaves the float"):
+        make_prob(HyperbolicPlane(), LorentzCone(HYP_FORM, [0.0, -1.0]),
+                  LorentzSqrt(HYP_FORM), [0.0, 1e200], [0.0, 1e-200])
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +160,7 @@ def test_a_start_that_overflows_fails_its_restart_not_the_solve(heis):
 def test_controls_whose_sum_overflows_are_not_polished(plane, mink_cone):
     # the shift to the forced average was -inf, and the cone test raised
     u = np.full((4, 2), [1e308, 0.0])
-    assert solver._polish_average(plane, mink_cone, np.zeros(2), np.array([1e308, 0.0]),
-                                  u, 1.0) is u
+    assert solver._polish_average(plane, mink_cone, np.array([1e308, 0.0]), u, 1.0) is u
 
 
 def test_heisenberg_first_layer_target_attains_bound(heis, mink_cone, mink_nu,
@@ -387,7 +395,7 @@ def test_average_near_a_light_ray_far_out_is_not_refused(heis, mink_cone, mink_n
     # |v|^2, yet x^2 - y^2 = 1e-4 >= 4|z| = 8e-5: the endpoint is reachable
     prob = make_prob(heis, mink_cone, mink_nu, np.zeros(3),
                      [1e4, 1e4 - 5e-9, 2e-5], n=12)
-    assert mink_cone.on_extreme_ray(heis.forced_average(prob.x0, prob.x1, mink_cone))
+    assert mink_cone.on_extreme_ray(heis.forced_average(prob.g, mink_cone))
     rep = solve_longest(prob, SolveOptions(restarts=1, max_iter=2, inner_iter=5))
     assert rep.status != SolveStatus.NO_ADMISSIBLE_PATH and rep.iterations > 0
 
@@ -421,7 +429,7 @@ def test_abelian_average_just_outside_far_out_decides_nothing(mink_cone, mink_nu
 
 
 class _FailingPass(CarnotGroup):
-    def endpoint_residual(self, x0, x1, u, horizon):
+    def endpoint_residual(self, g, u, horizon):
         raise FloatingPointError("non-finite point")
 
 
@@ -555,7 +563,7 @@ def test_hyperbolic_light_ray_endpoint_is_answered_at_once():
         assert _answered_at_once(rep, prob) and rep.objective == 0.0
     # the average is forced only along an extreme ray, where the first-layer
     # bound is the answer
-    assert prob.model.forced_average([0.0, 1.0], [0.3, 2.0], prob.cone) is None
+    assert prob.model.forced_average(np.array([0.3, 2.0]), prob.cone) is None
     assert abelianized_upper_bound(prob) == 0.0
 
 
@@ -575,35 +583,33 @@ ENDPOINT_CASES = ["abelian", "heisenberg", "minkowski-area", "hyperbolic",
 
 
 def _endpoint_case(case):
-    """A model with endpoints x0, x1 for the endpoint-map tests."""
+    """A model with the target g = x0^-1 x1 for the endpoint-map tests."""
     if case == "abelian":
-        return AbelianGroup(2), np.zeros(2), np.array([5.0, 3.0])
+        return AbelianGroup(2), np.array([5.0, 3.0])
     if case == "heisenberg":
-        return (CarnotGroup(heisenberg_algebra()), np.zeros(3),
-                np.array([2.0, 0.5, 0.3]))
+        return CarnotGroup(heisenberg_algebra()), np.array([2.0, 0.5, 0.3])
     if case == "minkowski-area":
         # step 2 with a 3-dim first layer
-        return (CarnotGroup(minkowski_area_algebra(2)), np.zeros(5),
+        return (CarnotGroup(minkowski_area_algebra(2)),
                 np.array([2.0, 0.5, -0.4, 0.3, 0.1]))
     if case == "engel":
         return (CarnotGroup(CarnotAlgebra.from_brackets(
             (2, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}})),
-            np.zeros(4), np.array([2.0, 0.5, 0.3, 0.1]))
+            np.array([2.0, 0.5, 0.3, 0.1]))
     if case == "filiform":
         return (CarnotGroup(CarnotAlgebra.from_brackets(
             (2, 1, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}, (0, 3): {4: 1.0}})),
-            np.zeros(5), np.array([2.0, 0.5, 0.3, 0.1, 0.05]))
+            np.array([2.0, 0.5, 0.3, 0.1, 0.05]))
     if case == "carnot-step1":
-        return (CarnotGroup(parse_structure_constants("layers: 2\n")), np.zeros(2),
-                np.array([2.0, 0.5]))
+        return CarnotGroup(parse_structure_constants("layers: 2\n")), np.array([2.0, 0.5])
     if case == "step3-multiterm":
         # several bracket terms per component, so the order of their sum shows
         return (CarnotGroup(CarnotAlgebra.from_brackets(
             (2, 1, 2), {(0, 1): {2: 0.3}, (0, 2): {3: 1.7, 4: -2.5}, (1, 2): {4: 0.9}})),
-            np.zeros(5), np.array([2.0, 0.5, 0.3, 0.1, -0.2]))
+            np.array([2.0, 0.5, 0.3, 0.1, -0.2]))
     if case == "hyperbolic":
-        return HyperbolicPlane(), np.array([0.0, 1.0]), np.array([0.3, 2.0])
-    return HyperbolicPlane(), np.array([0.0, 1.0]), np.array([1.0, 1.0])
+        return HyperbolicPlane(), np.array([0.3, 2.0])
+    return HyperbolicPlane(), np.array([1.0, 1.0])
 
 
 def _set_slopes(case, u):
@@ -620,19 +626,19 @@ def _set_slopes(case, u):
 
 @pytest.mark.parametrize("case", ENDPOINT_CASES)
 def test_endpoint_jacobian_matches_fd(case, rng):
-    model, x0, x1 = _endpoint_case(case)
+    model, g = _endpoint_case(case)
     m = model.control_dim
     u = rng.normal(size=(7, m)) * 0.4
     u[:, 0] += 1.2
     _set_slopes(case, u)
-    rho, J, _ = model.endpoint_map(x0, x1, u, 1.0)
+    rho, J, _ = model.endpoint_map(g, u, 1.0)
     h = 1e-6
     for k in range(u.shape[0]):
         for j in range(m):
             d = np.zeros_like(u)
             d[k, j] = h
-            rp, _, _ = model.endpoint_map(x0, x1, u + d, 1.0)
-            rm, _, _ = model.endpoint_map(x0, x1, u - d, 1.0)
+            rp, _, _ = model.endpoint_map(g, u + d, 1.0)
+            rm, _, _ = model.endpoint_map(g, u - d, 1.0)
             fd = (rp - rm) / (2 * h)
             scale = max(1.0, np.abs(fd).max())
             assert np.abs(J[k][:, j] - fd).max() <= 1e-5 * scale
@@ -640,47 +646,46 @@ def test_endpoint_jacobian_matches_fd(case, rng):
 
 @pytest.mark.parametrize("case", ENDPOINT_CASES)
 def test_endpoint_residual_matches_endpoint_map(case, rng):
-    model, x0, x1 = _endpoint_case(case)
+    model, g = _endpoint_case(case)
     for n_seg in (1, 2, 9, 40):
         u = rng.normal(size=(n_seg, model.control_dim)) * 0.5
         u[:, 0] += 1.2
         _set_slopes(case, u)
-        rho, endpoint = model.endpoint_residual(x0, x1, u, 1.3)
-        rho_full, _, endpoint_full = model.endpoint_map(x0, x1, u, 1.3)
+        rho, endpoint = model.endpoint_residual(g, u, 1.3)
+        rho_full, _, endpoint_full = model.endpoint_map(g, u, 1.3)
         assert np.array_equal(rho, rho_full)
         assert np.array_equal(endpoint, endpoint_full)
 
 
 @pytest.mark.parametrize("case", ENDPOINT_CASES)
 def test_endpoint_residual_takes_a_stack(case, rng):
-    model, x0, x1 = _endpoint_case(case)
+    model, g = _endpoint_case(case)
     for n_seg in (1, 2, 9, 40):
         U = rng.normal(size=(5, n_seg, model.control_dim)) * 0.5
         U[..., 0] += 1.2
         _set_slopes(case, U)
-        targets = [x1]
+        targets = [g]
         if isinstance(model, HyperbolicPlane):
             # the first control ends within 1e-10 of this target, so its
             # offset takes the series branch of log and the others do not
-            near = model.endpoint_residual(x0, x1, U[0], 1.3)[1] + [3e-11, 2e-11]
+            near = model.endpoint_residual(g, U[0], 1.3)[1] + [3e-11, 2e-11]
             assert abs(model._offset(near - [3e-11, 2e-11], near)[1] - 1.0) < 1e-8
             targets.append(near)
         for target in targets:
-            rho, endpoint, chain = model.endpoint_pass(x0, target, U, 1.3)
-            assert np.array_equal(model.endpoint_residual(x0, target, U, 1.3)[0], rho)
+            rho, endpoint, chain = model.endpoint_pass(target, U, 1.3)
+            assert np.array_equal(model.endpoint_residual(target, U, 1.3)[0], rho)
             for i, u in enumerate(U):
-                rho_i, J_i, endpoint_i = model.endpoint_map(x0, target, u, 1.3)
+                rho_i, J_i, endpoint_i = model.endpoint_map(target, u, 1.3)
                 assert np.array_equal(rho[i], rho_i)
                 assert np.array_equal(endpoint[i], endpoint_i)
                 # the Jacobian stage fed from the stacked pass
                 assert np.array_equal(
-                    model.endpoint_jacobian(x0, target, u, 1.3, chain[i]), J_i)
+                    model.endpoint_jacobian(target, u, 1.3, chain[i]), J_i)
 
 
 def test_stacked_residual_raises_what_its_bad_row_raises():
     # h beta = 800 overflows the flow's exponential in the third control
-    model = HyperbolicPlane()
-    x0, x1 = np.array([0.0, 1.0]), np.array([0.3, 2.0])
+    model, g = HyperbolicPlane(), np.array([0.3, 2.0])
     U = np.array([[[1.0, 0.5], [0.2, 1.0]], [[0.0, 1.0], [0.1, 2.0]],
                   [[0.0, 1600.0], [200.0, 1600.0]], [[0.0, 1600.0], [0.0, -1.0]]])
     # h beta = 700 keeps each exponential finite, but y overflows to inf
@@ -694,26 +699,25 @@ def test_stacked_residual_raises_what_its_bad_row_raises():
         for stack, invalid_point in ((U, False), (flat_overflow, True),
                                      (x_overflow, False)):
             with pytest.raises(ValueError) as alone:
-                model.endpoint_residual(x0, x1, stack[2], 1.0)
+                model.endpoint_residual(g, stack[2], 1.0)
             with pytest.raises(ValueError) as stacked:
-                model.endpoint_residual(x0, x1, stack, 1.0)
+                model.endpoint_residual(g, stack, 1.0)
             assert isinstance(alone.value, InvalidPointError) == invalid_point
             assert type(stacked.value) is type(alone.value)
             assert str(stacked.value) == str(alone.value)
-        rho, _ = model.endpoint_residual(x0, x1, U[:2], 1.0)
+        rho, _ = model.endpoint_residual(g, U[:2], 1.0)
     assert np.all(np.isfinite(rho))
 
 
 def test_endpoint_residual_rejects_overflow_like_endpoint_map():
     # h beta = 800 overflows the flow's exponential on both paths
-    model = HyperbolicPlane()
-    x0, x1 = np.array([0.0, 1.0]), np.array([0.3, 2.0])
+    model, g = HyperbolicPlane(), np.array([0.3, 2.0])
     u = np.array([[0.0, 1600.0], [200.0, 1600.0]])   # h = 0.5
 
     def rejected(evaluate):
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                rho = evaluate(x0, x1, u, 1.0)[0]
+                rho = evaluate(g, u, 1.0)[0]
         except ValueError:
             return True
         return not np.all(np.isfinite(rho))
@@ -845,7 +849,7 @@ def test_restarts_in_lockstep_run_as_alone(monkeypatch, name, segments):
         # any restart runs, and on the polyhedral case the reachable-set
         # certificate answers the direct solve, so `_run_restarts` is called
         # as the solves call it
-        s1 = potential(form, prob.x1) - potential(form, prob.x0)
+        s1 = potential(form, prob.g)
         tau_c = _control_covector(model, form)
         projector = np.eye(2) - np.outer(tau_c, tau_c) / (tau_c @ tau_c)
         solves = [
@@ -867,11 +871,11 @@ class _FragilePlane(HyperbolicPlane):
     def __init__(self):
         self.raised = []
 
-    def endpoint_pass(self, x0, x1, u, horizon):
+    def endpoint_pass(self, g, u, horizon):
         if np.linalg.norm(u, axis=-1).max() > 3.0:
             self.raised.append(u.shape[:-2])
             raise ValueError("a control row is longer than 3")
-        return super().endpoint_pass(x0, x1, u, horizon)
+        return super().endpoint_pass(g, u, horizon)
 
 
 def test_restarts_in_lockstep_run_as_alone_when_a_round_raises(monkeypatch):
@@ -884,6 +888,36 @@ def test_restarts_in_lockstep_run_as_alone_when_a_round_raises(monkeypatch):
     # stacks of several trials raised, and so did lone trials
     assert any(len(shape) == 1 and shape[0] > 1 for shape in model.raised)
     assert (1,) in model.raised
+
+
+# ---------------------------------------------------------------------------
+# solving at the identity
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, x0", [("heisenberg", [1.0, -2.0, 0.5]),
+                                      ("engel", [0.5, -1.0, 0.3, 0.2]),
+                                      ("hyperbolic", [0.7, 2.5])])
+def test_a_translated_problem_gets_the_identity_problems_answer(name, x0):
+    # interior endpoints: no certificate decides them, so both solves iterate
+    model, cone, nu, _, g, form = _lockstep_case(name)
+    x0 = np.array(x0)
+    x1 = model.multiply(x0, g)
+    translated = make_prob(model, cone, nu, x0, x1, n=20)
+    at_identity = make_prob(model, cone, nu, model.identity(),
+                            model.multiply(model.inverse(x0), x1), n=20)
+    opts = SolveOptions(restarts=2, max_iter=20)
+    solves = [solve_longest]
+    if name == "heisenberg":
+        solves.append(lambda prob, opts: solve_longest_reparametrized(prob, form, opts))
+    for solve in solves:
+        a, b = solve(translated, opts), solve(at_identity, opts)
+        assert a.iterations > 0
+        assert (a.status, a.objective, a.endpoint_residual, a.iterations) == \
+            (b.status, b.objective, b.endpoint_residual, b.iterations)
+        assert (a.endpoint_evaluations, a.jacobian_evaluations) == \
+            (b.endpoint_evaluations, b.jacobian_evaluations)
+        assert a.control.values.tobytes() == b.control.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
