@@ -630,7 +630,8 @@ class LorentzCone(Cone):
             raise ValueError("form must be a square matrix")
         if not np.allclose(A, A.T, atol=1e-12):
             raise ValueError("form must be symmetric")
-        self.form = 0.5 * (A + A.T)
+        # halved before the sum, which overflows for entries of 1e308
+        self.form = 0.5 * A + 0.5 * A.T
         self.dim = A.shape[0]
         # a unit selector, so its tests hold at any scale (a zero one stays
         # zero and is refused below)

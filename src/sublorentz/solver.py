@@ -25,16 +25,16 @@ average, and so takes the constant control, when x0^-1 x1 - e spans an
 extreme ray.  A solve that no certificate decides runs as it would without
 them, bit for bit.
 
-Each line search evaluates its step-halving trials in stacked chunks, one
-endpoint pass per chunk, and builds the accepted trial's Jacobian from that
-pass.  It accepts the trial, and reaches the iterate, that a search trying
-one step at a time would, bit for bit.
-
-The restarts run in lockstep (``_run_restarts``): in each round, the pending
-chunks of every restart share one projection, one endpoint pass and one
-antinorm evaluation.  Each restart keeps its own decisions, Jacobians,
-gradients and evaluation counts, so every restart reaches the iterates, and
-counts the evaluations, that it would run alone.
+Each line search evaluates its step-halving trials in stacked chunks, and
+the restarts run in lockstep (``_run_restarts``): in each round, the pending
+chunks of every restart are stacked, and ``_trial_pass`` evaluates the stack
+in one projection, one endpoint pass and one antinorm evaluation.  Two kinds
+of trial go alone instead: one-segment trials, and the trials of a stack
+that raised.  A trial that raises alone is rejected.  Each restart keeps its
+own decisions, Jacobians (built from the accepted trial's pass), gradients
+and evaluation counts, so every restart accepts the trials, reaches the
+iterates and counts the evaluations that a search trying one step at a time
+would, bit for bit.
 
 The problem is non-convex on non-abelian groups; the solver certifies
 feasibility and delivers bound-consistent local maximizers, not global
@@ -198,11 +198,11 @@ def _augmented_lagrangian_run(prob: ProblemInstance, u0: np.ndarray, horizon: fl
                               gradient_projector: Optional[np.ndarray] = None):
     """One restart, as a generator that returns its _RunResult.  It yields
     each chunk of line-search trials as a request (u, grad, steps) and is
-    sent the chunk's stacked pass (``_trial_pass``), or None when that pass
-    raised."""
+    sent the chunk's evaluation (``_trial_pass``).  One-segment trials and
+    the trials of a stack that raised are evaluated alone, and a trial that
+    raises alone comes back with a NaN residual, so it is rejected."""
     model, cone, nu, g = prob.model, prob.cone, prob.nu, prob.g
-    n_seg = u0.shape[0]
-    h = horizon / n_seg
+    h = horizon / u0.shape[0]
     axis = cone.interior_direction()
 
     try:
@@ -219,11 +219,8 @@ def _augmented_lagrangian_run(prob: ProblemInstance, u0: np.ndarray, horizon: fl
     alpha = 1.0
 
     counts = {"endpoint": 0, "jacobian": 0}
-    # a stack of one-segment trials projects by gemm where a single trial
-    # projects by gemv, which may round differently
-    n_trials = len(HALVINGS)
-    ends = np.cumsum(TRIAL_CHUNKS).tolist() if n_seg > 1 else list(range(1, n_trials))
-    chunks = list(zip([0] + ends, ends + [n_trials]))
+    ends = np.cumsum(TRIAL_CHUNKS).tolist()
+    chunks = list(zip([0] + ends, ends + [len(HALVINGS)]))
 
     def residual(uu):
         counts["endpoint"] += 1
@@ -263,21 +260,9 @@ def _augmented_lagrangian_run(prob: ProblemInstance, u0: np.ndarray, horizon: fl
 
     def scan(u, grad, steps, ref):
         """The first of the trials project(u + step * grad) whose phi beats
-        ref, as (trial, phi, rho, J), or None.  The trials are requested as
-        one stacked pass, and the accepted one's Jacobian is built from it;
-        a stack that raises, in its projection or its pass, is requested
-        again one trial at a time."""
-        reply = yield u, grad, steps
-        if reply is None:
-            if len(steps) == 1:
-                counts["endpoint"] += 1
-                return None
-            for i in range(len(steps)):
-                found = yield from scan(u, grad, steps[i:i + 1], ref)
-                if found is not None:
-                    return found
-            return None
-        trials, rho, chain, values = reply
+        ref, as (trial, phi, rho, J), or None.  The trials are requested
+        together, and the accepted one's Jacobian is built from its pass."""
+        trials, rho, chain, values = yield u, grad, steps
         with np.errstate(over="ignore", invalid="ignore"):
             phi = h * values.sum(axis=-1) - penalties(rho)
         finite = np.all(np.isfinite(rho), axis=-1)
@@ -368,40 +353,66 @@ def _augmented_lagrangian_run(prob: ProblemInstance, u0: np.ndarray, horizon: fl
                       jacobian_evaluations=counts["jacobian"])
 
 
-def _trial_pass(prob: ProblemInstance, horizon: float, project, requests):
-    """The trials project(u + step * grad) of every request (u, grad, steps)
-    in one projection, one endpoint pass and one antinorm evaluation: per
-    request, its slice (trials, rho, chain, nu values) of the stack.  A lone
-    request is evaluated as it stands, without concatenation or slicing."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        stack = [u + steps[:, None, None] * grad for u, grad, steps in requests]
-        stack = stack[0] if len(stack) == 1 else np.concatenate(stack)
+def _evaluated(prob: ProblemInstance, horizon: float, project, stack: np.ndarray):
+    """(trials, rho, chain, nu values) of the trials project(stack), stack
+    (k, segments, m), in one projection, one endpoint pass and one antinorm
+    evaluation; None when that raises."""
+    try:
         trials = project(stack.reshape(-1, stack.shape[-1])).reshape(stack.shape)
         rho, _, chain = prob.model.endpoint_pass(prob.g, trials, horizon)
-        values = prob.nu.values_on_cone(trials)
+        return trials, rho, chain, prob.nu.values_on_cone(trials)
+    except (ValueError, FloatingPointError):
+        return None
+
+
+def _trial_pass(prob: ProblemInstance, horizon: float, project, requests):
+    """The trials project(u + step * grad) of every request (u, grad, steps),
+    stacked: per request, its slice (trials, rho, chain, nu values) of the
+    stack.  The stack is evaluated at once (``_evaluated``), except in two
+    cases, where each trial goes alone: one-segment trials, because a stack
+    of them projects by a matrix-matrix product where a lone one projects by
+    a matrix-vector product, which may round differently; and the trials of
+    a stack that raised.  A trial that raises alone gets a NaN residual, so
+    the line search rejects it.  Stacked rows are evaluated independently of
+    each other, so every trial gets the bits it gets alone.  A lone request,
+    as every round of a one-restart solve is, skips the concatenation and
+    the slicing."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        stacks = [u + steps[:, None, None] * grad for u, grad, steps in requests]
+        stack = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+        whole = _evaluated(prob, horizon, project, stack) if prob.segments > 1 else None
+        if whole is None:
+            parts = [_evaluated(prob, horizon, project, trial[None]) or
+                     (trial[None], np.full((1, prob.model.point_dim), np.nan), [None],
+                      np.full((1, prob.segments), np.nan))
+                     for trial in stack]
+            trials, rho, chain, values = zip(*parts)
+            whole = (np.concatenate(trials), np.concatenate(rho),
+                     [c for cs in chain for c in cs], np.concatenate(values))
     if len(requests) == 1:
-        return [(trials, rho, chain, values)]
+        return [whole]
+    trials, rho, chain, values = whole
     ends = np.cumsum([len(steps) for _, _, steps in requests]).tolist()
     return [(trials[lo:hi], rho[lo:hi], chain[lo:hi], values[lo:hi])
             for lo, hi in zip([0] + ends, ends)]
 
 
 def _run_restarts(prob: ProblemInstance, starts: List[np.ndarray], horizon: float,
-                  opts: SolveOptions, project,
-                  gradient_projector: Optional[np.ndarray] = None) -> List[_RunResult]:
+                  opts: SolveOptions, tau_c: Optional[np.ndarray] = None
+                  ) -> List[_RunResult]:
     """One augmented-Lagrangian run per start, advanced in lockstep: each
-    round answers the pending request of every live run with one stacked
-    ``_trial_pass``.
-
-    Stacked rows are evaluated independently of each other, so each run
-    gets the bits it would get alone.  Two cases keep it so: a round that
-    raises is evaluated again one request at a time, and a request that
-    still raises is answered None, as it would be alone; and runs of one
-    segment are never stacked, because a stack of one-segment trials
-    projects by a matrix-matrix product where a lone trial projects by a
-    matrix-vector product, which may round differently."""
-    runs = [_augmented_lagrangian_run(prob, u0, horizon, opts, project,
-                                      gradient_projector)
+    round answers the pending request of every live run with one
+    ``_trial_pass``, which stacks them all.  One-segment trials and the
+    trials of a stack that raised go alone, and a trial that raises alone
+    is rejected, so each run gets the bits it would get alone.  With tau_c,
+    the runs keep to the unit-tau slice: they retract onto it and ascend in
+    its tangent space."""
+    project, projector = prob.cone.project_batch, None
+    if tau_c is not None:
+        def project(U):
+            return _unit_tau_retract(prob.cone, tau_c, U)
+        projector = np.eye(prob.control_dim) - np.outer(tau_c, tau_c) / (tau_c @ tau_c)
+    runs = [_augmented_lagrangian_run(prob, u0, horizon, opts, project, projector)
             for u0 in starts]
     results: List[Optional[_RunResult]] = [None] * len(runs)
     pending = {}
@@ -412,34 +423,21 @@ def _run_restarts(prob: ProblemInstance, starts: List[np.ndarray], horizon: floa
         except StopIteration as stop:
             results[i] = stop.value
 
-    def alone(request):
-        try:
-            return _trial_pass(prob, horizon, project, [request])[0]
-        except (ValueError, FloatingPointError):
-            return None
-
     for i in range(len(runs)):
         advance(i, None)
     while pending:
         order, requests = list(pending), list(pending.values())
         pending.clear()
-        replies = None
-        if len(requests) > 1 and prob.segments > 1:
-            try:
-                replies = _trial_pass(prob, horizon, project, requests)
-            except (ValueError, FloatingPointError):
-                pass
-        if replies is None:
-            replies = [alone(r) for r in requests]
-        for i, reply in zip(order, replies):
+        for i, reply in zip(order, _trial_pass(prob, horizon, project, requests)):
             advance(i, reply)
     return results
 
 
 def _starting_controls(prob: ProblemInstance, horizon: float,
                        opts: SolveOptions,
-                       unit_tau: Optional[TimeForm] = None) -> List[np.ndarray]:
-    """Abelianized constant control first, then seeded random admissible ones."""
+                       tau_c: Optional[np.ndarray] = None) -> List[np.ndarray]:
+    """Abelianized constant control first, then seeded random admissible
+    ones, retracted onto the unit-tau slice when tau_c is given."""
     rng = np.random.default_rng(opts.seed)
     n_seg, m = prob.segments, prob.control_dim
     starts: List[np.ndarray] = []
@@ -460,8 +458,7 @@ def _starting_controls(prob: ProblemInstance, horizon: float,
             cand = mix * base + (1 - mix) * jitter * (
                 size / max(np.linalg.norm(jitter, axis=1).mean(), 1e-9))
         starts.append(cand)
-    if unit_tau is not None:
-        tau_c = _control_covector(prob.model, unit_tau)
+    if tau_c is not None:
         for i, s in enumerate(starts):
             try:
                 starts[i] = _unit_tau_retract(prob.cone, tau_c, s)
@@ -679,15 +676,7 @@ def solve_longest(prob: ProblemInstance, opts: Optional[SolveOptions] = None
     bound (``_certified``); and MAX_ITERATIONS when no restart reaches the
     endpoint tolerance.
     """
-    opts = opts or SolveOptions()
-    if not prob.model.admits_path(prob.cone, prob.x0, prob.x1):
-        return _no_admissible_path()
-    certified = _certified(prob, 1.0, opts)
-    if certified is not None:
-        return certified
-    runs = _run_restarts(prob, _starting_controls(prob, 1.0, opts), 1.0, opts,
-                         prob.cone.project_batch)
-    return _report_from_runs(prob, runs, 1.0, opts)
+    return _solve(prob, 1.0, opts or SolveOptions())
 
 
 def solve_longest_reparametrized(prob: ProblemInstance, form: TimeForm,
@@ -704,25 +693,29 @@ def solve_longest_reparametrized(prob: ProblemInstance, form: TimeForm,
     segments cannot in general switch rays where those paths do, so such
     problems iterate.
     """
-    opts = opts or SolveOptions()
     s1 = potential(form, prob.g)
-    if s1 <= 1e-12 and np.allclose(prob.x0, prob.x1, rtol=0.0, atol=1e-12):
-        return SolveReport(status=SolveStatus.SOLVED, objective=0.0, control=None,
-                           trajectory=None, endpoint_residual=0.0, iterations=0)
-    if s1 <= 1e-12 or not prob.model.admits_path(prob.cone, prob.x0, prob.x1):
+    if s1 <= 1e-12:
+        # only x0^-1 x1 = e is reached in zero time
+        if np.allclose(prob.g, prob.model.identity(), rtol=0.0, atol=1e-12):
+            return SolveReport(status=SolveStatus.SOLVED, objective=0.0, control=None,
+                               trajectory=None, endpoint_residual=0.0, iterations=0)
         return _no_admissible_path()
     # tau in control coordinates; ascent happens in its kernel
-    tau_c = _control_covector(prob.model, form)
-    certified = _certified(prob, s1, opts, tau_c)
+    return _solve(prob, s1, opts or SolveOptions(), _control_covector(prob.model, form))
+
+
+def _solve(prob: ProblemInstance, horizon: float, opts: SolveOptions,
+           tau_c: Optional[np.ndarray] = None) -> SolveReport:
+    """The model's refusal, the certificates, then the restarts, on the
+    horizon given; with tau_c, on the unit-tau slice."""
+    if not prob.model.admits_path(prob.cone, prob.x0, prob.x1):
+        return _no_admissible_path()
+    certified = _certified(prob, horizon, opts, tau_c)
     if certified is not None:
         return certified
-
-    projector = np.eye(prob.control_dim) - np.outer(tau_c, tau_c) / (tau_c @ tau_c)
-
-    runs = _run_restarts(prob, _starting_controls(prob, s1, opts, unit_tau=form),
-                         s1, opts, lambda U: _unit_tau_retract(prob.cone, tau_c, U),
-                         projector)
-    return _report_from_runs(prob, runs, s1, opts)
+    runs = _run_restarts(prob, _starting_controls(prob, horizon, opts, tau_c),
+                         horizon, opts, tau_c)
+    return _report_from_runs(prob, runs, horizon, opts)
 
 
 # ---------------------------------------------------------------------------

@@ -675,6 +675,27 @@ def test_valid_huge_cone_passes_check_timeform(tmp_path):
     assert "potential_consistency_gap" not in rep.payload
 
 
+@pytest.mark.parametrize("subcommand", ["check-structure", "check-timeform", "reach",
+                                        "solve"])
+def test_lorentz_cone_form_of_1e308_exits_zero_without_warnings(tmp_path, subcommand):
+    # the Minkowski cone scaled by 1e308: symmetrizing its form as
+    # 0.5 * (A + A.T) overflowed to inf - inf = NaN, and the cone was refused
+    path = write_config(tmp_path, {
+        "version": 1, "preset": "heisenberg-sl", "samples": 8,
+        "cone": {"kind": "lorentz", "form": [[1e308, 0.0], [0.0, -1e308]],
+                 "nappe_selector": [1.0, 0.0]},
+        "endpoints": {"x0": [0.0, 0.0, 0.0], "x1": [3.0, 0.5, 0.2]},
+        "solver": {"restarts": 3, "max_iter": 60, "inner_iter": 40}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run_config(path, subcommand)
+    assert code == 0
+    if subcommand == "solve":
+        # the preset cone's problem: its answer up to the solve's tolerance
+        assert rep.payload["solver_status"] == "solved"
+        assert rep.payload["objective"] == pytest.approx(2.948732626365034, rel=1e-5)
+
+
 #: a covector whose |tau| overflows, on the preset's cone and a 3-d Minkowski
 #: cone, and its growth ratio: one over its least value on the light rays
 HUGE_TAU = {

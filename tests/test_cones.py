@@ -768,6 +768,16 @@ def test_lorentz_sqrt_of_a_form_of_1e308_is_finite():
     assert np.array_equal(LorentzSqrt(MINK).form, MINK)
 
 
+def test_lorentz_cone_of_a_form_of_1e308_is_the_scaled_cone():
+    # 0.5 * (A + A.T) overflowed to inf - inf = NaN, and the form was
+    # refused with "eigenvalues [nan nan]"
+    cone = LorentzCone([[1e308, 0.0], [0.0, -1e308]], [1.0, 0.0])
+    assert np.all(np.isfinite(cone.form))
+    V = np.array([[3.0, 1.0], [1.0, 3.0], [-3.0, 1.0], [1.0, 1.0]])
+    assert cone.contains(V).tolist() == LorentzCone(MINK, [1.0, 0.0]).contains(V).tolist()
+    assert np.array_equal(LorentzCone(MINK, [1.0, 0.0]).form, MINK)
+
+
 def test_lorentz_sqrt_is_finite_for_huge_rows(mink_nu):
     # v^T A v overflows; the row is measured scaled, the others keep their bits
     V = np.array([[2e200, 1e200], [5.0, 3.0], [1e300, -1e300]])

@@ -759,7 +759,7 @@ def test_polyhedral_solve_keeps_its_iterates(heis):
                      [2.0, 0.5, 0.1], n=50)
     opts = SolveOptions(restarts=3, max_iter=60, inner_iter=40)
     runs = solver._run_restarts(prob, solver._starting_controls(prob, 1.0, opts), 1.0,
-                                opts, prob.cone.project_batch)
+                                opts)
     rep = solver._report_from_runs(prob, runs, 1.0, opts)
     assert rep.status == SolveStatus.SOLVED
     assert rep.iterations == 4
@@ -851,15 +851,13 @@ def test_restarts_in_lockstep_run_as_alone(monkeypatch, name, segments):
         # as the solves call it
         s1 = potential(form, prob.g)
         tau_c = _control_covector(model, form)
-        projector = np.eye(2) - np.outer(tau_c, tau_c) / (tau_c @ tau_c)
         solves = [
             lambda: solver._run_restarts(
                 prob, solver._starting_controls(prob, 1.0, LOCKSTEP_OPTS), 1.0,
-                LOCKSTEP_OPTS, cone.project_batch),
+                LOCKSTEP_OPTS),
             lambda: solver._run_restarts(
-                prob, solver._starting_controls(prob, s1, LOCKSTEP_OPTS, unit_tau=form),
-                s1, LOCKSTEP_OPTS, lambda U: _unit_tau_retract(cone, tau_c, U),
-                projector)]
+                prob, solver._starting_controls(prob, s1, LOCKSTEP_OPTS, tau_c),
+                s1, LOCKSTEP_OPTS, tau_c)]
     for solve in solves:
         _assert_same_runs(*_runs_in_lockstep_and_alone(monkeypatch, solve))
 
@@ -878,16 +876,48 @@ class _FragilePlane(HyperbolicPlane):
         return super().endpoint_pass(g, u, horizon)
 
 
-def test_restarts_in_lockstep_run_as_alone_when_a_round_raises(monkeypatch):
+@pytest.mark.parametrize("segments", [12, 1])
+def test_restarts_in_lockstep_run_as_alone_when_a_round_raises(monkeypatch, segments):
     model = _FragilePlane()
     prob = make_prob(model, LorentzCone(HYP_FORM, [0.0, 1.0]), LorentzSqrt(HYP_FORM),
-                     [0.0, 1.0], [0.3, 2.0], n=12)
+                     [0.0, 1.0], [0.3, 2.0], n=segments)
     runs, alone = _runs_in_lockstep_and_alone(
         monkeypatch, lambda: solve_longest(prob, LOCKSTEP_OPTS))
     _assert_same_runs(runs, alone)
-    # stacks of several trials raised, and so did lone trials
-    assert any(len(shape) == 1 and shape[0] > 1 for shape in model.raised)
+    # lone trials raised, and so did stacks of several trials where trials
+    # are stacked
     assert (1,) in model.raised
+    if segments > 1:
+        assert any(len(shape) == 1 and shape[0] > 1 for shape in model.raised)
+
+
+@pytest.mark.parametrize("segments", [12, 1])
+def test_trial_pass_rejects_only_the_trial_that_raises(segments):
+    # a stack with one raising trial: every other trial gets the bits it
+    # gets alone, and the raising one a NaN residual
+    model = _FragilePlane()
+    prob = make_prob(model, LorentzCone(HYP_FORM, [0.0, 1.0]), LorentzSqrt(HYP_FORM),
+                     [0.0, 1.0], [0.3, 2.0], n=segments)
+    u = np.tile([0.1, 1.0], (segments, 1))
+    grad = np.column_stack([np.linspace(-0.2, 0.2, segments), np.ones(segments)])
+    # the step 50 takes rows of length about 51: that trial raises
+    steps = np.array([0.5, 0.1, 50.0, 0.01])
+    other = (u, -0.5 * grad, np.array([0.2, 0.05]))
+    replies = solver._trial_pass(prob, 1.0, prob.cone.project_batch,
+                                 [(u, grad, steps), other])
+    assert [len(r[1]) for r in replies] == [4, 2]
+    # one-segment trials are never stacked
+    assert model.raised == ([(6,), (1,)] if segments > 1 else [(1,)])
+    for request, reply in zip([(u, grad, steps), other], replies):
+        for i, step in enumerate(request[2]):
+            trial, rho, chain, values = (part[i] for part in reply)
+            if step == 50.0:
+                assert np.all(np.isnan(rho))
+                continue
+            (alone,) = solver._trial_pass(prob, 1.0, prob.cone.project_batch,
+                                          [(request[0], request[1], request[2][i:i + 1])])
+            for got, want in zip((trial, rho, chain, values), alone):
+                assert got.tobytes() == want[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1185,20 +1215,31 @@ def test_reparametrized_solve_matches_minkowski(plane, mink_cone, mink_nu,
     assert rs.trajectory.horizon == pytest.approx(5.0)  # s1 = T(x1)
 
 
-@pytest.mark.parametrize("x0, x1", [
-    ([1e6, 1e6], [1e6, 1e6 + 5.0]),
-    ([1e6, 1e6, 1e6], [1e6, 1e6 + 3.0, 1e6 + 2.0]),
-], ids=["minkowski", "heisenberg"])
-def test_reparametrized_shortcut_takes_only_x0_equal_x1(x0, x1, mink_cone, mink_nu):
+@pytest.mark.parametrize("name, x0, x1", [
+    ("abelian", [1e6, 1e6], [1e6, 1e6 + 5.0]),
+    ("heisenberg", [1e6, 1e6, 1e6], [1e6, 1e6 + 3.0, 1e6 + 2.0]),
+    # x1 is within 1e-12 of x0, but x0^-1 x1 = (1e-7, 1) is spacelike
+    ("hyperbolic", [0.0, 1e-6], [1e-13, 1e-6]),
+    # far out, where x0^-1 x0 is exactly e
+    ("hyperbolic", [1e6, 1e-3], [1e6 + 1e-3, 1e-3]),
+], ids=["minkowski", "heisenberg", "hyperbolic", "hyperbolic-far"])
+def test_reparametrized_shortcut_takes_only_x0_equal_x1(name, x0, x1):
     # a spacelike step of a few units at 1e6 passed allclose's default rtol
-    # as x0 = x1, and came back SOLVED with objective 0
-    model = AbelianGroup(2) if len(x0) == 2 else CarnotGroup(heisenberg_algebra())
-    form = LeftInvariantForm(np.eye(len(x0))[0], model)
+    # as x0 = x1, and came back SOLVED with objective 0; so did a spacelike
+    # x0^-1 x1 between points within 1e-12 of each other
+    model, cone, nu, _, _, form = _lockstep_case(name)
     for end, status in ((x1, SolveStatus.NO_ADMISSIBLE_PATH), (x0, SolveStatus.SOLVED)):
-        prob = make_prob(model, mink_cone, mink_nu, np.array(x0), np.array(end), n=30)
-        for rep in (solve_longest(prob), solve_longest_reparametrized(prob, form)):
-            assert rep.status == status
-            assert rep.objective == (0.0 if status == SolveStatus.SOLVED else NEG_INF)
+        prob = make_prob(model, cone, nu, np.array(x0), np.array(end), n=30)
+        direct, unit_tau = solve_longest(prob), solve_longest_reparametrized(prob, form)
+        assert direct.status == unit_tau.status == status
+        if status == SolveStatus.NO_ADMISSIBLE_PATH:
+            assert direct.objective == unit_tau.objective == NEG_INF
+            continue
+        assert unit_tau.objective == 0.0
+        # the hyperbolic plane forces no average at e: the direct solve
+        # iterates, to a length of rounding size
+        assert direct.objective == (pytest.approx(0.0, abs=1e-12) if name == "hyperbolic"
+                                    else 0.0)
 
 
 def test_reparametrized_solve_heisenberg(heis, mink_cone, mink_nu, light_opts):
