@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .cones import find_time_covector
-from .dynamics import trajectory_to_csv
+from .dynamics import _csv, trajectory_to_csv
 from .errors import ConfigError, SubLorentzError
 from .solver import SolveStatus, reachability_sample, solve_longest
 from .timeform import check_growth_condition, dtau
@@ -75,19 +75,8 @@ def emit_report(report: RunReport, out_dir: str) -> List[str]:
     return written
 
 
-def _history_csv(history) -> str:
-    lines = ["iteration,objective"]
-    lines += [f"{i},{v:.17g}" for i, v in enumerate(history)]
-    return "\n".join(lines) + "\n"
-
-
 def _cloud_csv(points: np.ndarray, model) -> str:
-    names = model.coordinate_names()
-    # Python floats format as numpy's scalars do, and much faster; one
-    # %-format per row formats as f"{c:.17g}" does for each entry
-    row = ",".join(["%.17g"] * len(names))
-    lines = [",".join(names)] + [row % tuple(r) for r in points.tolist()]
-    return "\n".join(lines) + "\n"
+    return _csv(model.coordinate_names(), points.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +103,8 @@ def _run_solve(cfg: RunConfig) -> Tuple[int, RunReport]:
                        text=[rep.summary()])
     if rep.trajectory is not None:
         report.artifacts["trajectory.csv"] = trajectory_to_csv(rep.trajectory)
-        report.artifacts["history.csv"] = _history_csv(rep.history)
+        report.artifacts["history.csv"] = _csv(["iteration", "objective"],
+                                               list(enumerate(rep.history)))
     return (0 if ok else 1), report
 
 

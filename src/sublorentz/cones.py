@@ -420,7 +420,8 @@ def _at_scale(V: np.ndarray, nv=None):
     for zero rows, V and nv come back as they are, for the cost of two
     reductions (and a look at the rows of small norm)."""
     if nv is None:
-        nv = np.sqrt(np.add.reduce(V * V, axis=-1))
+        with np.errstate(over="ignore"):   # an inf norm is rescaled below
+            nv = np.sqrt(np.add.reduce(V * V, axis=-1))
     if np.maximum.reduce(nv, axis=None, initial=0.0) < np.inf and (
             np.minimum.reduce(nv, axis=None, initial=np.inf) >= _TINY_NORM
             or not np.any(V[nv < _TINY_NORM])):
@@ -709,7 +710,8 @@ class LorentzCone(Cone):
         |v^T A v| / max|eig A| is at most RAY_TOL |v|^2; in dim 1 the cone
         is one ray."""
         v = as_vector(v, self.dim)
-        v, nv = _at_scale(v, np.linalg.norm(v))
+        with np.errstate(over="ignore"):   # _at_scale rescales an inf norm
+            v, nv = _at_scale(v, np.linalg.norm(v))
         q = np.einsum("i,ij,j->", v, self._unit_form, v)
         light = self.dim == 1 or abs(q) <= RAY_TOL * nv * nv
         return bool(nv > 0.0 and v @ self.nappe_selector > 0.0 and light)
@@ -1111,11 +1113,11 @@ def _check_cone_dim(cone: Cone, model) -> None:
                                      f"control space dim {model.control_dim}")
 
 
-def antinorm_eval(nu: Antinorm, cone: Cone, v, tol: float = DEFAULT_TOL):
-    """nu(v) on the cone, float('-inf') off it; row by row for a stack."""
+def antinorm_eval(nu: Antinorm, cone: Cone, v):
+    """nu(v) within DEFAULT_TOL of the cone, -inf off it; row by row for a stack."""
     V = as_vectors(v, cone.dim)
     # [()] unwraps the 0-d result of a single vector into a scalar
-    return np.where(cone.contains(V, tol), nu.values_on_cone(V), NEG_INF)[()]
+    return np.where(cone.contains(V), nu.values_on_cone(V), NEG_INF)[()]
 
 
 # ---------------------------------------------------------------------------

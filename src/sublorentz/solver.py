@@ -36,6 +36,9 @@ and evaluation counts, so every restart accepts the trials, reaches the
 iterates and counts the evaluations that a search trying one step at a time
 would, bit for bit.
 
+A solve decides its fixed facts once: ``ProblemInstance`` forms x0^-1 x1
+and the forced average, and ``_solve`` sets one floating-point policy.
+
 The problem is non-convex on non-abelian groups; the solver certifies
 feasibility and delivers bound-consistent local maximizers, not global
 optimality.
@@ -89,7 +92,9 @@ class SolveOptions:
 class ProblemInstance:
     """Fixed-endpoint longest-path problem on the unit time horizon.  By
     left invariance it is the problem from the identity to ``g`` = x0^-1 x1,
-    which the solver solves."""
+    which the solver solves.  ``average`` is the control average that the
+    endpoints force on every admissible path (``GroupModel.forced_average``),
+    or None when the model forces none."""
 
     model: GroupModel
     cone: Cone
@@ -98,6 +103,7 @@ class ProblemInstance:
     x1: np.ndarray
     segments: int = 50
     g: np.ndarray = field(init=False, repr=False)
+    average: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x0", self.model.validate_point(self.x0))
@@ -121,6 +127,7 @@ class ProblemInstance:
                 f"antinorm is negative on the cone: it is "
                 f"{cert.counterexample['nu(xi)']:.6g} on the ray "
                 f"{cert.counterexample['xi']}")
+        object.__setattr__(self, "average", self.model.forced_average(self.g, self.cone))
 
     @property
     def control_dim(self) -> int:
@@ -170,25 +177,24 @@ def _objective(nu: Antinorm, u: np.ndarray, h: float) -> float:
     return float(h * nu.values_on_cone(u).sum())
 
 
-def _polish_average(model: GroupModel, cone: Cone, g, u: np.ndarray,
-                    horizon: float) -> np.ndarray:
+def _polish_average(prob: ProblemInstance, u: np.ndarray, horizon: float
+                    ) -> np.ndarray:
     """Shift all segments by a constant so the control average exactly matches
     the displacement the endpoints force (abelian and Carnot first layer).
 
     Keeps the superadditivity bound sharp in reports; reverted when the shift
     would push a segment out of the cone.
     """
-    target = model.forced_average(g, cone)
+    target = prob.average
     if target is None:
         return u
     h = horizon / u.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        shift = (target - h * u.sum(axis=0)) / horizon
+    shift = (target - h * u.sum(axis=0)) / horizon
     # controls whose sum overflows are left as they are
     if not np.all(np.isfinite(shift)) or np.linalg.norm(shift) == 0.0:
         return u
     shifted = u + shift
-    if np.all(cone.contains(shifted, 1e-9)):
+    if np.all(prob.cone.contains(shifted, 1e-9)):
         return shifted
     return u
 
@@ -237,8 +243,7 @@ def _augmented_lagrangian_run(prob: ProblemInstance, u0: np.ndarray, horizon: fl
         counts["endpoint"] += 1
         counts["jacobian"] += 1
         try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                J = model.endpoint_jacobian(g, uu, horizon, chain)
+            J = model.endpoint_jacobian(g, uu, horizon, chain)
         except (ValueError, FloatingPointError):
             return None
         return J if np.all(np.isfinite(J)) else None
@@ -247,8 +252,7 @@ def _augmented_lagrangian_run(prob: ProblemInstance, u0: np.ndarray, horizon: fl
         # one endpoint and one Jacobian evaluation, counted even when the
         # pass raises
         try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                rho, _, chain = model.endpoint_pass(g, uu, horizon)
+            rho, _, chain = model.endpoint_pass(g, uu, horizon)
         except (ValueError, FloatingPointError):
             counts["endpoint"] += 1
             counts["jacobian"] += 1
@@ -263,8 +267,7 @@ def _augmented_lagrangian_run(prob: ProblemInstance, u0: np.ndarray, horizon: fl
         ref, as (trial, phi, rho, J), or None.  The trials are requested
         together, and the accepted one's Jacobian is built from its pass."""
         trials, rho, chain, values = yield u, grad, steps
-        with np.errstate(over="ignore", invalid="ignore"):
-            phi = h * values.sum(axis=-1) - penalties(rho)
+        phi = h * values.sum(axis=-1) - penalties(rho)
         finite = np.all(np.isfinite(rho), axis=-1)
         for i in range(len(steps)):
             counts["endpoint"] += 1
@@ -330,7 +333,7 @@ def _augmented_lagrangian_run(prob: ProblemInstance, u0: np.ndarray, horizon: fl
         res = float(np.linalg.norm(rho))
         history.append(_objective(nu, u, h))
         if res <= opts.tol:
-            polished = _polish_average(model, cone, g, u, horizon)
+            polished = _polish_average(prob, u, horizon)
             rho_p = residual(polished)
             if np.linalg.norm(rho_p) <= opts.tol:
                 u = polished
@@ -344,7 +347,7 @@ def _augmented_lagrangian_run(prob: ProblemInstance, u0: np.ndarray, horizon: fl
             mu = min(mu * 2.0, 1e12)
         prev_res = res
 
-    u = _polish_average(model, cone, g, u, horizon)
+    u = _polish_average(prob, u, horizon)
     rho = residual(u)
     return _RunResult(u=u, objective=_objective(nu, u, h),
                       residual=float(np.linalg.norm(rho)),
@@ -377,18 +380,17 @@ def _trial_pass(prob: ProblemInstance, horizon: float, project, requests):
     each other, so every trial gets the bits it gets alone.  A lone request,
     as every round of a one-restart solve is, skips the concatenation and
     the slicing."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        stacks = [u + steps[:, None, None] * grad for u, grad, steps in requests]
-        stack = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-        whole = _evaluated(prob, horizon, project, stack) if prob.segments > 1 else None
-        if whole is None:
-            parts = [_evaluated(prob, horizon, project, trial[None]) or
-                     (trial[None], np.full((1, prob.model.point_dim), np.nan), [None],
-                      np.full((1, prob.segments), np.nan))
-                     for trial in stack]
-            trials, rho, chain, values = zip(*parts)
-            whole = (np.concatenate(trials), np.concatenate(rho),
-                     [c for cs in chain for c in cs], np.concatenate(values))
+    stacks = [u + steps[:, None, None] * grad for u, grad, steps in requests]
+    stack = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+    whole = _evaluated(prob, horizon, project, stack) if prob.segments > 1 else None
+    if whole is None:
+        parts = [_evaluated(prob, horizon, project, trial[None]) or
+                 (trial[None], np.full((1, prob.model.point_dim), np.nan), [None],
+                  np.full((1, prob.segments), np.nan))
+                 for trial in stack]
+        trials, rho, chain, values = zip(*parts)
+        whole = (np.concatenate(trials), np.concatenate(rho),
+                 [c for cs in chain for c in cs], np.concatenate(values))
     if len(requests) == 1:
         return [whole]
     trials, rho, chain, values = whole
@@ -441,22 +443,18 @@ def _starting_controls(prob: ProblemInstance, horizon: float,
     rng = np.random.default_rng(opts.seed)
     n_seg, m = prob.segments, prob.control_dim
     starts: List[np.ndarray] = []
-    target = prob.model.forced_average(prob.g, prob.cone)
-    if target is None:
-        target = prob.model.log(prob.g)
+    target = prob.model.log(prob.g) if prob.average is None else prob.average
     base = np.tile(target / horizon, (n_seg, 1))
     starts.append(base)
-    with np.errstate(over="ignore"):
-        size = np.linalg.norm(target)
+    size = np.linalg.norm(target)
     if size == np.inf:
         size = _row_norms(target)
     while len(starts) < max(1, opts.restarts):
         jitter = prob.cone.sample(n_seg, rng)
         mix = rng.uniform(0.2, 0.8)
         # a start that overflows fails its run (``_augmented_lagrangian_run``)
-        with np.errstate(over="ignore", invalid="ignore"):
-            cand = mix * base + (1 - mix) * jitter * (
-                size / max(np.linalg.norm(jitter, axis=1).mean(), 1e-9))
+        cand = mix * base + (1 - mix) * jitter * (
+            size / max(np.linalg.norm(jitter, axis=1).mean(), 1e-9))
         starts.append(cand)
     if tau_c is not None:
         for i, s in enumerate(starts):
@@ -526,13 +524,12 @@ def _certified(prob: ProblemInstance, horizon: float, opts: SolveOptions,
     ``_reachable_set_paths`` come next, each answering when its one
     residual is within tol.  A check that decides nothing, or whose
     endpoint pass raises, leaves no trace in the solve's report."""
-    v = prob.model.forced_average(prob.g, prob.cone)
+    v = prob.average
     if v is None:
         return None
     # admits_path lets v leave the cone by 1e-9 relative; its control may not
     w = prob.cone.project_batch(v[None])[0]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u = np.tile(w / (horizon if tau_c is None else tau_c @ w), (prob.segments, 1))
+    u = np.tile(w / (horizon if tau_c is None else tau_c @ w), (prob.segments, 1))
     res = _residual_norm(prob, u, horizon)
     if res is None:
         return None
@@ -556,11 +553,10 @@ def _residual_norm(prob: ProblemInstance, u: np.ndarray, horizon: float
                    ) -> Optional[float]:
     """|rho| of the control u, one endpoint evaluation; None when the pass
     raises."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            rho = prob.model.endpoint_residual(prob.g, u, horizon)[0]
-        except (ValueError, FloatingPointError):
-            return None
+    try:
+        rho = prob.model.endpoint_residual(prob.g, u, horizon)[0]
+    except (ValueError, FloatingPointError):
+        return None
     return float(np.linalg.norm(rho))
 
 
@@ -614,9 +610,9 @@ def _linear_sector(family: np.ndarray, edges: np.ndarray, d: np.ndarray
     g1, g2 = edges
     diff = family[np.argmin(family @ d)] - family
     alpha, beta = diff @ g1, diff @ (g2 - g1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = -alpha / beta
-    lo, hi = t[beta < 0.0].max(initial=0.0), t[beta > 0.0].min(initial=1.0)
+    neg, pos = beta < 0.0, beta > 0.0
+    lo = (-alpha[neg] / beta[neg]).max(initial=0.0)
+    hi = (-alpha[pos] / beta[pos]).min(initial=1.0)
     if not lo < hi:
         return None
     return np.array([(1.0 - lo) * g1 + lo * g2, (1.0 - hi) * g1 + hi * g2])
@@ -658,8 +654,7 @@ def _ray_slack(model: GroupModel, v: np.ndarray) -> float:
     c = float(np.max(np.abs(model.structure_constants)))
     r = float(np.linalg.norm(v))
     steps = np.arange(model.point_dim - model.control_dim + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(8.0 * RAY_TOL * r * np.sum((c * r) ** steps))
+    return float(8.0 * RAY_TOL * r * np.sum((c * r) ** steps))
 
 
 def solve_longest(prob: ProblemInstance, opts: Optional[SolveOptions] = None
@@ -707,15 +702,18 @@ def solve_longest_reparametrized(prob: ProblemInstance, form: TimeForm,
 def _solve(prob: ProblemInstance, horizon: float, opts: SolveOptions,
            tau_c: Optional[np.ndarray] = None) -> SolveReport:
     """The model's refusal, the certificates, then the restarts, on the
-    horizon given; with tau_c, on the unit-tau slice."""
-    if not prob.model.admits_path(prob.cone, prob.x0, prob.x1):
-        return _no_admissible_path()
-    certified = _certified(prob, horizon, opts, tau_c)
-    if certified is not None:
-        return certified
-    runs = _run_restarts(prob, _starting_controls(prob, horizon, opts, tau_c),
-                         horizon, opts, tau_c)
-    return _report_from_runs(prob, runs, horizon, opts)
+    horizon given; with tau_c, on the unit-tau slice.  numpy's overflow,
+    invalid and divide warnings are noise here: every non-finite value is
+    handled where it arises (``isfinite``, a caught error, a NaN trial)."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if not prob.model.admits_path(prob.cone, prob.x0, prob.x1):
+            return _no_admissible_path()
+        certified = _certified(prob, horizon, opts, tau_c)
+        if certified is not None:
+            return certified
+        runs = _run_restarts(prob, _starting_controls(prob, horizon, opts, tau_c),
+                             horizon, opts, tau_c)
+        return _report_from_runs(prob, runs, horizon, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +730,7 @@ def abelianized_upper_bound(prob: ProblemInstance) -> float:
     Raises WrongModelError on a model whose endpoints force no average: the
     hyperbolic plane, unless x0^-1 x1 - e spans an extreme ray of the cone.
     """
-    target = prob.model.forced_average(prob.g, prob.cone)
+    target = prob.average
     if target is None:
         raise WrongModelError(f"{prob.model!r} forces no control average; "
                               "the first-layer bound needs one")

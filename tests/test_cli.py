@@ -696,6 +696,42 @@ def test_lorentz_cone_form_of_1e308_exits_zero_without_warnings(tmp_path, subcom
         assert rep.payload["objective"] == pytest.approx(2.948732626365034, rel=1e-5)
 
 
+#: solves whose far endpoints overflow, and their exit code and status: the
+#: refusal (through ``contains``), the step-2 chain at the end of a restart,
+#: the hyperbolic forced average and the certified constant control each
+#: warned outside the solver's local ``np.errstate`` blocks
+FAR_SOLVES = [
+    ({"preset": "minkowski11",
+      "endpoints": {"x0": [0.0, 0.0], "x1": [-1e308, 3.0]},
+      "solver": {"restarts": 1, "max_iter": 2, "inner_iter": 2}},
+     1, "no_admissible_path"),
+    ({"model": {"kind": "carnot", "builtin": "heisenberg"},
+      "cone": {"kind": "polyhedral", "generators": [[1.0, 1.0], [1.0, -1.0]]},
+      "antinorm": {"kind": "min_of_linear", "family": [[1.0, 0.5], [1.0, -0.5]]},
+      "endpoints": {"x0": [-1e308, 0.0, 0.0], "x1": [2.0, 0.5, 0.1]},
+      "solver": {"restarts": 1, "max_iter": 2, "inner_iter": 2}},
+     1, "max_iterations"),
+    ({"preset": "hyperbolic",
+      "endpoints": {"x0": [0.0, 1e-300], "x1": [0.3, 2.0]},
+      "solver": {"restarts": 1, "max_iter": 2, "inner_iter": 2}},
+     1, "max_iterations"),
+    ({"preset": "minkowski11",
+      "endpoints": {"x0": [0.0, 0.0], "x1": [1e307, 3e306]},
+      "solver": {"restarts": 1, "max_iter": 2}},
+     0, "solved"),
+]
+
+
+@pytest.mark.parametrize("config, code, status", FAR_SOLVES)
+def test_far_endpoints_solve_without_warnings(tmp_path, config, code, status):
+    path = write_config(tmp_path, {"version": 1, "segments": 4, **config})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == code
+    record = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert record["solver_status"] == status
+
+
 #: a covector whose |tau| overflows, on the preset's cone and a 3-d Minkowski
 #: cone, and its growth ratio: one over its least value on the light rays
 HUGE_TAU = {

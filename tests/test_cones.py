@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -735,6 +736,18 @@ def test_lorentz_extreme_ray_is_measured_at_scale(scale):
         assert cone.on_extreme_ray(scale * np.array([1.0, 1.0]))
         assert not cone.on_extreme_ray(scale * np.array([1.0, 0.5]))
         assert not cone.on_extreme_ray(scale * np.array([-1.0, 1.0]))
+
+
+def test_cone_tests_of_huge_rows_warn_of_nothing(mink_nu):
+    # the norms that _at_scale rescales overflowed first, and warned
+    V = [[1e300, 1e300], [1e300, 5e299], [1e300, 2e300]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cone in FAR_CONES.values():
+            assert cone.contains(V).tolist() == [True, True, False]
+        assert antinorm_eval(mink_nu, FAR_CONES["lorentz"], [1e300, 5e299]) == \
+            8.660254037844387e+299
+        assert FAR_CONES["lorentz"].on_extreme_ray([1e200, 1e200])
 
 
 def test_lorentz_projection_of_huge_rows_is_finite(mink_cone):

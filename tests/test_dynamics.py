@@ -24,7 +24,7 @@ from sublorentz import (
     sl_length,
     trajectory_to_csv,
 )
-from sublorentz.dynamics import Trajectory, _area_rank
+from sublorentz.dynamics import Trajectory, _area_rank, _csv
 from sublorentz.verify import (
     _check_refinement,
     _check_rk4_crosscheck,
@@ -265,6 +265,29 @@ def test_trajectory_csv_format(heis, mink_cone, mink_nu):
     assert csv == trajectory_to_csv(traj)  # deterministic
     row = lines[1].split(",")
     assert float(row[0]) == 0.0 and float(row[-1]) == 0.0
+
+
+def test_csv_bytes_of_trajectories_and_histories():
+    # 17 significant digits, as "%.17g" writes them: signed zeros, subnormals,
+    # huge values and NaN included
+    points = [[-0.0, 5e-324], [1e300, np.nan], [0.5, 1.0 / 3.0]]
+    traj = Trajectory(AbelianGroup(2), [0.0, 5e-324, 1e300], points)
+    assert trajectory_to_csv(traj) == (
+        "t,x0,x1,z\n"
+        "0,-0,4.9406564584124654e-324,\n"
+        "4.9406564584124654e-324,1.0000000000000001e+300,nan,\n"
+        "1.0000000000000001e+300,0.5,0.33333333333333331,\n")
+    traj = Trajectory(AbelianGroup(2), [0.0, 5e-324, 1e300], points,
+                      z=[-0.0, np.nan, 1e300])
+    assert trajectory_to_csv(traj) == (
+        "t,x0,x1,z\n"
+        "0,-0,4.9406564584124654e-324,-0\n"
+        "4.9406564584124654e-324,1.0000000000000001e+300,nan,nan\n"
+        "1.0000000000000001e+300,0.5,0.33333333333333331,1.0000000000000001e+300\n")
+    history = [0.1, -0.0, 5e-324, 1e300, np.nan]
+    assert _csv(["iteration", "objective"], list(enumerate(history))) == (
+        "iteration,objective\n0,0.10000000000000001\n1,-0\n"
+        "2,4.9406564584124654e-324\n3,1.0000000000000001e+300\n4,nan\n")
 
 
 def test_trajectory_csv_hyperbolic_header():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -157,10 +159,49 @@ def test_a_start_that_overflows_fails_its_restart_not_the_solve(heis):
     assert rep.status == SolveStatus.MAX_ITERATIONS
 
 
-def test_controls_whose_sum_overflows_are_not_polished(plane, mink_cone):
+def test_controls_whose_sum_overflows_are_not_polished(plane, mink_cone, mink_nu):
     # the shift to the forced average was -inf, and the cone test raised
+    prob = make_prob(plane, mink_cone, mink_nu, np.zeros(2), [1e308, 0.0], n=4)
     u = np.full((4, 2), [1e308, 0.0])
-    assert solver._polish_average(plane, mink_cone, np.array([1e308, 0.0]), u, 1.0) is u
+    # under the floating-point policy of the solve that calls it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        assert solver._polish_average(prob, u, 1.0) is u
+
+
+def test_problem_holds_its_forced_average(plane, heis, mink_cone, mink_nu):
+    # the first layer of log(x0^-1 x1) on Carnot groups; on the hyperbolic
+    # plane log(x0^-1 x1) only when x0^-1 x1 - e spans an extreme ray
+    prob = make_prob(heis, mink_cone, mink_nu, [1.0, 0.0, 0.5], [4.0, 1.0, 0.2])
+    assert np.array_equal(prob.average, heis.forced_average(prob.g, mink_cone))
+    assert np.array_equal(make_prob(plane, mink_cone, mink_nu, [1.0, 1.0],
+                                    [4.0, 2.0]).average, [3.0, 1.0])
+    hyp, form = HyperbolicPlane(), [[-4.0, 0.0], [0.0, 1.0]]
+    cone, nu = LorentzCone(form, [0.0, 1.0]), LorentzSqrt(form)
+    assert make_prob(hyp, cone, nu, [0.0, 1.0], [0.3, 2.0]).average is None
+    assert np.array_equal(make_prob(hyp, cone, nu, [0.0, 1.0], [0.5, 2.0]).average,
+                          hyp.log([0.5, 2.0]))
+
+
+@pytest.mark.parametrize("case", ["heisenberg", "hyperbolic"])
+def test_far_endpoints_solve_without_warnings(heis, case):
+    # the step-2 chain at the end of a restart and the hyperbolic forced
+    # average warned outside the solver's local np.errstate blocks
+    if case == "heisenberg":
+        prob = make_prob(heis, PolyhedralCone([[1.0, 1.0], [1.0, -1.0]]),
+                         MinOfLinear([[1.0, 0.5], [1.0, -0.5]]), [-1e308, 0.0, 0.0],
+                         [2.0, 0.5, 0.1], n=4)
+        form = LeftInvariantForm([1.0, 0.0, 0.0], heis)
+    else:
+        cone = [[-4.0, 0.0], [0.0, 1.0]]
+        prob = make_prob(HyperbolicPlane(), LorentzCone(cone, [0.0, 1.0]),
+                         LorentzSqrt(cone), [0.0, 1e-300], [0.3, 2.0], n=4)
+        form = HyperbolicAB(0.0, 1.0)
+    opts = SolveOptions(restarts=1, max_iter=2, inner_iter=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_longest(prob, opts).status == SolveStatus.MAX_ITERATIONS
+        assert solve_longest_reparametrized(prob, form, opts).status == \
+            SolveStatus.MAX_ITERATIONS
 
 
 def test_heisenberg_first_layer_target_attains_bound(heis, mink_cone, mink_nu,
