@@ -955,7 +955,17 @@ class LorentzSqrt(Antinorm):
         vals = self.values_on_cone(V)
         out = np.zeros_like(V)
         ok = vals > 0.0
-        out[ok] = (V[ok] @ self.form) / vals[ok, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = V[ok] @ self.form
+        out[ok] = P / vals[ok, None]
+        # a row whose product with the form leaves the float range takes the
+        # gradient, homogeneous of degree 0, at its entries scaled to at most
+        # 1, as values_on_cone scales them; every other row keeps its bits.
+        # Only a call with such a product looks for them
+        if not np.isfinite(P).all():
+            odd = np.flatnonzero(ok)[~np.all(np.isfinite(P), axis=-1)]
+            W = V[odd] / np.abs(V[odd]).max(axis=1)[:, None]
+            out[odd] = (W @ self.form) / self.values_on_cone(W)[:, None]
         return out
 
     def certify(self, cone):

@@ -300,15 +300,28 @@ class GroupModel:
         identity to g = x0^-1 x1, or None when the model pins none down."""
         return None
 
-    def admits_path(self, cone: Cone, x0, x1) -> bool:
+    def admits_path(self, cone: Cone, x0, x1, g) -> bool:
         """False when a certificate rules out every cone-admissible path from
-        x0 to x1: here, a forced control average outside the cone."""
-        target = self.forced_average(self.multiply(self.inverse(x0), x1), cone)
+        x0 to x1, given g = x0^-1 x1 as the problem formed it: here, a
+        forced control average outside the cone.  x0 and x1 matter only to
+        a closed-form reachable set's rounding slack (``staircase``)."""
+        target = self.forced_average(g, cone)
         return target is None or cone.contains(target, 1e-9)
 
     def staircase(self, cone: Cone, x0, x1) -> Optional[tuple]:
         """The reachable set in closed form (``CarnotGroup.staircase``), or
         None when the model has none for the cone."""
+        return None
+
+    def normal_extremals(self, cone: Cone, nu, g, horizon: float, segments: int):
+        """The model's normal extremals from the identity, in closed form for
+        the cone and the antinorm ``nu``, as a family of chord controls of
+        ``segments`` segments over ``horizon``; None when the model has none
+        for them.  The family has ``start``, the parameters theta that a
+        search for the one whose path ends at g begins with, and
+        ``controls(theta)``: the control (N, m) and its derivative in theta
+        (N, m, p), or None outside the family's domain.  The solver searches
+        (``solver._extremal_answer``) and checks what it finds."""
         return None
 
     def coordinate_names(self) -> list:
@@ -431,17 +444,66 @@ def _hyperbolic_flow(alpha: np.ndarray, beta: np.ndarray, t: float,
     return X, Y, dXa, dXb, t * Y
 
 
-def _hyperbolic_log_jacobian(w: np.ndarray) -> np.ndarray:
-    """d log / d point at w = (x, y) on the hyperbolic plane."""
-    x, y = w
+def _residual_jacobian(ex, ey, g0, g1) -> np.ndarray:
+    """d log(E^-1 g) / d E at the endpoint E = (ex, ey) of the hyperbolic
+    plane, g = (g0, g1): the log's Jacobian at w = E^-1 g, times dw / dE.
+    The factors are formed from scalars and multiplied by np.dot, the dgemm
+    the array expression called; numpy's log gives log(w_y) its bits.
+    Python's floats raise where a divisor is 0 or a power overflows, so such
+    an endpoint is given as numpy scalars, which make inf and NaN there."""
+    x, y = (g0 - ex) / ey, g1 / ey
     t = y - 1.0
     if abs(t) < 1e-5:
         ratio = 1.0 - t / 2.0 + t * t / 3.0 - t ** 3 / 4.0
         dratio = -0.5 + 2.0 * t / 3.0 - 0.75 * t * t
     else:
-        ratio = np.log(y) / t
-        dratio = ((t / y) - np.log(y)) / (t * t)
-    return np.array([[ratio, x * dratio], [0.0, 1.0 / y]])
+        log_y = float(np.log(y))
+        ratio = log_y / t
+        dratio = ((t / y) - log_y) / (t * t)
+    ey2 = ey ** 2
+    return np.dot(np.array([[ratio, x * dratio], [0.0, 1.0 / y]]),
+                  np.array([[-1.0 / ey, -(g0 - ex) / ey2], [0.0, -g1 / ey2]]))
+
+
+class _HyperbolicExtremals:
+    """The chord controls of the hyperbolic plane's normal extremals
+    (``HyperbolicPlane.normal_extremals``), theta = (c, zeta): segment k
+    runs between tau_k = tanh(zeta) e^{c (t_k - T)} and tau_{k+1}, t_k = k
+    h, and its control in the normal form's chart is (-2 d artanh(tau), c h
+    - d log1p(-tau^2)) / h, d the change over the segment, mapped back by
+    M.  Every zeta keeps |tau| < 1, so the domain is c > 0."""
+
+    def __init__(self, M: np.ndarray, start: np.ndarray, horizon: float,
+                 segments: int) -> None:
+        self._M = M
+        self.start = start
+        self._h = horizon / segments
+        # t_k - T
+        self._t = self._h * np.arange(segments + 1) - horizon
+
+    def controls(self, theta):
+        c, zeta = theta
+        if not (c > 0.0 and np.isfinite(zeta)):
+            return None
+        e = np.exp(c * self._t)
+        tau = np.tanh(zeta) * e
+        # tau is monotone in t: |tau| < 1 holds everywhere when it holds at
+        # the end, where tanh(zeta) may have rounded to +-1
+        if not abs(tau[-1]) < 1.0:
+            return None
+        h = self._h
+        # d tau / d (c, zeta), and d artanh(tau) = d tau / (1 - tau^2)
+        dtau = np.stack([self._t * tau, e / np.cosh(zeta) ** 2], axis=-1)
+        dart = dtau / ((1.0 - tau) * (1.0 + tau))[:, None]
+        u = np.empty((len(tau) - 1, 2))
+        du = np.empty((len(tau) - 1, 2, 2))
+        u[:, 0] = -2.0 * np.diff(np.arctanh(tau)) / h
+        u[:, 1] = c - np.diff(np.log1p(-tau * tau)) / h
+        # d log1p(-tau^2) = -2 tau d artanh(tau)
+        du[:, 0] = -2.0 * np.diff(dart, axis=0) / h
+        du[:, 1] = np.diff(2.0 * tau[:, None] * dart, axis=0) / h
+        du[:, 1, 0] += 1.0
+        return u @ self._M.T, self._M @ du
 
 
 class HyperbolicPlane(GroupModel):
@@ -506,12 +568,68 @@ class HyperbolicPlane(GroupModel):
         y = self.validate_point(p)[1]
         return as_vectors(v, 2, "tangent vector") / y
 
-    def admits_path(self, cone, x0, x1):
+    def admits_path(self, cone, x0, x1, g):
         """exp(t c) = e + ((e^{t beta} - 1)/beta) c and (e + a)(e + b) =
         e + a + (1 + a_y) b, so every point reachable from x0 lies in
-        x0 ((e + cone) with y > 0)."""
-        w = self.multiply(self.inverse(x0), x1)
-        return cone.contains(w - self.identity(), 1e-9)
+        x0 ((e + cone) with y > 0): g - e must lie in the cone."""
+        return cone.contains(g - self.identity(), 1e-9)
+
+    def normal_extremals(self, cone, nu, g, horizon, segments):
+        """The normal extremals of a Lorentz cone of form A with A_xx < 0,
+        future nappe (interior direction with y > 0) and antinorm
+        sqrt(v^T k A v), k > 0; None for any other cone or antinorm, for
+        g = e, and where no start below lies in the family's domain.
+
+        - Normal form.  Phi(x, y) = (p x + q (y - 1), y) is an automorphism,
+          since [p e_x, e_y + q e_x] = -p e_x.  With M = dPhi_e = [[p, q],
+          [0, 1]], q = -A_xy / A_xx and p = sqrt(-det A) / |A_xx|, M^T A M
+          = kappa diag(-1, 1), kappa = det A / A_xx > 0: in the chart of
+          Phi^-1 the cone is |v_x| <= v_y and the antinorm is a multiple of
+          sqrt(v_y^2 - v_x^2).  A control u' there is u = M u' here.
+        - Extremals.  The costate flows by psi' = c ad*_w psi, and the unit
+          control w, proportional to A^-1 psi, maximizes the Hamiltonian.
+          In the normal form w(t) = (-sinh phi, cosh phi) with tanh(phi(t)
+          / 2) = a e^{c t}: the control is c w, of speed c > 0, and |a|
+          e^{c T} < 1 over the horizon T.  a = 0 is the vertical subgroup.
+          The family takes a = tanh(zeta) e^{-c T}, so that every real zeta
+          meets the bound, and Newton's iteration moves freely in it.
+        - Chords.  Segment k's control is the mean of c w over it: with
+          tau_k = a e^{c t_k} and h = T / N, c w_k has the components
+          -2 (artanh tau_{k+1} - artanh tau_k) / h and
+          c - (log1p(-tau_{k+1}^2) - log1p(-tau_k^2)) / h.
+        - Start.  c = nu'(log g) / T and a = tanh(phi_g / 2) e^{-c T / 2},
+          phi_g the direction of log g, both in the normal form (nu' the
+          unit antinorm there): the extremal whose direction at mid-time is
+          log g's.  Where log g leaves the cone, g - e stands for it
+          (``admits_path`` puts g - e in the cone).  a halves until |a|
+          e^{c T} < 1."""
+        A, B = getattr(cone, "form", None), getattr(nu, "form", None)
+        if A is None or np.shape(B) != (2, 2) or not cone.interior_direction()[1] > 0.0:
+            return None
+        # each form over its largest entry: B is a positive multiple of A iff
+        # they agree then
+        A, B = A / np.abs(A).max(), B / np.abs(B).max()
+        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+        if not (A[0, 0] < 0.0 and det < 0.0 and np.abs(B - A).max() <= 1e-12) \
+                or np.array_equal(g, self.identity()):
+            return None
+        p, q = math.sqrt(-det) / -A[0, 0], -A[0, 1] / A[0, 0]
+        for v in (self.log(g), g - self.identity()):
+            x, y = (v[0] - q * v[1]) / p, v[1]
+            if y > abs(x):
+                break
+        else:
+            return None
+        c = math.sqrt((y - x) * (y + x)) / horizon
+        if not 0.5 * c * horizon < 700.0:   # e^{c T / 2} leaves the float range
+            return None
+        # a e^{c T} = tanh(zeta), from tanh(phi / 2) for tanh(phi) = s
+        s = -x / y
+        end = s / (1.0 + math.sqrt((1.0 - s) * (1.0 + s))) * math.exp(0.5 * c * horizon)
+        while abs(end) >= 1.0:
+            end *= 0.5
+        return _HyperbolicExtremals(np.array([[p, q], [0.0, 1.0]]),
+                                    np.array([c, math.atanh(end)]), horizon, segments)
 
     def forced_average(self, g, cone):
         """log(g) when g - e spans an extreme ray of the cone: every segment
@@ -558,10 +676,12 @@ class HyperbolicPlane(GroupModel):
         Dp[:, 0, 1], Dp[:, 1, 1] = X, Y
         Du[:, 0, 0], Du[:, 0, 1], Du[:, 1, 1] = dXa, dXb, dYb
         Du *= chain[:-1, 1, None, None]
-        ex, ey = endpoint = chain[-1, :2]
-        dw_dE = np.array([[-1.0 / ey, -(g[0] - ex) / ey ** 2],
-                          [0.0, -g[1] / ey ** 2]])
-        return Dp, Du, _hyperbolic_log_jacobian(self._offset(endpoint, g)) @ dw_dE
+        ends = chain[-1, :2].tolist() + [float(g[0]), float(g[1])]
+        try:
+            S_end = _residual_jacobian(*ends)
+        except ArithmeticError:
+            S_end = _residual_jacobian(*np.array(ends))
+        return Dp, Du, S_end
 
     @staticmethod
     def _offset(endpoint, g) -> np.ndarray:
@@ -641,7 +761,7 @@ class CarnotGroup(GroupModel):
         table[space, 0, r + space] = -1.0
         return r if np.allclose(self.structure_constants, table, atol=1e-12) else None
 
-    def admits_path(self, cone, x0, x1):
+    def admits_path(self, cone, x0, x1, g):
         """On the Heisenberg group (area rank 1) with a cone of two edge rays
         g1, g2, a path's area z lies between those of the staircases
         exp(a g1) exp(b g2) and exp(b g2) exp(a g1), where a g1 + b g2 is its
@@ -650,7 +770,7 @@ class CarnotGroup(GroupModel):
         within the rounding slack; a d with a, b >= 0 lies in the cone."""
         stairs = self.staircase(cone, x0, x1)
         if stairs is None:
-            return super().admits_path(cone, x0, x1)
+            return super().admits_path(cone, x0, x1, g)
         d, ab, z, half, slack = stairs
         inside = np.all(ab >= 0.0) or not np.any(d) or cone.contains(d, 1e-9)
         return bool(inside and abs(z) <= half + slack)

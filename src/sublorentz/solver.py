@@ -22,8 +22,14 @@ inside it where a min-of-linear antinorm is linear on a sector that reaches
 it, is answered by a staircase or a three-piece path after one endpoint
 evaluation (``_reachable_set_paths``).  The hyperbolic plane forces an
 average, and so takes the constant control, when x0^-1 x1 - e spans an
-extreme ray.  A solve that no certificate decides runs as it would without
-them, bit for bit.
+extreme ray.  Elsewhere on it, with a Lorentz cone of form A (A_xx < 0)
+and the antinorm sqrt(v^T k A v), the longest paths are normal extremals
+(Pontryagin), known in closed form (``HyperbolicPlane.normal_extremals``):
+a damped Newton iteration on the endpoint residual finds the two
+parameters of the one through x0^-1 x1, and its chord control answers
+once its residual is at rounding level and its length beats the constant
+control's (``_extremal_answer``), after a few endpoint passes.  A solve
+that no certificate decides runs as it would without them, bit for bit.
 
 Each line search evaluates its step-halving trials in stacked chunks, and
 the restarts run in lockstep (``_run_restarts``): in each round, the pending
@@ -71,6 +77,15 @@ TRIAL_CHUNKS = (1, 2, 4, 8, 16)
 
 #: the step factors of one line search, halving after each rejected trial
 HALVINGS = 0.5 ** np.arange(40)
+
+#: the extremal certificate's Newton iteration: at most NEWTON_STEPS steps,
+#: each halved at most NEWTON_HALVINGS times until |rho| falls
+NEWTON_STEPS = 30
+NEWTON_HALVINGS = 30
+
+#: the |rho| that the extremal certificate's iteration must reach, relative
+#: to max(1, |log g|): rounding level, where Newton has converged
+EXTREMAL_TOL = 1e-13
 
 
 class SolveStatus(Enum):
@@ -147,7 +162,8 @@ class SolveReport:
     #: trials in order: every residual evaluation up to an accepted trial
     #: (the full passes included) and the full passes that also built the
     #: Jacobian.  A trial stacked past the accepted one is not counted, so
-    #: the counts describe the search, not how its trials were batched.
+    #: the counts describe the search, not how its trials were batched.  A
+    #: certified answer counts its endpoint passes and Jacobians as made.
     endpoint_evaluations: int = 0
     jacobian_evaluations: int = 0
 
@@ -509,9 +525,9 @@ def _no_admissible_path(endpoint_evaluations: int = 0) -> SolveReport:
 def _certified(prob: ProblemInstance, horizon: float, opts: SolveOptions,
                tau_c: Optional[np.ndarray] = None) -> Optional[SolveReport]:
     """The answer of the certificates, or None when none decides the
-    problem.  They need the control average v that the endpoints force,
-    which the hyperbolic plane has only when x0^-1 x1 - e spans an extreme
-    ray of the cone.
+    problem.  The first need the control average v that the endpoints
+    force, which the hyperbolic plane has only when x0^-1 x1 - e spans an
+    extreme ray of the cone.
 
     The constant control at w, v projected onto the cone as every iterate
     is (w / horizon, or w / tau(w) on the unit-tau slice when tau_c is
@@ -519,26 +535,26 @@ def _certified(prob: ProblemInstance, horizon: float, opts: SolveOptions,
     tol, it is the answer.  Otherwise, when v is the apex or spans an
     extreme ray and the residual exceeds tol by more than ``_ray_slack``,
     no admissible path exists: every control with that average is parallel
-    to v, and so ends at exp(v).  Otherwise, on the Heisenberg group
-    with a cone of two edge rays and without tau_c, the paths of
+    to v, and so ends at exp(v).  Otherwise, without tau_c, on the
+    Heisenberg group with a cone of two edge rays, the paths of
     ``_reachable_set_paths`` come next, each answering when its one
-    residual is within tol.  A check that decides nothing, or whose
-    endpoint pass raises, leaves no trace in the solve's report."""
+    residual is within tol; and last the model's normal extremal through
+    x0^-1 x1 (``_extremal_answer``).  A check that decides nothing, or
+    whose endpoint pass raises, leaves no trace in the solve's report."""
     v = prob.average
-    if v is None:
-        return None
-    # admits_path lets v leave the cone by 1e-9 relative; its control may not
-    w = prob.cone.project_batch(v[None])[0]
-    u = np.tile(w / (horizon if tau_c is None else tau_c @ w), (prob.segments, 1))
-    res = _residual_norm(prob, u, horizon)
-    if res is None:
-        return None
-    if res <= opts.tol:
-        return _answer(prob, u, res, float(antinorm_eval(prob.nu, prob.cone, w)),
-                       horizon, opts)
-    if (not np.any(v) or prob.cone.on_extreme_ray(v)) and \
-            res > opts.tol + _ray_slack(prob.model, v):
-        return _no_admissible_path(endpoint_evaluations=1)
+    if v is not None:
+        # admits_path lets v leave the cone by 1e-9 relative; its control may not
+        w = prob.cone.project_batch(v[None])[0]
+        u = np.tile(w / (horizon if tau_c is None else tau_c @ w), (prob.segments, 1))
+        res = _residual_norm(prob, u, horizon)
+        if res is None:
+            return None
+        if res <= opts.tol:
+            return _answer(prob, u, res, float(antinorm_eval(prob.nu, prob.cone, w)),
+                           horizon, opts)
+        if (not np.any(v) or prob.cone.on_extreme_ray(v)) and \
+                res > opts.tol + _ray_slack(prob.model, v):
+            return _no_admissible_path(endpoint_evaluations=1)
     if tau_c is not None:
         return None
     for u in _reachable_set_paths(prob, horizon):
@@ -546,7 +562,72 @@ def _certified(prob: ProblemInstance, horizon: float, opts: SolveOptions,
         if res is not None and res <= opts.tol:
             h = horizon / prob.segments
             return _answer(prob, u, res, _objective(prob.nu, u, h), horizon, opts)
-    return None
+    return _extremal_answer(prob, horizon, opts)
+
+
+def _extremal_answer(prob: ProblemInstance, horizon: float, opts: SolveOptions
+                     ) -> Optional[SolveReport]:
+    """The chord control of the model's normal extremal that ends at g =
+    x0^-1 x1 (``GroupModel.normal_extremals``), or None.  A damped Newton
+    iteration solves rho(theta) = 0 for the family's p parameters (2 on the
+    hyperbolic plane), with the p x p Jacobian of the endpoint Jacobian
+    chained with d u / d theta, and halves each step until |rho| falls.
+    The control answers, SOLVED at iteration 0 with every endpoint pass and
+    Jacobian of the iteration counted, when |rho| reaches ``EXTREMAL_TOL``
+    and tol, every segment lies in the cone, and its length is at least
+    nu(log g) wherever the constant control at log g is admissible: a
+    normal extremal of the other sign ends at g too, shorter."""
+    family = prob.model.normal_extremals(prob.cone, prob.nu, prob.g, horizon,
+                                         prob.segments)
+    if family is None:
+        return None
+    model, g = prob.model, prob.g
+    counts = {"endpoint": 0, "jacobian": 0}
+
+    def at(theta):
+        # (theta, u, du / dtheta, |rho|, rho, chain), or None off the
+        # family's domain or where the pass fails
+        controls = family.controls(theta)
+        if controls is None:
+            return None
+        counts["endpoint"] += 1
+        try:
+            rho, _, chain = model.endpoint_pass(g, controls[0], horizon)
+        except (ValueError, FloatingPointError):
+            return None
+        res = float(np.linalg.norm(rho))
+        return (theta, *controls, res, rho, chain) if np.isfinite(res) else None
+
+    log_g = model.log(g)
+    target = min(EXTREMAL_TOL * max(1.0, float(np.linalg.norm(log_g))), opts.tol)
+    point = at(family.start)
+    for _ in range(NEWTON_STEPS):
+        if point is None or point[3] <= target:
+            break
+        theta, u, du, res, rho, chain = point
+        counts["jacobian"] += 1
+        try:
+            J = np.einsum("kab,kbp->ap", model.endpoint_jacobian(g, u, horizon, chain), du)
+            step = np.linalg.solve(J, -rho)
+        except (ValueError, FloatingPointError):   # LinAlgError among them
+            return None
+        for t in HALVINGS[:NEWTON_HALVINGS]:
+            trial = at(theta + t * step)
+            if trial is not None and trial[3] < res:
+                point = trial
+                break
+        else:
+            return None
+    if point is None or not point[3] <= target:
+        return None
+    _, u, _, res, _, _ = point
+    objective = _objective(prob.nu, u, horizon / prob.segments)
+    # -inf where log g leaves the cone
+    bound = float(antinorm_eval(prob.nu, prob.cone, log_g))
+    if not (np.all(prob.cone.contains(u, 0.0)) and objective >= bound * (1.0 - 1e-12)):
+        return None
+    return _answer(prob, u, res, objective, horizon, opts, counts["endpoint"],
+                   counts["jacobian"])
 
 
 def _residual_norm(prob: ProblemInstance, u: np.ndarray, horizon: float
@@ -561,10 +642,13 @@ def _residual_norm(prob: ProblemInstance, u: np.ndarray, horizon: float
 
 
 def _answer(prob: ProblemInstance, u: np.ndarray, res: float, objective: float,
-            horizon: float, opts: SolveOptions) -> SolveReport:
-    """The report of a certified control, after its one endpoint evaluation."""
+            horizon: float, opts: SolveOptions, endpoint_evaluations: int = 1,
+            jacobian_evaluations: int = 0) -> SolveReport:
+    """The report of a certified control, by default after its one endpoint
+    evaluation."""
     run = _RunResult(u=u, objective=objective, residual=res, outer_iters=0,
-                     history=[], endpoint_evaluations=1, jacobian_evaluations=0)
+                     history=[], endpoint_evaluations=endpoint_evaluations,
+                     jacobian_evaluations=jacobian_evaluations)
     return _report_from_runs(prob, [run], horizon, opts)
 
 
@@ -668,8 +752,12 @@ def solve_longest(prob: ProblemInstance, opts: Optional[SolveOptions] = None
     evaluation, the constant control when it attains the first-layer bound,
     and on the Heisenberg group the staircase on the reachable set's edge or
     the three-piece path that attains a min-of-linear antinorm's Jensen
-    bound (``_certified``); and MAX_ITERATIONS when no restart reaches the
-    endpoint tolerance.
+    bound; on the hyperbolic plane with a Lorentz cone and its own
+    LorentzSqrt form, the chord control of the normal extremal through
+    x0^-1 x1, found by a Newton iteration of a few endpoint passes
+    (``_certified``); each of these at iteration 0.  Otherwise the restarts
+    iterate, and it returns MAX_ITERATIONS when none reaches the endpoint
+    tolerance.
     """
     return _solve(prob, 1.0, opts or SolveOptions())
 
@@ -706,7 +794,7 @@ def _solve(prob: ProblemInstance, horizon: float, opts: SolveOptions,
     invalid and divide warnings are noise here: every non-finite value is
     handled where it arises (``isfinite``, a caught error, a NaN trial)."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if not prob.model.admits_path(prob.cone, prob.x0, prob.x1):
+        if not prob.model.admits_path(prob.cone, prob.x0, prob.x1, prob.g):
             return _no_admissible_path()
         certified = _certified(prob, horizon, opts, tau_c)
         if certified is not None:

@@ -399,6 +399,11 @@ def _check_refinement(seed, samples: int = 20) -> CheckResult:
                        f"max deviation {worst:.2e}")
 
 
+def _admits(model, cone, x0, x1) -> bool:
+    """admits_path, given x0^-1 x1 formed as a problem forms it."""
+    return model.admits_path(cone, x0, x1, model.multiply(model.inverse(x0), x1))
+
+
 def _check_hyperbolic_certificate(seed: int, samples: int = 100) -> CheckResult:
     """Reachable points pass HyperbolicPlane.admits_path, for three cones."""
     model = HyperbolicPlane()
@@ -408,7 +413,7 @@ def _check_hyperbolic_certificate(seed: int, samples: int = 100) -> CheckResult:
                            ([[-1.0, 0.5], [0.5, 2.0]], [0, 1])):
         cone = LorentzCone(form, selector)
         refused += [x1 for x1 in reachability_sample(model, cone, x0, samples, seed=seed)
-                    if not model.admits_path(cone, x0, x1)]
+                    if not _admits(model, cone, x0, x1)]
     return CheckResult("hyperbolic reachable points pass the certificate",
                        not refused, f"{len(refused)}/{3 * samples} refused"
                        + (f", first {refused[0].tolist()}" if refused else ""))
@@ -427,7 +432,7 @@ def _check_heisenberg_certificate(seed: int, samples: int = 100,
                      (PolyhedralCone([[1.0, 0.3], [0.4, 1.0]]),
                       MinOfLinear([[1.0, 0.0], [0.0, 1.0]]))):
         refused += [x1 for x1 in reachability_sample(model, cone, x0, samples, seed=seed)
-                    if not model.admits_path(cone, x0, x1)]
+                    if not _admits(model, cone, x0, x1)]
         g1, g2 = model.embed_control(cone.edge_rays)
         x1 = model.multiply(model.multiply(x0, 1.5 * g1), 0.8 * g2)
         rep = solve_longest(ProblemInstance(model, cone, nu, x0, x1, segments=20), opts)

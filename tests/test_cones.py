@@ -781,6 +781,23 @@ def test_lorentz_sqrt_of_a_form_of_1e308_is_finite():
     assert np.array_equal(LorentzSqrt(MINK).form, MINK)
 
 
+def test_lorentz_sqrt_gradient_of_a_form_of_1e308_is_finite():
+    # V @ A overflowed to inf, and inf / nu(v) is not a gradient: the row is
+    # taken at entries of at most 1, and rows of a normal product keep their
+    # bits
+    nu, unit = LorentzSqrt([[1e308, 0.0], [0.0, -1e308]]), LorentzSqrt(MINK)
+    V = np.array([[3.0, 1.0], [2.0, -1.5], [1e-300, 0.0], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grads = nu.grads_on_cone(V)
+    assert np.all(np.isfinite(grads))
+    np.testing.assert_allclose(grads / 1e154, unit.grads_on_cone(V), rtol=1e-15, atol=0.0)
+    # the light ray has no gradient, and a normal product keeps its bits
+    assert np.array_equal(grads[3], [0.0, 0.0])
+    assert np.array_equal(unit.grads_on_cone(V)[:2], (V[:2] @ unit.form) /
+                          unit.values_on_cone(V[:2])[:, None])
+
+
 def test_lorentz_cone_of_a_form_of_1e308_is_the_scaled_cone():
     # 0.5 * (A + A.T) overflowed to inf - inf = NaN, and the form was
     # refused with "eigenvalues [nan nan]"

@@ -25,7 +25,7 @@ from sublorentz.groups import (
     MAX_DIM,
     _hyperbolic_flow,
     _hyperbolic_step,
-    _hyperbolic_log_jacobian,
+    _residual_jacobian,
     bch_jacobians,
 )
 from sublorentz.verify import (
@@ -406,6 +406,57 @@ def _walk(model, x0, u, h):
     return np.array(points)
 
 
+def _log_jacobian_reference(w):
+    """d log / d point at w = (x, y) on the hyperbolic plane, from numpy
+    scalars: the expression the endpoint Jacobian's scalar tail replaced."""
+    x, y = w
+    t = y - 1.0
+    if abs(t) < 1e-5:
+        ratio = 1.0 - t / 2.0 + t * t / 3.0 - t ** 3 / 4.0
+        dratio = -0.5 + 2.0 * t / 3.0 - 0.75 * t * t
+    else:
+        ratio = np.log(y) / t
+        dratio = ((t / y) - np.log(y)) / (t * t)
+    return np.array([[ratio, x * dratio], [0.0, 1.0 / y]])
+
+
+def _residual_jacobian_reference(endpoint, g):
+    ex, ey = endpoint
+    offset = np.array([(g[0] - ex) / ey, g[1] / ey])
+    return _log_jacobian_reference(offset) @ np.array(
+        [[-1.0 / ey, -(g[0] - ex) / ey ** 2], [0.0, -g[1] / ey ** 2]])
+
+
+@pytest.mark.parametrize("near", [True, False], ids=["series", "direct"])
+def test_residual_jacobian_keeps_the_bits_of_the_array_expression(near):
+    # both branches of the log's Jacobian: |y - 1| < 1e-5 takes the series
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        g = np.array([rng.uniform(-3.0, 3.0), rng.uniform(0.01, 3.0)])
+        ex = rng.uniform(-3.0, 3.0)
+        ey = g[1] * (1.0 + (rng.uniform(-9e-6, 9e-6) if near else rng.uniform(-0.9, 3.0)))
+        w_y = g[1] / ey
+        assert (abs(w_y - 1.0) < 1e-5) == near
+        got = _residual_jacobian(ex, ey, float(g[0]), float(g[1]))
+        assert got.tobytes() == _residual_jacobian_reference(np.array([ex, ey]), g).tobytes()
+
+
+@pytest.mark.parametrize("height", [0.0, 1e200])
+def test_residual_jacobian_of_a_degenerate_endpoint_follows_numpy(height):
+    # a zero endpoint height divides by 0, and a huge one overflows its
+    # square: Python's floats raise there, so the model takes numpy's
+    # scalars, whose inf and NaN the array expression made
+    model, g = HyperbolicPlane(), np.array([0.3, 2.0])
+    u = np.tile([0.1, 1.0], (4, 1))
+    chain = model.endpoint_pass(g, u, 1.0)[2]
+    chain[-1, 1] = height
+    with np.errstate(all="ignore"):
+        got = model._chain_jacobians(chain, u, 0.25, g)[2]
+        want = _residual_jacobian_reference(chain[-1, :2], g)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.all(np.isfinite(got)) == (height != 0.0)
+
+
 def _walk_jacobian(model, points, g, u, h):
     """d rho / d u_k one segment at a time: each segment's Jacobians (by the
     BCH series on a Carnot group, by the flow's derivatives on the
@@ -418,10 +469,7 @@ def _walk_jacobian(model, points, g, u, h):
             Da, Db = bch_jacobians(alg, points[k], h * model.embed_control(u[k]))
             return Da, Db @ (h * np.eye(model.point_dim, model.control_dim))
     else:
-        ex, ey = points[-1]
-        offset = np.array([(g[0] - ex) / ey, g[1] / ey])
-        S = _hyperbolic_log_jacobian(offset) @ np.array(
-            [[-1.0 / ey, -(g[0] - ex) / ey ** 2], [0.0, -g[1] / ey ** 2]])
+        S = _residual_jacobian_reference(points[-1], g)
 
         def segment(k):
             X, Y, dXa, dXb, dYb = (v[0] for v in _hyperbolic_flow(u[k, :1], u[k, 1:], h))

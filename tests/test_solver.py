@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from sublorentz import (
     AbelianGroup,
@@ -38,6 +39,7 @@ from sublorentz import solver
 from sublorentz.solver import _unit_tau_retract
 from sublorentz.timeform import _control_covector
 from sublorentz.verify import (
+    _admits,
     _check_abelian_oracle,
     _check_bound_dominance,
     _check_heisenberg_certificate,
@@ -52,6 +54,14 @@ MINK = [[1.0, 0.0], [0.0, -1.0]]
 
 def make_prob(model, cone, nu, x0, x1, n=40):
     return ProblemInstance(model, cone, nu, x0, x1, segments=n)
+
+
+def _iterated(prob, opts, horizon=1.0, tau_c=None):
+    """The report of the restarts alone: the solve as it runs where no
+    certificate decides the problem."""
+    runs = solver._run_restarts(
+        prob, solver._starting_controls(prob, horizon, opts, tau_c), horizon, opts, tau_c)
+    return solver._report_from_runs(prob, runs, horizon, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +473,7 @@ def test_abelian_average_just_outside_far_out_decides_nothing(mink_cone, mink_nu
     # reachable-set paths to try, so the certificates leave the solve alone
     prob = make_prob(AbelianGroup(2), mink_cone, mink_nu, np.zeros(2),
                      [1e4, 1e4 * (1.0 + 5e-10)], n=8)
-    assert prob.model.admits_path(prob.cone, prob.x0, prob.x1)
+    assert prob.model.admits_path(prob.cone, prob.x0, prob.x1, prob.g)
     assert solver._certified(prob, 1.0, SolveOptions()) is None
     assert solve_longest(prob, SolveOptions(restarts=1, max_iter=1, inner_iter=2)
                          ).iterations > 0
@@ -496,7 +506,7 @@ SECTOR_NU = MinOfLinear([[0.0, 1.0], [1.0, -1.0]])
 def test_reachable_endpoints_pass_the_staircase_bound(heis, cone):
     x0 = np.array([0.5, -0.3, 0.7])
     cloud = reachability_sample(heis, cone, x0, 3000, seed=1)
-    assert all(heis.admits_path(cone, x0, x1) for x1 in cloud)
+    assert all(_admits(heis, cone, x0, x1) for x1 in cloud)
 
 
 @pytest.mark.parametrize("cone", [LorentzCone(MINK, [1.0, 0.0]),
@@ -513,11 +523,11 @@ def test_staircase_endpoints_far_out_are_not_refused(heis, cone):
         for a, b in 10.0 ** rng.uniform(0.0, 4.0, (50, 2)):
             for x1 in (heis.multiply(heis.multiply(x0, a * g1), b * g2),
                        heis.multiply(heis.multiply(x0, b * g2), a * g1)):
-                assert heis.admits_path(cone, x0, x1)
+                assert _admits(heis, cone, x0, x1)
                 d, _, z, half, _ = heis.staircase(cone, x0, x1)
                 over += abs(z) > half
                 inside = heis.multiply(x0, [*d, np.sign(z) * half * (1.0 - 1e-12)])
-                assert heis.admits_path(cone, x0, inside)
+                assert _admits(heis, cone, x0, inside)
     assert over > 0
 
 
@@ -769,7 +779,9 @@ def test_endpoint_residual_rejects_overflow_like_endpoint_map():
 
 def test_line_search_keeps_its_iterates(mink_cone, mink_nu):
     # pinned outcomes of two small solves: a change to how trials are
-    # evaluated must leave every accept/reject decision as it was
+    # evaluated must leave every accept/reject decision as it was.  The
+    # extremal certificate answers the hyperbolic solve itself, so its
+    # restarts run as the solve would run them without it
     opts = SolveOptions(restarts=1, max_iter=20, inner_iter=20)
     hyp_form = [[-4.0, 0.0], [0.0, 1.0]]
     hyp = make_prob(HyperbolicPlane(), LorentzCone(hyp_form, [0.0, 1.0]),
@@ -778,10 +790,10 @@ def test_line_search_keeps_its_iterates(mink_cone, mink_nu):
         (2, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}}))
     eng = make_prob(engel, mink_cone, mink_nu, np.zeros(4),
                     [2.0, 0.5, 0.3, 0.1], n=12)
-    for prob, iterations, objective, counts in [
-            (hyp, 18, 0.5584005536812238, (1094, 233)),
-            (eng, 20, 1.6299322281862527, (1117, 420))]:
-        rep = solve_longest(prob, opts)
+    for prob, solve, iterations, objective, counts in [
+            (hyp, _iterated, 18, 0.5584005536812238, (1094, 233)),
+            (eng, solve_longest, 20, 1.6299322281862527, (1117, 420))]:
+        rep = solve(prob, opts)
         assert rep.status == SolveStatus.SOLVED
         assert rep.iterations == iterations
         assert rep.objective == pytest.approx(objective, rel=1e-12, abs=0.0)
@@ -798,10 +810,7 @@ def test_polyhedral_solve_keeps_its_iterates(heis):
     prob = make_prob(heis, PolyhedralCone([[1.0, 1.0], [1.0, -1.0]]),
                      MinOfLinear([[1.0, 0.5], [1.0, -0.5]]), np.zeros(3),
                      [2.0, 0.5, 0.1], n=50)
-    opts = SolveOptions(restarts=3, max_iter=60, inner_iter=40)
-    runs = solver._run_restarts(prob, solver._starting_controls(prob, 1.0, opts), 1.0,
-                                opts)
-    rep = solver._report_from_runs(prob, runs, 1.0, opts)
+    rep = _iterated(prob, SolveOptions(restarts=3, max_iter=60, inner_iter=40))
     assert rep.status == SolveStatus.SOLVED
     assert rep.iterations == 4
     assert rep.objective == pytest.approx(1.7500000000000002, rel=1e-12, abs=0.0)
@@ -885,11 +894,12 @@ def test_restarts_in_lockstep_run_as_alone(monkeypatch, name, segments):
     prob = make_prob(model, cone, nu, x0, x1, n=segments)
     solves = [lambda: solve_longest(prob, LOCKSTEP_OPTS),
               lambda: solve_longest_reparametrized(prob, form, LOCKSTEP_OPTS)]
-    if name in ("abelian", "polyhedral"):
+    if name in ("abelian", "polyhedral", "hyperbolic"):
         # on R^n the bound-attained certificate answers both solves before
-        # any restart runs, and on the polyhedral case the reachable-set
-        # certificate answers the direct solve, so `_run_restarts` is called
-        # as the solves call it
+        # any restart runs, on the polyhedral case the reachable-set
+        # certificate and on the hyperbolic plane the extremal certificate
+        # answer the direct solve, so `_run_restarts` is called as the solves
+        # call it
         s1 = potential(form, prob.g)
         tau_c = _control_covector(model, form)
         solves = [
@@ -922,8 +932,10 @@ def test_restarts_in_lockstep_run_as_alone_when_a_round_raises(monkeypatch, segm
     model = _FragilePlane()
     prob = make_prob(model, LorentzCone(HYP_FORM, [0.0, 1.0]), LorentzSqrt(HYP_FORM),
                      [0.0, 1.0], [0.3, 2.0], n=segments)
+    # the extremal certificate answers the solve, so the restarts run as the
+    # solve would run them without it
     runs, alone = _runs_in_lockstep_and_alone(
-        monkeypatch, lambda: solve_longest(prob, LOCKSTEP_OPTS))
+        monkeypatch, lambda: _iterated(prob, LOCKSTEP_OPTS))
     _assert_same_runs(runs, alone)
     # lone trials raised, and so did stacks of several trials where trials
     # are stacked
@@ -970,7 +982,9 @@ def test_trial_pass_rejects_only_the_trial_that_raises(segments):
                                       ("engel", [0.5, -1.0, 0.3, 0.2]),
                                       ("hyperbolic", [0.7, 2.5])])
 def test_a_translated_problem_gets_the_identity_problems_answer(name, x0):
-    # interior endpoints: no certificate decides them, so both solves iterate
+    # interior endpoints: no certificate decides them on Carnot groups, so
+    # both solves iterate; on the hyperbolic plane the extremal certificate
+    # answers them, so its restarts run as the solve would run them without it
     model, cone, nu, _, g, form = _lockstep_case(name)
     x0 = np.array(x0)
     x1 = model.multiply(x0, g)
@@ -978,7 +992,7 @@ def test_a_translated_problem_gets_the_identity_problems_answer(name, x0):
     at_identity = make_prob(model, cone, nu, model.identity(),
                             model.multiply(model.inverse(x0), x1), n=20)
     opts = SolveOptions(restarts=2, max_iter=20)
-    solves = [solve_longest]
+    solves = [_iterated if name == "hyperbolic" else solve_longest]
     if name == "heisenberg":
         solves.append(lambda prob, opts: solve_longest_reparametrized(prob, form, opts))
     for solve in solves:
@@ -989,6 +1003,206 @@ def test_a_translated_problem_gets_the_identity_problems_answer(name, x0):
         assert (a.endpoint_evaluations, a.jacobian_evaluations) == \
             (b.endpoint_evaluations, b.jacobian_evaluations)
         assert a.control.values.tobytes() == b.control.values.tobytes()
+
+
+def test_a_translated_hyperbolic_problem_gets_the_identity_problems_extremal():
+    # the extremal certificate answers both problems alike, from the same
+    # bits of g
+    model, cone, nu, _, g, _ = _lockstep_case("hyperbolic")
+    x0 = np.array([0.7, 2.5])
+    x1 = model.multiply(x0, g)
+    a, b = (solve_longest(make_prob(model, cone, nu, start, end, n=20))
+            for start, end in ((x0, x1), (model.identity(),
+                                           model.multiply(model.inverse(x0), x1))))
+    assert a.status == SolveStatus.SOLVED and a.iterations == 0
+    assert (a.status, a.objective, a.endpoint_residual, a.iterations) == \
+        (b.status, b.objective, b.endpoint_residual, b.iterations)
+    assert (a.endpoint_evaluations, a.jacobian_evaluations) == \
+        (b.endpoint_evaluations, b.jacobian_evaluations)
+    assert a.control.values.tobytes() == b.control.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the hyperbolic plane answered by its normal extremal
+# ---------------------------------------------------------------------------
+
+
+def _hyperbolic_prob(x1, n=50, form=HYP_FORM, x0=(0.0, 1.0), nu=None, selector=(0.0, 1.0)):
+    return make_prob(HyperbolicPlane(), LorentzCone(form, list(selector)),
+                     nu or LorentzSqrt(form), list(x0), list(x1), n=n)
+
+
+def _answered_by_the_extremal(rep, prob):
+    """SOLVED at iteration 0 after a Newton iteration (Jacobians were
+    built), exactly feasible, and no shorter than the constant control at
+    log g."""
+    v = prob.model.log(prob.g)
+    return (rep.status == SolveStatus.SOLVED and rep.iterations == 0
+            and rep.jacobian_evaluations > 0 and rep.endpoint_residual <= 1e-12
+            and rep.objective >= prob.nu.values_on_cone(v) * (1.0 - 1e-12))
+
+
+@pytest.mark.parametrize("n, constant_speed", [(50, 0.558400625382), (200, 0.558402117127)])
+def test_hyperbolic_preset_problem_is_answered_by_its_extremal(n, constant_speed):
+    # the line-search pin above ends at 0.5584005536812238 after 18
+    # iterations and 1,094 evaluations; the extremal agrees with the
+    # constant-speed discrete optimum (scipy SLSQP) to 1e-10
+    prob = _hyperbolic_prob([0.3, 2.0], n=n)
+    rep = solve_longest(prob)
+    assert _answered_by_the_extremal(rep, prob)
+    assert rep.objective == pytest.approx(constant_speed, rel=0.0, abs=1e-10)
+    assert rep.endpoint_evaluations <= 10 and rep.jacobian_evaluations <= 5
+    assert admissibility_check(prob.cone, rep.control).ok
+    assert np.allclose(rep.trajectory.endpoint, [0.3, 2.0], rtol=0.0, atol=1e-13)
+
+
+def test_interior_hyperbolic_endpoints_are_all_answered_by_the_extremal():
+    cone = LorentzCone(HYP_FORM, [0.0, 1.0])
+    cloud = reachability_sample(HyperbolicPlane(), cone, (0.0, 1.0), 200, seed=3,
+                                interior=True)
+    for x1 in cloud:
+        prob = _hyperbolic_prob(x1)
+        assert _answered_by_the_extremal(solve_longest(prob), prob), x1
+
+
+def _constant_speed_optimum(prob):
+    """scipy SLSQP on the constant-speed problem of the preset form: the
+    largest s with rho(s w) = 0, w_k = (sinh r_k / 2, cosh r_k) of unit
+    antinorm, from the constant control at log g."""
+    model, g, n = prob.model, prob.g, prob.segments
+
+    def split(z):
+        return z[0], np.column_stack([0.5 * np.sinh(z[1:]), np.cosh(z[1:])])
+
+    def rho(z):
+        s, w = split(z)
+        return model.endpoint_residual(g, s * w, 1.0)[0]
+
+    def jac(z):
+        s, w = split(z)
+        J = model.endpoint_map(g, s * w, 1.0)[1]
+        dw = np.column_stack([0.5 * np.cosh(z[1:]), np.sinh(z[1:])])
+        return np.column_stack([np.einsum("kab,kb->a", J, w),
+                                s * np.einsum("kab,kb->ak", J, dw)])
+
+    vx, vy = model.log(g)
+    speed = np.sqrt(vy * vy - 4.0 * vx * vx)
+    z0 = np.concatenate([[speed], np.full(n, np.arcsinh(2.0 * vx / speed))])
+    res = minimize(lambda z: -z[0], z0, jac=lambda z: -np.eye(len(z))[0], method="SLSQP",
+                   constraints={"type": "eq", "fun": rho, "jac": jac},
+                   options={"ftol": 1e-15, "maxiter": 300})
+    assert np.linalg.norm(rho(res.x)) <= 1e-12
+    return res.x[0]
+
+
+@pytest.mark.parametrize("x1", [[0.3, 2.0], [0.796, 5.0962], [-0.2, 1.7], [0.05, 1.2]])
+def test_hyperbolic_extremal_matches_the_constant_speed_oracle(x1):
+    prob = _hyperbolic_prob(x1)
+    rep = solve_longest(prob)
+    assert _answered_by_the_extremal(rep, prob)
+    assert rep.objective == pytest.approx(_constant_speed_optimum(prob), rel=0.0, abs=1e-8)
+
+
+def test_a_tilted_form_gets_its_diagonal_images_answer():
+    # Psi(x, y) = (p x + q (y - 1), y) is an automorphism with dPsi_e = N =
+    # [[p, q], [0, 1]]: it carries the preset problem to x1' = Psi(x1) with
+    # the form N^-T A N^-1, whose A_xy is not 0
+    p, q = 1.7, 0.4
+    N = np.array([[p, q], [0.0, 1.0]])
+    Ninv = np.linalg.inv(N)
+    tilted = Ninv.T @ np.array(HYP_FORM) @ Ninv
+    assert tilted[0, 1] != 0.0
+    base = _hyperbolic_prob([0.3, 2.0])
+    image = _hyperbolic_prob([p * 0.3 + q * (2.0 - 1.0), 2.0], form=tilted,
+                             selector=N @ [0.0, 1.0])
+    a, b = solve_longest(base), solve_longest(image)
+    assert _answered_by_the_extremal(a, base) and _answered_by_the_extremal(b, image)
+    assert b.objective == pytest.approx(a.objective, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [3.0, 0.25])
+def test_a_positive_multiple_of_the_cone_form_is_answered(k):
+    prob = _hyperbolic_prob([0.3, 2.0], nu=LorentzSqrt(k * np.array(HYP_FORM)))
+    rep = solve_longest(prob)
+    assert _answered_by_the_extremal(rep, prob)
+    assert rep.objective == pytest.approx(np.sqrt(k) * 0.558400625382, rel=1e-10)
+
+
+def _same_report(a, b):
+    return ((a.status, a.objective, a.endpoint_residual, a.iterations, a.history)
+            == (b.status, b.objective, b.endpoint_residual, b.iterations, b.history)
+            and (a.endpoint_evaluations, a.jacobian_evaluations)
+            == (b.endpoint_evaluations, b.jacobian_evaluations)
+            and a.control.values.tobytes() == b.control.values.tobytes())
+
+
+@pytest.mark.parametrize("case", ["min_of_linear", "past_nappe", "x0_is_x1"])
+def test_problems_the_extremal_declines_iterate_as_before(case):
+    # the restarts alone give the solve's report bit for bit: the certificate
+    # left no trace
+    prob = {
+        "min_of_linear": lambda: _hyperbolic_prob([0.3, 2.0], n=12,
+                                                  nu=MinOfLinear([[0.0, 1.0]])),
+        "past_nappe": lambda: _hyperbolic_prob([0.1, 0.5], n=12, selector=(0.0, -1.0)),
+        "x0_is_x1": lambda: _hyperbolic_prob([0.3, 2.0], n=12, x0=(0.3, 2.0)),
+    }[case]()
+    opts = SolveOptions(restarts=2, max_iter=5, inner_iter=10)
+    assert solver._extremal_answer(prob, 1.0, opts) is None
+    rep = solve_longest(prob, opts)
+    assert rep.iterations > 0 and _same_report(rep, _iterated(prob, opts))
+
+
+def test_the_reparametrized_hyperbolic_solve_iterates_as_before():
+    prob = _hyperbolic_prob([0.3, 2.0], n=12)
+    form = HyperbolicAB(0.0, 1.0)
+    opts = SolveOptions(restarts=2, max_iter=5, inner_iter=10)
+    rep = solve_longest_reparametrized(prob, form, opts)
+    s1, tau_c = potential(form, prob.g), _control_covector(prob.model, form)
+    assert rep.iterations > 0
+    assert _same_report(rep, _iterated(prob, opts, s1, tau_c))
+
+
+@pytest.mark.parametrize("form, nu_form", [
+    # A_xx > 0: the future nappe's interior direction still has y > 0
+    ([[0.5, 1.0], [1.0, 0.5]], [[0.5, 1.0], [1.0, 0.5]]),
+    # an antinorm form that is a negative multiple, or no multiple, of A
+    (HYP_FORM, [[4.0, 0.0], [0.0, -1.0]]),
+    (HYP_FORM, [[-4.0, 0.0], [0.0, 2.0]]),
+])
+def test_the_extremal_family_needs_a_cone_form_with_negative_xx_and_its_multiple(
+        form, nu_form):
+    cone = LorentzCone(form, [1.0, 1.0] if form[0][0] > 0 else [0.0, 1.0])
+    assert cone.interior_direction()[1] > 0.0
+    assert HyperbolicPlane().normal_extremals(cone, LorentzSqrt(nu_form),
+                                              np.array([0.3, 2.0]), 1.0, 10) is None
+
+
+HYPERBOLIC_TRANSLATIONS = [[0.7, 2.5], [-1.3, 0.4], [5.0, 11.0]]
+
+
+@pytest.mark.parametrize("k", HYPERBOLIC_TRANSLATIONS)
+def test_left_translation_keeps_the_hyperbolic_answer(k):
+    # (k x0)^-1 (k x1) is x0^-1 x1 up to rounding: the extremal answers to
+    # 1e-12, where the line search held only 7.5e-7
+    model = HyperbolicPlane()
+    x0, x1 = np.array([0.0, 1.0]), np.array([0.3, 2.0])
+    base = solve_longest(_hyperbolic_prob(x1, x0=x0))
+    moved = _hyperbolic_prob(model.multiply(k, x1), x0=model.multiply(k, x0))
+    rep = solve_longest(moved)
+    assert _answered_by_the_extremal(rep, moved)
+    assert rep.objective == pytest.approx(base.objective, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_a_one_ulp_shift_of_x1_keeps_the_hyperbolic_answer(axis):
+    x1 = np.array([0.3, 2.0])
+    shifted = x1.copy()
+    shifted[axis] = np.nextafter(shifted[axis], np.inf)
+    base = solve_longest(_hyperbolic_prob(x1))
+    prob = _hyperbolic_prob(shifted)
+    rep = solve_longest(prob)
+    assert _answered_by_the_extremal(rep, prob)
+    assert rep.objective == pytest.approx(base.objective, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1315,7 +1529,7 @@ def test_far_reachable_endpoints_have_no_nan_bound(heis, mink_cone, mink_nu, x1)
     with np.errstate(all="raise"):
         _, _, _, half, slack = heis.staircase(mink_cone, np.zeros(3), x1)
         assert half == np.inf and slack == np.inf
-        assert heis.admits_path(mink_cone, np.zeros(3), x1)
+        assert _admits(heis, mink_cone, np.zeros(3), x1)
     # the endpoint pass overflows at this scale: the solve ends unsolved,
     # without a trajectory, and raises nothing
     for nu, cone in ((mink_nu, mink_cone),
