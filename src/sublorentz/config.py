@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -34,7 +34,7 @@ SCHEMA_VERSION = 1
 
 _TOP_KEYS = {"version", "preset", "model", "cone", "antinorm", "timeform",
              "endpoints", "segments", "solver", "samples", "seed", "output"}
-_SOLVER_KEYS = {"tol", "max_iter", "restarts", "seed", "inner_iter"}
+_SOLVER_KEYS = {f.name for f in fields(SolveOptions)}
 
 
 def _require_keys(section: dict, allowed: set, path: str) -> None:
@@ -147,6 +147,15 @@ def _hyperbolic_ab(section: dict, path: str, model: GroupModel) -> TimeForm:
     return HyperbolicAB(_number(section.get("a", 0.0), f"{path}.a"),
                         _number(section.get("b", 1.0), f"{path}.b"))
 
+
+#: each solver key's check, given its value and dotted path
+_SOLVER_CHECKS = {
+    "tol": lambda value, path: _number(value, path, positive=True),
+    "max_iter": lambda value, path: _integer(value, path, 1, 100_000),
+    "restarts": lambda value, path: _integer(value, path, 1, 256),
+    "seed": lambda value, path: _integer(value, path, 0),
+    "inner_iter": lambda value, path: _integer(value, path, 1, 10_000),
+}
 
 # kind -> (its keys besides 'kind', builder(section, path, *args))
 _MODELS = {
@@ -281,23 +290,20 @@ def parse_config(raw: dict) -> RunConfig:
             with _under(f"endpoints.{name}"):
                 setattr(cfg, name, cfg.model.validate_point(vec))
 
-    for name, default, minimum, maximum in (("segments", 50, 1, 10_000),
-                                            ("samples", 1000, 1, 1_000_000),
-                                            ("seed", 0, 0, None)):
-        setattr(cfg, name, _integer(merged.get(name, default), name, minimum,
-                                    maximum))
+    # RunConfig's fields hold the defaults
+    for name, minimum, maximum in (("segments", 1, 10_000), ("samples", 1, 1_000_000),
+                                   ("seed", 0, None)):
+        setattr(cfg, name, _integer(merged.get(name, getattr(cfg, name)), name,
+                                    minimum, maximum))
 
     sol = merged.get("solver", {})
     if not isinstance(sol, dict):
         raise ConfigError("expected an object", field="solver")
     _require_keys(sol, _SOLVER_KEYS, "solver")
-    cfg.solver_options = SolveOptions(
-        tol=_number(sol.get("tol", 1e-6), "solver.tol", positive=True),
-        max_iter=_integer(sol.get("max_iter", 500), "solver.max_iter", 1, 100_000),
-        restarts=_integer(sol.get("restarts", 8), "solver.restarts", 1, 256),
-        seed=_integer(sol.get("seed", cfg.seed), "solver.seed", 0),
-        inner_iter=_integer(sol.get("inner_iter", 60), "solver.inner_iter", 1,
-                            10_000))
+    checked = {f.name: _SOLVER_CHECKS[f.name](sol[f.name], f"solver.{f.name}")
+               for f in fields(SolveOptions) if f.name in sol}
+    # SolveOptions' defaults, but the solver's seed defaults to the run's
+    cfg.solver_options = replace(SolveOptions(), **{"seed": cfg.seed, **checked})
 
     out = merged.get("output")
     if out is not None:

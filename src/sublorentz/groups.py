@@ -22,7 +22,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .cones import RAY_TOL, Cone, as_vector, as_vectors
+from .cones import RAY_TOL, Cone, antinorm_eval, as_vector, as_vectors
 from .errors import DimensionMismatchError, InvalidPointError, UnsupportedStepError
 
 MAX_STEP = 4
@@ -304,24 +304,30 @@ class GroupModel:
         """False when a certificate rules out every cone-admissible path from
         x0 to x1, given g = x0^-1 x1 as the problem formed it: here, a
         forced control average outside the cone.  x0 and x1 matter only to
-        a closed-form reachable set's rounding slack (``staircase``)."""
+        a closed-form reachable set's rounding slack
+        (``CarnotGroup.staircase``)."""
         target = self.forced_average(g, cone)
         return target is None or cone.contains(target, 1e-9)
 
-    def staircase(self, cone: Cone, x0, x1) -> Optional[tuple]:
-        """The reachable set in closed form (``CarnotGroup.staircase``), or
-        None when the model has none for the cone."""
-        return None
+    def reachable_set_paths(self, cone: Cone, nu, x0, x1, g, horizon: float,
+                            segments: int) -> list:
+        """The controls, of ``segments`` segments over ``horizon``, that a
+        closed-form reachable set offers as answers from x0 to x1 (g =
+        x0^-1 x1) for the cone and ``nu``, each the answer when its residual
+        is within tol; here none."""
+        return []
 
     def normal_extremals(self, cone: Cone, nu, g, horizon: float, segments: int):
         """The model's normal extremals from the identity, in closed form for
         the cone and the antinorm ``nu``, as a family of chord controls of
         ``segments`` segments over ``horizon``; None when the model has none
         for them.  The family has ``start``, the parameters theta that a
-        search for the one whose path ends at g begins with, and
+        search for the one whose path ends at g begins with;
         ``controls(theta)``: the control (N, m) and its derivative in theta
-        (N, m, p), or None outside the family's domain.  The solver searches
-        (``solver._extremal_answer``) and checks what it finds."""
+        (N, m, p), or None outside the family's domain; and ``floor``, the
+        least length that a chord control ending at g must have to answer.
+        The solver searches (``solver._extremal_answer``) and checks what it
+        finds against the cone, tol and ``floor``."""
         return None
 
     def coordinate_names(self) -> list:
@@ -340,9 +346,9 @@ class GroupModel:
         """The forward pass from the identity of a control or of a stack of
         controls: (rho, endpoint, chain), where ``chain`` holds what
         endpoint_jacobian takes from the pass, indexed by the stack's
-        leading axes: here the points; the hyperbolic plane adds its flow's
-        exponentials, and step-2 Carnot groups keep first layers only.  A
-        stack with a bad row raises what that row raises alone."""
+        leading axes: the points, except on step-2 Carnot groups, which keep
+        first layers only.  A stack with a bad row raises what that row
+        raises alone."""
         points = self.points(self.identity(), u, horizon / u.shape[-2])
         return self._residual(points[..., -1, :], g), points[..., -1, :], points
 
@@ -401,23 +407,19 @@ def _horner(coeffs: tuple, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hyperbolic_step(alpha: np.ndarray, beta: np.ndarray, t: float,
-                     Y: Optional[np.ndarray] = None) -> tuple:
+def _hyperbolic_step(alpha: np.ndarray, beta: np.ndarray, t: float) -> tuple:
     """exp(t (alpha, beta)) = (X, Y) with X = alpha t E(t beta), Y = e^{t beta}
     and E(z) = (e^z - 1)/z, elementwise: all a forward pass evaluates.
 
     Returns X, Y and the terms _hyperbolic_flow's derivatives reuse: z = t
     beta, the mask |z| < 1e-3 of the elements that take the series, the
     direct quotient's divisor b (beta, 1 where the series is taken), e^z - 1
-    and E(z) on the series, None when no element takes it.  A ``Y``
-    computed earlier from the same ``beta`` and ``t`` (a forward pass's) is
-    taken as given, so the Jacobian stage calls no exponential.  The direct
+    and E(z) on the series, None when no element takes it.  The direct
     quotient cancels as z -> 0, with relative error near eps/|z|; the
     series keeps it below 3e-13.
     """
     z = t * beta
-    if Y is None:
-        Y = np.exp(z)
+    Y = np.exp(z)
     em1 = Y - 1.0
     series = abs(z) < 1e-3
     b, E = beta, None
@@ -429,13 +431,13 @@ def _hyperbolic_step(alpha: np.ndarray, beta: np.ndarray, t: float,
     return X, Y, (z, series, b, em1, E)
 
 
-def _hyperbolic_flow(alpha: np.ndarray, beta: np.ndarray, t: float,
-                     Y: Optional[np.ndarray] = None) -> Tuple[np.ndarray, ...]:
+def _hyperbolic_flow(alpha: np.ndarray, beta: np.ndarray, t: float
+                     ) -> Tuple[np.ndarray, ...]:
     """X and Y of _hyperbolic_step, plus dX/dalpha, dX/dbeta and dY/dbeta,
     elementwise: what the Jacobian stage evaluates.  The quotient of dX/dbeta
     cancels as z -> 0 with relative error near 2 eps/z^2; the series keeps
     it below 5e-10."""
-    X, Y, (z, series, b, em1, E) = _hyperbolic_step(alpha, beta, t, Y)
+    X, Y, (z, series, b, em1, E) = _hyperbolic_step(alpha, beta, t)
     dXa = em1 / b
     dXb = alpha * (t * Y * b - em1) / (b * b)
     if E is not None:
@@ -471,12 +473,15 @@ class _HyperbolicExtremals:
     runs between tau_k = tanh(zeta) e^{c (t_k - T)} and tau_{k+1}, t_k = k
     h, and its control in the normal form's chart is (-2 d artanh(tau), c h
     - d log1p(-tau^2)) / h, d the change over the segment, mapped back by
-    M.  Every zeta keeps |tau| < 1, so the domain is c > 0."""
+    M.  Every zeta keeps |tau| < 1, so the domain is c > 0.  ``floor`` is
+    nu(log g), -inf where log g leaves the cone: a normal extremal of the
+    other sign ends at g too, shorter than the constant control at log g."""
 
-    def __init__(self, M: np.ndarray, start: np.ndarray, horizon: float,
-                 segments: int) -> None:
+    def __init__(self, M: np.ndarray, start: np.ndarray, floor: float,
+                 horizon: float, segments: int) -> None:
         self._M = M
         self.start = start
+        self.floor = floor
         self._h = horizon / segments
         # t_k - T
         self._t = self._h * np.arange(segments + 1) - horizon
@@ -614,7 +619,8 @@ class HyperbolicPlane(GroupModel):
                 or np.array_equal(g, self.identity()):
             return None
         p, q = math.sqrt(-det) / -A[0, 0], -A[0, 1] / A[0, 0]
-        for v in (self.log(g), g - self.identity()):
+        log_g = self.log(g)
+        for v in (log_g, g - self.identity()):
             x, y = (v[0] - q * v[1]) / p, v[1]
             if y > abs(x):
                 break
@@ -629,7 +635,9 @@ class HyperbolicPlane(GroupModel):
         while abs(end) >= 1.0:
             end *= 0.5
         return _HyperbolicExtremals(np.array([[p, q], [0.0, 1.0]]),
-                                    np.array([c, math.atanh(end)]), horizon, segments)
+                                    np.array([c, math.atanh(end)]),
+                                    float(antinorm_eval(nu, cone, log_g)),
+                                    horizon, segments)
 
     def forced_average(self, g, cone):
         """log(g) when g - e spans an extreme ray of the cone: every segment
@@ -642,41 +650,30 @@ class HyperbolicPlane(GroupModel):
         return ["x", "y"]
 
     def points(self, x0, u, h):
-        return np.ascontiguousarray(self._chain(x0, u, h)[..., :2])
-
-    def _chain(self, x0, u, h):
-        """(x_k, y_k, f_k) per point, (..., N + 1, 3): y_{k+1} = y_k Y_k and
-        x_{k+1} = x_k + y_k X_k in segment order, with the factors f of y's
-        cumprod, f_0 = y_0 and f_{k+1} = Y_k = e^{h beta_k}, the flow's
-        exponential, which the Jacobian stage reuses."""
+        """y_{k+1} = y_k e^{h beta_k} as one cumprod, and x_{k+1} = x_k + y_k
+        X_k as one cumsum, in segment order."""
         x0 = self.validate_point(x0)
         u = self._controls(u)
         X, Y = _hyperbolic_step(u[..., 0], u[..., 1], h)[:2]
-        chain = np.empty(u.shape[:-2] + (u.shape[-2] + 1, 3))
-        x, y, f = chain[..., 0], chain[..., 1], chain[..., 2]
-        f[..., 0] = x0[1]
-        f[..., 1:] = Y
-        np.multiply.accumulate(f, axis=-1, out=y)
+        P = np.empty(u.shape[:-2] + (u.shape[-2] + 1, 2))
+        x, y = P[..., 0], P[..., 1]
+        y[..., 0] = x0[1]
+        y[..., 1:] = Y
+        np.multiply.accumulate(y, axis=-1, out=y)
         x[..., 0] = x0[0]
         np.multiply(y[..., :-1], X, out=x[..., 1:])
         np.add.accumulate(x, axis=-1, out=x)
-        return chain
-
-    def endpoint_pass(self, g, u, horizon):
-        """The chain holds (x_k, y_k, f_k) per point; see _chain."""
-        chain = self._chain(self.identity(), u, horizon / u.shape[-2])
-        endpoint = chain[..., -1, :2]
-        return self._residual(endpoint, g), endpoint, chain
+        return P
 
     def _chain_jacobians(self, chain, u, h, g):
-        X, Y, dXa, dXb, dYb = _hyperbolic_flow(u[:, 0], u[:, 1], h, chain[1:, 2])
+        X, Y, dXa, dXb, dYb = _hyperbolic_flow(u[:, 0], u[:, 1], h)
         # [[1, X], [0, Y]] and y_k [[dXa, dXb], [0, dYb]], filled in place
         Dp, Du = np.zeros((2, u.shape[0], 2, 2))
         Dp[:, 0, 0] = 1.0
         Dp[:, 0, 1], Dp[:, 1, 1] = X, Y
         Du[:, 0, 0], Du[:, 0, 1], Du[:, 1, 1] = dXa, dXb, dYb
         Du *= chain[:-1, 1, None, None]
-        ends = chain[-1, :2].tolist() + [float(g[0]), float(g[1])]
+        ends = chain[-1].tolist() + [float(g[0]), float(g[1])]
         try:
             S_end = _residual_jacobian(*ends)
         except ArithmeticError:
@@ -700,6 +697,47 @@ def _product(a: float, b: float) -> float:
     though the other be +inf."""
     with np.errstate(over="ignore"):
         return a * b if a and b else 0.0
+
+
+def _linear_sector(family: np.ndarray, edges: np.ndarray, d: np.ndarray
+                   ) -> Optional[np.ndarray]:
+    """The edge rays (2, 2) of the part of the cone between ``edges`` where
+    the covector of the family least at d is least, or None when that part
+    is a ray.  Along v(t) = (1 - t) g1 + t g2, t in [0, 1], each condition
+    (c_i - c_j) . v(t) <= 0 is alpha + t beta <= 0."""
+    g1, g2 = edges
+    diff = family[np.argmin(family @ d)] - family
+    alpha, beta = diff @ g1, diff @ (g2 - g1)
+    neg, pos = beta < 0.0, beta > 0.0
+    lo = (-alpha[neg] / beta[neg]).max(initial=0.0)
+    hi = (-alpha[pos] / beta[pos]).min(initial=1.0)
+    if not lo < hi:
+        return None
+    return np.array([(1.0 - lo) * g1 + lo * g2, (1.0 - hi) * g1 + hi * g2])
+
+
+def _three_piece(edges: np.ndarray, ab: np.ndarray, z: float, n_seg: int,
+                 horizon: float, staircase: bool = False) -> Optional[np.ndarray]:
+    """The control of n_seg segments that moves by s a r1, then b r2, then
+    (1 - s) a r1, for edge rays (r1, r2): its displacement is a r1 + b r2,
+    and its area (2 s - 1) A, A = a b det(r1, r2) / 2, is affine in s.  s
+    solves for the area z, clamped to [0, 1], or, for the staircase, is
+    rounded to 0 or 1.  Each piece takes at least one segment and the rest
+    in proportion to its length; None when there are more pieces than
+    segments."""
+    (a, b), (r1, r2) = ab, edges
+    area = 0.5 * a * b * np.linalg.det(edges)
+    s = min(max(0.5 + 0.5 * z / area, 0.0), 1.0) if area else 1.0
+    if staircase:
+        s = float(s >= 0.5)
+    legs = np.array([s * a * r1, b * r2, (1.0 - s) * a * r1])
+    legs = legs[np.any(legs != 0.0, axis=1)]
+    if not 1 <= len(legs) <= n_seg:
+        return None
+    lengths = np.linalg.norm(legs, axis=1)
+    counts = 1 + np.floor((n_seg - len(legs)) * lengths / lengths.sum()).astype(int)
+    counts[np.argmax(lengths)] += n_seg - counts.sum()
+    return np.repeat(legs / (counts[:, None] * (horizon / n_seg)), counts, axis=0)
 
 
 class CarnotGroup(GroupModel):
@@ -768,27 +806,59 @@ class CarnotGroup(GroupModel):
         displacement d (Grochowski, J. Dyn. Control Syst., 2006): |z| <=
         a b |det(g1, g2)| / 2.  The endpoint must also meet that bound, to
         within the rounding slack; a d with a, b >= 0 lies in the cone."""
-        stairs = self.staircase(cone, x0, x1)
+        stairs = self.staircase(cone, x0, x1, g)
         if stairs is None:
             return super().admits_path(cone, x0, x1, g)
         d, ab, z, half, slack = stairs
         inside = np.all(ab >= 0.0) or not np.any(d) or cone.contains(d, 1e-9)
         return bool(inside and abs(z) <= half + slack)
 
-    def staircase(self, cone, x0, x1):
+    def staircase(self, cone, x0, x1, g):
         """(d, (a, b), z, half, slack) on the Heisenberg group with a cone of
         two edge rays (``Cone.edge_rays``), else None: the displacement d =
-        a g1 + b g2 of w = log(x0^-1 x1), its area z, the largest area half =
-        a b |det(g1, g2)| / 2 that a path of displacement d reaches, with a
-        and b taken as 0 where they are negative, and ``_area_slack``."""
+        a g1 + b g2 of g = x0^-1 x1 (its own log), its area z, the largest
+        area half = a b |det(g1, g2)| / 2 that a path of displacement d
+        reaches, with a and b taken as 0 where they are negative, and
+        ``_area_slack`` of x0 and x1."""
         edges = cone.edge_rays if self.area_rank == 1 else None
         if edges is None:
             return None
-        w = self.log(self.multiply(self.inverse(x0), x1))
-        ab = np.linalg.solve(edges.T, w[:2])
+        ab = np.linalg.solve(edges.T, g[:2])
         a, b = np.maximum(ab, 0.0)
-        return (w[:2], ab, w[2], 0.5 * _product(_product(a, b), abs(np.linalg.det(edges))),
+        return (g[:2], ab, g[2], 0.5 * _product(_product(a, b), abs(np.linalg.det(edges))),
                 self._area_slack(x0, x1))
+
+    def reachable_set_paths(self, cone, nu, x0, x1, g, horizon, segments):
+        """On the Heisenberg group with a cone of two edge rays
+        (``staircase``), the paths that answer an endpoint inside its
+        reachable set for a min-of-linear antinorm, or on its edge.
+
+        - Where nu = min_i c_i . v is least on the piece c_i at d, every path
+          whose velocities stay in the sector where c_i is least has length
+          c_i . d = nu(d), the Jensen bound.  A three-piece path in that sector
+          (``_three_piece``) reaches every area its staircases bound.
+        - The staircase along the cone's edge rays g1 and g2 reaches the
+          largest or the least area that the displacement d = a g1 + b g2
+          allows.  There it is the only admissible path up to speed, and its
+          length nu(a g1) + nu(b g2) is the answer; it is built only when the
+          area lies on that edge to within the rounding slack, since inside
+          the set, however near the edge, longer paths exist."""
+        stairs = self.staircase(cone, x0, x1, g)
+        if stairs is None:
+            return []
+        d, ab, z, half, slack = stairs
+        if not np.isfinite(half + slack):   # areas beyond the float range
+            return []
+        edges, paths = cone.edge_rays, []
+        family = getattr(nu, "family", None)
+        sector = None if family is None else _linear_sector(family, edges, d)
+        if sector is not None:
+            paths.append(_three_piece(sector, np.maximum(np.linalg.solve(sector.T, d), 0.0),
+                                      z, segments, horizon))
+        if abs(z) >= half - slack:
+            paths.append(_three_piece(edges, np.maximum(ab, 0.0), z, segments, horizon,
+                                      staircase=True))
+        return [u for u in paths if u is not None]
 
     def _area_slack(self, x0, x1) -> float:
         """How far a reachable endpoint's area may pass the staircase bound

@@ -15,21 +15,20 @@ it after one endpoint evaluation.  When it does not, and v is the apex or
 spans an extreme ray of the cone, every control with that average is
 parallel to v and ends at exp(v), so no admissible path exists; the
 refusal waits for a residual beyond what the ray tolerance lets a reachable
-endpoint miss by.  On the Heisenberg group with a planar cone the reachable
-set is known in closed form (``CarnotGroup.admits_path``): an endpoint
-outside it is refused before any evaluation, and one on its edge, or one
-inside it where a min-of-linear antinorm is linear on a sector that reaches
-it, is answered by a staircase or a three-piece path after one endpoint
-evaluation (``_reachable_set_paths``).  The hyperbolic plane forces an
-average, and so takes the constant control, when x0^-1 x1 - e spans an
-extreme ray.  Elsewhere on it, with a Lorentz cone of form A (A_xx < 0)
-and the antinorm sqrt(v^T k A v), the longest paths are normal extremals
-(Pontryagin), known in closed form (``HyperbolicPlane.normal_extremals``):
-a damped Newton iteration on the endpoint residual finds the two
-parameters of the one through x0^-1 x1, and its chord control answers
-once its residual is at rounding level and its length beats the constant
-control's (``_extremal_answer``), after a few endpoint passes.  A solve
-that no certificate decides runs as it would without them, bit for bit.
+endpoint miss by.  The hyperbolic plane forces an average, and so takes the
+constant control, only when x0^-1 x1 - e spans an extreme ray.
+
+The model provides the certificates that need its geometry, built in
+``groups.py`` and read only through ``GroupModel``: ``admits_path`` refuses
+an endpoint outside a closed-form reachable set before any evaluation;
+``reachable_set_paths`` offers controls (the Heisenberg staircases and
+three-piece paths), each the answer when its one residual is within tol;
+``normal_extremals`` offers a family of chord controls of normal extremals
+(the hyperbolic plane's), whose member through x0^-1 x1 a damped Newton
+iteration finds, and which answers once its residual is at rounding level,
+it keeps to the cone and its length reaches the family's ``floor``
+(``_extremal_answer``).  A solve that no certificate decides runs as it
+would without them, bit for bit.
 
 Each line search evaluates its step-halving trials in stacked chunks, and
 the restarts run in lockstep (``_run_restarts``): in each round, the pending
@@ -535,12 +534,12 @@ def _certified(prob: ProblemInstance, horizon: float, opts: SolveOptions,
     tol, it is the answer.  Otherwise, when v is the apex or spans an
     extreme ray and the residual exceeds tol by more than ``_ray_slack``,
     no admissible path exists: every control with that average is parallel
-    to v, and so ends at exp(v).  Otherwise, without tau_c, on the
-    Heisenberg group with a cone of two edge rays, the paths of
-    ``_reachable_set_paths`` come next, each answering when its one
-    residual is within tol; and last the model's normal extremal through
-    x0^-1 x1 (``_extremal_answer``).  A check that decides nothing, or
-    whose endpoint pass raises, leaves no trace in the solve's report."""
+    to v, and so ends at exp(v).  Otherwise, without tau_c, the model's
+    reachable-set paths (``GroupModel.reachable_set_paths``) come next,
+    each answering when its one residual is within tol; and last the
+    model's normal extremal through x0^-1 x1 (``_extremal_answer``).  A
+    check that decides nothing, or whose endpoint pass raises, leaves no
+    trace in the solve's report."""
     v = prob.average
     if v is not None:
         # admits_path lets v leave the cone by 1e-9 relative; its control may not
@@ -557,7 +556,8 @@ def _certified(prob: ProblemInstance, horizon: float, opts: SolveOptions,
             return _no_admissible_path(endpoint_evaluations=1)
     if tau_c is not None:
         return None
-    for u in _reachable_set_paths(prob, horizon):
+    for u in prob.model.reachable_set_paths(prob.cone, prob.nu, prob.x0, prob.x1,
+                                            prob.g, horizon, prob.segments):
         res = _residual_norm(prob, u, horizon)
         if res is not None and res <= opts.tol:
             h = horizon / prob.segments
@@ -574,9 +574,8 @@ def _extremal_answer(prob: ProblemInstance, horizon: float, opts: SolveOptions
     chained with d u / d theta, and halves each step until |rho| falls.
     The control answers, SOLVED at iteration 0 with every endpoint pass and
     Jacobian of the iteration counted, when |rho| reaches ``EXTREMAL_TOL``
-    and tol, every segment lies in the cone, and its length is at least
-    nu(log g) wherever the constant control at log g is admissible: a
-    normal extremal of the other sign ends at g too, shorter."""
+    and tol, every segment lies in the cone, and its length is at least the
+    family's ``floor``."""
     family = prob.model.normal_extremals(prob.cone, prob.nu, prob.g, horizon,
                                          prob.segments)
     if family is None:
@@ -598,8 +597,7 @@ def _extremal_answer(prob: ProblemInstance, horizon: float, opts: SolveOptions
         res = float(np.linalg.norm(rho))
         return (theta, *controls, res, rho, chain) if np.isfinite(res) else None
 
-    log_g = model.log(g)
-    target = min(EXTREMAL_TOL * max(1.0, float(np.linalg.norm(log_g))), opts.tol)
+    target = min(EXTREMAL_TOL * max(1.0, float(np.linalg.norm(model.log(g)))), opts.tol)
     point = at(family.start)
     for _ in range(NEWTON_STEPS):
         if point is None or point[3] <= target:
@@ -622,9 +620,8 @@ def _extremal_answer(prob: ProblemInstance, horizon: float, opts: SolveOptions
         return None
     _, u, _, res, _, _ = point
     objective = _objective(prob.nu, u, horizon / prob.segments)
-    # -inf where log g leaves the cone
-    bound = float(antinorm_eval(prob.nu, prob.cone, log_g))
-    if not (np.all(prob.cone.contains(u, 0.0)) and objective >= bound * (1.0 - 1e-12)):
+    if not (np.all(prob.cone.contains(u, 0.0))
+            and objective >= family.floor * (1.0 - 1e-12)):
         return None
     return _answer(prob, u, res, objective, horizon, opts, counts["endpoint"],
                    counts["jacobian"])
@@ -652,80 +649,6 @@ def _answer(prob: ProblemInstance, u: np.ndarray, res: float, objective: float,
     return _report_from_runs(prob, [run], horizon, opts)
 
 
-def _reachable_set_paths(prob: ProblemInstance, horizon: float) -> List[np.ndarray]:
-    """Controls that answer a Heisenberg problem inside its reachable set
-    (``CarnotGroup.staircase``) for a min-of-linear antinorm, or on its
-    edge, when their residual is within tol.
-
-    - Where nu = min_i c_i . v is least on the piece c_i at d, every path
-      whose velocities stay in the sector where c_i is least has length
-      c_i . d = nu(d), the Jensen bound.  A three-piece path in that sector
-      (``_three_piece``) reaches every area its staircases bound.
-    - The staircase along the cone's edge rays g1 and g2 reaches the
-      largest or the least area that the displacement d = a g1 + b g2
-      allows.  There it is the only admissible path up to speed, and its
-      length nu(a g1) + nu(b g2) is the answer; it is built only when the
-      area lies on that edge to within the rounding slack, since inside
-      the set, however near the edge, longer paths exist."""
-    stairs = prob.model.staircase(prob.cone, prob.x0, prob.x1)
-    if stairs is None:
-        return []
-    d, ab, z, half, slack = stairs
-    if not np.isfinite(half + slack):   # areas beyond the float range
-        return []
-    edges, paths = prob.cone.edge_rays, []
-    family = getattr(prob.nu, "family", None)
-    sector = None if family is None else _linear_sector(family, edges, d)
-    if sector is not None:
-        paths.append(_three_piece(sector, np.maximum(np.linalg.solve(sector.T, d), 0.0),
-                                  z, prob.segments, horizon))
-    if abs(z) >= half - slack:
-        paths.append(_three_piece(edges, np.maximum(ab, 0.0), z, prob.segments,
-                                  horizon, staircase=True))
-    return [u for u in paths if u is not None]
-
-
-def _linear_sector(family: np.ndarray, edges: np.ndarray, d: np.ndarray
-                   ) -> Optional[np.ndarray]:
-    """The edge rays (2, 2) of the part of the cone between ``edges`` where
-    the covector of the family least at d is least, or None when that part
-    is a ray.  Along v(t) = (1 - t) g1 + t g2, t in [0, 1], each condition
-    (c_i - c_j) . v(t) <= 0 is alpha + t beta <= 0."""
-    g1, g2 = edges
-    diff = family[np.argmin(family @ d)] - family
-    alpha, beta = diff @ g1, diff @ (g2 - g1)
-    neg, pos = beta < 0.0, beta > 0.0
-    lo = (-alpha[neg] / beta[neg]).max(initial=0.0)
-    hi = (-alpha[pos] / beta[pos]).min(initial=1.0)
-    if not lo < hi:
-        return None
-    return np.array([(1.0 - lo) * g1 + lo * g2, (1.0 - hi) * g1 + hi * g2])
-
-
-def _three_piece(edges: np.ndarray, ab: np.ndarray, z: float, n_seg: int,
-                 horizon: float, staircase: bool = False) -> Optional[np.ndarray]:
-    """The control of n_seg segments that moves by s a r1, then b r2, then
-    (1 - s) a r1, for edge rays (r1, r2): its displacement is a r1 + b r2,
-    and its area (2 s - 1) A, A = a b det(r1, r2) / 2, is affine in s.  s
-    solves for the area z, clamped to [0, 1], or, for the staircase, is
-    rounded to 0 or 1.  Each piece takes at least one segment and the rest
-    in proportion to its length; None when there are more pieces than
-    segments."""
-    (a, b), (r1, r2) = ab, edges
-    area = 0.5 * a * b * np.linalg.det(edges)
-    s = min(max(0.5 + 0.5 * z / area, 0.0), 1.0) if area else 1.0
-    if staircase:
-        s = float(s >= 0.5)
-    legs = np.array([s * a * r1, b * r2, (1.0 - s) * a * r1])
-    legs = legs[np.any(legs != 0.0, axis=1)]
-    if not 1 <= len(legs) <= n_seg:
-        return None
-    lengths = np.linalg.norm(legs, axis=1)
-    counts = 1 + np.floor((n_seg - len(legs)) * lengths / lengths.sum()).astype(int)
-    counts[np.argmax(lengths)] += n_seg - counts.sum()
-    return np.repeat(legs / (counts[:, None] * (horizon / n_seg)), counts, axis=0)
-
-
 def _ray_slack(model: GroupModel, v: np.ndarray) -> float:
     """How far a reachable endpoint may lie from exp(v) when v is only
     within RAY_TOL of an extreme ray, plus the constant control's rounding.
@@ -750,12 +673,11 @@ def solve_longest(prob: ProblemInstance, opts: Optional[SolveOptions] = None
     planar cone, an area beyond the staircases') or the extreme-ray
     certificate rules every admissible path out; after one endpoint
     evaluation, the constant control when it attains the first-layer bound,
-    and on the Heisenberg group the staircase on the reachable set's edge or
-    the three-piece path that attains a min-of-linear antinorm's Jensen
-    bound; on the hyperbolic plane with a Lorentz cone and its own
-    LorentzSqrt form, the chord control of the normal extremal through
-    x0^-1 x1, found by a Newton iteration of a few endpoint passes
-    (``_certified``); each of these at iteration 0.  Otherwise the restarts
+    or a path of the model's reachable set (GroupModel.reachable_set_paths)
+    that ends within tol; the chord control of the model's normal extremal
+    through x0^-1 x1 (GroupModel.normal_extremals), found by a Newton
+    iteration of a few endpoint passes (``_certified``); each of these at
+    iteration 0.  Otherwise the restarts
     iterate, and it returns MAX_ITERATIONS when none reaches the endpoint
     tolerance.
     """

@@ -1,13 +1,14 @@
 import json
 import tracemalloc
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from sublorentz import LorentzCone, PolyhedralCone, antinorm_eval, verify
+from sublorentz import LorentzCone, PolyhedralCone, SolveOptions, antinorm_eval, verify
 from sublorentz.cli import _cloud_csv, emit_report, main, run_config
-from sublorentz.config import build_cone, load_config, parse_config
+from sublorentz.config import RunConfig, build_cone, load_config, parse_config
 from sublorentz.errors import ConfigError
 from sublorentz.groups import MAX_DIM
 from sublorentz.presets import PRESETS
@@ -81,6 +82,19 @@ def test_solver_section_validation():
     with pytest.raises(ConfigError, match="solver"):
         parse_config({"version": 1, "preset": "minkowski11",
                       "solver": {"tol": 1e-6, "bogus": 3}})
+
+
+def test_a_bare_config_takes_every_default():
+    cfg, default = parse_config({"version": 1}), RunConfig()
+    for f in fields(RunConfig):
+        assert getattr(cfg, f.name) == getattr(default, f.name), f.name
+
+
+@pytest.mark.parametrize("key, value", [("tol", 1e-3), ("max_iter", 7), ("restarts", 2),
+                                        ("seed", 5), ("inner_iter", 9)])
+def test_one_solver_key_keeps_the_other_defaults(key, value):
+    cfg = parse_config({"version": 1, "solver": {key: value}})
+    assert cfg.solver_options == replace(SolveOptions(), **{key: value})
 
 
 @pytest.mark.parametrize("key, value", [

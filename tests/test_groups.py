@@ -521,18 +521,26 @@ def test_forward_flow_matches_the_full_flow(case, rng):
         h = 1.3 / U.shape[-2]
         alpha, beta = U[..., 0], U[..., 1]
         reference = _fused_flow(alpha, beta, h)
-        X, Y = _hyperbolic_step(alpha, beta, h)[:2]
-        # the full flow alone, and as the Jacobian stage calls it, with the
-        # forward pass's exponentials
-        for values in ((X, Y), _hyperbolic_flow(alpha, beta, h),
-                       _hyperbolic_flow(alpha, beta, h, Y)):
+        for values in (_hyperbolic_step(alpha, beta, h)[:2],
+                       _hyperbolic_flow(alpha, beta, h)):
             assert all(_identical(v, r) for v, r in zip(values, reference))
         chain = model.endpoint_pass(g, U, 1.3)[2]
-        assert _identical(model.points(model.identity(), U, h), chain[..., :2])
+        assert _identical(model.points(model.identity(), U, h), chain)
 
 
 #: their endpoint maps take closed forms (step-2 areas), not the chain
 CLOSED_FORMS = ("heisenberg", "minkowski-area")
+
+
+@pytest.mark.parametrize("case", [c for c in ENDPOINT_CASES if c not in CLOSED_FORMS])
+def test_the_chain_is_the_points(case, rng):
+    model, g = _endpoint_case(case)
+    for shape in ((9, model.control_dim), (4, 9, model.control_dim)):
+        U = rng.normal(size=shape) * 0.5
+        U[..., 0] += 1.2
+        _set_slopes(case, U)
+        chain = model.endpoint_pass(g, U, 1.3)[2]
+        assert _identical(chain, model.points(model.identity(), U, 1.3 / 9))
 
 
 @pytest.mark.parametrize("case, full", [(c, False) for c in ENDPOINT_CASES]

@@ -25,6 +25,7 @@ from sublorentz import (
     WrongModelError,
     abelianized_upper_bound,
     admissibility_check,
+    antinorm_eval,
     check_hyperbolicity_desk,
     heisenberg_algebra,
     minkowski_area_algebra,
@@ -376,6 +377,9 @@ def _exp_endpoint_case(name):
                                                                            [1.0, -0.5]])
     elif name == "engel":
         model, (cone, nu), x0, v = CarnotGroup(ENGEL), mink, np.zeros(4), [2.0, 0.5, 0.0, 0.0]
+    elif name == "filiform":
+        model, (cone, nu), x0 = CarnotGroup(FILIFORM), mink, np.zeros(5)
+        v = [2.0, 0.5, 0.0, 0.0, 0.0]
     else:
         model, (cone, nu) = CarnotGroup(minkowski_area_algebra(2)), mink3
         x0, v = [0.2, 0.0, 0.1, -0.3, 0.4], [3.0, 0.5, -0.4, 0.0, 0.0]
@@ -385,7 +389,8 @@ def _exp_endpoint_case(name):
 
 
 @pytest.mark.parametrize("name", ["abelian-2", "abelian-3", "heisenberg",
-                                  "heisenberg-polyhedral", "engel", "minkowski-area"])
+                                  "heisenberg-polyhedral", "engel", "filiform",
+                                  "minkowski-area"])
 def test_constant_control_certifies_the_first_layer_bound(name):
     prob, form = _exp_endpoint_case(name)
     bound = abelianized_upper_bound(prob)
@@ -429,6 +434,17 @@ def test_average_on_an_extreme_ray_with_area_is_refused_at_once(cone, nu, x1):
     refusal = solver._certified(prob, 1.0, SolveOptions())
     assert refusal.status == SolveStatus.NO_ADMISSIBLE_PATH
     assert refusal.endpoint_evaluations == 1
+
+
+def test_filiform_average_on_a_light_ray_is_refused_after_one_evaluation(mink_cone,
+                                                                       mink_nu):
+    # every control with the average (1, 1) runs along that light ray and
+    # ends at exp((1, 1)), which has no area
+    prob = make_prob(CarnotGroup(FILIFORM), mink_cone, mink_nu, np.zeros(5),
+                     [1.0, 1.0, 0.5, 0.0, 0.0], n=12)
+    rep = solve_longest(prob)
+    assert rep.status == SolveStatus.NO_ADMISSIBLE_PATH and rep.iterations == 0
+    assert (rep.endpoint_evaluations, rep.jacobian_evaluations) == (1, 0)
 
 
 def test_average_on_a_redundant_generator_is_not_refused(heis):
@@ -524,7 +540,8 @@ def test_staircase_endpoints_far_out_are_not_refused(heis, cone):
             for x1 in (heis.multiply(heis.multiply(x0, a * g1), b * g2),
                        heis.multiply(heis.multiply(x0, b * g2), a * g1)):
                 assert _admits(heis, cone, x0, x1)
-                d, _, z, half, _ = heis.staircase(cone, x0, x1)
+                g = heis.multiply(heis.inverse(x0), x1)
+                d, _, z, half, _ = heis.staircase(cone, x0, x1, g)
                 over += abs(z) > half
                 inside = heis.multiply(x0, [*d, np.sign(z) * half * (1.0 - 1e-12)])
                 assert _admits(heis, cone, x0, inside)
@@ -604,6 +621,17 @@ def test_unit_tau_solve_takes_no_staircase(heis, mink_cone, mink_nu):
     rep = solve_longest_reparametrized(prob, form, SolveOptions(restarts=1, max_iter=1,
                                                                 inner_iter=2))
     assert rep.iterations > 0
+
+
+@pytest.mark.parametrize("case", ["hyperbolic", "engel", "filiform"])
+def test_only_the_heisenberg_group_offers_reachable_set_paths(case):
+    # the cone and antinorm whose three-piece path answers a Heisenberg
+    # problem (above) get none on the other models
+    model, g = _endpoint_case(case)
+    cone = PolyhedralCone([[1.0, 1.0], [1.0, -1.0]])
+    nu = MinOfLinear([[1.0, 0.5], [1.0, -0.5]])
+    for c in (cone, LorentzCone(MINK, [1.0, 0.0])):
+        assert model.reachable_set_paths(c, nu, model.identity(), g, g, 1.0, 50) == []
 
 
 def test_hyperbolic_light_ray_endpoint_is_answered_at_once():
@@ -833,6 +861,8 @@ def test_heisenberg_solve_keeps_its_iterates(heis, mink_cone, mink_nu):
 # Lockstep cases: (model, cone, antinorm, x0, x1, exact time form)
 HYP_FORM = [[-4.0, 0.0], [0.0, 1.0]]
 ENGEL = CarnotAlgebra.from_brackets((2, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}})
+FILIFORM = CarnotAlgebra.from_brackets(
+    (2, 1, 1, 1), {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}, (0, 3): {4: 1.0}})
 
 
 def _lockstep_case(name):
@@ -1160,6 +1190,35 @@ def test_the_reparametrized_hyperbolic_solve_iterates_as_before():
     s1, tau_c = potential(form, prob.g), _control_covector(prob.model, form)
     assert rep.iterations > 0
     assert _same_report(rep, _iterated(prob, opts, s1, tau_c))
+
+
+def test_the_extremal_floor_is_nu_of_log_g():
+    model, cone = HyperbolicPlane(), LorentzCone(HYP_FORM, [0.0, 1.0])
+    nu = LorentzSqrt(HYP_FORM)
+    for g in ([0.3, 2.0], [-0.4, 1.9], [1e-9, 1.0 + 1e-8], [40.0, 100.0]):
+        g = np.array(g)
+        floor = model.normal_extremals(cone, nu, g, 1.0, 12).floor
+        assert floor == antinorm_eval(nu, cone, model.log(g)) > 0.0
+    # log g = log(y) / (y - 1) (g - e) leaves the cone where g - e does: no
+    # family there, and nu(log g) is -inf
+    for g in ([3.0, 2.0], [0.1, 0.5]):
+        g = np.array(g)
+        assert antinorm_eval(nu, cone, model.log(g)) == NEG_INF
+        assert model.normal_extremals(cone, nu, g, 1.0, 12) is None
+
+
+def test_the_extremal_answers_by_its_familys_floor(monkeypatch):
+    prob = _hyperbolic_prob([0.3, 2.0], n=12)
+    opts = SolveOptions()
+    family = prob.model.normal_extremals(prob.cone, prob.nu, prob.g, 1.0, 12)
+    rep = solver._extremal_answer(prob, 1.0, opts)
+    assert family.floor < rep.objective
+    monkeypatch.setattr(prob.model, "normal_extremals", lambda *args: family)
+    for floor, answers in ((NEG_INF, True), (rep.objective * (1.0 + 1e-11), False)):
+        family.floor = floor
+        again = solver._extremal_answer(prob, 1.0, opts)
+        assert (again is not None) == answers
+        assert not answers or _same_report(again, rep)
 
 
 @pytest.mark.parametrize("form, nu_form", [
@@ -1527,7 +1586,7 @@ def test_far_reachable_endpoints_have_no_nan_bound(heis, mink_cone, mink_nu, x1)
     # |x1| |x0| was inf * 0 = NaN, so the constant control's own endpoint was
     # refused as unreachable; the bound and its slack are +inf now
     with np.errstate(all="raise"):
-        _, _, _, half, slack = heis.staircase(mink_cone, np.zeros(3), x1)
+        _, _, _, half, slack = heis.staircase(mink_cone, np.zeros(3), x1, np.array(x1))
         assert half == np.inf and slack == np.inf
         assert _admits(heis, mink_cone, np.zeros(3), x1)
     # the endpoint pass overflows at this scale: the solve ends unsolved,
@@ -1543,7 +1602,7 @@ def test_far_reachable_endpoints_have_no_nan_bound(heis, mink_cone, mink_nu, x1)
 
 def test_staircase_slack_keeps_its_bits_in_range(heis, mink_cone):
     x0, x1 = np.array([0.5, -0.3, 0.7]), np.array([3.0, 0.5, 0.2])
-    slack = heis.staircase(mink_cone, x0, x1)[4]
+    slack = heis.staircase(mink_cone, x0, x1, heis.multiply(heis.inverse(x0), x1))[4]
     d = x1[:2] - x0[:2]
     assert slack == 8e-12 * float(d @ d + 0.7 + 0.2
                                   + np.linalg.norm(x0[:2]) * np.linalg.norm(x1[:2]))
