@@ -449,22 +449,22 @@ def _hyperbolic_flow(alpha: np.ndarray, beta: np.ndarray, t: float
 def _residual_jacobian(ex, ey, g0, g1) -> np.ndarray:
     """d log(E^-1 g) / d E at the endpoint E = (ex, ey) of the hyperbolic
     plane, g = (g0, g1): the log's Jacobian at w = E^-1 g, times dw / dE.
-    The factors are formed from scalars and multiplied by np.dot, the dgemm
-    the array expression called; numpy's log gives log(w_y) its bits.
-    Python's floats raise where a divisor is 0 or a power overflows, so such
-    an endpoint is given as numpy scalars, which make inf and NaN there."""
+    The factors are formed from numpy scalars and multiplied by np.dot, the
+    dgemm the array expression called.  Where ey^2 overflows, -(g0 - ex) /
+    ey^2 and -g1 / ey^2 are formed as -x / ey and -y / ey, (x, y) = w."""
     x, y = (g0 - ex) / ey, g1 / ey
     t = y - 1.0
     if abs(t) < 1e-5:
         ratio = 1.0 - t / 2.0 + t * t / 3.0 - t ** 3 / 4.0
         dratio = -0.5 + 2.0 * t / 3.0 - 0.75 * t * t
     else:
-        log_y = float(np.log(y))
+        log_y = np.log(y)
         ratio = log_y / t
         dratio = ((t / y) - log_y) / (t * t)
     ey2 = ey ** 2
+    dx, dy = (-(g0 - ex) / ey2, -g1 / ey2) if math.isfinite(ey2) else (-x / ey, -y / ey)
     return np.dot(np.array([[ratio, x * dratio], [0.0, 1.0 / y]]),
-                  np.array([[-1.0 / ey, -(g0 - ex) / ey2], [0.0, -g1 / ey2]]))
+                  np.array([[-1.0 / ey, dx], [0.0, dy]]))
 
 
 class _HyperbolicExtremals:
@@ -673,12 +673,7 @@ class HyperbolicPlane(GroupModel):
         Dp[:, 0, 1], Dp[:, 1, 1] = X, Y
         Du[:, 0, 0], Du[:, 0, 1], Du[:, 1, 1] = dXa, dXb, dYb
         Du *= chain[:-1, 1, None, None]
-        ends = chain[-1].tolist() + [float(g[0]), float(g[1])]
-        try:
-            S_end = _residual_jacobian(*ends)
-        except ArithmeticError:
-            S_end = _residual_jacobian(*np.array(ends))
-        return Dp, Du, S_end
+        return Dp, Du, _residual_jacobian(*chain[-1], *g)
 
     @staticmethod
     def _offset(endpoint, g) -> np.ndarray:

@@ -42,7 +42,7 @@ iterates and counts the evaluations that a search trying one step at a time
 would, bit for bit.
 
 A solve decides its fixed facts once: ``ProblemInstance`` forms x0^-1 x1
-and the forced average, and ``_solve`` sets one floating-point policy.
+and the forced average, and ``_solve`` runs under one floating-point state.
 
 The problem is non-convex on non-abelian groups; the solver certifies
 feasibility and delivers bound-consistent local maximizers, not global
@@ -122,7 +122,7 @@ class ProblemInstance:
     def __post_init__(self):
         object.__setattr__(self, "x0", self.model.validate_point(self.x0))
         object.__setattr__(self, "x1", self.model.validate_point(self.x1))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             g = self.model.multiply(self.model.inverse(self.x0), self.x1)
         # non-finite, or off the hyperbolic plane by underflow
         if not self.model._inside(g[None])[0]:
@@ -681,7 +681,7 @@ def solve_longest(prob: ProblemInstance, opts: Optional[SolveOptions] = None
     iterate, and it returns MAX_ITERATIONS when none reaches the endpoint
     tolerance.
     """
-    return _solve(prob, 1.0, opts or SolveOptions())
+    return _solve(prob, opts or SolveOptions())
 
 
 def solve_longest_reparametrized(prob: ProblemInstance, form: TimeForm,
@@ -698,24 +698,28 @@ def solve_longest_reparametrized(prob: ProblemInstance, form: TimeForm,
     segments cannot in general switch rays where those paths do, so such
     problems iterate.
     """
-    s1 = potential(form, prob.g)
-    if s1 <= 1e-12:
-        # only x0^-1 x1 = e is reached in zero time
-        if np.allclose(prob.g, prob.model.identity(), rtol=0.0, atol=1e-12):
-            return SolveReport(status=SolveStatus.SOLVED, objective=0.0, control=None,
-                               trajectory=None, endpoint_residual=0.0, iterations=0)
-        return _no_admissible_path()
-    # tau in control coordinates; ascent happens in its kernel
-    return _solve(prob, s1, opts or SolveOptions(), _control_covector(prob.model, form))
+    return _solve(prob, opts or SolveOptions(), form)
 
 
-def _solve(prob: ProblemInstance, horizon: float, opts: SolveOptions,
-           tau_c: Optional[np.ndarray] = None) -> SolveReport:
-    """The model's refusal, the certificates, then the restarts, on the
-    horizon given; with tau_c, on the unit-tau slice.  numpy's overflow,
-    invalid and divide warnings are noise here: every non-finite value is
-    handled where it arises (``isfinite``, a caught error, a NaN trial)."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+def _solve(prob: ProblemInstance, opts: SolveOptions,
+           form: Optional[TimeForm] = None) -> SolveReport:
+    """The model's refusal, the certificates, then the restarts: on the unit
+    horizon, or with a form on the unit-tau slice of s1 = T(x0^-1 x1).  All
+    of it runs under np.errstate(all="ignore"), whatever the caller set: each
+    non-finite value is handled where it arises (isfinite, a caught error)."""
+    with np.errstate(all="ignore"):
+        horizon, tau_c = 1.0, None
+        if form is not None:
+            horizon = potential(form, prob.g)
+            if horizon <= 1e-12:
+                # only x0^-1 x1 = e is reached in zero time
+                if np.allclose(prob.g, prob.model.identity(), rtol=0.0, atol=1e-12):
+                    return SolveReport(status=SolveStatus.SOLVED, objective=0.0,
+                                       control=None, trajectory=None,
+                                       endpoint_residual=0.0, iterations=0)
+                return _no_admissible_path()
+            # tau in control coordinates; ascent happens in its kernel
+            tau_c = _control_covector(prob.model, form)
         if not prob.model.admits_path(prob.cone, prob.x0, prob.x1, prob.g):
             return _no_admissible_path()
         certified = _certified(prob, horizon, opts, tau_c)

@@ -548,6 +548,14 @@ def test_sections_that_disagree_exit_two_on_every_subcommand(
     assert capsys.readouterr().err == f"config error: {error}\n"
 
 
+def test_hyperbolic_ab_on_another_model_exits_two_under_timeform(tmp_path, capsys):
+    # the form's bracket is the hyperbolic plane's: no other model takes it
+    path = write_config(tmp_path, {"version": 1, "model": {"kind": "abelian", "dim": 2},
+                                   "timeform": {"kind": "hyperbolic_ab"}})
+    assert main(["check-timeform", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("config error: timeform.kind: ")
+
+
 def test_require_names_the_first_missing_section():
     cfg = parse_config({"version": 1, "preset": "minkowski11"})
     cfg.require("solve", "model", "cone", "antinorm", "endpoints")

@@ -444,8 +444,7 @@ def test_residual_jacobian_keeps_the_bits_of_the_array_expression(near):
 @pytest.mark.parametrize("height", [0.0, 1e200])
 def test_residual_jacobian_of_a_degenerate_endpoint_follows_numpy(height):
     # a zero endpoint height divides by 0, and a huge one overflows its
-    # square: Python's floats raise there, so the model takes numpy's
-    # scalars, whose inf and NaN the array expression made
+    # square: numpy's scalars make the inf and NaN the array expression made
     model, g = HyperbolicPlane(), np.array([0.3, 2.0])
     u = np.tile([0.1, 1.0], (4, 1))
     chain = model.endpoint_pass(g, u, 1.0)[2]
@@ -455,6 +454,16 @@ def test_residual_jacobian_of_a_degenerate_endpoint_follows_numpy(height):
         want = _residual_jacobian_reference(chain[-1, :2], g)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.all(np.isfinite(got)) == (height != 0.0)
+
+
+def test_residual_jacobian_of_a_far_endpoint_scales_with_its_height():
+    # E and g scaled by s = 2^600 keep w = E^-1 g and divide dw / dE by s;
+    # ey^2 overflows there, and its terms are formed as -x / ey and -y / ey
+    endpoint, g, s = np.array([0.1, 1.5]), np.array([0.3, 2.0]), 2.0 ** 600
+    with np.errstate(over="ignore"):
+        assert not np.isfinite((s * endpoint[1]) ** 2)
+        far = _residual_jacobian(*(s * endpoint), *(s * g))
+    np.testing.assert_allclose(s * far, _residual_jacobian(*endpoint, *g), rtol=1e-15)
 
 
 def _walk_jacobian(model, points, g, u, h):

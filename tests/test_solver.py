@@ -215,6 +215,37 @@ def test_far_endpoints_solve_without_warnings(heis, case):
             SolveStatus.MAX_ITERATIONS
 
 
+def _caller_state_case(name):
+    heis = CarnotGroup(heisenberg_algebra())
+    mink = (LorentzCone(MINK, [1.0, 0.0]), LorentzSqrt(MINK))
+    short = SolveOptions(restarts=1, max_iter=2, inner_iter=2)
+    if name == "tiny-reachable":
+        return make_prob(heis, *mink, np.zeros(3), [1e-160, 0.0, 0.0], n=20), None, None
+    if name == "tiny-refused":
+        return make_prob(heis, *mink, np.zeros(3), [1e-200, 1e-201, 1e-300], n=20), None, None
+    if name == "hyperbolic-preset":
+        return _hyperbolic_prob([0.3, 2.0], n=50), None, None
+    if name == "hyperbolic-far":
+        return _hyperbolic_prob([0.3, 2.0], n=4, x0=(0.0, 1e-300)), None, short
+    prob = make_prob(heis, *mink, np.zeros(3), [3.0, 0.5, 0.2], n=16)
+    return prob, LeftInvariantForm([1.0, 0.0, 0.0], heis), SolveOptions(
+        restarts=3, max_iter=60, inner_iter=40)
+
+
+@pytest.mark.parametrize("case", ["tiny-reachable", "tiny-refused", "hyperbolic-preset",
+                                  "hyperbolic-far", "unit-tau"])
+def test_a_solve_does_not_read_the_callers_numpy_state(case):
+    # the tiny endpoints' products underflow: under="raise" made the
+    # Heisenberg certificate raise FloatingPointError
+    prob, form, opts = _caller_state_case(case)
+    reports = []
+    for state in ({}, {"under": "raise"}, {"all": "raise"}):
+        with np.errstate(**state):
+            reports.append(solve_longest(prob, opts) if form is None
+                           else solve_longest_reparametrized(prob, form, opts))
+    assert _same_report(reports[0], reports[1]) and _same_report(reports[0], reports[2])
+
+
 def test_heisenberg_first_layer_target_attains_bound(heis, mink_cone, mink_nu,
                                                      light_opts):
     prob = make_prob(heis, mink_cone, mink_nu, np.zeros(3), [3.0, 0.0, 0.0], n=50)
@@ -612,6 +643,73 @@ def test_polyhedral_jensen_bound_is_answered_by_three_pieces(heis):
     short = make_prob(heis, prob.cone, prob.nu, prob.x0, prob.x1, n=2)
     assert solve_longest(short, SolveOptions(restarts=1, max_iter=1, inner_iter=2)
                          ).iterations > 0
+
+
+def _certificate_case(name):
+    """(model, cone, nu, x1, segments) of a problem a certificate answers
+    from the identity: the constant control to exp(v), the staircase corner
+    exp(1.5 g1) exp(0.8 g2) along the cone's edge rays g1, g2, or the
+    three-piece path."""
+    heis = CarnotGroup(heisenberg_algebra())
+    mink = (LorentzCone(MINK, [1.0, 0.0]), LorentzSqrt(MINK))
+    if name == "heisenberg-constant":
+        return heis, *mink, [3.0, 0.5, 0.0], 30
+    if name == "area-constant":
+        return (CarnotGroup(minkowski_area_algebra(2)), LorentzCone(MINK3, [1.0, 0.0, 0.0]),
+                LorentzSqrt(MINK3), [3.0, 0.5, -0.4, 0.0, 0.0], 40)
+    if name == "minkowski-corner":
+        return heis, *mink, heis.multiply([1.5, 1.5, 0.0], [0.8, -0.8, 0.0]), 20
+    if name == "sector-corner":
+        return (heis, PolyhedralCone([[1.0, 0.3], [0.4, 1.0]]),
+                MinOfLinear([[1.0, 0.0], [0.0, 1.0]]),
+                heis.multiply([1.5, 0.45, 0.0], [0.32, 0.8, 0.0]), 20)
+    return (heis, PolyhedralCone([[1.0, 1.0], [1.0, -1.0]]),
+            MinOfLinear([[1.0, 0.5], [1.0, -0.5]]), [2.0, 0.5, 0.1], 50)
+
+
+CERTIFICATE_CASES = ["heisenberg-constant", "area-constant", "minkowski-corner",
+                     "sector-corner", "three-pieces"]
+
+
+def _certificate_answer(model, cone, nu, x0, x1, n):
+    prob = make_prob(model, cone, nu, x0, x1, n=n)
+    rep = solve_longest(prob)
+    assert rep.status == SolveStatus.SOLVED and rep.iterations == 0
+    return rep
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_CASES)
+def test_a_dilation_scales_the_certified_answer(case):
+    # delta_lambda multiplies the first layer by lambda and the second by
+    # lambda^2, and every length by lambda: by a power of 2, to the bit
+    model, cone, nu, x1, n = _certificate_case(case)
+    x0 = np.zeros(model.point_dim)
+    base = _certificate_answer(model, cone, nu, x0, x1, n)
+    second = np.arange(model.point_dim) >= model.control_dim
+    for lam in (0.5, 2.0, 4.0):
+        rep = _certificate_answer(model, cone, nu, x0, np.where(second, lam ** 2, lam) * x1, n)
+        assert rep.objective == lam * base.objective
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_CASES)
+def test_a_left_translation_keeps_the_certified_answer(case):
+    # (k x0)^-1 (k x1) is x1 up to rounding
+    model, cone, nu, x1, n = _certificate_case(case)
+    base = _certificate_answer(model, cone, nu, np.zeros(model.point_dim), x1, n)
+    for k in np.random.default_rng(5).uniform(-3.0, 3.0, (3, model.point_dim)):
+        rep = _certificate_answer(model, cone, nu, k, model.multiply(k, x1), n)
+        assert rep.objective == pytest.approx(base.objective, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("case", ["heisenberg-constant", "minkowski-corner"])
+def test_the_reflection_keeps_the_certified_answer(case):
+    # (x, y, z) -> (x, -y, -z) maps the Minkowski cone and its antinorm to
+    # themselves, and Heisenberg to itself
+    model, cone, nu, x1, n = _certificate_case(case)
+    x0 = np.zeros(3)
+    base = _certificate_answer(model, cone, nu, x0, x1, n)
+    rep = _certificate_answer(model, cone, nu, x0, np.array([1.0, -1.0, -1.0]) * x1, n)
+    assert rep.objective == pytest.approx(base.objective, rel=1e-12, abs=1e-14)
 
 
 def test_unit_tau_solve_takes_no_staircase(heis, mink_cone, mink_nu):
@@ -1163,7 +1261,8 @@ def _same_report(a, b):
             == (b.status, b.objective, b.endpoint_residual, b.iterations, b.history)
             and (a.endpoint_evaluations, a.jacobian_evaluations)
             == (b.endpoint_evaluations, b.jacobian_evaluations)
-            and a.control.values.tobytes() == b.control.values.tobytes())
+            and (a.control is b.control is None
+                 or a.control.values.tobytes() == b.control.values.tobytes()))
 
 
 @pytest.mark.parametrize("case", ["min_of_linear", "past_nappe", "x0_is_x1"])
@@ -1221,6 +1320,38 @@ def test_the_extremal_answers_by_its_familys_floor(monkeypatch):
         assert not answers or _same_report(again, rep)
 
 
+class _PatchedFamily:
+    """A hyperbolic extremal family with its start or controls replaced."""
+
+    def __init__(self, family, start=None, controls=None):
+        self.floor = family.floor
+        self.start = family.start if start is None else start
+        self.controls = controls or family.controls
+
+
+@pytest.mark.parametrize("case", ["leaves_domain", "bad_start", "huge", "one_step"])
+def test_the_extremals_newton_declines_iterate_as_before(monkeypatch, case):
+    prob = _hyperbolic_prob([0.3, 2.0], n=12)
+    opts = SolveOptions(restarts=2, max_iter=5, inner_iter=10)
+    family = prob.model.normal_extremals(prob.cone, prob.nu, prob.g, 1.0, 12)
+    start, controls = family.start, family.controls
+    if case == "leaves_domain":
+        family = _PatchedFamily(family, controls=lambda theta: (
+            controls(theta) if np.array_equal(theta, start) else None))
+    elif case == "bad_start":
+        family = _PatchedFamily(family, start=np.array([0.0, start[1]]))
+    elif case == "huge":
+        family = _PatchedFamily(family, controls=lambda theta: tuple(
+            1e300 * c for c in controls(theta)))
+    else:
+        monkeypatch.setattr(solver, "NEWTON_STEPS", 1)
+    monkeypatch.setattr(prob.model, "normal_extremals", lambda *args: family)
+    # as inside a solve: the huge family overflows
+    with np.errstate(all="ignore"):
+        assert solver._extremal_answer(prob, 1.0, opts) is None
+    assert _same_report(solve_longest(prob, opts), _iterated(prob, opts))
+
+
 @pytest.mark.parametrize("form, nu_form", [
     # A_xx > 0: the future nappe's interior direction still has y > 0
     ([[0.5, 1.0], [1.0, 0.5]], [[0.5, 1.0], [1.0, 0.5]]),
@@ -1262,6 +1393,20 @@ def test_a_one_ulp_shift_of_x1_keeps_the_hyperbolic_answer(axis):
     rep = solve_longest(prob)
     assert _answered_by_the_extremal(rep, prob)
     assert rep.objective == pytest.approx(base.objective, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_far_hyperbolic_endpoints_are_answered_by_the_extremal(n):
+    # log g = (103.7, 691.5) from (0, 1e-300): the residual's Jacobian
+    # squared endpoint heights beyond 1e154, and Newton stalled
+    prob = _hyperbolic_prob([0.3, 2.0], n=n, x0=(0.0, 1e-300))
+    family = prob.model.normal_extremals(prob.cone, prob.nu, prob.g, 1.0, n)
+    rep = solve_longest(prob, SolveOptions(restarts=1, max_iter=3, inner_iter=3))
+    assert rep.status == SolveStatus.SOLVED and rep.iterations == 0
+    assert rep.jacobian_evaluations > 0
+    assert rep.endpoint_residual <= solver.EXTREMAL_TOL * np.linalg.norm(
+        prob.model.log(prob.g))
+    assert rep.objective >= family.floor
 
 
 # ---------------------------------------------------------------------------
